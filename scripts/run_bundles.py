@@ -5,7 +5,6 @@ import sys
 import time
 
 from kcontract import reproduce
-from kcontract.reproduce import _jsonable
 
 
 def main():
@@ -16,7 +15,7 @@ def main():
         result = fn(seed=0)
         result.pop("trace", None)
         result.pop("resolved", None)
-        print(json.dumps(_jsonable(result), sort_keys=True, indent=2))
+        print(json.dumps(reproduce.jsonable(result), sort_keys=True, indent=2))
         status = result["verdict"]
         print(f"# {name}: {status} in {time.time() - t1:.1f}s", file=sys.stderr)
         failures += status != "success"

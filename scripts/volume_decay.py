@@ -3,7 +3,7 @@ small random squares transported by the synchronverter dynamics."""
 
 import numpy as np
 
-from kcontract import models, sim
+from kcontract import models, reproduce, sim
 
 
 def linear_square():
@@ -19,22 +19,9 @@ def linear_square():
 
 def synchronverter_squares(count=5):
     bundle = models.builtin("synchronverter")
-    box = bundle.box
-    rng = np.random.default_rng(1)
-    times = [0.0, 0.1, 0.2, 0.3, 0.4]
-    print(f"\nsmall squares in the synchronverter box, areas at t={times}")
-    for i in range(count):
-        c = box.sample(rng, 1)[0]
-        c = np.clip(c, box.lower + 0.05 * (box.upper - box.lower),
-                    box.upper - 0.05 * (box.upper - box.lower))
-        Qm, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-        grid = sim.ImmersionGrid.from_function(
-            lambda r: c + 0.01 * (r[0] * Qm[:, 0] + r[1] * Qm[:, 1]), 2, 12, 4)
-        vols = [sim.volume_of_immersion(grid, np.eye(4))]
-        for t1, t2 in zip(times[:-1], times[1:]):
-            grid = sim.flow_immersion(grid, bundle.model.f, t2 - t1, 1e-3,
-                                      field_batch=bundle.model.f_batch)
-            vols.append(sim.volume_of_immersion(grid, np.eye(4)))
+    runs = reproduce.square_volumes(bundle, np.random.default_rng(1), count)
+    print(f"\nsmall squares in the synchronverter box, areas at t={reproduce.SQUARE_TIMES}")
+    for i, vols in enumerate(runs):
         print(f"  square {i}: " + "  ".join(f"{v:.3e}" for v in vols))
 
 

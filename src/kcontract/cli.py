@@ -21,7 +21,7 @@ from . import lin_contraction as lc
 from . import lin_synthesis as ls
 from . import models, nl_verify as nv, reproduce, sim
 from .numkernel import NumericalError
-from .reproduce import _jsonable
+from .reproduce import jsonable
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
@@ -29,7 +29,7 @@ EXIT_USAGE = 2
 
 
 def _canonical(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
 def _digest(obj) -> str:
@@ -39,7 +39,7 @@ def _digest(obj) -> str:
 def emit(report: dict, inputs) -> None:
     report = dict(report)
     report["inputs_digest"] = _digest(inputs)
-    print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
+    print(json.dumps(jsonable(report), sort_keys=True, indent=2))
 
 
 def _load_model(path: str) -> models.ModelBundle:
@@ -54,10 +54,6 @@ def _require_linear(bundle) -> None:
 
 def _parse_vector(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")], dtype=float)
-
-
-def _report_from(rep) -> dict:
-    return reproduce._report_entry(rep)
 
 
 def cmd_counts(args) -> int:
@@ -98,7 +94,7 @@ def cmd_certify_lin(args) -> int:
         "mats": [P.tolist() for P in cert.mats],
     }
     if args.out:
-        Path(args.out).write_text(json.dumps(_jsonable(cert_doc), sort_keys=True, indent=2))
+        Path(args.out).write_text(json.dumps(jsonable(cert_doc), sort_keys=True, indent=2))
     emit({
         "command": "certify-lin",
         "k": args.k,
@@ -168,7 +164,7 @@ def cmd_verify_nl(args) -> int:
         "margins": [[l, m] for l, m in report.margins],
         "diagnostics": report.diagnostics,
         "anchors": [f"constant-metric-pair/vertex-{report.data['worst_vertex']['P1']}"],
-        "report": _report_from(report),
+        "report": reproduce.report_entry(report),
     }, {"model": bundle.to_json(), "cert": cert_doc, "slack": slack})
     return EXIT_ACCEPT if report.verdict else EXIT_REJECT
 
@@ -285,7 +281,7 @@ def cmd_reproduce(args) -> int:
         if trace is not None:
             sim.trace_to_csv(trace, outdir / f"{args.name}_trace.csv")
         if resolved is not None:
-            (outdir / f"{args.name}_resolved_cert.json").write_text(json.dumps(_jsonable({
+            (outdir / f"{args.name}_resolved_cert.json").write_text(json.dumps(jsonable({
                 "P0": resolved.P0, "P1": resolved.P1, "mu0": resolved.mu0,
                 "mu1": resolved.mu1, "k": resolved.k}), sort_keys=True, indent=2))
     result["command"] = f"reproduce {args.name}"
@@ -359,10 +355,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _attach_x0(argv):
+    # argparse takes '-0.3,-0.3' for an option, so '--x0 V' is passed on as '--x0=V'
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--x0" in argv[:-1]:
+        i = argv.index("--x0")
+        argv[i:i + 2] = ["--x0=" + argv[i + 1]]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_x0(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     np.random.seed(args.seed)

@@ -8,29 +8,10 @@ closed form, never by differencing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class IndexSubsets:
-    """All strictly increasing k-tuples from {1..n}, lexicographically ordered."""
-
-    n: int
-    k: int
-    subsets: tuple
-
-    def __len__(self):
-        return len(self.subsets)
-
-    def __iter__(self):
-        return iter(self.subsets)
-
-    def __getitem__(self, i):
-        return self.subsets[i]
 
 
 def _check_order(n: int, k: int, maximum: int):
@@ -38,11 +19,10 @@ def _check_order(n: int, k: int, maximum: int):
         raise ValueError(f"compound order k={k} out of range [1, {maximum}] for n={n}")
 
 
-def index_subsets(n: int, k: int) -> IndexSubsets:
-    """1-based index tuples labelling compound rows/columns."""
+def index_subsets(n: int, k: int) -> tuple:
+    """1-based index tuples labelling compound rows/columns, lexicographically ordered."""
     _check_order(n, k, n)
-    subs = tuple(tuple(i + 1 for i in c) for c in combinations(range(n), k))
-    return IndexSubsets(n, k, subs)
+    return tuple(tuple(i + 1 for i in c) for c in combinations(range(n), k))
 
 
 def _minor(Q, rows, cols) -> float:

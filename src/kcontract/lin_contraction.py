@@ -24,6 +24,7 @@ from .numkernel import (
     check_symmetric,
     eigenvalues,
     inertia_symmetric,
+    resonant_pair,
     solve_lyapunov,
     spectral_norm,
     sym,
@@ -34,6 +35,8 @@ REAL_PART_GROUP_RTOL = 1e-8
 # ~||A|| * eps_machine^(1/chain); coarser regroups recover them
 GROUP_RTOL_LADDER = (REAL_PART_GROUP_RTOL, 3e-7, 1e-5, 3e-4)
 EPSILON_HALVINGS = 40
+# a rate this close to a pair midpoint makes the shifted solution blow up
+RESONANCE_RTOL = 1e-6
 
 
 @dataclass
@@ -43,6 +46,9 @@ class ContractionCertificate:
     ell rates mu_0 > ... > mu_{ell-1}, breakpoints d_0 = 0 < d_1 < ... <
     d_{ell-1} <= k-1 plus the closing d_ell <= k, weights h_i = d_{i+1} - d_i,
     and symmetric matrices P_i of inertia (d_i, 0, n - d_i).
+
+    Synthesis stores its W_i in the same record with colinear=True: the W_i
+    share one controllable-block factor, so B'W_i^{-1} is the same for all i.
     """
 
     ell: int
@@ -50,6 +56,7 @@ class ContractionCertificate:
     ds: list
     mats: list
     k: int
+    colinear: bool = False
 
     @property
     def weights(self):
@@ -140,13 +147,10 @@ def _condition_margin(A, P, mu) -> float:
 def build_certificate(A, k: int) -> ContractionCertificate:
     """Construct a certificate for a k-contractive A.
 
-    Groups eigenvalues by distinct real parts, keeps the groups intersecting
-    [0, k-1], and picks a common rate offset eps > 0 small enough that the
-    weighted rate budget stays nonpositive while every shifted Lyapunov solve
-    is nonresonant. eps starts at min(0.45 gap, |budget|/(k+n)) and is halved
-    on degeneracy, at most a fixed number of times. Every candidate is gated
-    through the verifier; if a grouping tolerance proves too fine for a
-    defective cluster, the construction retries with a coarser one.
+    Takes the first staged_rates candidate whose shifted Lyapunov solves all
+    succeed. Every certificate is gated through the verifier; if a grouping
+    tolerance proves too fine for a defective cluster, the construction
+    retries with a coarser one.
     """
     A = as_square(A, "A")
     n = A.shape[0]
@@ -176,13 +180,20 @@ def build_certificate(A, k: int) -> ContractionCertificate:
     )
 
 
-def _build_with_grouping(A, k, vals, rtol) -> ContractionCertificate:
-    n = A.shape[0]
+def staged_rates(vals, k: int, n: int, rtol: float):
+    """Yield each admissible (mus, ds) of the staged rate schedule, in order.
+
+    Groups the real parts of vals at tolerance rtol, keeps the groups that
+    intersect [0, k-1] and sets mu_i = alpha_i + eps. eps starts at
+    min(0.45 gap, |budget|/(k+n)) and is halved after every candidate; a
+    candidate is yielded only while the weighted budget stays nonpositive and
+    no rate sits near a pair midpoint of vals. Raises NumericalError when the
+    grouped budget is not negative.
+    """
     alphas, hbars, dbars = group_real_parts(vals, rtol=rtol)
     in_range = [d for d in dbars if d <= k - 1]
     p_k = max(in_range)
     c_k = len(in_range)
-    ell = c_k
     # budget = (k - p_k) alpha_{c_k} + sum_{i<c_k-1} hbar_i alpha_{i+1}; this
     # equals the top-k real-part sum when the grouping is exact
     budget = (k - p_k) * alphas[c_k - 1] + sum(
@@ -193,30 +204,27 @@ def _build_with_grouping(A, k, vals, rtol) -> ContractionCertificate:
     gaps = [alphas[i] - alphas[i + 1] for i in range(len(alphas) - 1)]
     # strictly below half the smallest gap: pair midpoints make the shifted
     # Lyapunov system resonant
-    eps0 = abs(budget) / (k + n)
+    eps = abs(budget) / (k + n)
     if gaps:
-        eps0 = min(0.45 * min(gaps), eps0)
-    eps = eps0
-    last_err = None
+        eps = min(0.45 * min(gaps), eps)
+    ds = dbars[:c_k] + [k - p_k + dbars[c_k - 1]]
     for _ in range(EPSILON_HALVINGS):
-        mus = [alphas[i] + eps for i in range(ell)]
-        if budget + eps * k > 0:
-            eps *= 0.5
-            continue
-        scale = max(np.abs(vals).max(), 1.0)
-        if any(min(abs(vals[a] + vals[b] - 2 * mu)
-                   for a in range(n) for b in range(a, n)) <= 1e-9 * scale
-               for mu in mus):
-            eps *= 0.5
-            continue
+        mus = [alphas[i] + eps for i in range(c_k)]
+        if budget + eps * k <= 0 and all(
+                resonant_pair(vals, mu, RESONANCE_RTOL) is None for mu in mus):
+            yield mus, ds
+        eps *= 0.5
+
+
+def _build_with_grouping(A, k, vals, rtol) -> ContractionCertificate:
+    last_err = None
+    for mus, ds in staged_rates(vals, k, A.shape[0], rtol):
         try:
             mats = [shifted_inertia_certificate(A, mu) for mu in mus]
         except NumericalError as exc:
             last_err = exc
-            eps *= 0.5
             continue
-        ds = dbars[:ell] + [k - p_k + dbars[ell - 1]]
-        return ContractionCertificate(ell=ell, mus=mus, ds=ds, mats=mats, k=k)
+        return ContractionCertificate(ell=len(mus), mus=mus, ds=ds, mats=mats, k=k)
     raise NumericalError(
         f"could not select a nondegenerate rate offset after {EPSILON_HALVINGS} halvings"
         + (f" (last error: {last_err})" if last_err else "")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lin_contraction import GROUP_RTOL_LADDER, group_real_parts
+from .lin_contraction import GROUP_RTOL_LADDER, ContractionCertificate, staged_rates
 from .numkernel import (
     NumericalError,
     as_square,
@@ -29,7 +29,6 @@ from .numkernel import (
 
 RANK_CUTOFF = 1e-10
 KAPPA_HALVINGS = 60
-EPSILON_HALVINGS = 40
 
 
 @dataclass
@@ -43,27 +42,6 @@ class KalmanDecomposition:
     Bc: np.ndarray
     nc: int
     nu: int
-
-
-@dataclass
-class StabilizabilityCertificate:
-    """Stabilizability certificate: W_i of inertia (d_i, 0, n - d_i) with shared
-    controllable-block factor, so B'W_i^{-1} is the same row space for all i."""
-
-    ell: int
-    mus: list
-    ds: list
-    mats: list
-    k: int
-    colinear: bool
-
-    @property
-    def weights(self):
-        return [self.ds[i + 1] - self.ds[i] for i in range(self.ell)]
-
-    @property
-    def rate_sum(self):
-        return float(sum(h * mu for h, mu in zip(self.weights, self.mus)))
 
 
 def controllability_matrix(A, B) -> np.ndarray:
@@ -148,23 +126,10 @@ def _uncontrollable_block(Au, mu):
     return solve_lyapunov(Ahat.T, np.eye(nu))
 
 
-def _design_margin(A, B, W, mu):
+def design_margin(A, B, W, mu):
     """Half-form margin of W A' + A W - B B' < 2 mu W."""
     BBt = B @ B.T
     return float(np.linalg.eigvalsh(sym(A @ W) - 0.5 * BBt - mu * W).max())
-
-
-def _near_resonant(vals, mu, rtol=1e-6):
-    """True when some eigenvalue pair satisfies lambda_a + lambda_b ~ 2 mu,
-    which makes the shifted Lyapunov solution blow up in norm."""
-    shifted = np.asarray(vals) - mu
-    scale = max(np.abs(shifted).max(), 1.0)
-    n = len(shifted)
-    for a in range(n):
-        for b in range(a, n):
-            if abs(shifted[a] + shifted[b]) <= rtol * scale:
-                return True
-    return False
 
 
 def _assemble(dec: KalmanDecomposition, A, B, Wc, Wu, mu):
@@ -183,7 +148,7 @@ def _assemble(dec: KalmanDecomposition, A, B, Wc, Wu, mu):
         Wz[:dec.nc, :dec.nc] = Wc
         Wz[dec.nc:, dec.nc:] = kappa * Wu
         W = dec.T.T @ Wz @ dec.T
-        if _design_margin(A, B, W, mu) < 0:
+        if design_margin(A, B, W, mu) < 0:
             return W, kappa
         kappa *= 0.5
     raise NumericalError(
@@ -214,7 +179,7 @@ def construct_W(A, B, mu: float, staircase: KalmanDecomposition | None = None) -
     return W
 
 
-def stabilizability_certificate(A, B, k: int) -> StabilizabilityCertificate:
+def stabilizability_certificate(A, B, k: int) -> ContractionCertificate:
     """Construct certificate data for a k-order stabilizable pair.
 
     Rates and breakpoints come from the grouped real parts of the
@@ -257,34 +222,13 @@ def _rate_schedule(dec: KalmanDecomposition, k, n, rtol):
         mu0 = float(vals_u.max() + 1.0)
         mu1 = float(min(-nu * mu0, vals_u.min()) - 1.0)
         return [mu0, mu1], [0, nu, nu + 1]
-    vals_u = eigenvalues(dec.Au).values
-    alphas, hbars, dbars = group_real_parts(vals_u, rtol=rtol)
-    in_range = [d for d in dbars if d <= k - 1]
-    p_k = max(in_range)
-    c_k = len(in_range)
-    budget = (k - p_k) * alphas[c_k - 1] + sum(hbars[i] * alphas[i] for i in range(c_k - 1))
-    if budget >= 0:
-        raise NumericalError("grouped rate budget is not negative")
-    gaps = [alphas[i] - alphas[i + 1] for i in range(len(alphas) - 1)]
-    # staying strictly below half the gap keeps every rate away from pair
-    # midpoints, where the shifted Lyapunov system turns resonant
-    eps0 = abs(budget) / (k + n)
-    if gaps:
-        eps0 = min(0.45 * min(gaps), eps0)
-    eps = eps0
-    for _ in range(EPSILON_HALVINGS):
-        if budget + eps * k > 0:
-            eps *= 0.5
-            continue
-        cand = [alphas[i] + eps for i in range(c_k)]
-        if any(_near_resonant(vals_u, mu) for mu in cand):
-            eps *= 0.5
-            continue
-        return cand, dbars[:c_k] + [k - p_k + dbars[c_k - 1]]
-    raise NumericalError("could not select a nondegenerate rate offset")
+    rates = next(staged_rates(eigenvalues(dec.Au).values, k, n, rtol), None)
+    if rates is None:
+        raise NumericalError("could not select a nondegenerate rate offset")
+    return rates
 
 
-def _assemble_certificate(dec, A, B, k, mus, ds) -> StabilizabilityCertificate:
+def _assemble_certificate(dec, A, B, k, mus, ds) -> ContractionCertificate:
     mu_min = min(mus)
     Wc, _ = _gramian_block(dec.Ac, dec.Bc, mu_min)
     mats = []
@@ -292,12 +236,12 @@ def _assemble_certificate(dec, A, B, k, mus, ds) -> StabilizabilityCertificate:
         Wu = _uncontrollable_block(dec.Au, mu)
         W, _ = _assemble(dec, A, B, Wc, Wu, mu)
         mats.append(W)
-    return StabilizabilityCertificate(
+    return ContractionCertificate(
         ell=len(mus), mus=[float(m) for m in mus], ds=ds, mats=mats, k=k, colinear=True,
     )
 
 
-def _validate_certificate(A, B, cert: StabilizabilityCertificate):
+def _validate_certificate(A, B, cert: ContractionCertificate):
     n = A.shape[0]
     B = np.asarray(B, dtype=float).reshape(n, -1)
     for i, (W, mu, d) in enumerate(zip(cert.mats, cert.mus, cert.ds)):
@@ -308,7 +252,7 @@ def _validate_certificate(A, B, cert: StabilizabilityCertificate):
             raise NumericalError(
                 f"W_{i} inertia {inertia.as_tuple()} != required ({d}, 0, {n - d})"
             )
-        m = _design_margin(A, B, W, mu)
+        m = design_margin(A, B, W, mu)
         if not m < 0:
             raise NumericalError(f"design inequality {i} violated (margin {m:.3e})")
     if cert.rate_sum > 0:
@@ -324,14 +268,14 @@ def _validate_certificate(A, B, cert: StabilizabilityCertificate):
                 )
 
 
-def certificate_margins(A, B, cert: StabilizabilityCertificate):
+def certificate_margins(A, B, cert: ContractionCertificate):
     """Half-form margins of the ell design inequalities (diagnostics)."""
     A = as_square(A, "A")
     B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
-    return [_design_margin(A, B, W, mu) for W, mu in zip(cert.mats, cert.mus)]
+    return [design_margin(A, B, W, mu) for W, mu in zip(cert.mats, cert.mus)]
 
 
-def synthesize_gain(cert: StabilizabilityCertificate, B, rho: float = 1.0) -> np.ndarray:
+def synthesize_gain(cert: ContractionCertificate, B, rho: float = 1.0) -> np.ndarray:
     """K = (rho/2) B' W_0^{-1}; any rho >= 1 preserves k-contraction of A - BK."""
     if rho < 1.0:
         raise ValueError(f"rho must be >= 1, got {rho}")

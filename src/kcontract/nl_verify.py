@@ -20,6 +20,7 @@ import numpy as np
 
 from .compound import additive_compound
 from .lin_contraction import VerificationReport
+from .lin_synthesis import design_margin
 from .numkernel import (
     check_symmetric,
     inertia_symmetric,
@@ -337,9 +338,8 @@ def synthesize_nl_gain(model: NonlinearModel, box: Box, W0, W1, mu0: float, mu1:
     worst_b, vb = -np.inf, -1
     shift = 0.5 * BBt @ W0i
     for i, J in enumerate(verts):
-        ma = float(np.linalg.eigvalsh(sym(J @ W0) - 0.5 * BBt - mu0 * W0).max())
-        Jb = J - shift
-        mb = float(np.linalg.eigvalsh(sym(Jb @ W1) - 0.5 * BBt - mu1 * W1).max())
+        ma = design_margin(J, B, W0, mu0)
+        mb = design_margin(J - shift, B, W1, mu1)
         if ma > worst_a:
             worst_a, va = ma, i
         if mb > worst_b:

@@ -52,12 +52,6 @@ class Spectrum:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
 
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
     @property
     def real(self):
         return self.values.real
@@ -130,24 +124,21 @@ def inertia_symmetric(S, zero_tol: float = DEFAULT_ZERO_TOL) -> InertiaTriple:
     return InertiaTriple(neg, len(w) - neg - pos, pos)
 
 
-def inertia_general(M, zero_tol: float = DEFAULT_ZERO_TOL) -> InertiaTriple:
-    """Inertia of a general square matrix from real parts of its eigenvalues."""
-    spec = eigenvalues(M)
-    re = spec.real
-    scale = max(np.abs(re).max() if re.size else 0.0, 1.0)
-    thr = zero_tol * scale
-    neg = int(np.sum(re < -thr))
-    pos = int(np.sum(re > thr))
-    return InertiaTriple(neg, len(re) - neg - pos, pos)
+def resonant_pair(vals, mu: float = 0.0, rtol: float = 1e-12):
+    """First index pair (a, b), a <= b, with (lambda_a - mu) + (lambda_b - mu) ~ 0.
 
-
-def solve_linear(A, b) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular linear system: {exc}") from exc
+    The sum is compared against rtol * max(max|lambda - mu|, 1); None when no
+    pair is that close. Such a pair makes the Lyapunov system of A - mu I
+    singular, and a near miss makes its solution blow up in norm.
+    """
+    shifted = np.asarray(vals) - mu
+    tol = rtol * max(np.abs(shifted).max(), 1.0)
+    n = len(shifted)
+    for a in range(n):
+        for b in range(a, n):
+            if abs(shifted[a] + shifted[b]) <= tol:
+                return a, b
+    return None
 
 
 def solve_lyapunov(A, Q, allow_consistent_singular: bool = False) -> np.ndarray:
@@ -167,15 +158,8 @@ def solve_lyapunov(A, Q, allow_consistent_singular: bool = False) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0))
     vals = eigenvalues(A).values
-    scale = max(np.abs(vals).max(), 1.0)
-    resonant = None
-    for i in range(n):
-        for j in range(i, n):
-            if abs(vals[i] + vals[j]) <= 1e-12 * scale:
-                resonant = (vals[i], vals[j])
-                break
-        if resonant:
-            break
+    pair = resonant_pair(vals)
+    resonant = None if pair is None else (vals[pair[0]], vals[pair[1]])
     if resonant and not allow_consistent_singular:
         raise NumericalError(
             "resonant spectrum: eigenvalues "
@@ -188,7 +172,10 @@ def solve_lyapunov(A, Q, allow_consistent_singular: bool = False) -> np.ndarray:
     if resonant:
         vecP = np.linalg.lstsq(K, rhs, rcond=None)[0]
     else:
-        vecP = solve_linear(K, rhs)
+        try:
+            vecP = np.linalg.solve(K, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"singular linear system: {exc}") from exc
     P = vecP.reshape((n, n), order="F")
     P = 0.5 * (P + P.T)
     resid = np.abs(A.T @ P + P @ A + Q).max()
@@ -211,13 +198,6 @@ def is_neg_def(S, slack: float = 0.0):
     w = eigenvalues_symmetric(S)
     margin = float(w[-1]) if w.size else -np.inf
     return margin < slack, margin
-
-
-def is_pos_def(S, slack: float = 0.0):
-    """(verdict, margin) for positive definiteness; margin is lambda_min(S)."""
-    w = eigenvalues_symmetric(S)
-    margin = float(w[0]) if w.size else np.inf
-    return margin > slack, margin
 
 
 def sym(M) -> np.ndarray:

@@ -58,20 +58,20 @@ def derive_attractor_box(bundle, x0, t_end=400.0, h=1e-2, inflate=1.1):
     return box, tr
 
 
-def _report_entry(report: VerificationReport):
+def report_entry(report: VerificationReport):
     return {
         "verdict": "accept" if report.verdict else "reject",
         "margins": [[lab, float(m)] for lab, m in report.margins],
         "diagnostics": report.diagnostics,
-        "data": _jsonable(report.data),
+        "data": jsonable(report.data),
     }
 
 
-def _jsonable(obj):
+def jsonable(obj):
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.bool_, bool)):
@@ -172,9 +172,9 @@ def reproduce_rossler_mod(seed: int = 0, classify: bool = True,
         "derived_box": {"lower": box.lower.tolist(), "upper": box.upper.tolist()},
         "box_protocol": "trailing half of the trajectory from (0.2, 0.5, 0) over "
                         "t in [0, 400], bounding box inflated by 10 percent",
-        "printed_certificate": _report_entry(printed_report),
+        "printed_certificate": report_entry(printed_report),
         "printed_slack": slack,
-        "resolved_certificate": (_report_entry(resolved_report)
+        "resolved_certificate": (report_entry(resolved_report)
                                  if resolved_report else "search failure (legitimate)"),
         "rate_budget": rate,
         "fitted_decay_rate": a,
@@ -187,6 +187,33 @@ def reproduce_rossler_mod(seed: int = 0, classify: bool = True,
 
 
 SYNC_REFINEMENT = {3: 8}  # slab split along x4 tightens the trig-pair hull
+
+
+SQUARE_TIMES = [0.0, 0.1, 0.2, 0.3, 0.4]
+
+
+def square_volumes(bundle, rng, count: int) -> list:
+    """Areas of count small random squares in the box, flowed to each SQUARE_TIMES.
+
+    Each square has side 0.01 in a random 2-plane through a point drawn from
+    the box, kept 5% away from its faces; one list of areas per square.
+    """
+    box, model = bundle.box, bundle.model
+    eye = np.eye(model.dim)
+    runs = []
+    for _ in range(count):
+        c = box.sample(rng, 1)[0]
+        c = np.clip(c, box.lower + 0.05 * (box.upper - box.lower),
+                    box.upper - 0.05 * (box.upper - box.lower))
+        Qm, _ = np.linalg.qr(rng.standard_normal((model.dim, 2)))
+        grid = sim.ImmersionGrid.from_function(
+            lambda r: c + 0.01 * (r[0] * Qm[:, 0] + r[1] * Qm[:, 1]), 2, 12, model.dim)
+        vols = [sim.volume_of_immersion(grid, eye)]
+        for t1, t2 in zip(SQUARE_TIMES[:-1], SQUARE_TIMES[1:]):
+            grid = sim.flow_immersion(grid, model.f, t2 - t1, 1e-3, field_batch=model.f_batch)
+            vols.append(sim.volume_of_immersion(grid, eye))
+        runs.append(vols)
+    return runs
 
 
 def reproduce_synchronverter(seed: int = 0, trajectories: int = 10,
@@ -233,23 +260,7 @@ def reproduce_synchronverter(seed: int = 0, trajectories: int = 10,
             tr = sim.integrate(bundle.model.f, x0, 20.0, 1e-3, record_every=10)
             labels.append(sim.classify_attractor(tr))
 
-    vol_runs = []
-    rng = np.random.default_rng(seed + 1)
-    times = [0.0, 0.1, 0.2, 0.3, 0.4]
-    for _ in range(squares):
-        c = box.sample(rng, 1)[0]
-        c = np.clip(c, box.lower + 0.05 * (box.upper - box.lower),
-                    box.upper - 0.05 * (box.upper - box.lower))
-        Qm, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-        delta = 0.01
-        grid = sim.ImmersionGrid.from_function(
-            lambda r: c + delta * (r[0] * Qm[:, 0] + r[1] * Qm[:, 1]), 2, 12, 4)
-        vols = [sim.volume_of_immersion(grid, np.eye(4))]
-        for t1, t2 in zip(times[:-1], times[1:]):
-            grid = sim.flow_immersion(grid, bundle.model.f, t2 - t1, 1e-3,
-                                      field_batch=bundle.model.f_batch)
-            vols.append(sim.volume_of_immersion(grid, np.eye(4)))
-        vol_runs.append(vols)
+    vol_runs = square_volumes(bundle, np.random.default_rng(seed + 1), squares)
 
     checks = {
         "printed_accepted_at_printed_precision": printed_report.verdict,
@@ -270,11 +281,11 @@ def reproduce_synchronverter(seed: int = 0, trajectories: int = 10,
         "anchors": ["constant-metric-pair", "certificate-re-solve/refined-envelope",
                     "attractor-classification", "area-decay"],
         "box": {"lower": box.lower.tolist(), "upper": box.upper.tolist()},
-        "printed_certificate": _report_entry(printed_report),
+        "printed_certificate": report_entry(printed_report),
         "printed_slack": slack,
         "printed_inertia": {"P0": list(inertia_symmetric(printed.P0)),
                             "P1": list(inertia_symmetric(printed.P1))},
-        "resolved_certificate": (_report_entry(resolved_report)
+        "resolved_certificate": (report_entry(resolved_report)
                                  if resolved_report else "search failure (legitimate)"),
         "refinement": {str(k): v for k, v in refinement.items()},
         "trajectory_labels": labels,
@@ -345,8 +356,8 @@ def reproduce_example25(seed: int = 0, classify: bool = True) -> dict:
         "K_expected": K_exp.tolist(),
         "omega": float(omega),
         "omega_expected": doc["omega_expected"],
-        "design_inequalities": _report_entry(design_report),
-        "compound_condition": _report_entry(q_report),
+        "design_inequalities": report_entry(design_report),
+        "compound_condition": report_entry(q_report),
         "equilibria": [
             {"point": e.point.tolist(), "label": e.label,
              "eigenvalues_re": np.sort(e.eigenvalues.real).tolist()}

@@ -87,6 +87,17 @@ def test_simulate_writes_csv(capsys, builtin_model, tmp_path):
     assert len(lines) == 1002
 
 
+def test_simulate_negative_x0_both_forms(capsys, builtin_model):
+    model = builtin_model("rossler_mod")
+    outs = []
+    for x0 in (["--x0", "-0.3,-0.3,-0.5"], ["--x0=-0.3,-0.3,-0.5"]):
+        code = cli.main(["simulate", "--model", model, *x0, "--t", "0.1"])
+        assert code == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["final_state"][0] < 0
+
+
 def test_simulate_compound_fit(capsys, builtin_model):
     code, rep = run_cli(capsys, "simulate", "--model", builtin_model("rossler_mod"),
                         "--x0", "0.2,0.5,0", "--t", "10", "--compound", "3")

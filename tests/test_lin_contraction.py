@@ -3,6 +3,7 @@ import pytest
 
 from kcontract import compound as cp
 from kcontract import lin_contraction as lc
+from kcontract import lin_synthesis as ls
 from kcontract.numkernel import NumericalError, inertia_symmetric
 
 
@@ -109,6 +110,17 @@ def test_build_certificate_hurwitz_case():
     assert cert.rate_sum <= 0
     report = lc.verify_certificate(np.diag([-1.0, -2.0, -3.0]), 2, cert)
     assert report.verdict
+
+
+@pytest.mark.parametrize("construct", [
+    lambda A: lc.build_certificate(A, 2),
+    lambda A: ls.stabilizability_certificate(A, np.zeros((3, 1)), 2),
+], ids=["contraction", "stabilizability"])
+def test_staged_rates_skip_pair_midpoint(construct):
+    # the first candidate rate -1.8 is the midpoint of 1 and -4.6: the schedule
+    # halves eps to 0.1 instead of solving a resonant shifted system
+    A = np.diag([1.0, -2.0, -4.6])
+    assert construct(A).mus == [1.1, -1.9]
 
 
 def test_build_certificate_rejects_noncontractive():
