@@ -1,0 +1,116 @@
+"""Print SHA-256 digests of kcontract trajectories, to compare two commits.
+
+    python3 scripts/trace_digest.py --seed N
+
+Run from the root of a source checkout; the package is imported from src/.
+At the benchmark's settings (perfbench/workloads.py) it runs the four
+reproduction bundles, then `simulate --compound 2` and `volume` through the
+CLI on each built-in model. Every array that sim.integrate,
+sim.integrate_compound and sim.integrate_batch return during a run is hashed
+together with the run's report or standard output, so equal digests mean
+byte-identical trajectories, compound norms and reports.
+"""
+
+import argparse
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+from kcontract import cli, models, reproduce, sim  # noqa: E402
+from workloads import BUNDLE_SEEDS, BUNDLE_SETTINGS, BUNDLES  # noqa: E402
+
+SIM_T, SIM_K = "1", "2"
+VOLUME_GRID, VOLUME_T = "32", "0.5"
+
+
+class Recorder:
+    """Hashes the arrays returned by the sim integrators while installed."""
+
+    NAMES = ("integrate", "integrate_compound", "integrate_batch")
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def add(self, *arrays):
+        for a in arrays:
+            if a is not None:
+                a = np.ascontiguousarray(a)
+                self.hash.update(f"{a.dtype}{a.shape}".encode())
+                self.hash.update(a.tobytes())
+
+    def wrap(self, fn):
+        def recorded(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if isinstance(out, sim.Trace):
+                self.add(out.times, out.states, out.compound_norms,
+                         np.array([out.truncated]))
+            else:
+                self.add(*out)
+            return out
+        return recorded
+
+    def __enter__(self):
+        self.saved = {name: getattr(sim, name) for name in self.NAMES}
+        for name, fn in self.saved.items():
+            setattr(sim, name, self.wrap(fn))
+        return self
+
+    def __exit__(self, *exc):
+        for name, fn in self.saved.items():
+            setattr(sim, name, fn)
+
+
+def bundle_digest(name: str, seed: int) -> str:
+    with Recorder() as rec:
+        result = reproduce.BUNDLES[name](seed=seed, **BUNDLE_SETTINGS[name])
+    result.pop("trace", None)
+    resolved = result.pop("resolved", None)
+    if resolved is not None:
+        rec.add(resolved.P0, resolved.P1, np.array([resolved.mu0, resolved.mu1]))
+    rec.hash.update(json.dumps(reproduce.jsonable(result), sort_keys=True).encode())
+    return rec.hash.hexdigest()
+
+
+def cli_digest(argv) -> str:
+    buf = io.StringIO()
+    with Recorder() as rec, redirect_stdout(buf):
+        code = cli.main(list(argv))
+    rec.hash.update(f"exit {code}\n{buf.getvalue()}".encode())
+    return rec.hash.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+
+    for name in BUNDLES:
+        print(f"bundle/{name} {bundle_digest(name, args.seed % BUNDLE_SEEDS)}")
+    rng = np.random.default_rng(args.seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in models.BUILTINS:
+            bundle = models.builtin(name)
+            doc = Path(tmp) / f"{name}.json"
+            doc.write_text(json.dumps(bundle.to_json()))
+            box = bundle.box
+            x0 = box.lower + rng.random(box.dim) * (box.upper - box.lower)
+            x0_arg = "--x0=" + ",".join(repr(float(v)) for v in x0)
+            print(f"simulate/{name} " + cli_digest(
+                ("simulate", "--model", str(doc), x0_arg, "--t", SIM_T,
+                 "--compound", SIM_K)))
+            print(f"volume/{name} " + cli_digest(
+                ("volume", "--model", str(doc), "--grid", VOLUME_GRID, "--t", VOLUME_T)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,6 +8,7 @@ closed form, never by differencing.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -59,12 +60,41 @@ def multiplicative_compound(Q, k: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _additive_scatter(n: int, k: int):
+    """Index arrays of the k-th additive compound of an n x n matrix.
+
+    Returns (subs, dst, src, sign): subs[i] lists the indices of row i, and
+    the off-diagonal entry at flat position dst[t] is sign[t] * Q.flat[src[t]].
+    """
+    subs = list(combinations(range(n), k))
+    N = len(subs)
+    pos = {s: i for i, s in enumerate(subs)}
+    dst, src, sign = [], [], []
+    for i, I in enumerate(subs):
+        Iset = set(I)
+        for ra, a in enumerate(I):
+            for b in range(n):
+                if b in Iset:
+                    continue
+                J = tuple(sorted(Iset - {a} | {b}))
+                dst.append(i * N + pos[J])
+                src.append(a * n + b)
+                sign.append(-1.0 if (ra + J.index(b)) % 2 else 1.0)
+    arrays = (np.array(subs, dtype=np.intp).reshape(N, k), np.array(dst, dtype=np.intp),
+              np.array(src, dtype=np.intp), np.array(sign))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def additive_compound(Q, k: int) -> np.ndarray:
     """k-th additive compound by closed form.
 
     Entry (I, I) is the trace of Q over I; entry (I, J) with I and J sharing
     all but one index a in I, b in J carries (-1)^(pos_I(a) + pos_J(b)) Q[a, b];
-    all other entries vanish.
+    all other entries vanish. The entries are gathered and scattered through
+    index arrays built once per (n, k).
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -73,22 +103,12 @@ def additive_compound(Q, k: int) -> np.ndarray:
     _check_order(n, k, n)
     if k == 1:
         return Q.copy()
-    subs = list(combinations(range(n), k))
+    subs, dst, src, sign = _additive_scatter(n, k)
     N = len(subs)
-    pos = {s: i for i, s in enumerate(subs)}
-    out = np.zeros((N, N))
-    diag = np.diag(Q)
-    for i, I in enumerate(subs):
-        out[i, i] = diag[list(I)].sum()
-        Iset = set(I)
-        for ra, a in enumerate(I):
-            for b in range(n):
-                if b in Iset:
-                    continue
-                J = tuple(sorted(Iset - {a} | {b}))
-                rb = J.index(b)
-                out[i, pos[J]] += (-1) ** (ra + rb) * Q[a, b]
-    return out
+    out = np.zeros(N * N)
+    out[dst] = sign * Q.ravel()[src] + 0.0  # as 0 + (+-Q[a, b]): a product -0 is stored as +0
+    out[::N + 1] = Q.diagonal()[subs].sum(axis=1)
+    return out.reshape(N, N)
 
 
 def compound_dimension(n: int, k: int) -> int:

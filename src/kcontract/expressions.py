@@ -9,9 +9,10 @@ Grammar (total; parse errors carry position):
     atom    := number | variable | 'sin' '(' expr ')' | 'cos' '(' expr ')'
              | '(' expr ')'
 
-Variables are x1..xn. Every node evaluates pointwise and over intervals;
-interval division by a zero-crossing denominator raises (no silent widening
-to infinity).
+Variables are x1..xn and numeric literals must be finite. Expressions are
+evaluated by compiling them to Python source (``compile_model``), and bounded
+over boxes by interval evaluation (``Node.interval``); interval division by a
+zero-crossing denominator raises (no silent widening to infinity).
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -80,53 +84,6 @@ def _ivcos(a):
 class Node:
     op: str
     args: tuple
-
-    def eval(self, x):
-        op, args = self.op, self.args
-        if op == "const":
-            return args[0]
-        if op == "var":
-            return float(x[args[0]])
-        if op == "neg":
-            return -args[0].eval(x)
-        if op == "+":
-            return args[0].eval(x) + args[1].eval(x)
-        if op == "-":
-            return args[0].eval(x) - args[1].eval(x)
-        if op == "*":
-            return args[0].eval(x) * args[1].eval(x)
-        if op == "/":
-            return args[0].eval(x) / args[1].eval(x)
-        if op == "pow":
-            return args[0].eval(x) ** args[1]
-        if op == "sin":
-            return math.sin(args[0].eval(x))
-        if op == "cos":
-            return math.cos(args[0].eval(x))
-        raise AssertionError(op)
-
-    def eval_batch(self, X):
-        """Evaluate over a batch of states (rows of X); returns a length-m array."""
-        import numpy as np
-
-        op, args = self.op, self.args
-        if op == "const":
-            return np.full(X.shape[0], args[0])
-        if op == "var":
-            return X[:, args[0]]
-        if op == "neg":
-            return -args[0].eval_batch(X)
-        if op in ("+", "-", "*", "/"):
-            a = args[0].eval_batch(X)
-            b = args[1].eval_batch(X)
-            return {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[op](a, b)
-        if op == "pow":
-            return args[0].eval_batch(X) ** args[1]
-        if op == "sin":
-            return np.sin(args[0].eval_batch(X))
-        if op == "cos":
-            return np.cos(args[0].eval_batch(X))
-        raise AssertionError(op)
 
     def interval(self, boxes):
         """Range bound over per-variable intervals [(lo, hi), ...]."""
@@ -193,7 +150,11 @@ def _tokenize(text):
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", pos)
         if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num")), m.start("num")))
+            value = float(m.group("num"))
+            if not math.isfinite(value):
+                raise ParseError(f"literal {m.group('num')} is not a finite number",
+                                 m.start("num"))
+            tokens.append(("num", value, m.start("num")))
         elif m.lastgroup == "name":
             tokens.append(("name", m.group("name"), m.start("name")))
         else:
@@ -301,3 +262,104 @@ class _Parser:
 def parse_expression(text: str, dim: int) -> Node:
     """Parse one scalar expression over variables x1..x<dim>."""
     return _Parser(text, dim).parse()
+
+
+# ---------------------------------------------------------------------------
+# compilation to Python source
+# ---------------------------------------------------------------------------
+
+
+def _is_literal(node) -> bool:
+    """A constant, possibly negated: exact on a Python float."""
+    return node.op == "const" or (node.op == "neg" and _is_literal(node.args[0]))
+
+
+def python_source(node: Node, consts: list, batch: bool = False) -> str:
+    """Fully parenthesised Python source of node over the locals x0..x<n-1>.
+
+    Every constant is appended to consts and read by name (c<i>), never
+    written as a literal. Scalar source evaluates on Python floats with
+    math.sin/math.cos. Batch source reads x<i> as a column of the (m, n)
+    state block and uses np.sin/np.cos. There a constant stays a Python float
+    only where it, possibly negated, is an operand of + - * / whose other
+    operand depends on a variable; elsewhere it is np.full(m, c). So every
+    operation runs in numpy on length-m arrays, and an expression without
+    variables still gives m values.
+    """
+
+    def bind(value):
+        consts.append(value)
+        return f"c{len(consts) - 1}"
+
+    def emit(node, wide):
+        op, args = node.op, node.args
+        if op == "const":
+            name = bind(args[0])
+            return f"np.full(m, {name})" if wide else name
+        if op == "var":
+            return f"x{args[0]}"
+        if op == "neg":
+            return f"(-{emit(args[0], wide)})"
+        if op in ("+", "-", "*", "/"):
+            a, b = args
+            wide_a = batch and not (_is_literal(a) and b.variables())
+            wide_b = batch and not (_is_literal(b) and a.variables())
+            return f"({emit(a, wide_a)} {op} {emit(b, wide_b)})"
+        if op == "pow":
+            base = emit(args[0], batch)
+            return f"({base} ** {bind(args[1])})"
+        if op in ("sin", "cos"):
+            return f"{'np' if batch else 'math'}.{op}({emit(args[0], batch)})"
+        raise AssertionError(op)
+
+    return emit(node, batch)
+
+
+@dataclass(frozen=True)
+class CompiledModel:
+    """A vector field and its envelope parameters compiled together.
+
+    f(x) evaluates the field on Python floats and returns an ndarray;
+    f_batch(X) evaluates it on every row of an (m, n) block; theta(x) is the
+    list of parameter values and thetas[j](x) the j-th one alone.
+    """
+
+    f: callable
+    f_batch: callable
+    theta: callable
+    thetas: tuple
+
+
+@lru_cache(maxsize=64)
+def _code(source: str):
+    # constants are bound by name, so models that differ only in their
+    # constants (builtin parameters, repeated loads) share one code object
+    return compile(source, "<kcontract model>", "exec")
+
+
+def compile_model(dim: int, f_nodes, theta_nodes) -> CompiledModel:
+    """Emit the source of f, f_batch, theta and each theta_j and compile it once."""
+    consts = []
+    names = ", ".join(f"x{i}" for i in range(dim))
+    unpack = f"    [{names}] = asarray(x, dtype=float).tolist()\n"
+
+    def scalar(name, body):
+        return f"def {name}(x):\n{unpack}    return {body}\n"
+
+    def listed(nodes, batch=False):
+        return "[" + ", ".join(python_source(n, consts, batch) for n in nodes) + "]"
+
+    parts = [scalar("f", f"array({listed(f_nodes)})"), scalar("theta", listed(theta_nodes))]
+    parts += [scalar(f"theta_{j}", python_source(n, consts))
+              for j, n in enumerate(theta_nodes)]
+    parts.append(
+        "def f_batch(X):\n    X = asarray(X, dtype=float)\n    m = X.shape[0]\n"
+        + "".join(f"    x{i} = X[:, {i}]\n" for i in range(dim))
+        + f"    return np.stack({listed(f_nodes, batch=True)}, axis=1)\n")
+    namespace = {"math": math, "np": np, "array": np.array, "asarray": np.asarray}
+    namespace.update((f"c{i}", value) for i, value in enumerate(consts))
+    exec(_code("".join(parts)), namespace)
+    return CompiledModel(
+        f=namespace["f"], f_batch=namespace["f_batch"], theta=namespace["theta"],
+        thetas=tuple(namespace[f"theta_{j}"] for j in range(len(theta_nodes))),
+    )

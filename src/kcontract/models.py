@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import IntervalError, parse_expression
+from .expressions import IntervalError, compile_model, parse_expression
 from .nl_verify import Box, NonlinearModel
 from .sim import finite_difference_jacobian
 
@@ -73,12 +73,6 @@ def _build_nonlinear(name, dim, f_exprs, A0, term_docs, box, B=None, params=None
     if len(f_nodes) != dim:
         raise ValueError(f"expected {dim} field components, got {len(f_nodes)}")
 
-    def f(x):
-        return np.array([node.eval(x) for node in f_nodes])
-
-    def f_batch(X):
-        return np.stack([node.eval_batch(X) for node in f_nodes], axis=1)
-
     term_mats = []
     theta_nodes = []
     theta_exprs = []
@@ -87,35 +81,36 @@ def _build_nonlinear(name, dim, f_exprs, A0, term_docs, box, B=None, params=None
         Aj = np.asarray(doc["A"], dtype=float)
         if Aj.shape != (dim, dim):
             raise ValueError(f"term matrix has shape {Aj.shape}, expected {(dim, dim)}")
-        node = parse_expression(doc["theta"], dim)
         term_mats.append(Aj)
-        theta_nodes.append(node)
+        theta_nodes.append(parse_expression(doc["theta"], dim))
         theta_exprs.append(doc["theta"])
         fixed_bounds.append(tuple(doc["bounds"]) if "bounds" in doc else None)
-
-    def make_theta(node):
-        return lambda x: node.eval(x)
-
-    terms = [(Aj, make_theta(node)) for Aj, node in zip(term_mats, theta_nodes)]
+    compiled = compile_model(dim, f_nodes, theta_nodes)
 
     def bounds(b: Box):
         ivs = b.intervals()
         out = []
-        for node, fixed in zip(theta_nodes, fixed_bounds):
+        for j, (node, fixed) in enumerate(zip(theta_nodes, fixed_bounds)):
             if fixed is not None:
-                out.append(fixed)
+                iv = fixed
             else:
                 try:
-                    out.append(node.interval(ivs))
+                    iv = node.interval(ivs)
                 except IntervalError as exc:
                     raise IntervalError(
                         f"cannot bound envelope parameter on the box: {exc}"
                     ) from exc
+            if not all(math.isfinite(v) for v in iv):
+                raise IntervalError(
+                    f"envelope parameter {j + 1} ({theta_exprs[j]}) has the non-finite "
+                    f"bound {tuple(iv)} on the box"
+                )
+            out.append(iv)
         return out
 
     model = NonlinearModel(
-        dim=dim, f=f, A0=np.asarray(A0, dtype=float), terms=terms, bounds=bounds,
-        name=name, f_batch=f_batch,
+        dim=dim, f=compiled.f, A0=A0, terms=list(zip(term_mats, compiled.thetas)),
+        bounds=bounds, name=name, f_batch=compiled.f_batch, theta=compiled.theta,
     )
     return ModelBundle(
         kind="nonlinear", name=name, B=None if B is None else np.asarray(B, dtype=float),
@@ -132,7 +127,10 @@ def _check_envelope(bundle: ModelBundle, points: int = ENVELOPE_CHECK_POINTS):
     for x in box.sample(rng, points):
         J_env = model.jacobian(x)
         J_fd = finite_difference_jacobian(model.f, x)
-        err = np.abs(J_env - J_fd).max() / (1.0 + np.abs(J_env).max())
+        if np.isfinite(J_env).all() and np.isfinite(J_fd).all():
+            err = np.abs(J_env - J_fd).max() / (1.0 + np.abs(J_env).max())
+        else:
+            err = math.inf  # a non-finite Jacobian never agrees
         if err > worst[0]:
             worst = (err, x)
     if worst[0] > ENVELOPE_CHECK_RTOL:

@@ -78,8 +78,9 @@ class NonlinearModel:
 
     f(x) evaluates the field; the Jacobian is A0 + sum theta_j(x) A_j with
     scalar evaluators theta_j and a bounds procedure mapping a Box to
-    intervals [theta_j-, theta_j+]. For models built from the expression
-    language the bounds come from interval evaluation.
+    intervals [theta_j-, theta_j+]. theta(x), when given, returns all
+    theta_j(x) at once. For models built from the expression language the
+    bounds come from interval evaluation.
     """
 
     dim: int
@@ -89,11 +90,19 @@ class NonlinearModel:
     bounds: callable  # Box -> [(lo, hi), ...]
     name: str = ""
     f_batch: callable | None = None  # optional vectorized evaluator (m,n) -> (m,n)
+    theta: callable | None = None  # optional x -> [theta_1(x), ...]
+
+    def __post_init__(self):
+        self.A0 = np.asarray(self.A0, dtype=float)
+        self.terms = [(np.asarray(Aj, dtype=float), th) for Aj, th in self.terms]
+        if self.theta is None:
+            thetas = [th for _, th in self.terms]
+            self.theta = lambda x: [th(x) for th in thetas]
 
     def jacobian(self, x):
-        J = np.array(self.A0, dtype=float, copy=True)
-        for Aj, theta in self.terms:
-            J += theta(x) * np.asarray(Aj, dtype=float)
+        J = self.A0.copy()
+        for (Aj, _), value in zip(self.terms, self.theta(x)):
+            J += value * Aj
         return J
 
     @property

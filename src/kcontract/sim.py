@@ -8,6 +8,7 @@ dynamics ydot = J(x)^[k] y; minors are never differentiated numerically.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -54,36 +55,40 @@ class EquilibriumInfo:
         return not self.stable
 
 
-def _rk4_step(f, x, h):
-    k1 = f(x)
-    k2 = f(x + 0.5 * h * k1)
-    k3 = f(x + 0.5 * h * k2)
-    k4 = f(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def integrate(field, x0, t_end: float, h: float = 1e-3, record_every: int = 1) -> Trace:
     """Integrate xdot = field(x) with fixed-step RK4 from x0 to t_end.
 
+    field receives the state as a float ndarray; the RK4 arithmetic runs on
+    Python floats, elementwise in the order x + (h/6)*(((k1 + 2k2) + 2k3) + k4).
     Non-finite states truncate the trace (flagged), they never propagate.
     record_every thins the stored samples; the step size is unaffected.
     """
     if h <= 0 or t_end <= 0:
         raise ValueError("h and t_end must be positive")
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float).tolist()
     n_steps = int(round(t_end / h))
+    half, sixth = 0.5 * h, h / 6.0
     times = [0.0]
-    states = [x.copy()]
+    states = [x]
     truncated = False
+
+    def rate(y):
+        return np.asarray(field(np.array(y)), dtype=float).tolist()
+
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n_steps + 1):
-            x = _rk4_step(lambda y: np.asarray(field(y), dtype=float), x, h)
-            if not np.all(np.isfinite(x)):
+            k1 = rate(x)
+            k2 = rate([a + half * b for a, b in zip(x, k1)])
+            k3 = rate([a + half * b for a, b in zip(x, k2)])
+            k4 = rate([a + h * b for a, b in zip(x, k3)])
+            x = [a + sixth * (((b + 2.0 * c) + 2.0 * d) + e)
+                 for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+            if not all(map(math.isfinite, x)):
                 truncated = True
                 break
             if i % record_every == 0 or i == n_steps:
                 times.append(i * h)
-                states.append(x.copy())
+                states.append(x)
     return Trace(np.asarray(times), np.asarray(states), truncated=truncated)
 
 

@@ -52,6 +52,17 @@ def test_usage_error_exit_code(capsys, tmp_path):
     assert "error" in json.loads(out)
 
 
+def test_non_finite_literal_exits_2(capsys, tmp_path):
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps({
+        "kind": "nonlinear", "dim": 1, "f": ["1e999*x1 + 1"], "A0": [[0.0]],
+        "terms": [], "box": {"lower": [-1], "upper": [1]},
+    }))
+    code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", "0", "--t", "0.1")
+    assert code == 2 and rep["verdict"] == "error"
+    assert "position 0" in rep["error"]
+
+
 def test_missing_subcommand_usage(capsys):
     assert cli.main([]) == 2
 

@@ -75,6 +75,48 @@ def test_multiplicative_matches_minor_oracle_k4():
     assert np.allclose(cp.multiplicative_compound(Q, 4), minors_oracle(Q, 4), atol=1e-12)
 
 
+def additive_loop_oracle(Q, k):
+    """The closed form entry by entry, as a loop over index subsets."""
+    from itertools import combinations
+    Q = np.asarray(Q, dtype=float)
+    n = Q.shape[0]
+    if k == 1:
+        return Q.copy()
+    subs = list(combinations(range(n), k))
+    pos = {s: i for i, s in enumerate(subs)}
+    out = np.zeros((len(subs), len(subs)))
+    diag = np.diag(Q)
+    for i, I in enumerate(subs):
+        out[i, i] = diag[list(I)].sum()
+        Iset = set(I)
+        for ra, a in enumerate(I):
+            for b in range(n):
+                if b in Iset:
+                    continue
+                J = tuple(sorted(Iset - {a} | {b}))
+                rb = J.index(b)
+                out[i, pos[J]] += (-1) ** (ra + rb) * Q[a, b]
+    return out
+
+
+def test_additive_matches_loop_oracle_bytes():
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, -0.0, 1e-300, -1e300, np.inf, np.nan])
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            for trial in range(4):
+                Q = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4, (n, n))
+                mask = rng.random((n, n)) < 0.3
+                Q[mask] = rng.choice(special[:4 if trial < 3 else 6], mask.sum())
+                want = additive_loop_oracle(Q, k)
+                got = cp.additive_compound(Q, k)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (n, k, trial)
+                # the transposed view reads Q through strides
+                assert cp.additive_compound(Q.T, k).tobytes() == \
+                    additive_loop_oracle(Q.T, k).tobytes()
+
+
 def test_additive_first_and_full_order():
     rng = np.random.default_rng(4)
     Q = rng.standard_normal((5, 5))

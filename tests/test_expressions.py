@@ -1,26 +1,90 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kcontract.expressions import IntervalError, ParseError, parse_expression
+from kcontract.expressions import (IntervalError, Node, ParseError, compile_model,
+                                   parse_expression)
+
+
+# The tree-walking evaluator the compiled source replaces, kept as the oracle.
+def ref_eval(node, x):
+    op, args = node.op, node.args
+    if op == "const":
+        return args[0]
+    if op == "var":
+        return float(x[args[0]])
+    if op == "neg":
+        return -ref_eval(args[0], x)
+    if op == "+":
+        return ref_eval(args[0], x) + ref_eval(args[1], x)
+    if op == "-":
+        return ref_eval(args[0], x) - ref_eval(args[1], x)
+    if op == "*":
+        return ref_eval(args[0], x) * ref_eval(args[1], x)
+    if op == "/":
+        return ref_eval(args[0], x) / ref_eval(args[1], x)
+    if op == "pow":
+        return ref_eval(args[0], x) ** args[1]
+    if op == "sin":
+        return math.sin(ref_eval(args[0], x))
+    if op == "cos":
+        return math.cos(ref_eval(args[0], x))
+    raise AssertionError(op)
+
+
+def ref_eval_batch(node, X):
+    op, args = node.op, node.args
+    if op == "const":
+        return np.full(X.shape[0], args[0])
+    if op == "var":
+        return X[:, args[0]]
+    if op == "neg":
+        return -ref_eval_batch(args[0], X)
+    if op in ("+", "-", "*", "/"):
+        a = ref_eval_batch(args[0], X)
+        b = ref_eval_batch(args[1], X)
+        return {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[op](a, b)
+    if op == "pow":
+        return ref_eval_batch(args[0], X) ** args[1]
+    if op == "sin":
+        return np.sin(ref_eval_batch(args[0], X))
+    if op == "cos":
+        return np.cos(ref_eval_batch(args[0], X))
+    raise AssertionError(op)
+
+
+@lru_cache(maxsize=None)
+def compiled(node, dim):
+    return compile_model(dim, [node], [node])
+
+
+def value(node, x):
+    """The compiled scalar value of one expression at x."""
+    return compiled(node, len(x)).thetas[0](x)
+
+
+def batch_value(node, X):
+    """The compiled batch values of one expression on the rows of X."""
+    return compiled(node, X.shape[1]).f_batch(X)[:, 0]
 
 
 def test_basic_arithmetic():
     e = parse_expression("x1*(x1^2 - 0.25)", 1)
-    assert e.eval([0.5]) == pytest.approx(0.0)
-    assert e.eval([1.0]) == pytest.approx(0.75)
+    assert value(e, [0.5]) == pytest.approx(0.0)
+    assert value(e, [1.0]) == pytest.approx(0.75)
 
 
 def test_trig_and_unary_minus():
     e = parse_expression("-sin(x1) + cos(x2)", 2)
-    assert e.eval([math.pi / 2, 0.0]) == pytest.approx(0.0)
+    assert value(e, [math.pi / 2, 0.0]) == pytest.approx(0.0)
 
 
 def test_double_star_power():
     e = parse_expression("x1**3", 1)
-    assert e.eval([2.0]) == pytest.approx(8.0)
+    assert value(e, [2.0]) == pytest.approx(8.0)
 
 
 def test_parse_error_position():
@@ -80,7 +144,7 @@ def test_interval_soundness(seed):
     ivlo, ivhi = e.interval([(lo[0], hi[0]), (lo[1], hi[1])])
     for _ in range(50):
         x = lo + rng.random(2) * (hi - lo)
-        v = e.eval(x)
+        v = value(e, x)
         assert ivlo - 1e-9 <= v <= ivhi + 1e-9
 
 
@@ -88,11 +152,65 @@ def test_eval_batch_matches_scalar():
     e = parse_expression("sin(x1)*x2 - x2^2/(2 + cos(x1))", 2)
     rng = np.random.default_rng(0)
     X = rng.standard_normal((40, 2))
-    batch = e.eval_batch(X)
+    batch = batch_value(e, X)
     for i in range(40):
-        assert batch[i] == pytest.approx(e.eval(X[i]), rel=1e-12)
+        assert batch[i] == pytest.approx(value(e, X[i]), rel=1e-12)
 
 
 def test_variables_collected():
     e = parse_expression("x1 + cos(x3)", 3)
     assert e.variables() == {0, 2}
+
+
+def test_non_finite_literal_rejected_with_position():
+    for text, pos in (("1e999*x1 + 1", 0), ("x1 + 2.5e400", 5)):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, 1)
+        assert err.value.position == pos
+
+
+def node_trees(dim):
+    """Random expression trees over every operation, sin/cos and pow included."""
+    leaves = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(lambda v: Node("const", (v,))),
+        st.sampled_from([0.0, -0.0, 0.5, 2.0]).map(lambda v: Node("const", (v,))),
+        st.integers(0, dim - 1).map(lambda i: Node("var", (i,))),
+    )
+
+    def extend(children):
+        return st.one_of(
+            children.map(lambda a: Node("neg", (a,))),
+            st.tuples(st.sampled_from("+-*/"), children, children).map(
+                lambda t: Node(t[0], (t[1], t[2]))),
+            st.tuples(children, st.integers(0, 5)).map(lambda t: Node("pow", t)),
+            st.tuples(st.sampled_from(["sin", "cos"]), children).map(
+                lambda t: Node(t[0], (t[1],))),
+        )
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+def outcome(fn, *args):
+    """The bytes of fn's result as float64, or the class of the exception it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(fn(*args), dtype=float).tobytes()
+    except Exception as exc:  # noqa: BLE001 -- the class is what is compared
+        return type(exc)
+
+
+STATES = st.floats(min_value=-1e3, max_value=1e3) | st.sampled_from([0.0, -0.0, 1e300])
+
+
+@given(node_trees(2), st.lists(st.tuples(STATES, STATES), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_compiled_matches_tree_walker(node, rows):
+    X = np.array(rows, dtype=float)
+    model = compile_model(2, [node, node], [node])
+    for x in X:
+        want = outcome(ref_eval, node, x)
+        assert outcome(model.thetas[0], x) == want
+        assert outcome(lambda y: model.theta(y)[0], x) == want
+        assert outcome(lambda y: model.f(y)[1], x) == want
+    want = outcome(ref_eval_batch, node, X)
+    assert outcome(lambda Y: model.f_batch(Y)[:, 0], X) == want
+    assert outcome(lambda Y: model.f_batch(Y)[:, 1], X) == want

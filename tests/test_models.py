@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from kcontract import models
+from kcontract.expressions import IntervalError
 from kcontract.sim import finite_difference_jacobian
 
 
@@ -112,3 +114,33 @@ def test_theta_bounds_from_intervals():
     box = Box(np.array([-2.0, -1.0, -1.0]), np.array([2.0, 1.0, 1.0]))
     (lo, hi), = b.model.bounds(box)
     assert (lo, hi) == (0.0, 4.0)
+
+
+def test_envelope_check_rejects_non_finite_jacobian():
+    # the field overflows to inf - inf = nan, so no declared envelope matches it
+    doc = {
+        "kind": "nonlinear", "dim": 2,
+        "f": ["(1e200*x1)*(1e200*x1) - (1e200*x1)*(1e200*x1) + x2", "-x1"],
+        "A0": [[5, 0], [0, 7]],
+        "terms": [],
+        "box": {"lower": [-1, -1], "upper": [1, 1]},
+    }
+    with pytest.raises(ValueError, match="envelope disagrees"):
+        models.model_from_dict(doc)
+
+
+def test_bounds_reject_non_finite():
+    box = {"lower": [-1, -1], "upper": [1, 1]}
+    doc = {
+        "kind": "nonlinear", "dim": 2, "f": ["x2", "-x1"], "A0": [[0, 1], [-1, 0]],
+        # zero at every point; its interval over the box overflows to (-inf, inf)
+        "terms": [{"A": [[0, 0], [1, 0]], "theta": "(x1 - x1)*1e308*10"}],
+        "box": box,
+    }
+    bundle = models.model_from_dict(doc)
+    with pytest.raises(IntervalError, match="non-finite"):
+        bundle.model.bounds(bundle.box)
+    doc["terms"] = [{"A": [[0, 0], [0, 0]], "theta": "x1", "bounds": [-math.inf, 1.0]}]
+    bundle = models.model_from_dict(doc)
+    with pytest.raises(IntervalError, match="non-finite"):
+        bundle.model.bounds(bundle.box)

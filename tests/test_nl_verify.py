@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,21 @@ def test_envelope_synchronverter_32_vertices():
     b = models.builtin("synchronverter")
     verts = nv.envelope_vertices(b.model, b.box)
     assert len(verts) == 32
+
+
+def test_jacobian_accumulates_terms_in_order():
+    # J = ((A0 + theta_1 A_1) + theta_2 A_2) + ..., bit for bit
+    rng = np.random.default_rng(13)
+    n = 3
+    terms = [(rng.standard_normal((n, n)).tolist(),
+              lambda x, j=j: math.sin(x[j % n]) * 10.0 ** j) for j in range(4)]
+    model = nv.NonlinearModel(dim=n, f=lambda x: x, A0=rng.standard_normal((n, n)),
+                              terms=terms, bounds=lambda b: [])
+    for x in rng.standard_normal((20, n)):
+        J = np.array(model.A0, dtype=float, copy=True)
+        for Aj, theta in terms:
+            J += theta(x) * np.asarray(Aj, dtype=float)
+        assert model.jacobian(x).tobytes() == J.tobytes()
 
 
 def test_envelope_term_cap():

@@ -7,6 +7,61 @@ from kcontract import models, sim
 from kcontract.nl_verify import Box
 
 
+def integrate_numpy_oracle(field, x0, t_end, h=1e-3, record_every=1):
+    """Fixed-step RK4 on numpy arrays, the reference for sim.integrate."""
+    x = np.asarray(x0, dtype=float).copy()
+    n_steps = int(round(t_end / h))
+    times, states, truncated = [0.0], [x.copy()], False
+    f = lambda y: np.asarray(field(y), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n_steps + 1):
+            k1 = f(x)
+            k2 = f(x + 0.5 * h * k1)
+            k3 = f(x + 0.5 * h * k2)
+            k4 = f(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(x)):
+                truncated = True
+                break
+            if i % record_every == 0 or i == n_steps:
+                times.append(i * h)
+                states.append(x.copy())
+    return sim.Trace(np.asarray(times), np.asarray(states), truncated=truncated)
+
+
+def trace_bytes(tr):
+    norms = b"" if tr.compound_norms is None else tr.compound_norms.tobytes()
+    return tr.times.tobytes(), tr.states.tobytes(), norms, tr.truncated
+
+
+@pytest.mark.parametrize("name", ["rossler", "rossler_mod", "synchronverter", "example25"])
+def test_integrate_matches_numpy_oracle_bytes(name, monkeypatch):
+    bundle = models.builtin(name)
+    x0 = bundle.box.sample(np.random.default_rng(12), 1)[0]
+    got = sim.integrate(bundle.model.f, x0, 2.0, 1e-3, record_every=7)
+    want = integrate_numpy_oracle(bundle.model.f, x0, 2.0, 1e-3, record_every=7)
+    assert trace_bytes(got) == trace_bytes(want)
+    for k in (2, 3):
+        V0 = np.eye(bundle.dim)[:, :k]
+        got = sim.integrate_compound(bundle.model, x0, V0, k, 0.5, 1e-3)
+        with monkeypatch.context() as m:
+            m.setattr(sim, "integrate", integrate_numpy_oracle)
+            want = sim.integrate_compound(bundle.model, x0, V0, k, 0.5, 1e-3)
+        assert trace_bytes(got) == trace_bytes(want)
+
+
+@pytest.mark.parametrize("field, x0, h, blows_up", [
+    (lambda x: x ** 3, [3.0], 1e-2, True),
+    (lambda x: np.array([x[1], -np.sin(x[0])]), [0.3, 0.0], 1e-2, False),
+    (lambda x: [x[0] * x[1], -x[0] - 1e-3 * x[1]], [1.0, 2.0], 5e-3, False),  # a list field
+])
+def test_lambda_fields_match_numpy_oracle_bytes(field, x0, h, blows_up):
+    got = sim.integrate(field, np.array(x0), 10.0, h, record_every=3)
+    want = integrate_numpy_oracle(field, np.array(x0), 10.0, h, record_every=3)
+    assert trace_bytes(got) == trace_bytes(want)
+    assert got.truncated == want.truncated == blows_up
+
+
 def test_scalar_linear_decay():
     tr = sim.integrate(lambda x: -x, np.array([1.0]), 1.0, 1e-3)
     assert abs(tr.states[-1, 0] - np.exp(-1.0)) <= 1e-8
