@@ -11,8 +11,7 @@ def linear_square():
     print("unit square under xdot = diag(-1,-2) x  (exact area: e^{-3t})")
     for t in (0.25, 0.5, 1.0, 2.0):
         grid = sim.ImmersionGrid.from_function(lambda r: r.copy(), 2, 64, 2)
-        flowed = sim.flow_immersion(grid, lambda x: A @ x, t, 1e-3,
-                                    field_batch=lambda X: X @ A.T)
+        flowed = sim.flow_immersion(grid, lambda X: X @ A.T, t, 1e-3)
         V = sim.volume_of_immersion(flowed, np.eye(2))
         print(f"  t={t:<5} V={V:.6f}  e^-3t={np.exp(-3 * t):.6f}")
 

@@ -197,6 +197,8 @@ def cmd_simulate(args) -> int:
     bundle = _load_model(args.model)
     x0 = _parse_vector(args.x0)
     if bundle.kind == "linear":
+        if args.compound:
+            raise ValueError("simulate --compound needs a nonlinear model")
         A = bundle.A
         field = lambda x: A @ x
         tr = sim.integrate(field, x0, args.t, args.h)
@@ -231,20 +233,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_volume(args) -> int:
     bundle = _load_model(args.model)
+    dim = bundle.dim
+    if dim < 2:
+        raise ValueError("volume needs dimension >= 2")
     if bundle.kind == "linear":
         A = bundle.A
-        if A.shape[0] < 2:
-            raise ValueError("volume needs dimension >= 2")
-        field = lambda x: A @ x
         field_batch = lambda X: X @ A.T
         def immersion(r):
-            x = np.zeros(A.shape[0])
+            x = np.zeros(dim)
             x[0], x[1] = r[0], r[1]
             return x
-        dim = A.shape[0]
     else:
         model, box = bundle.model, bundle.box
-        dim = model.dim
         c = box.center()
         delta = 0.01 * float(np.min(box.upper - box.lower))
         def immersion(r):
@@ -252,11 +252,10 @@ def cmd_volume(args) -> int:
             x[0] += delta * r[0]
             x[1] += delta * r[1]
             return x
-        field = model.f
         field_batch = model.f_batch
     grid = sim.ImmersionGrid.from_function(immersion, 2, args.grid, dim)
     v0 = sim.volume_of_immersion(grid, np.eye(dim))
-    flowed = sim.flow_immersion(grid, field, args.t, args.h, field_batch=field_batch)
+    flowed = sim.flow_immersion(grid, field_batch, args.t, args.h)
     v1 = sim.volume_of_immersion(flowed, np.eye(dim))
     emit({
         "command": "volume",

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lin_contraction import GROUP_RTOL_LADDER, ContractionCertificate, staged_rates
+from .lin_contraction import (
+    GROUP_RTOL_LADDER,
+    ContractionCertificate,
+    eigen_sum_max,
+    shifted_inertia_certificate,
+    staged_rates,
+)
 from .numkernel import (
     NumericalError,
     as_square,
@@ -87,10 +93,14 @@ def k_order_stabilizable(A, B, k: int):
     n = A.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    dec = kalman_decompose(A, B)
+    return _stabilizable(kalman_decompose(A, B), k)
+
+
+def _stabilizable(dec: KalmanDecomposition, k: int):
+    """k_order_stabilizable's verdict and diagnostics for a decomposed pair."""
     if dec.nu < k:
         return True, {"nu": dec.nu, "reason": f"uncontrollable dimension {dec.nu} < k={k}"}
-    margin = eigenvalues(dec.Au).top_real_sum(k)
+    margin = eigen_sum_max(dec.Au, k)
     return margin < 0, {
         "nu": dec.nu,
         "uncontrollable_topk_sum": margin,
@@ -102,7 +112,7 @@ def _gramian_block(Ac, Bc, mu):
     """W_c > 0 with W_c(Ac - mu I)' + (Ac - mu I)W_c - Bc Bc' = -2 gamma W_c."""
     nc = Ac.shape[0]
     if nc == 0:
-        return np.zeros((0, 0)), 1.0
+        return np.zeros((0, 0))
     Ahat = Ac - mu * np.eye(nc)
     gamma = max(1.0, 1.0 - eigenvalues(Ahat).real.min())
     M = -gamma * np.eye(nc) - Ahat  # Hurwitz with margin >= 1 by construction
@@ -113,17 +123,7 @@ def _gramian_block(Ac, Bc, mu):
             "controllable-block Gramian is not positive definite "
             f"(lambda_min = {w[0]:.3e}); controllability detection failed"
         )
-    return Wc, gamma
-
-
-def _uncontrollable_block(Au, mu):
-    """W_u with W_u(Au - mu I)' + (Au - mu I)W_u = -I; inertia matches the
-    eigenvalue split of Au around mu."""
-    nu = Au.shape[0]
-    if nu == 0:
-        return np.zeros((0, 0))
-    Ahat = Au - mu * np.eye(nu)
-    return solve_lyapunov(Ahat.T, np.eye(nu))
+    return Wc
 
 
 def design_margin(A, B, W, mu):
@@ -132,14 +132,18 @@ def design_margin(A, B, W, mu):
     return float(np.linalg.eigvalsh(sym(A @ W) - 0.5 * BBt - mu * W).max())
 
 
-def _assemble(dec: KalmanDecomposition, A, B, Wc, Wu, mu):
+def _assemble(dec: KalmanDecomposition, A, B, Wc, mu):
     """Glue blockdiag(Wc, kappa Wu), bisecting kappa until the inequality holds.
 
-    Blocks are balanced to comparable norms first so the assembled matrix
-    stays well-conditioned and its inertia is numerically unambiguous.
+    Wu solves Wu(Au - mu I)' + (Au - mu I)Wu = -I, so its inertia matches the
+    eigenvalue split of Au around mu. Blocks are balanced to comparable norms
+    first so the assembled matrix stays well-conditioned and its inertia is
+    numerically unambiguous.
     """
     n = dec.nc + dec.nu
-    if Wu.size:
+    Wu = np.zeros((0, 0))
+    if dec.nu:
+        Wu = shifted_inertia_certificate(dec.Au.T, mu)
         Wu = Wu / spectral_norm(Wu)
     kappa = spectral_norm(Wc) if Wc.size else 1.0
     kappa = max(kappa, 1e-8)
@@ -149,14 +153,14 @@ def _assemble(dec: KalmanDecomposition, A, B, Wc, Wu, mu):
         Wz[dec.nc:, dec.nc:] = kappa * Wu
         W = dec.T.T @ Wz @ dec.T
         if design_margin(A, B, W, mu) < 0:
-            return W, kappa
+            return W
         kappa *= 0.5
     raise NumericalError(
         f"coupling weight bisection exhausted after {KAPPA_HALVINGS} halvings at mu={mu:.6g}"
     )
 
 
-def construct_W(A, B, mu: float, staircase: KalmanDecomposition | None = None) -> np.ndarray:
+def construct_W(A, B, mu: float) -> np.ndarray:
     """One solution of W A' + A W - B B' < 2 mu W with inertia fixed by mu.
 
     Requires mu off the real-part set of the uncontrollable block; the result
@@ -165,18 +169,8 @@ def construct_W(A, B, mu: float, staircase: KalmanDecomposition | None = None) -
     """
     A = as_square(A, "A")
     B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
-    dec = staircase if staircase is not None else kalman_decompose(A, B)
-    if dec.nu > 0:
-        re_u = eigenvalues(dec.Au).real
-        scale = max(np.abs(re_u).max(), 1.0)
-        if np.any(np.abs(re_u - mu) <= 1e-9 * scale):
-            raise NumericalError(
-                f"mu={mu:.6g} lies on the real-part set of the uncontrollable block"
-            )
-    Wc, _ = _gramian_block(dec.Ac, dec.Bc, mu)
-    Wu = _uncontrollable_block(dec.Au, mu)
-    W, _ = _assemble(dec, A, B, Wc, Wu, mu)
-    return W
+    dec = kalman_decompose(A, B)
+    return _assemble(dec, A, B, _gramian_block(dec.Ac, dec.Bc, mu), mu)
 
 
 def stabilizability_certificate(A, B, k: int) -> ContractionCertificate:
@@ -192,11 +186,11 @@ def stabilizability_certificate(A, B, k: int) -> ContractionCertificate:
     n = A.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    feasible, diag = k_order_stabilizable(A, B, k)
-    if not feasible:
-        raise ValueError(f"pair is not {k}-order stabilizable: {diag['reason']}")
     B = np.asarray(B, dtype=float).reshape(n, -1)
     dec = kalman_decompose(A, B)
+    feasible, diag = _stabilizable(dec, k)
+    if not feasible:
+        raise ValueError(f"pair is not {k}-order stabilizable: {diag['reason']}")
     nu = dec.nu
 
     last_err = None
@@ -222,20 +216,15 @@ def _rate_schedule(dec: KalmanDecomposition, k, n, rtol):
         mu0 = float(vals_u.max() + 1.0)
         mu1 = float(min(-nu * mu0, vals_u.min()) - 1.0)
         return [mu0, mu1], [0, nu, nu + 1]
-    rates = next(staged_rates(eigenvalues(dec.Au).values, k, n, rtol), None)
+    rates = next(staged_rates(eigenvalues(dec.Au), k, n, rtol), None)
     if rates is None:
         raise NumericalError("could not select a nondegenerate rate offset")
     return rates
 
 
 def _assemble_certificate(dec, A, B, k, mus, ds) -> ContractionCertificate:
-    mu_min = min(mus)
-    Wc, _ = _gramian_block(dec.Ac, dec.Bc, mu_min)
-    mats = []
-    for mu in mus:
-        Wu = _uncontrollable_block(dec.Au, mu)
-        W, _ = _assemble(dec, A, B, Wc, Wu, mu)
-        mats.append(W)
+    Wc = _gramian_block(dec.Ac, dec.Bc, min(mus))
+    mats = [_assemble(dec, A, B, Wc, mu) for mu in mus]
     return ContractionCertificate(
         ell=len(mus), mus=[float(m) for m in mus], ds=ds, mats=mats, k=k, colinear=True,
     )
@@ -250,7 +239,7 @@ def _validate_certificate(A, B, cert: ContractionCertificate):
         inertia = inertia_symmetric(W, zero_tol=1e-13)
         if inertia != (d, 0, n - d):
             raise NumericalError(
-                f"W_{i} inertia {inertia.as_tuple()} != required ({d}, 0, {n - d})"
+                f"W_{i} inertia {tuple(inertia)} != required ({d}, 0, {n - d})"
             )
         m = design_margin(A, B, W, mu)
         if not m < 0:

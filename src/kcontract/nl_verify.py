@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compound import additive_compound
-from .lin_contraction import VerificationReport
+from .lin_contraction import VerificationReport, shifted_inertia_certificate
 from .lin_synthesis import design_margin
 from .numkernel import (
+    NumericalError,
     check_symmetric,
     inertia_symmetric,
     spectral_norm,
@@ -188,10 +189,10 @@ def metric_condition_margin(P, J, mu):
     return float(np.linalg.eigvalsh(sym(P @ J) - mu * P).max())
 
 
-def _worst_vertex_margin(P, mu, verts):
+def _worst(margins):
+    """(largest margin, its index) over an iterable of per-vertex margins."""
     worst, arg = -np.inf, -1
-    for i, J in enumerate(verts):
-        m = metric_condition_margin(P, J, mu)
+    for i, m in enumerate(margins):
         if m > worst:
             worst, arg = m, i
     return worst, arg
@@ -221,10 +222,10 @@ def verify_nl_certificate(model: NonlinearModel, box: Box, cert: NonlinearCertif
     in0 = inertia_symmetric(P0)
     in1 = inertia_symmetric(P1)
     if in0 != (0, 0, n):
-        problems.append(f"P0 inertia {in0.as_tuple()} != required (0, 0, {n})")
+        problems.append(f"P0 inertia {tuple(in0)} != required (0, 0, {n})")
     if in1 != (k - 1, 0, n - k + 1):
         problems.append(
-            f"P1 inertia {in1.as_tuple()} != required ({k - 1}, 0, {n - k + 1})"
+            f"P1 inertia {tuple(in1)} != required ({k - 1}, 0, {n - k + 1})"
         )
 
     certifying = True
@@ -239,8 +240,8 @@ def verify_nl_certificate(model: NonlinearModel, box: Box, cert: NonlinearCertif
             certifying = False
     else:
         verts = vertices
-    m0, v0 = _worst_vertex_margin(P0, cert.mu0, verts)
-    m1, v1 = _worst_vertex_margin(P1, cert.mu1, verts)
+    m0, v0 = _worst(metric_condition_margin(P0, J, cert.mu0) for J in verts)
+    m1, v1 = _worst(metric_condition_margin(P1, J, cert.mu1) for J in verts)
     thr0 = slack * max(spectral_norm(P0), 1e-300)
     thr1 = slack * max(spectral_norm(P1), 1e-300)
     if not m0 < thr0:
@@ -287,12 +288,9 @@ def verify_compound_condition(model: NonlinearModel, box: Box, Q, eta: float, k:
     if eta <= 0:
         raise ValueError("eta must be positive")
     verts = envelope_vertices(model, box)
-    worst, arg = -np.inf, -1
-    for i, J in enumerate(verts):
-        C = additive_compound(J, k)
-        m = float(np.linalg.eigvalsh(sym(Q @ C) + 0.5 * eta * np.eye(len(C))).max())
-        if m > worst:
-            worst, arg = m, i
+    shift = 0.5 * eta * np.eye(len(Q))
+    worst, arg = _worst(float(np.linalg.eigvalsh(sym(Q @ additive_compound(J, k)) + shift).max())
+                        for J in verts)
     thr = slack * max(spectral_norm(Q), 1e-300)
     ok = worst <= thr
     return VerificationReport(
@@ -325,11 +323,11 @@ def synthesize_nl_gain(model: NonlinearModel, box: Box, W0, W1, mu0: float, mu1:
         raise ValueError(f"W matrices must be {n}x{n}")
     in0 = inertia_symmetric(W0)
     if in0 != (0, 0, n):
-        raise ValueError(f"W0 must be positive definite, inertia {in0.as_tuple()}")
+        raise ValueError(f"W0 must be positive definite, inertia {tuple(in0)}")
     in1 = inertia_symmetric(W1)
     if in1 != (k - 1, 0, n - k + 1):
         raise ValueError(
-            f"W1 inertia {in1.as_tuple()} != required ({k - 1}, 0, {n - k + 1})"
+            f"W1 inertia {tuple(in1)} != required ({k - 1}, 0, {n - k + 1})"
         )
 
     W0i = np.linalg.inv(W0)
@@ -343,16 +341,9 @@ def synthesize_nl_gain(model: NonlinearModel, box: Box, W0, W1, mu0: float, mu1:
     omega = (k - 1) * omega_bar
 
     verts = envelope_vertices(model, box)
-    worst_a, va = -np.inf, -1
-    worst_b, vb = -np.inf, -1
     shift = 0.5 * BBt @ W0i
-    for i, J in enumerate(verts):
-        ma = design_margin(J, B, W0, mu0)
-        mb = design_margin(J - shift, B, W1, mu1)
-        if ma > worst_a:
-            worst_a, va = ma, i
-        if mb > worst_b:
-            worst_b, vb = mb, i
+    worst_a, va = _worst(design_margin(J, B, W0, mu0) for J in verts)
+    worst_b, vb = _worst(design_margin(J - shift, B, W1, mu1) for J in verts)
     thr_a = slack * max(spectral_norm(W0), 1e-300)
     thr_b = slack * max(spectral_norm(W1), 1e-300)
     rate = (k - 1) * mu0 + mu1 + omega
@@ -391,9 +382,6 @@ def _factor_init(P, signature):
 
 def _center_lyapunov_start(verts, n, mu, n_neg):
     """Warm start: exact inertia-correct solution at the vertex-set centroid."""
-    from .lin_contraction import shifted_inertia_certificate
-    from .numkernel import NumericalError, inertia_symmetric
-
     Jc = sum(verts) / len(verts)
     try:
         P = shifted_inertia_certificate(Jc, mu)

@@ -9,7 +9,7 @@ Kronecker vectorization because at this scale robustness beats speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,46 +21,12 @@ class NumericalError(RuntimeError):
     """Raised when a dense kernel operation cannot produce a trustworthy result."""
 
 
-@dataclass(frozen=True)
-class InertiaTriple:
+class InertiaTriple(NamedTuple):
     """Eigenvalue sign counts (negative, zero, positive), multiplicities included."""
 
     neg: int
     zero: int
     pos: int
-
-    def as_tuple(self):
-        return (self.neg, self.zero, self.pos)
-
-    def __iter__(self):
-        return iter(self.as_tuple())
-
-    def __eq__(self, other):
-        if isinstance(other, tuple):
-            return self.as_tuple() == other
-        if isinstance(other, InertiaTriple):
-            return self.as_tuple() == other.as_tuple()
-        return NotImplemented
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted by nonincreasing real part, ties by nonincreasing imag part."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-
-    @property
-    def real(self):
-        return self.values.real
-
-    def top_real_sum(self, k: int) -> float:
-        """Sum of the k largest real parts."""
-        if not 1 <= k <= len(self.values):
-            raise ValueError(f"k={k} out of range for spectrum of size {len(self.values)}")
-        return float(self.values.real[:k].sum())
 
 
 def as_square(M, name="matrix") -> np.ndarray:
@@ -75,7 +41,7 @@ def as_square(M, name="matrix") -> np.ndarray:
 def check_symmetric(S, name="matrix") -> np.ndarray:
     """Validate symmetry to relative tolerance and return the symmetrized array."""
     S = as_square(S, name)
-    scale = np.abs(S).max()
+    scale = np.abs(S).max(initial=0.0)
     if scale > 0 and np.abs(S - S.T).max() > max(SYMMETRY_RTOL * scale, 1e-300):
         raise ValueError(f"{name} is not symmetric (relative asymmetry above {SYMMETRY_RTOL})")
     return 0.5 * (S + S.T)
@@ -88,22 +54,20 @@ def spectral_norm(M) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-def eigenvalues(M) -> Spectrum:
-    """Eigenvalues of a square matrix in the deterministic spectrum ordering.
+def eigenvalues(M) -> np.ndarray:
+    """Complex eigenvalues of a square matrix in the deterministic spectrum ordering.
 
     Conjugate pairs come out exactly conjugate (real input, LAPACC real Schur
     path); ordering is nonincreasing real part with ties broken by
     nonincreasing imaginary part, so repeated calls agree.
     """
     M = as_square(M)
-    if M.shape[0] == 0:
-        return Spectrum(np.empty(0, dtype=complex))
     try:
         vals = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NumericalError(f"eigenvalue iteration failed to converge: {exc}") from exc
     order = np.lexsort((-vals.imag, -vals.real))
-    return Spectrum(vals[order])
+    return vals[order].astype(complex, copy=False)
 
 
 def eigenvalues_symmetric(S) -> np.ndarray:
@@ -157,7 +121,7 @@ def solve_lyapunov(A, Q, allow_consistent_singular: bool = False) -> np.ndarray:
         raise ValueError(f"Q has shape {Q.shape}, expected {(n, n)}")
     if n == 0:
         return np.zeros((0, 0))
-    vals = eigenvalues(A).values
+    vals = eigenvalues(A)
     pair = resonant_pair(vals)
     resonant = None if pair is None else (vals[pair[0]], vals[pair[1]])
     if resonant and not allow_consistent_singular:

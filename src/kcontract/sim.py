@@ -192,19 +192,14 @@ class ImmersionGrid:
         return ImmersionGrid(2, resolution, pts)
 
 
-def flow_immersion(grid: ImmersionGrid, field, t_end: float, h: float = 1e-3,
-                   field_batch=None) -> ImmersionGrid:
+def flow_immersion(grid: ImmersionGrid, field_batch, t_end: float,
+                   h: float = 1e-3) -> ImmersionGrid:
     """Flow every grid node with the same steps so differences stay synchronous.
 
-    field_batch, when given, evaluates a whole (m, n) block of states at once
-    and dominates the runtime for fine grids.
+    field_batch evaluates a whole (m, n) block of states at once.
     """
     shape = grid.points.shape
     flat = grid.points.reshape(-1, shape[-1])
-    if field_batch is None:
-        def field_batch(X):
-            return np.stack([np.asarray(field(x), dtype=float) for x in X])
-
     _, traj = integrate_batch(field_batch, flat, t_end, h,
                               record_every=max(1, int(round(t_end / h))))
     return ImmersionGrid(grid.k, grid.resolution, traj[-1].reshape(shape))

@@ -268,8 +268,7 @@ def test_criterion_9_volume_decay():
     details = []
     for t in (0.5, 1.0, 2.0):
         grid = sim.ImmersionGrid.from_function(lambda r: r.copy(), 2, 64, 2)
-        flowed = sim.flow_immersion(grid, lambda x: A @ x, t, 1e-3,
-                                    field_batch=lambda X: X @ A.T)
+        flowed = sim.flow_immersion(grid, lambda X: X @ A.T, t, 1e-3)
         V = sim.volume_of_immersion(flowed, np.eye(2))
         ok = ok and abs(V - np.exp(-3 * t)) <= 1e-2
         details.append(f"V({t})={V:.6f}")
@@ -288,8 +287,7 @@ def test_criterion_9_volume_decay():
             lambda r: cpt + 0.01 * (r[0] * Qm[:, 0] + r[1] * Qm[:, 1]), 2, 12, 4)
         vols = [sim.volume_of_immersion(grid, np.eye(4))]
         for t1, t2 in zip(times[:-1], times[1:]):
-            grid = sim.flow_immersion(grid, bundle.model.f, t2 - t1, 1e-3,
-                                      field_batch=bundle.model.f_batch)
+            grid = sim.flow_immersion(grid, bundle.model.f_batch, t2 - t1, 1e-3)
             vols.append(sim.volume_of_immersion(grid, np.eye(4)))
         mono_all = mono_all and all(v2 < v1 for v1, v2 in zip(vols[:-1], vols[1:]))
     ok = ok and mono_all

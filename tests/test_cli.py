@@ -125,6 +125,23 @@ def test_volume_linear(capsys, tmp_path):
     assert rep["ratio"] == pytest.approx(np.exp(-1.5), abs=1e-2)
 
 
+def test_volume_one_dimensional_nonlinear_exits_2(capsys, tmp_path):
+    path = tmp_path / "nl1.json"
+    path.write_text(json.dumps({
+        "kind": "nonlinear", "dim": 1, "f": ["-x1"], "A0": [[-1.0]],
+        "terms": [], "box": {"lower": [-1], "upper": [1]},
+    }))
+    code, rep = run_cli(capsys, "volume", "--model", str(path), "--grid", "8", "--t", "0.1")
+    assert code == 2 and rep["verdict"] == "error"
+    assert "dimension >= 2" in rep["error"]
+
+
+def test_simulate_compound_linear_exits_2(capsys, lin_model):
+    code, rep = run_cli(capsys, "simulate", "--model", lin_model, "--x0", "1,1",
+                        "--t", "0.1", "--compound", "2")
+    assert code == 2 and rep["verdict"] == "error"
+
+
 def test_verify_nl_with_packaged_cert(capsys, builtin_model, tmp_path):
     from kcontract.reproduce import load_data
     cert = tmp_path / "cert.json"

@@ -176,6 +176,16 @@ def test_certificate_small_uncontrollable_branch():
     assert lc.k_contractive_lti(A - B @ K, 2)[0]
 
 
+def test_certificate_decomposes_once(monkeypatch):
+    calls = []
+    decompose = ls.kalman_decompose
+    monkeypatch.setattr(ls, "kalman_decompose", lambda A, B: calls.append(1) or decompose(A, B))
+    rng = np.random.default_rng(9)
+    A, B, _ = plant_uncontrollable(rng, 2, 1)
+    ls.stabilizability_certificate(A, B, 2)
+    assert len(calls) == 1
+
+
 def test_certificate_rejects_infeasible():
     rng = np.random.default_rng(10)
     A, B, _ = plant_uncontrollable(rng, 2, 2)

@@ -7,41 +7,42 @@ from kcontract import numkernel as nk
 
 def test_eigenvalues_identity():
     spec = nk.eigenvalues(np.eye(2))
-    assert np.allclose(spec.values, [1, 1])
+    assert np.allclose(spec, [1, 1])
+    assert spec.dtype == complex
 
 
 def test_eigenvalues_diagonal():
     spec = nk.eigenvalues(np.diag([1.0, -2.0]))
-    assert np.allclose(spec.values, [1, -2])
+    assert np.allclose(spec, [1, -2])
 
 
 def test_eigenvalues_companion_pure_imaginary():
     # companion matrix of s^2 + 1 has roots +-i
     C = np.array([[0.0, -1.0], [1.0, 0.0]])
     spec = nk.eigenvalues(C)
-    assert np.allclose(spec.values, [1j, -1j], atol=1e-12)
+    assert np.allclose(spec, [1j, -1j], atol=1e-12)
 
 
 def test_eigenvalues_ordering_real_then_imag():
     A = np.array([[0.0, 2.0], [-2.0, 0.0]])  # +-2i
     spec = nk.eigenvalues(A)
-    assert spec.values[0].imag > spec.values[1].imag
+    assert spec[0].imag > spec[1].imag
 
 
 def test_eigenvalues_transpose_same_multiset():
     rng = np.random.default_rng(0)
     for _ in range(50):
         A = rng.standard_normal((6, 6))
-        a = np.sort_complex(nk.eigenvalues(A).values)
-        b = np.sort_complex(nk.eigenvalues(A.T).values)
+        a = np.sort_complex(nk.eigenvalues(A))
+        b = np.sort_complex(nk.eigenvalues(A.T))
         assert np.allclose(a, b, atol=1e-10 * max(1, np.abs(a).max()))
 
 
 def test_eigenvalues_deterministic():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((7, 7))
-    v1 = nk.eigenvalues(A).values
-    v2 = nk.eigenvalues(A).values
+    v1 = nk.eigenvalues(A)
+    v2 = nk.eigenvalues(A)
     assert np.array_equal(v1, v2)
 
 
@@ -125,6 +126,11 @@ def test_solve_lyapunov_residual_sweep():
 def test_solve_lyapunov_resonance_names_pair():
     with pytest.raises(nk.NumericalError, match="resonant"):
         nk.solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
+
+
+def test_empty_matrix_kernels():
+    assert nk.solve_lyapunov(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
+    assert nk.inertia_symmetric(np.zeros((0, 0))) == (0, 0, 0)
 
 
 def test_is_neg_def_examples():

@@ -202,8 +202,7 @@ def test_flowed_square_linear_volume():
     A = np.diag([-1.0, -2.0])
     for t in (0.5, 1.0, 2.0):
         g = sim.ImmersionGrid.from_function(lambda r: r.copy(), 2, 64, 2)
-        flowed = sim.flow_immersion(g, lambda x: A @ x, t, 1e-3,
-                                    field_batch=lambda X: X @ A.T)
+        flowed = sim.flow_immersion(g, lambda X: X @ A.T, t, 1e-3)
         V = sim.volume_of_immersion(flowed, np.eye(2))
         assert V == pytest.approx(np.exp(-3 * t), abs=1e-2)
 
@@ -216,8 +215,7 @@ def test_volume_compound_agreement():
     x0 = np.zeros(3)
     t = 0.7
     g = sim.ImmersionGrid.from_function(lambda r: x0 + V0 @ r, 2, 48, 3)
-    flowed = sim.flow_immersion(g, lambda x: A @ x, t, 1e-3,
-                                field_batch=lambda X: X @ A.T)
+    flowed = sim.flow_immersion(g, lambda X: X @ A.T, t, 1e-3)
     vol = sim.volume_of_immersion(flowed, np.eye(3))
     y = cp.multiplicative_compound(expm(A * t) @ V0, 2).ravel()
     assert vol == pytest.approx(np.linalg.norm(y), rel=1e-3)
