@@ -117,20 +117,6 @@ class Node:
             return args[0].variables()
         return set().union(*(a.variables() for a in args if isinstance(a, Node)))
 
-    def __str__(self):
-        op, args = self.op, self.args
-        if op == "const":
-            return repr(args[0])
-        if op == "var":
-            return f"x{args[0] + 1}"
-        if op == "neg":
-            return f"(-{args[0]})"
-        if op in ("+", "-", "*", "/"):
-            return f"({args[0]} {op} {args[1]})"
-        if op == "pow":
-            return f"({args[0]}^{args[1]})"
-        return f"{op}({args[0]})"
-
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -321,13 +307,12 @@ class CompiledModel:
 
     f(x) evaluates the field on Python floats and returns an ndarray;
     f_batch(X) evaluates it on every row of an (m, n) block; theta(x) is the
-    list of parameter values and thetas[j](x) the j-th one alone.
+    list of parameter values.
     """
 
     f: callable
     f_batch: callable
     theta: callable
-    thetas: tuple
 
 
 @lru_cache(maxsize=64)
@@ -338,7 +323,7 @@ def _code(source: str):
 
 
 def compile_model(dim: int, f_nodes, theta_nodes) -> CompiledModel:
-    """Emit the source of f, f_batch, theta and each theta_j and compile it once."""
+    """Emit the source of f, f_batch and theta and compile it once."""
     consts = []
     names = ", ".join(f"x{i}" for i in range(dim))
     unpack = f"    [{names}] = asarray(x, dtype=float).tolist()\n"
@@ -350,8 +335,6 @@ def compile_model(dim: int, f_nodes, theta_nodes) -> CompiledModel:
         return "[" + ", ".join(python_source(n, consts, batch) for n in nodes) + "]"
 
     parts = [scalar("f", f"array({listed(f_nodes)})"), scalar("theta", listed(theta_nodes))]
-    parts += [scalar(f"theta_{j}", python_source(n, consts))
-              for j, n in enumerate(theta_nodes)]
     parts.append(
         "def f_batch(X):\n    X = asarray(X, dtype=float)\n    m = X.shape[0]\n"
         + "".join(f"    x{i} = X[:, {i}]\n" for i in range(dim))
@@ -359,7 +342,5 @@ def compile_model(dim: int, f_nodes, theta_nodes) -> CompiledModel:
     namespace = {"math": math, "np": np, "array": np.array, "asarray": np.asarray}
     namespace.update((f"c{i}", value) for i, value in enumerate(consts))
     exec(_code("".join(parts)), namespace)
-    return CompiledModel(
-        f=namespace["f"], f_batch=namespace["f_batch"], theta=namespace["theta"],
-        thetas=tuple(namespace[f"theta_{j}"] for j in range(len(theta_nodes))),
-    )
+    return CompiledModel(f=namespace["f"], f_batch=namespace["f_batch"],
+                         theta=namespace["theta"])

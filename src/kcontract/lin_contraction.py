@@ -19,6 +19,7 @@ from math import comb
 import numpy as np
 
 from .numkernel import (
+    SPECTRAL_RTOL,
     NumericalError,
     as_square,
     check_symmetric,
@@ -90,16 +91,20 @@ class VerificationReport:
 
 def eigen_sum_max(A, k: int) -> float:
     """Sum of the k largest real parts of eigenvalues of A."""
-    vals = eigenvalues(as_square(A, "A"))
-    if not 1 <= k <= len(vals):
-        raise ValueError(f"k={k} out of range for spectrum of size {len(vals)}")
-    return float(vals.real[:k].sum())
+    return k_contractive_lti(A, k)[1]
 
 
 def k_contractive_lti(A, k: int):
-    """(verdict, margin): margin is the top-k real-part sum, negative iff contractive."""
-    margin = eigen_sum_max(A, k)
-    return margin < 0.0, margin
+    """(verdict, margin): margin is the top-k real-part sum.
+
+    A is k-contractive iff the margin is below -SPECTRAL_RTOL * max(max|lambda|, 1),
+    so a sum that is zero up to rounding rejects.
+    """
+    vals = eigenvalues(as_square(A, "A"))
+    if not 1 <= k <= len(vals):
+        raise ValueError(f"k={k} out of range for spectrum of size {len(vals)}")
+    margin = float(vals.real[:k].sum())
+    return margin < -SPECTRAL_RTOL * max(np.abs(vals).max(), 1.0), margin
 
 
 def group_real_parts(values, rtol: float = REAL_PART_GROUP_RTOL):
@@ -161,7 +166,8 @@ def build_certificate(A, k: int) -> ContractionCertificate:
     contractive, margin = k_contractive_lti(A, k)
     if not contractive:
         raise ValueError(
-            f"system is not {k}-contractive: top-{k} real-part sum = {margin:.6g} >= 0"
+            f"system is not {k}-contractive: top-{k} real-part sum = {margin:.6g} "
+            "is not negative beyond rounding"
         )
     vals = eigenvalues(A)
     last_err = None

@@ -19,7 +19,7 @@ import numpy as np
 from .lin_contraction import (
     GROUP_RTOL_LADDER,
     ContractionCertificate,
-    eigen_sum_max,
+    k_contractive_lti,
     shifted_inertia_certificate,
     staged_rates,
 )
@@ -100,8 +100,8 @@ def _stabilizable(dec: KalmanDecomposition, k: int):
     """k_order_stabilizable's verdict and diagnostics for a decomposed pair."""
     if dec.nu < k:
         return True, {"nu": dec.nu, "reason": f"uncontrollable dimension {dec.nu} < k={k}"}
-    margin = eigen_sum_max(dec.Au, k)
-    return margin < 0, {
+    contractive, margin = k_contractive_lti(dec.Au, k)
+    return contractive, {
         "nu": dec.nu,
         "uncontrollable_topk_sum": margin,
         "reason": f"uncontrollable block top-{k} real-part sum = {margin:.6g}",

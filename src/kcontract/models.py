@@ -57,7 +57,7 @@ class ModelBundle:
             "terms": [
                 {"A": np.asarray(Aj).tolist(), "theta": expr}
                 | ({"bounds": list(bnd)} if bnd is not None else {})
-                for (Aj, _), expr, bnd in zip(
+                for Aj, expr, bnd in zip(
                     self.model.terms, self.theta_exprs, self.theta_bounds_fixed
                 )
             ],
@@ -109,8 +109,8 @@ def _build_nonlinear(name, dim, f_exprs, A0, term_docs, box, B=None, params=None
         return out
 
     model = NonlinearModel(
-        dim=dim, f=compiled.f, A0=A0, terms=list(zip(term_mats, compiled.thetas)),
-        bounds=bounds, name=name, f_batch=compiled.f_batch, theta=compiled.theta,
+        dim=dim, f=compiled.f, A0=A0, terms=term_mats, theta=compiled.theta,
+        bounds=bounds, f_batch=compiled.f_batch,
     )
     return ModelBundle(
         kind="nonlinear", name=name, B=None if B is None else np.asarray(B, dtype=float),

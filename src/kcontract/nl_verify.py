@@ -78,37 +78,29 @@ class NonlinearModel:
     """Vector field with an affine-parameter Jacobian envelope.
 
     f(x) evaluates the field; the Jacobian is A0 + sum theta_j(x) A_j with
-    scalar evaluators theta_j and a bounds procedure mapping a Box to
-    intervals [theta_j-, theta_j+]. theta(x), when given, returns all
-    theta_j(x) at once. For models built from the expression language the
-    bounds come from interval evaluation.
+    terms the matrices A_j, theta(x) the list [theta_1(x), ...] and bounds a
+    procedure mapping a Box to intervals [theta_j-, theta_j+]. For models
+    built from the expression language the bounds come from interval
+    evaluation.
     """
 
     dim: int
     f: callable
     A0: np.ndarray
-    terms: list  # [(A_j, theta_j callable), ...]
+    terms: list  # [A_1, A_2, ...]
+    theta: callable  # x -> [theta_1(x), ...]
     bounds: callable  # Box -> [(lo, hi), ...]
-    name: str = ""
     f_batch: callable | None = None  # optional vectorized evaluator (m,n) -> (m,n)
-    theta: callable | None = None  # optional x -> [theta_1(x), ...]
 
     def __post_init__(self):
         self.A0 = np.asarray(self.A0, dtype=float)
-        self.terms = [(np.asarray(Aj, dtype=float), th) for Aj, th in self.terms]
-        if self.theta is None:
-            thetas = [th for _, th in self.terms]
-            self.theta = lambda x: [th(x) for th in thetas]
+        self.terms = [np.asarray(Aj, dtype=float) for Aj in self.terms]
 
     def jacobian(self, x):
         J = self.A0.copy()
-        for (Aj, _), value in zip(self.terms, self.theta(x)):
+        for Aj, value in zip(self.terms, self.theta(x)):
             J += value * Aj
         return J
-
-    @property
-    def n_terms(self):
-        return len(self.terms)
 
 
 @dataclass
@@ -128,9 +120,9 @@ class NonlinearCertificate:
 
 def envelope_vertices(model: NonlinearModel, box: Box):
     """The 2^m matrices A0 + sum theta_j^{+/-} A_j bracketing J(x) on the box."""
-    m = model.n_terms
+    m = len(model.terms)
     if m == 0:
-        return [np.array(model.A0, dtype=float)]
+        return [model.A0.copy()]
     if m > VERTEX_CAP:
         raise ValueError(
             f"{m} envelope terms means 2^{m} vertices; use grid sampling instead"
@@ -140,12 +132,11 @@ def envelope_vertices(model: NonlinearModel, box: Box):
     if len(ivs) != m:
         raise ValueError("bounds procedure returned wrong number of intervals")
     verts = []
-    A0 = np.asarray(model.A0, dtype=float)
     for mask in range(2 ** m):
-        J = A0.copy()
-        for j, (Aj, _) in enumerate(model.terms):
+        J = model.A0.copy()
+        for j, Aj in enumerate(model.terms):
             lo, hi = ivs[j]
-            J += (hi if (mask >> j) & 1 else lo) * np.asarray(Aj, dtype=float)
+            J += (hi if (mask >> j) & 1 else lo) * Aj
         verts.append(J)
     return verts
 
@@ -375,11 +366,6 @@ def synthesize_nl_gain(model: NonlinearModel, box: Box, W0, W1, mu0: float, mu1:
 # ---------------------------------------------------------------------------
 
 
-def _factor_init(P, signature):
-    w, U = np.linalg.eigh(P)
-    return (U * np.sqrt(np.abs(w))).T, np.sign(signature)
-
-
 def _center_lyapunov_start(verts, n, mu, n_neg):
     """Warm start: exact inertia-correct solution at the vertex-set centroid."""
     Jc = sum(verts) / len(verts)
@@ -433,7 +419,7 @@ def _sylvester_polish(P, mu, verts, n_neg, sweeps=200, damp=0.35):
     return best, best_m
 
 
-def _search_single(verts, n, mu, n_neg, rng, restarts, iters, init=None):
+def _search_single(verts, n, mu, n_neg, rng, restarts, iters):
     """Minimize the worst normalized margin over one metric condition.
 
     Parameterizes P = R' diag(sig) R (inertia by construction), runs L-BFGS
@@ -470,11 +456,10 @@ def _search_single(verts, n, mu, n_neg, rng, restarts, iters, init=None):
 
     best_P, best_m = None, np.inf
     starts = []
-    if init is not None:
-        starts.append(_factor_init(init, sig)[0].ravel())
     center = _center_lyapunov_start(verts, n, mu, n_neg)
     if center is not None:
-        starts.append(_factor_init(center, sig)[0].ravel())
+        w, U = np.linalg.eigh(center)  # center = R' diag(sig) R
+        starts.append((U * np.sqrt(np.abs(w))).T.ravel())
     while len(starts) < restarts:
         starts.append(rng.standard_normal(n * n))
     for z0 in starts:
@@ -499,21 +484,19 @@ def _search_single(verts, n, mu, n_neg, rng, restarts, iters, init=None):
 
 
 def search_nl_certificate(model: NonlinearModel, box: Box, k: int, budget: int = 40,
-                          seed: int = 0, mus=None, init: NonlinearCertificate | None = None,
-                          vertices=None):
+                          seed: int = 0, mus=None):
     """Best-effort search for a constant-metric certificate on the box.
 
     budget caps the number of (mu candidate x restart) optimization attempts.
     Returns an accepted NonlinearCertificate or None; the result is gated
     through verify_nl_certificate at slack 0 against the same vertex set, so a
     returned certificate is always genuinely valid. None is an honest failure,
-    never fabricated. Pass a refined vertex set (envelope_vertices_refined)
-    when the plain rectangle hull is too coarse for coupled parameters.
+    never fabricated.
     """
     n = model.dim
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    verts = envelope_vertices(model, box) if vertices is None else vertices
+    verts = envelope_vertices(model, box)
     rng = np.random.default_rng(seed)
 
     # pointwise-necessary windows for the rates, from vertex spectra
@@ -528,8 +511,6 @@ def search_nl_certificate(model: NonlinearModel, box: Box, k: int, budget: int =
     candidates = []
     if mus is not None:
         candidates.append(tuple(mus))
-    if init is not None:
-        candidates.append((init.mu0, init.mu1))
     if k >= 2 and lo1 < hi1:
         for t1 in (0.12, 0.5, 0.88):
             mu1c = lo1 + t1 * (hi1 - lo1)
@@ -550,10 +531,8 @@ def search_nl_certificate(model: NonlinearModel, box: Box, k: int, budget: int =
         if attempts >= budget:
             break
         restarts = max(1, min(4, budget - attempts))
-        P0, m0 = _search_single(verts, n, mu0, 0, rng, restarts, 400,
-                                init=init.P0 if init is not None else None)
-        P1, m1 = _search_single(verts, n, mu1, k - 1, rng, restarts, 400,
-                                init=init.P1 if init is not None else None)
+        P0, m0 = _search_single(verts, n, mu0, 0, rng, restarts, 400)
+        P1, m1 = _search_single(verts, n, mu1, k - 1, rng, restarts, 400)
         attempts += restarts
         if m0 < 0 and m1 < 0:
             cert = NonlinearCertificate(P0=P0, P1=P1, mu0=float(mu0), mu1=float(mu1), k=k)

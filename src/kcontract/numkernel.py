@@ -15,6 +15,9 @@ import numpy as np
 
 DEFAULT_ZERO_TOL = 1e-9
 SYMMETRY_RTOL = 1e-12
+# a sum of eigenvalues within SPECTRAL_RTOL * max(max|lambda|, 1) of zero is
+# zero up to rounding
+SPECTRAL_RTOL = 1e-12
 
 
 class NumericalError(RuntimeError):
@@ -88,7 +91,7 @@ def inertia_symmetric(S, zero_tol: float = DEFAULT_ZERO_TOL) -> InertiaTriple:
     return InertiaTriple(neg, len(w) - neg - pos, pos)
 
 
-def resonant_pair(vals, mu: float = 0.0, rtol: float = 1e-12):
+def resonant_pair(vals, mu: float = 0.0, rtol: float = SPECTRAL_RTOL):
     """First index pair (a, b), a <= b, with (lambda_a - mu) + (lambda_b - mu) ~ 0.
 
     The sum is compared against rtol * max(max|lambda - mu|, 1); None when no

@@ -9,6 +9,7 @@ empty) are reported as such, never patched over.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from importlib import resources
 
@@ -83,6 +84,22 @@ def jsonable(obj):
     return obj
 
 
+def _compound_decay(bundle, x0):
+    """(rate, overshoot, relative error against exp(-t/2)) of the third-compound
+    state from x0 and the identity frame over t in [0, 20]."""
+    ctr = sim.integrate_compound(bundle.model, x0, np.eye(3), 3, 20.0, 1e-3)
+    a, b, _ = sim.fit_decay(ctr)
+    rel = float(np.abs(ctr.compound_norms
+                       / (ctr.compound_norms[0] * np.exp(-0.5 * ctr.times)) - 1).max())
+    return a, b, rel
+
+
+def _attractor_labels(field, starts, t_end):
+    """(labels, traces): the attractor label of the trace from each start."""
+    traces = [sim.integrate(field, x0, t_end, 1e-3, record_every=10) for x0 in starts]
+    return [sim.classify_attractor(tr) for tr in traces], traces
+
+
 def reproduce_rossler(seed: int = 0, t_classify: float = 500.0) -> dict:
     """Chaotic example: constant third-compound trace, exact compound decay,
     no simple attractor, and no constant-metric certificate."""
@@ -90,13 +107,8 @@ def reproduce_rossler(seed: int = 0, t_classify: float = 500.0) -> dict:
     dev = compound_constant_check(bundle, seed=seed)
 
     x0 = np.array([0.1, 0.1, 0.0])
-    ctr = sim.integrate_compound(bundle.model, x0, np.eye(3), 3, 20.0, 1e-3)
-    a, b, _ = sim.fit_decay(ctr)
-    rel = float(np.abs(ctr.compound_norms
-                       / (ctr.compound_norms[0] * np.exp(-0.5 * ctr.times)) - 1).max())
-
-    tr = sim.integrate(bundle.model.f, x0, t_classify, 1e-3, record_every=10)
-    label = sim.classify_attractor(tr)
+    a, b, rel = _compound_decay(bundle, x0)
+    [label], [tr] = _attractor_labels(bundle.model.f, [x0], t_classify)
 
     cert = nv.search_nl_certificate(bundle.model, bundle.box, 3, budget=6, seed=seed)
 
@@ -122,8 +134,7 @@ def reproduce_rossler(seed: int = 0, t_classify: float = 500.0) -> dict:
     }
 
 
-def reproduce_rossler_mod(seed: int = 0, classify: bool = True,
-                          t_classify: float = 500.0) -> dict:
+def reproduce_rossler_mod(seed: int = 0, classify: bool = True) -> dict:
     """Cubic variant: derived attractor box, reference certificate check plus
     re-solve, exact rate budget, compound decay, and attractor labels."""
     bundle = models.builtin("rossler_mod")
@@ -141,18 +152,12 @@ def reproduce_rossler_mod(seed: int = 0, classify: bool = True,
     resolved_report = (nv.verify_nl_certificate(bundle.model, box, resolved, slack=0.0)
                        if resolved is not None else None)
 
-    ctr = sim.integrate_compound(bundle.model, np.array([0.2, 0.5, 0.0]), np.eye(3),
-                                 3, 20.0, 1e-3)
-    a, b, _ = sim.fit_decay(ctr)
-    rel = float(np.abs(ctr.compound_norms
-                       / (ctr.compound_norms[0] * np.exp(-0.5 * ctr.times)) - 1).max())
+    a, _, rel = _compound_decay(bundle, np.array([0.2, 0.5, 0.0]))
 
     labels = {}
     if classify:
-        for ic in ((0.2, 0.5, 0.0), (-0.3, -0.3, -0.5), (0.2, -0.5, -0.3)):
-            tr = sim.integrate(bundle.model.f, np.array(ic), t_classify, 1e-3,
-                               record_every=10)
-            labels[str(ic)] = sim.classify_attractor(tr)
+        ics = ((0.2, 0.5, 0.0), (-0.3, -0.3, -0.5), (0.2, -0.5, -0.3))
+        labels = dict(zip(map(str, ics), _attractor_labels(bundle.model.f, ics, 500.0)[0]))
 
     rate = printed.rate_sum
     checks = {
@@ -186,9 +191,6 @@ def reproduce_rossler_mod(seed: int = 0, classify: bool = True,
     }
 
 
-SYNC_REFINEMENT = {3: 8}  # slab split along x4 tightens the trig-pair hull
-
-
 SQUARE_TIMES = [0.0, 0.1, 0.2, 0.3, 0.4]
 
 
@@ -218,9 +220,9 @@ def square_volumes(bundle, rng, count: int) -> list:
 
 def reproduce_synchronverter(seed: int = 0, trajectories: int = 10,
                              squares: int = 5, classify: bool = True) -> dict:
-    """Fourth-order inverter: reference pair at printed precision, re-solved
-    pair at zero slack on a refined envelope, plus trajectory and volume
-    behavior consistent with 2-contraction on the working box."""
+    """Fourth-order inverter: reference pair at printed precision, the packaged
+    re-solved pair at zero slack on its refined envelope, plus trajectory and
+    volume behavior consistent with 2-contraction on the working box."""
     bundle = models.builtin("synchronverter")
     doc = load_data("synchronverter_cert.json")
     printed = cert_from_data(doc)
@@ -233,32 +235,16 @@ def reproduce_synchronverter(seed: int = 0, trajectories: int = 10,
         for lab, P in (("P0", printed.P0), ("P1", printed.P1))
     )
 
-    resolved_doc = None
-    try:
-        resolved_doc = load_data("synchronverter_resolved.json")
-    except FileNotFoundError:
-        pass
-    if resolved_doc is not None:
-        refinement = {int(k): v for k, v in resolved_doc.get("refinement", {}).items()}
-        refined = nv.envelope_vertices_refined(bundle.model, box, refinement)
-        resolved = cert_from_data(resolved_doc)
-        resolved_report = nv.verify_nl_certificate(
-            bundle.model, box, resolved, slack=0.0, vertices=refined)
-    else:
-        refinement = dict(SYNC_REFINEMENT)
-        refined = nv.envelope_vertices_refined(bundle.model, box, refinement)
-        resolved = nv.search_nl_certificate(bundle.model, box, printed.k, budget=8,
-                                            seed=seed, init=printed, vertices=refined)
-        resolved_report = (nv.verify_nl_certificate(bundle.model, box, resolved,
-                                                    slack=0.0, vertices=refined)
-                           if resolved is not None else None)
+    resolved_doc = load_data("synchronverter_resolved.json")
+    refinement = {int(k): v for k, v in resolved_doc["refinement"].items()}
+    refined = nv.envelope_vertices_refined(bundle.model, box, refinement)
+    resolved_report = nv.verify_nl_certificate(
+        bundle.model, box, cert_from_data(resolved_doc), slack=0.0, vertices=refined)
 
     labels = []
     if classify:
-        rng = np.random.default_rng(seed)
-        for x0 in box.sample(rng, trajectories):
-            tr = sim.integrate(bundle.model.f, x0, 20.0, 1e-3, record_every=10)
-            labels.append(sim.classify_attractor(tr))
+        starts = box.sample(np.random.default_rng(seed), trajectories)
+        labels = _attractor_labels(bundle.model.f, starts, 20.0)[0]
 
     vol_runs = square_volumes(bundle, np.random.default_rng(seed + 1), squares)
 
@@ -268,7 +254,7 @@ def reproduce_synchronverter(seed: int = 0, trajectories: int = 10,
         "inertia_as_required": (
             inertia_symmetric(printed.P0) == (0, 0, 4)
             and inertia_symmetric(printed.P1) == (1, 0, 3)),
-        "resolved_accepted_at_zero_slack": bool(resolved_report and resolved_report.verdict),
+        "resolved_accepted_at_zero_slack": resolved_report.verdict,
     }
     if classify:
         checks["trajectories_reach_fixed_points"] = all(l == "fixed_point" for l in labels)
@@ -285,9 +271,8 @@ def reproduce_synchronverter(seed: int = 0, trajectories: int = 10,
         "printed_slack": slack,
         "printed_inertia": {"P0": list(inertia_symmetric(printed.P0)),
                             "P1": list(inertia_symmetric(printed.P1))},
-        "resolved_certificate": (report_entry(resolved_report)
-                                 if resolved_report else "search failure (legitimate)"),
-        "refinement": {str(k): v for k, v in refinement.items()},
+        "resolved_certificate": report_entry(resolved_report),
+        "refinement": resolved_doc["refinement"],
         "trajectory_labels": labels,
         "volume_runs": vol_runs,
         "checks": checks,
@@ -317,10 +302,8 @@ def reproduce_example25(seed: int = 0, classify: bool = True) -> dict:
     def closed_field(x):
         return bundle.model.f(x) - B.ravel() * float(Kv @ x)
 
-    closed = nv.NonlinearModel(
-        dim=3, f=closed_field, A0=bundle.model.A0 - B @ K,
-        terms=bundle.model.terms, bounds=bundle.model.bounds,
-        name="example25-closed-loop")
+    closed = dataclasses.replace(bundle.model, f=closed_field, f_batch=None,
+                                 A0=bundle.model.A0 - B @ K)
     q_report = nv.verify_compound_condition(
         closed, bundle.box, np.asarray(doc["Q"], dtype=float), doc["eta"], doc["k"],
         slack=slack)
@@ -331,10 +314,8 @@ def reproduce_example25(seed: int = 0, classify: bool = True) -> dict:
 
     labels = []
     if classify:
-        rng = np.random.default_rng(seed)
-        for x0 in bundle.box.sample(rng, 3):
-            tr = sim.integrate(closed_field, x0, 200.0, 1e-3, record_every=10)
-            labels.append(sim.classify_attractor(tr))
+        starts = bundle.box.sample(np.random.default_rng(seed), 3)
+        labels = _attractor_labels(closed_field, starts, 200.0)[0]
 
     checks = {
         "gain_matches_reference": K_ok,

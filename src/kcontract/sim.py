@@ -17,6 +17,12 @@ import numpy as np
 from .compound import additive_compound, multiplicative_compound
 from .nl_verify import Box, NonlinearModel
 
+# caps that reject a run before it starts: 2x the longest shipped run (500k
+# steps); 1e8 row-steps of integrate_batch take 20-40 s on the built-in models
+MAX_STEPS = 1_000_000
+MAX_BATCH_ROW_STEPS = 100_000_000
+MAX_GRID_RESOLUTION = 1024
+
 
 @dataclass
 class Trace:
@@ -55,6 +61,17 @@ class EquilibriumInfo:
         return not self.stable
 
 
+def _step_count(t_end: float, h: float) -> int:
+    """round(t_end / h); ValueError unless both are finite and positive and the
+    count is at most MAX_STEPS."""
+    if not (math.isfinite(t_end) and math.isfinite(h) and t_end > 0 and h > 0):
+        raise ValueError(f"h and t_end must be positive and finite, got h={h!r}, "
+                         f"t_end={t_end!r}")
+    if t_end / h > MAX_STEPS:
+        raise ValueError(f"t_end / h = {t_end / h:.6g} steps exceeds the cap of {MAX_STEPS}")
+    return int(round(t_end / h))
+
+
 def integrate(field, x0, t_end: float, h: float = 1e-3, record_every: int = 1) -> Trace:
     """Integrate xdot = field(x) with fixed-step RK4 from x0 to t_end.
 
@@ -63,10 +80,8 @@ def integrate(field, x0, t_end: float, h: float = 1e-3, record_every: int = 1) -
     Non-finite states truncate the trace (flagged), they never propagate.
     record_every thins the stored samples; the step size is unaffected.
     """
-    if h <= 0 or t_end <= 0:
-        raise ValueError("h and t_end must be positive")
+    n_steps = _step_count(t_end, h)
     x = np.asarray(x0, dtype=float).tolist()
-    n_steps = int(round(t_end / h))
     half, sixth = 0.5 * h, h / 6.0
     times = [0.0]
     states = [x]
@@ -98,10 +113,11 @@ def integrate_batch(field_batch, X0, t_end: float, h: float = 1e-3, record_every
     field_batch maps an (m, n) state block to an (m, n) derivative block.
     Returns (times, trajectory array of shape (n_samples, m, n)).
     """
-    if h <= 0 or t_end <= 0:
-        raise ValueError("h and t_end must be positive")
+    n_steps = _step_count(t_end, h)
     X = np.asarray(X0, dtype=float).copy()
-    n_steps = int(round(t_end / h))
+    if len(X) * n_steps > MAX_BATCH_ROW_STEPS:
+        raise ValueError(f"{len(X)} rows x {n_steps} steps exceeds the cap of "
+                         f"{MAX_BATCH_ROW_STEPS} row-steps")
     times = [0.0]
     out = [X.copy()]
     for i in range(1, n_steps + 1):
@@ -179,8 +195,9 @@ class ImmersionGrid:
     def from_function(fn, k: int, resolution: int, dim: int):
         if k not in (1, 2):
             raise ValueError("only k in {1, 2} immersions are supported")
-        if resolution < 3:
-            raise ValueError("resolution must be at least 3")
+        if not 3 <= resolution <= MAX_GRID_RESOLUTION:
+            raise ValueError(f"resolution must be in [3, {MAX_GRID_RESOLUTION}], "
+                             f"got {resolution}")
         axes = [np.linspace(0.0, 1.0, resolution)] * k
         if k == 1:
             pts = np.array([fn(np.array([r])) for r in axes[0]], dtype=float)
@@ -201,7 +218,7 @@ def flow_immersion(grid: ImmersionGrid, field_batch, t_end: float,
     shape = grid.points.shape
     flat = grid.points.reshape(-1, shape[-1])
     _, traj = integrate_batch(field_batch, flat, t_end, h,
-                              record_every=max(1, int(round(t_end / h))))
+                              record_every=max(1, _step_count(t_end, h)))
     return ImmersionGrid(grid.k, grid.resolution, traj[-1].reshape(shape))
 
 

@@ -129,7 +129,8 @@ def test_criterion_4_design_example():
         return bundle.model.f(x) - bundle.B.ravel() * float(Kv @ x)
 
     closed = nv.NonlinearModel(dim=3, f=closed_field, A0=bundle.model.A0 - bundle.B @ K,
-                               terms=bundle.model.terms, bounds=bundle.model.bounds)
+                               terms=bundle.model.terms, theta=bundle.model.theta,
+                               bounds=bundle.model.bounds)
     q_report = nv.verify_compound_condition(
         closed, bundle.box, np.asarray(doc["Q"], float), 0.091, 2, slack=1e-2)
     ok = ok and q_report.verdict

@@ -43,6 +43,26 @@ def test_analyze_lin_accept_and_reject(capsys, lin_model):
     assert code == 1 and rep["verdict"] == "reject"
 
 
+@pytest.mark.parametrize("k, A", [
+    # spectrum {+-0.5i} hidden by a similarity: computed top-1 sum -2.8e-16
+    (1, [[-8.957776268809933, 1.4522630286367872],
+         [-55.42505324094806, 8.957776268809933]]),
+    # spectrum {+-1.5i, -3, -3} hidden by a similarity: computed top-2 sum -2.4e-15
+    (2, [[-1.1957707274946427, 5.090044035528864, -3.8789030755346516, -2.3922020073605434],
+         [-1.3831482920800546, 0.18808666940099347, -1.3887400009856337, -1.0962246930858937],
+         [-0.9988804130723635, -1.851465829026309, -1.447198691459807, 0.924961110482796],
+         [-0.6934605545788126, 1.5875262479247776, -0.6895790522990988, -3.545117250446545]]),
+])
+def test_analyze_lin_rejects_sum_zero_up_to_rounding(capsys, tmp_path, k, A):
+    path = tmp_path / "marginal.json"
+    path.write_text(json.dumps({"kind": "linear", "A": A}))
+    code, rep = run_cli(capsys, "analyze-lin", "--model", str(path), "--k", str(k))
+    assert code == 1 and rep["verdict"] == "reject"
+    assert rep["margins"][0][1] < 0  # the rounding noise that used to be accepted
+    code, rep = run_cli(capsys, "certify-lin", "--model", str(path), "--k", str(k))
+    assert code == 1 and rep["verdict"] == "reject"
+
+
 def test_usage_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -134,6 +154,14 @@ def test_volume_one_dimensional_nonlinear_exits_2(capsys, tmp_path):
     code, rep = run_cli(capsys, "volume", "--model", str(path), "--grid", "8", "--t", "0.1")
     assert code == 2 and rep["verdict"] == "error"
     assert "dimension >= 2" in rep["error"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "volume"])
+def test_infinite_time_exits_2(capsys, lin_model, command):
+    extra = ("--x0", "1,1") if command == "simulate" else ()
+    code, rep = run_cli(capsys, command, "--model", lin_model, *extra, "--t", "inf")
+    assert code == 2 and rep["verdict"] == "error"
+    assert "finite" in rep["error"]
 
 
 def test_simulate_compound_linear_exits_2(capsys, lin_model):

@@ -63,7 +63,7 @@ def compiled(node, dim):
 
 def value(node, x):
     """The compiled scalar value of one expression at x."""
-    return compiled(node, len(x)).thetas[0](x)
+    return compiled(node, len(x)).theta(x)[0]
 
 
 def batch_value(node, X):
@@ -208,7 +208,6 @@ def test_compiled_matches_tree_walker(node, rows):
     model = compile_model(2, [node, node], [node])
     for x in X:
         want = outcome(ref_eval, node, x)
-        assert outcome(model.thetas[0], x) == want
         assert outcome(lambda y: model.theta(y)[0], x) == want
         assert outcome(lambda y: model.f(y)[1], x) == want
     want = outcome(ref_eval_batch, node, X)

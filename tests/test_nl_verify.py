@@ -33,7 +33,7 @@ def test_envelope_modified_rossler_two_vertices():
     assert len(verts) == 2
     # theta = x1^2 ranges over [0, 4]
     lo = b.model.A0
-    hi = b.model.A0 + 4.0 * b.model.terms[0][0]
+    hi = b.model.A0 + 4.0 * b.model.terms[0]
     assert np.allclose(verts[0], lo) and np.allclose(verts[1], hi)
 
 
@@ -50,7 +50,9 @@ def test_jacobian_accumulates_terms_in_order():
     terms = [(rng.standard_normal((n, n)).tolist(),
               lambda x, j=j: math.sin(x[j % n]) * 10.0 ** j) for j in range(4)]
     model = nv.NonlinearModel(dim=n, f=lambda x: x, A0=rng.standard_normal((n, n)),
-                              terms=terms, bounds=lambda b: [])
+                              terms=[Aj for Aj, _ in terms],
+                              theta=lambda x: [theta(x) for _, theta in terms],
+                              bounds=lambda b: [])
     for x in rng.standard_normal((20, n)):
         J = np.array(model.A0, dtype=float, copy=True)
         for Aj, theta in terms:
@@ -65,9 +67,10 @@ def test_envelope_term_cap():
     for _ in range(17):
         M = mk()
         M[0][0] = 1e-9
-        terms.append((np.asarray(M), lambda x: 0.0))
+        terms.append(np.asarray(M))
     model = nv.NonlinearModel(dim=n, f=lambda x: np.zeros(n), A0=-np.eye(n),
-                              terms=terms, bounds=lambda b: [(0.0, 1.0)] * 17)
+                              terms=terms, theta=lambda x: [0.0] * 17,
+                              bounds=lambda b: [(0.0, 1.0)] * 17)
     box = Box(np.zeros(n), np.ones(n))
     with pytest.raises(ValueError, match="grid sampling"):
         nv.envelope_vertices(model, box)

@@ -52,6 +52,8 @@ def test_bundle_quick_synchronverter():
     r = reproduce.reproduce_synchronverter(classify=False, squares=0)
     assert r["verdict"] == "success"
     assert r["printed_inertia"] == {"P0": [0, 0, 4], "P1": [1, 0, 3]}
+    assert r["refinement"] == {"3": 8}
+    assert r["resolved_certificate"]["data"]["n_vertices"] == 256
 
 
 def test_bundle_quick_example25():

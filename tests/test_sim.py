@@ -182,11 +182,34 @@ def test_volume_rejects_indefinite_metric():
         sim.volume_of_immersion(g, np.diag([1.0, -1.0]))
 
 
+class Evaluated(Exception):
+    """Raised by a field or immersion that a rejected run must never call."""
+
+
+def never(*args):
+    raise Evaluated
+
+
 def test_integrate_input_validation():
     with pytest.raises(ValueError):
         sim.integrate(lambda x: -x, np.array([1.0]), 1.0, h=0.0)
     with pytest.raises(ValueError):
         sim.integrate(lambda x: -x, np.array([1.0]), -1.0, h=0.1)
+
+
+def test_non_finite_and_over_cap_runs_rejected_before_work():
+    for t_end, h in ((np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.inf), (1e308, 1e-300)):
+        with pytest.raises(ValueError):
+            sim.integrate(never, np.array([1.0]), t_end, h)
+        with pytest.raises(ValueError):
+            sim.integrate_batch(never, np.ones((2, 1)), t_end, h)
+    with pytest.raises(ValueError, match="cap"):
+        sim.integrate(never, np.array([1.0]), (sim.MAX_STEPS + 1) * 1e-3, 1e-3)
+    rows = sim.MAX_BATCH_ROW_STEPS // 1000 + 1  # 1000 steps each, under MAX_STEPS
+    with pytest.raises(ValueError, match="cap"):
+        sim.integrate_batch(never, np.zeros((rows, 1)), 1.0, 1e-3)
+    with pytest.raises(ValueError, match="resolution"):
+        sim.ImmersionGrid.from_function(never, 2, sim.MAX_GRID_RESOLUTION + 1, 2)
 
 
 def test_fit_decay_requires_positive_norms():
