@@ -14,10 +14,22 @@ from math import comb
 
 import numpy as np
 
+# Compounds are dense N x N float arrays with N = C(n, k): N = 2048 is 32 MiB
+# per matrix and RK4 assembles four per step, and the index tables of the
+# additive compound hold N k (n - k) Python ints. Every shipped, test and
+# benchmark use has N <= 70.
+MAX_COMPOUND_DIM = 2048
+
 
 def _check_order(n: int, k: int, maximum: int):
     if not 1 <= k <= maximum:
         raise ValueError(f"compound order k={k} out of range [1, {maximum}] for n={n}")
+
+
+def _check_dimension(n: int, k: int):
+    if comb(n, k) > MAX_COMPOUND_DIM:
+        raise ValueError(f"order-{k} compound of an n={n} matrix has dimension "
+                         f"C({n},{k}) = {comb(n, k)}, above {MAX_COMPOUND_DIM}")
 
 
 def index_subsets(n: int, k: int) -> tuple:
@@ -51,6 +63,7 @@ def multiplicative_compound(Q, k: int) -> np.ndarray:
     _check_order(min(m, n), k, min(m, n))
     if k == 1:
         return Q.copy()
+    _check_dimension(max(m, n), k)
     rows = list(combinations(range(m), k))
     cols = list(combinations(range(n), k))
     out = np.empty((len(rows), len(cols)))
@@ -67,6 +80,7 @@ def _additive_scatter(n: int, k: int):
     Returns (subs, dst, src, sign): subs[i] lists the indices of row i, and
     the off-diagonal entry at flat position dst[t] is sign[t] * Q.flat[src[t]].
     """
+    _check_dimension(n, k)
     subs = list(combinations(range(n), k))
     N = len(subs)
     pos = {s: i for i, s in enumerate(subs)}

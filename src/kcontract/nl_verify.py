@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compound import additive_compound
-from .lin_contraction import VerificationReport, shifted_inertia_certificate
+from .lin_contraction import VerificationReport
 from .lin_synthesis import design_margin
 from .numkernel import (
-    NumericalError,
     check_symmetric,
     inertia_symmetric,
     spectral_norm,
@@ -125,8 +124,7 @@ def envelope_vertices(model: NonlinearModel, box: Box):
         return [model.A0.copy()]
     if m > VERTEX_CAP:
         raise ValueError(
-            f"{m} envelope terms means 2^{m} vertices; use grid sampling instead"
-            " (non-certifying)"
+            f"{m} envelope terms means 2^{m} vertices, above the cap of 2^{VERTEX_CAP}"
         )
     ivs = model.bounds(box)
     if len(ivs) != m:
@@ -139,11 +137,6 @@ def envelope_vertices(model: NonlinearModel, box: Box):
             J += (hi if (mask >> j) & 1 else lo) * Aj
         verts.append(J)
     return verts
-
-
-def jacobian_samples(model: NonlinearModel, box: Box, count, rng):
-    """Sampled Jacobians; sound only pointwise (grid fallback, non-certifying)."""
-    return [model.jacobian(x) for x in box.sample(rng, count)]
 
 
 def split_box(box: Box, axis: int, parts: int):
@@ -190,15 +183,12 @@ def _worst(margins):
 
 
 def verify_nl_certificate(model: NonlinearModel, box: Box, cert: NonlinearCertificate,
-                          slack: float = 0.0, vertices=None,
-                          fallback_samples: int = 0) -> VerificationReport:
+                          slack: float = 0.0, vertices=None) -> VerificationReport:
     """Vertex-check the constant-metric pair conditions on the box.
 
     Accepts iff both metric inequalities hold at every envelope vertex with
     margin below slack * ||P_i||_2 and mu1 + (k-1) mu0 < 0. Inertia mismatches
-    reject with the condition named; only dimension mismatches raise. When the
-    envelope exceeds the vertex cap and fallback_samples > 0, sampled
-    Jacobians are checked instead; that run is flagged non-certifying.
+    reject with the condition named; only dimension mismatches raise.
     """
     n = model.dim
     P0 = check_symmetric(cert.P0, "P0")
@@ -219,18 +209,7 @@ def verify_nl_certificate(model: NonlinearModel, box: Box, cert: NonlinearCertif
             f"P1 inertia {tuple(in1)} != required ({k - 1}, 0, {n - k + 1})"
         )
 
-    certifying = True
-    if vertices is None:
-        try:
-            verts = envelope_vertices(model, box)
-        except ValueError:
-            if not fallback_samples:
-                raise
-            verts = jacobian_samples(model, box, fallback_samples,
-                                     np.random.default_rng(0))
-            certifying = False
-    else:
-        verts = vertices
+    verts = envelope_vertices(model, box) if vertices is None else vertices
     m0, v0 = _worst(metric_condition_margin(P0, J, cert.mu0) for J in verts)
     m1, v1 = _worst(metric_condition_margin(P1, J, cert.mu1) for J in verts)
     thr0 = slack * max(spectral_norm(P0), 1e-300)
@@ -247,8 +226,6 @@ def verify_nl_certificate(model: NonlinearModel, box: Box, cert: NonlinearCertif
     notes = []
     if planar:
         notes.append("planar case: box compactness not required for the conclusion")
-    if not certifying:
-        notes.append("grid-sampled check only: NOT certifying on the box")
     if problems:
         notes = problems + notes
     return VerificationReport(
@@ -260,7 +237,7 @@ def verify_nl_certificate(model: NonlinearModel, box: Box, cert: NonlinearCertif
             "slack": slack,
             "planar": planar,
             "n_vertices": len(verts),
-            "certifying": certifying,
+            "certifying": True,  # vertex checks always certify the box; kept for readers
         },
     )
 
@@ -362,132 +339,90 @@ def synthesize_nl_gain(model: NonlinearModel, box: Box, W0, W1, mu0: float, mu1:
 
 
 # ---------------------------------------------------------------------------
-# best-effort certificate search (heuristic; failure is a legitimate outcome)
+# convex certificate search (failure is a legitimate outcome)
 # ---------------------------------------------------------------------------
 
-
-def _center_lyapunov_start(verts, n, mu, n_neg):
-    """Warm start: exact inertia-correct solution at the vertex-set centroid."""
-    Jc = sum(verts) / len(verts)
-    try:
-        P = shifted_inertia_certificate(Jc, mu)
-    except NumericalError:
-        return None
-    if inertia_symmetric(P) != (n_neg, 0, n - n_neg):
-        return None
-    return P / spectral_norm(P)
+BARRIER_GAP = 1e-9      # stop once the duality gap bound (blocks * n) / c is below this
+BARRIER_GROWTH = 5.0    # factor on c between centerings; 20 stalls Newton on thin LMIs
+NEWTON_CAP = 500        # Newton steps per centering
 
 
-def _project_inertia(P, n_neg, floor=1e-6):
-    w, U = np.linalg.eigh(P)
-    s = np.abs(w).max()
-    w2 = w.copy()
-    for i in range(len(w)):
-        w2[i] = min(w2[i], -floor * s) if i < n_neg else max(w2[i], floor * s)
-    return (U * w2) @ U.T
+def solve_metric_lmi(verts, mu):
+    """(P, t*) minimizing t subject to sym(P (J_v - mu I)) <= t I at every vertex
+    and -I <= P <= I.
 
-
-def _sylvester_polish(P, mu, verts, n_neg, sweeps=200, damp=0.35):
-    """Damped corrections from Lyapunov solves at the worst vertex.
-
-    Each sweep clips the positive eigenvalues of the worst vertex's condition
-    matrix and solves the linear (Sylvester) equation for the minimal metric
-    correction achieving the clipped target, then re-projects the inertia.
+    Each J_v - mu I is scaled to unit Frobenius norm, which keeps the sign of
+    t* and the feasible metrics. A log-barrier Newton method on (vech P, t)
+    starts from the strictly feasible point P = 0, t = 1 and follows the
+    central path until the duality gap is below BARRIER_GAP. t* < 0 means P
+    meets every vertex condition strictly, and then (Ostrowski-Schneider) P
+    has the inertia that the vertex spectra force.
     """
-    from scipy.linalg import solve_sylvester
+    A = np.asarray(verts, dtype=float)
+    V, n = len(A), A.shape[1]
+    A = A - mu * np.eye(n)
+    norms = np.linalg.norm(A, axis=(1, 2))
+    A = A / np.where(norms > 0, norms, 1.0)[:, None, None]
+    rows, cols = np.triu_indices(n)
+    m = len(rows)
+    E = np.zeros((m, n, n))  # basis of the symmetric matrices, P = sum z_i E_i
+    E[np.arange(m), rows, cols] = E[np.arange(m), cols, rows] = 1.0
+    EA = E @ A[:, None]
+    # block b is S_b(z) = C_b + sum_j z_j G_bj with z = (vech P, t): t I - sym(P A_v)
+    # per vertex, then I - P and I + P
+    G = np.zeros((V + 2, m + 1, n, n))
+    G[:V, :m] = -0.5 * (EA + EA.transpose(0, 1, 3, 2))
+    G[:V, m] = np.eye(n)
+    G[V, :m], G[V + 1, :m] = -E, E
+    C = np.zeros((V + 2, n, n))
+    C[V:] = np.eye(n)
 
-    n = len(P)
-    P = P / spectral_norm(P)
-    best, best_m = P.copy(), max(metric_condition_margin(P, J, mu) for J in verts)
-    for _ in range(sweeps):
-        margins = [metric_condition_margin(P, J, mu) for J in verts]
-        i = int(np.argmax(margins))
-        if margins[i] < best_m:
-            best_m, best = margins[i], P.copy()
-        if best_m < -1e-8:
-            break
-        Ahat = verts[i] - mu * np.eye(n)
-        M = sym(P @ Ahat)
-        w, U = np.linalg.eigh(M)
-        target = (U * np.minimum(w, -1e-4)) @ U.T
+    def barrier(z):
+        """(-sum_b log det S_b(z), S), or (inf, None) outside the feasible set."""
+        S = C + np.tensordot(z, G, axes=(0, 1))
         try:
-            dP = sym(solve_sylvester(Ahat.T, Ahat, 2 * (target - M)))
-        except Exception:
+            L = np.linalg.cholesky(S)
+        except np.linalg.LinAlgError:
+            return np.inf, None
+        return -2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(), S
+
+    z = np.zeros(m + 1)
+    z[m] = 1.0
+    phi, S = barrier(z)
+    c = 1.0
+    while True:
+        for _ in range(NEWTON_CAP):
+            X = np.linalg.inv(S)[:, None] @ G
+            grad = -np.einsum("bjkk->j", X)
+            grad[m] += c
+            hess = np.tensordot(X, X.transpose(0, 1, 3, 2), axes=([0, 2, 3], [0, 2, 3]))
+            step = -np.linalg.solve(hess, grad)
+            decrement = -grad @ step
+            if decrement < 2e-10:
+                break
+            s, f0 = 1.0, c * z[m] + phi
+            while s > 1e-12:
+                phi_s, S_s = barrier(z + s * step)
+                if c * (z[m] + s * step[m]) + phi_s <= f0 - 0.25 * s * decrement:
+                    break
+                s *= 0.5
+            else:
+                break  # no descent left at working precision
+            z, phi, S = z + s * step, phi_s, S_s
+        if (V + 2) * n / c < BARRIER_GAP:
             break
-        P = _project_inertia(P + damp * dP, n_neg)
-        P = P / spectral_norm(P)
-    return best, best_m
+        c *= BARRIER_GROWTH
+    P = np.zeros((n, n))
+    P[rows, cols] = P[cols, rows] = z[:m]
+    return P, float(z[m])
 
 
-def _search_single(verts, n, mu, n_neg, rng, restarts, iters):
-    """Minimize the worst normalized margin over one metric condition.
+def search_nl_certificate(model: NonlinearModel, box: Box, k: int, mus=None):
+    """Convex search for a constant-metric certificate on the box.
 
-    Parameterizes P = R' diag(sig) R (inertia by construction), runs L-BFGS
-    on a softplus surrogate of the maximal eigenvalue with a sharpening
-    temperature ladder, then polishes with damped Sylvester corrections at
-    the worst vertex.
-    """
-    from scipy.optimize import minimize
-
-    sig = np.concatenate([-np.ones(n_neg), np.ones(n - n_neg)])
-
-    def build(R):
-        return R.T @ (sig[:, None] * R)
-
-    def true_margin(P):
-        nP = spectral_norm(P)
-        return max(metric_condition_margin(P, J, mu) for J in verts) / nP
-
-    def fg(z, beta):
-        R = z.reshape(n, n)
-        P = build(R)
-        nP = np.linalg.norm(P, "fro") + 1e-12
-        f = 0.0
-        G = np.zeros((n, n))
-        for J in verts:
-            Mv = sym(P @ J) - mu * P
-            w, U = np.linalg.eigh(Mv)
-            t = beta * (w / nP + 1e-4)
-            f += (np.where(t > 30, t, np.log1p(np.exp(np.minimum(t, 30)))) / beta).sum()
-            coef = 1.0 / (1.0 + np.exp(-np.clip(t, -500, 500))) / nP
-            Wm = (U * coef) @ U.T
-            G += sym(J @ Wm) - mu * Wm
-        return f, (2 * (sig[:, None] * R) @ G).ravel()
-
-    best_P, best_m = None, np.inf
-    starts = []
-    center = _center_lyapunov_start(verts, n, mu, n_neg)
-    if center is not None:
-        w, U = np.linalg.eigh(center)  # center = R' diag(sig) R
-        starts.append((U * np.sqrt(np.abs(w))).T.ravel())
-    while len(starts) < restarts:
-        starts.append(rng.standard_normal(n * n))
-    for z0 in starts:
-        z = np.asarray(z0, dtype=float)
-        for beta in (50.0, 400.0, 3000.0):
-            res = minimize(fg, z, args=(beta,), jac=True, method="L-BFGS-B",
-                           options=dict(maxiter=iters, ftol=1e-16, gtol=1e-14))
-            z = res.x
-        P = build(z.reshape(n, n))
-        P = P / spectral_norm(P)
-        m = true_margin(P)
-        if m >= -1e-9:
-            # polish keeps the metric at unit norm, so its margin is comparable
-            P2, m2 = _sylvester_polish(P, mu, verts, n_neg)
-            if m2 < m:
-                P, m = P2, m2
-        if m < best_m:
-            best_m, best_P = m, P
-        if best_m < -1e-9:
-            break
-    return best_P, best_m
-
-
-def search_nl_certificate(model: NonlinearModel, box: Box, k: int, budget: int = 40,
-                          seed: int = 0, mus=None):
-    """Best-effort search for a constant-metric certificate on the box.
-
-    budget caps the number of (mu candidate x restart) optimization attempts.
+    Rate candidates come from the windows the vertex spectra allow (mus, when
+    given, is tried first); each metric of a candidate is one
+    solve_metric_lmi, and the candidate fails when either t* >= 0.
     Returns an accepted NonlinearCertificate or None; the result is gated
     through verify_nl_certificate at slack 0 against the same vertex set, so a
     returned certificate is always genuinely valid. None is an honest failure,
@@ -497,7 +432,6 @@ def search_nl_certificate(model: NonlinearModel, box: Box, k: int, budget: int =
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
     verts = envelope_vertices(model, box)
-    rng = np.random.default_rng(seed)
 
     # pointwise-necessary windows for the rates, from vertex spectra
     res = np.array([np.sort(np.linalg.eigvals(J).real)[::-1] for J in verts])
@@ -524,17 +458,12 @@ def search_nl_certificate(model: NonlinearModel, box: Box, k: int, budget: int =
         # both metrics positive definite; any negative rate above the spectrum works
         candidates.append((rmax / 2.0, rmax / 2.0))
 
-    attempts = 0
     for mu0, mu1 in candidates:
         if not mu1 + (k - 1) * mu0 < 0:
             continue
-        if attempts >= budget:
-            break
-        restarts = max(1, min(4, budget - attempts))
-        P0, m0 = _search_single(verts, n, mu0, 0, rng, restarts, 400)
-        P1, m1 = _search_single(verts, n, mu1, k - 1, rng, restarts, 400)
-        attempts += restarts
-        if m0 < 0 and m1 < 0:
+        P0, t0 = solve_metric_lmi(verts, mu0)
+        P1, t1 = solve_metric_lmi(verts, mu1)
+        if t0 < 0 and t1 < 0:
             cert = NonlinearCertificate(P0=P0, P1=P1, mu0=float(mu0), mu1=float(mu1), k=k)
             report = verify_nl_certificate(model, box, cert, slack=0.0, vertices=verts)
             if report.verdict:

@@ -84,8 +84,8 @@ def test_criterion_3_modified_rossler_protocol():
     ok = abs(rate - (-0.05)) <= 1e-12 and rate < 0
     detail = [f"mu1 + 2 mu0 = {rate!r}", f"printed@1e-2: {report.verdict}"]
 
-    resolved = nv.search_nl_certificate(bundle.model, box, printed.k, budget=12,
-                                        seed=0, mus=(printed.mu0, printed.mu1))
+    resolved = nv.search_nl_certificate(bundle.model, box, printed.k,
+                                        mus=(printed.mu0, printed.mu1))
     ok = ok and resolved is not None
     if resolved is not None:
         rr = nv.verify_nl_certificate(bundle.model, box, resolved, slack=0.0)

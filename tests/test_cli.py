@@ -170,6 +170,28 @@ def test_simulate_compound_linear_exits_2(capsys, lin_model):
     assert code == 2 and rep["verdict"] == "error"
 
 
+def test_simulate_oversized_compound_exits_2(capsys, tmp_path, monkeypatch):
+    # simulate --compound 12 on 24 states: C(24, 12) = 2.7M compound rows
+    from kcontract import compound
+
+    def refuse(*args):
+        raise AssertionError("oversized compound enumerated")
+    monkeypatch.setattr(compound, "combinations", refuse)
+    n = 24
+    cubic = np.zeros((n, n))
+    cubic[0, 0] = -3.0
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "kind": "nonlinear", "dim": n,
+        "f": ["-x1 - x1^3"] + [f"-x{i + 1}" for i in range(1, n)],
+        "A0": (-np.eye(n)).tolist(), "terms": [{"A": cubic.tolist(), "theta": "x1^2"}],
+        "box": {"lower": [-1.0] * n, "upper": [1.0] * n},
+    }))
+    code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", ",".join(["0.1"] * n),
+                        "--t", "0.1", "--compound", "12")
+    assert code == 2 and rep["verdict"] == "error"
+
+
 def test_verify_nl_with_packaged_cert(capsys, builtin_model, tmp_path):
     from kcontract.reproduce import load_data
     cert = tmp_path / "cert.json"

@@ -117,6 +117,17 @@ def test_additive_matches_loop_oracle_bytes():
                     additive_loop_oracle(Q.T, k).tobytes()
 
 
+@pytest.mark.parametrize("build, shape", [(cp.multiplicative_compound, (24, 12)),
+                                          (cp.additive_compound, (24, 24))])
+def test_oversized_compound_rejected_before_enumeration(build, shape, monkeypatch):
+    # C(24, 12) = 2.7M rows: the index tuples alone would exhaust memory
+    def refuse(*args):
+        raise AssertionError("oversized compound enumerated")
+    monkeypatch.setattr(cp, "combinations", refuse)
+    with pytest.raises(ValueError, match=r"C\(24,12\) = 2704156, above"):
+        build(np.zeros(shape), 12)
+
+
 def test_additive_first_and_full_order():
     rng = np.random.default_rng(4)
     Q = rng.standard_normal((5, 5))

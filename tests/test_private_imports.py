@@ -1,4 +1,5 @@
-"""No kcontract module or script reaches into another module's private names."""
+"""No kcontract module or script reaches into another module's private names,
+and no package module imports scipy (a test-only dependency)."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,17 @@ def test_files_found():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_private_cross_module_access(path):
     assert list(private_uses(path)) == []
+
+
+def imported_modules(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_does_not_import_scipy(path):
+    assert [m for m in imported_modules(path) if m.split(".")[0] == "scipy"] == []
