@@ -196,6 +196,8 @@ def cmd_synth_nl(args) -> int:
 def cmd_simulate(args) -> int:
     bundle = _load_model(args.model)
     x0 = _parse_vector(args.x0)
+    if x0.shape != (bundle.dim,):
+        raise ValueError(f"--x0 has {x0.size} entries for a model of dimension {bundle.dim}")
     if bundle.kind == "linear":
         if args.compound:
             raise ValueError("simulate --compound needs a nonlinear model")

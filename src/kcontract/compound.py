@@ -74,7 +74,7 @@ def multiplicative_compound(Q, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _additive_scatter(n: int, k: int):
+def additive_scatter(n: int, k: int):
     """Index arrays of the k-th additive compound of an n x n matrix.
 
     Returns (subs, dst, src, sign): subs[i] lists the indices of row i, and
@@ -117,7 +117,7 @@ def additive_compound(Q, k: int) -> np.ndarray:
     _check_order(n, k, n)
     if k == 1:
         return Q.copy()
-    subs, dst, src, sign = _additive_scatter(n, k)
+    subs, dst, src, sign = additive_scatter(n, k)
     N = len(subs)
     out = np.zeros(N * N)
     out[dst] = sign * Q.ravel()[src] + 0.0  # as 0 + (+-Q[a, b]): a product -0 is stored as +0

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -302,12 +303,31 @@ def python_source(node: Node, consts: list, batch: bool = False) -> str:
 
 
 @dataclass(frozen=True)
+class ScalarSource:
+    """The scalar source of a compiled model, for emitting loops around it.
+
+    f and theta hold one python_source body per component, over the locals
+    x0..x<dim-1>; consts[i] is the value of the name c<i> (the model's
+    constants, f_batch's included).
+    """
+
+    dim: int
+    f: tuple
+    theta: tuple
+    consts: tuple
+
+    def names(self) -> dict:
+        return {f"c{i}": value for i, value in enumerate(self.consts)}
+
+
+@dataclass(frozen=True)
 class CompiledModel:
     """A vector field and its envelope parameters compiled together.
 
     f(x) evaluates the field on Python floats and returns an ndarray;
     f_batch(X) evaluates it on every row of an (m, n) block; theta(x) is the
-    list of parameter values.
+    list of parameter values. scalar_source(f) and scalar_source(theta) give
+    their ScalarSource.
     """
 
     f: callable
@@ -322,25 +342,52 @@ def _code(source: str):
     return compile(source, "<kcontract model>", "exec")
 
 
+# keyed by the function itself: an attribute would be copied onto
+# functools.wraps wrappers, which may compute something else
+_SCALAR_SOURCES = weakref.WeakKeyDictionary()
+
+
+def scalar_source(fn) -> ScalarSource | None:
+    """The ScalarSource of the f or theta of a CompiledModel; None for any
+    other callable."""
+    try:
+        return _SCALAR_SOURCES.get(fn)
+    except TypeError:  # not weakly referenceable, so not a compiled function
+        return None
+
+
+def exec_source(source: str, names: dict) -> dict:
+    """Run source, compiled once per distinct text, in a fresh namespace that
+    holds math, np, array, asarray and names; return the namespace."""
+    namespace = {"math": math, "np": np, "array": np.array, "asarray": np.asarray}
+    namespace.update(names)
+    exec(_code(source), namespace)
+    return namespace
+
+
 def compile_model(dim: int, f_nodes, theta_nodes) -> CompiledModel:
     """Emit the source of f, f_batch and theta and compile it once."""
     consts = []
     names = ", ".join(f"x{i}" for i in range(dim))
     unpack = f"    [{names}] = asarray(x, dtype=float).tolist()\n"
+    f_source = tuple(python_source(n, consts) for n in f_nodes)
+    theta_source = tuple(python_source(n, consts) for n in theta_nodes)
 
     def scalar(name, body):
         return f"def {name}(x):\n{unpack}    return {body}\n"
 
-    def listed(nodes, batch=False):
-        return "[" + ", ".join(python_source(n, consts, batch) for n in nodes) + "]"
+    def listed(bodies):
+        return "[" + ", ".join(bodies) + "]"
 
-    parts = [scalar("f", f"array({listed(f_nodes)})"), scalar("theta", listed(theta_nodes))]
+    parts = [scalar("f", f"array({listed(f_source)})"), scalar("theta", listed(theta_source))]
     parts.append(
         "def f_batch(X):\n    X = asarray(X, dtype=float)\n    m = X.shape[0]\n"
         + "".join(f"    x{i} = X[:, {i}]\n" for i in range(dim))
-        + f"    return np.stack({listed(f_nodes, batch=True)}, axis=1)\n")
-    namespace = {"math": math, "np": np, "array": np.array, "asarray": np.asarray}
-    namespace.update((f"c{i}", value) for i, value in enumerate(consts))
-    exec(_code("".join(parts)), namespace)
+        + f"    return np.stack({listed(python_source(n, consts, True) for n in f_nodes)}, "
+        "axis=1)\n")
+    source = ScalarSource(dim, f_source, theta_source, tuple(consts))
+    namespace = exec_source("".join(parts), source.names())
+    for name in ("f", "theta"):
+        _SCALAR_SOURCES[namespace[name]] = source
     return CompiledModel(f=namespace["f"], f_batch=namespace["f_batch"],
                          theta=namespace["theta"])

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stepper
 from .compound import additive_compound, multiplicative_compound
 from .nl_verify import Box, NonlinearModel
 
@@ -75,35 +76,21 @@ def _step_count(t_end: float, h: float) -> int:
 def integrate(field, x0, t_end: float, h: float = 1e-3, record_every: int = 1) -> Trace:
     """Integrate xdot = field(x) with fixed-step RK4 from x0 to t_end.
 
-    field receives the state as a float ndarray; the RK4 arithmetic runs on
-    Python floats, elementwise in the order x + (h/6)*(((k1 + 2k2) + 2k3) + k4).
-    Non-finite states truncate the trace (flagged), they never propagate.
-    record_every thins the stored samples; the step size is unaffected.
+    The RK4 arithmetic runs on Python floats, elementwise in the order
+    x + (h/6)*(((k1 + 2k2) + 2k3) + k4). A compiled model's f (seen through
+    the tracer's _traced wrappers only) runs inlined in a loop emitted for
+    it, a field that carries a scalar_rate runs through it, and any other
+    field receives the state as a float ndarray. Non-finite states truncate
+    the trace (flagged), they never propagate; a field that fails as floats
+    do (ArithmeticError, math's "math domain error") counts as a non-finite
+    state. record_every thins the stored samples; the step size is
+    unaffected.
     """
     n_steps = _step_count(t_end, h)
-    x = np.asarray(x0, dtype=float).tolist()
-    half, sixth = 0.5 * h, h / 6.0
-    times = [0.0]
-    states = [x]
-    truncated = False
-
-    def rate(y):
-        return np.asarray(field(np.array(y)), dtype=float).tolist()
-
+    z = np.asarray(x0, dtype=float).tolist()
+    rk4 = stepper.field_rk4(field, len(z))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n_steps + 1):
-            k1 = rate(x)
-            k2 = rate([a + half * b for a, b in zip(x, k1)])
-            k3 = rate([a + half * b for a, b in zip(x, k2)])
-            k4 = rate([a + h * b for a, b in zip(x, k3)])
-            x = [a + sixth * (((b + 2.0 * c) + 2.0 * d) + e)
-                 for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
-            if not all(map(math.isfinite, x)):
-                truncated = True
-                break
-            if i % record_every == 0 or i == n_steps:
-                times.append(i * h)
-                states.append(x)
+        times, states, truncated = rk4(z, n_steps, h, record_every)
     return Trace(np.asarray(times), np.asarray(states), truncated=truncated)
 
 
@@ -137,23 +124,38 @@ def integrate_compound(model: NonlinearModel, x0, V0, k: int, t_end: float,
     """Co-integrate x(t) and the compound state y(t) with ydot = J(x)^[k] y.
 
     V0 is n x k with independent columns; y(0) is its k-th multiplicative
-    compound. The trace records |y(t)| alongside the state samples.
+    compound. The trace records |y(t)| alongside the state samples. The
+    augmented field runs through integrate, with a rate emitted for it when
+    the model is compiled (see stepper.compound_rate) and that rate gives the
+    field's bytes at the initial state.
     """
+    n = model.dim
     x0 = np.asarray(x0, dtype=float)
-    V0 = np.asarray(V0, dtype=float).reshape(model.dim, -1)
+    if x0.shape != (n,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected ({n},)")
+    V0 = np.asarray(V0, dtype=float).reshape(n, -1)
     if V0.shape[1] != k:
         raise ValueError(f"V0 must have k={k} columns")
     if np.linalg.matrix_rank(V0) < k:
         raise ValueError("V0 columns must be linearly independent")
     y0 = multiplicative_compound(V0, k).ravel()
-    n = model.dim
 
     def aug_field(z):
         x, y = z[:n], z[n:]
         Ck = additive_compound(model.jacobian(x), k)
         return np.concatenate([np.asarray(model.f(x), dtype=float), Ck @ y])
 
-    tr = integrate(aug_field, np.concatenate([x0, y0]), t_end, h, record_every)
+    z0 = np.concatenate([x0, y0])
+    rate = stepper.compound_rate(model, k)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            agrees = rate is not None and (np.array(rate(*z0.tolist())).tobytes()
+                                           == aug_field(z0).tobytes())
+    except (ArithmeticError, ValueError):
+        agrees = False  # the numpy field runs, and integrate reads the failure
+    if agrees:
+        aug_field.scalar_rate = rate
+    tr = integrate(aug_field, z0, t_end, h, record_every)
     norms = np.linalg.norm(tr.states[:, n:], axis=1)
     return Trace(tr.times, tr.states[:, :n], compound_norms=norms, truncated=tr.truncated)
 

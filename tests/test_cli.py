@@ -136,6 +136,25 @@ def test_simulate_compound_fit(capsys, builtin_model):
     assert rep["decay_fit"]["a"] == pytest.approx(0.5, abs=1e-3)
 
 
+@pytest.mark.parametrize("compound", ["0", "3"])
+def test_simulate_blow_up_reports_truncation(capsys, builtin_model, compound):
+    # x1^3 overflows a Python float near t = 2.82 (sim.integrate truncates there)
+    code, rep = run_cli(capsys, "simulate", "--model", builtin_model("rossler_mod"),
+                        "--x0=-0.49835108,0.89350589,-0.31067962", "--t", "5",
+                        "--compound", compound)
+    assert code == 1 and rep["truncated"] is True and rep["verdict"] == "failure"
+    assert rep["samples"] == 2820
+
+
+@pytest.mark.parametrize("model", ["lin", "rossler_mod"])
+def test_simulate_x0_of_wrong_length_exits_2(capsys, lin_model, builtin_model, model):
+    # the length of x0 is checked before integration, with a message naming it
+    path = lin_model if model == "lin" else builtin_model(model)
+    code, rep = run_cli(capsys, "simulate", "--model", path, "--x0", "1,1,1,1", "--t", "0.1")
+    assert code == 2 and rep["verdict"] == "error"
+    assert "x0" in rep["error"]
+
+
 def test_volume_linear(capsys, tmp_path):
     path = tmp_path / "lin2.json"
     path.write_text('{"kind":"linear","A":[[-1,0],[0,-2]]}')

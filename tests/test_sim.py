@@ -1,10 +1,17 @@
+import dataclasses
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from test_expressions import node_trees, ref_eval_batch
 
 from kcontract import compound as cp
-from kcontract import models, sim
-from kcontract.nl_verify import Box
+from kcontract import models, reproduce, sim, stepper
+from kcontract.expressions import compile_model, parse_expression
+from kcontract.nl_verify import Box, NonlinearModel
 
 
 def integrate_numpy_oracle(field, x0, t_end, h=1e-3, record_every=1):
@@ -60,6 +67,208 @@ def test_lambda_fields_match_numpy_oracle_bytes(field, x0, h, blows_up):
     want = integrate_numpy_oracle(field, np.array(x0), 10.0, h, record_every=3)
     assert trace_bytes(got) == trace_bytes(want)
     assert got.truncated == want.truncated == blows_up
+
+
+def raising_as_nan(field):
+    """field, with a raised arithmetic or math-domain error read as a NaN rate."""
+    def safe(y):
+        try:
+            return np.asarray(field(y), dtype=float)
+        except (ArithmeticError, ValueError):
+            return np.full(len(y), np.nan)
+    return safe
+
+
+def oracle_compound(model, x0, V0, k, t_end, h=1e-3, record_every=1):
+    """sim.integrate_compound with the numpy oracle in place of sim.integrate."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sim, "integrate", lambda field, *args: integrate_numpy_oracle(
+            raising_as_nan(field), *args))
+        return sim.integrate_compound(model, x0, V0, k, t_end, h, record_every)
+
+
+ENTRIES = st.floats(-10, 10) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+
+
+@st.composite
+def compiled_models(draw):
+    """A NonlinearModel of random compiled trees and random envelope matrices."""
+    n = draw(st.integers(1, 3))
+    f_nodes = [draw(node_trees(n)) for _ in range(n)]
+    theta_nodes = draw(st.lists(node_trees(n), max_size=2))
+    mats = [np.reshape(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n)), (n, n))
+            for _ in range(len(theta_nodes) + 1)]
+    compiled = compile_model(n, f_nodes, theta_nodes)
+    return NonlinearModel(dim=n, f=compiled.f, A0=mats[0], terms=mats[1:],
+                          theta=compiled.theta, bounds=None)
+
+
+@given(compiled_models(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_emitted_loops_match_numpy_oracle_bytes(model, data):
+    n = model.dim
+    x0 = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n)))
+    h = 1e-2
+    t_end = h * data.draw(st.integers(1, 30))
+    every = data.draw(st.integers(1, 4))
+    got = sim.integrate(model.f, x0, t_end, h, every)
+    want = integrate_numpy_oracle(raising_as_nan(model.f), x0, t_end, h, every)
+    assert trace_bytes(got) == trace_bytes(want)
+    for k in range(1, n + 1):
+        V0 = np.eye(n)[:, n - k:]
+        got = sim.integrate_compound(model, x0, V0, k, t_end, h, every)
+        want = oracle_compound(model, x0, V0, k, t_end, h, every)
+        assert trace_bytes(got) == trace_bytes(want)
+
+
+def test_compound_diagonal_sums_in_numpy_order():
+    # ((0 + 1) + 1e16) - 1e16 = 0 but ((0 - 1e16) + 1e16) + 1 = 1: each diagonal
+    # entry of J^[k] must sum the trace of J over its index set in numpy's order
+    A0 = np.diag([1.0, 1e16, -1e16, 0.5])
+    compiled = compile_model(4, [parse_expression(f"{float(A0[i, i])!r}*x{i + 1}", 4)
+                                 for i in range(4)], [])
+    model = NonlinearModel(dim=4, f=compiled.f, A0=A0, terms=[], theta=compiled.theta,
+                           bounds=None)
+    x0 = np.array([0.5, 0.0, 0.0, 0.125])
+    for k in (3, 4):
+        V0 = np.eye(4)[:, :k]
+        got = sim.integrate_compound(model, x0, V0, k, 1.0, 0.1)
+        assert not got.truncated
+        assert trace_bytes(got) == trace_bytes(oracle_compound(model, x0, V0, k, 1.0, 0.1))
+
+
+def counted(fn, calls):
+    """fn behind a call-counting wrapper marked as perfbench's tracer marks its own."""
+    def traced(*args):
+        calls.append(fn)
+        return fn(*args)
+    traced._traced = True
+    traced.__wrapped__ = fn
+    return traced
+
+
+def test_compiled_model_runs_emitted_loops_through_wrappers():
+    model = models.builtin("synchronverter").model
+    calls = []
+    model.f, model.theta, model.jacobian = (counted(fn, calls) for fn in
+                                            (model.f, model.theta, model.jacobian))
+    x0 = np.array([-10.0, 1.0, 310.0, 0.4])
+    plain = sim.integrate(model.f, x0, 0.05)
+    assert calls == []
+    assert trace_bytes(plain) == trace_bytes(integrate_numpy_oracle(model.f, x0, 0.05))
+    for k in (1, 2, 3, 4):
+        counts = []
+        for t_end in (0.05, 0.1):
+            calls.clear()
+            got = sim.integrate_compound(model, x0, np.eye(4)[:, :k], k, t_end)
+            counts.append(len(calls))
+            assert trace_bytes(got) == trace_bytes(
+                oracle_compound(model, x0, np.eye(4)[:, :k], k, t_end))
+        # f and jacobian (theta inside it) run once, to check the rate at x0
+        assert counts == [3, 3]
+
+
+def test_functools_wraps_wrapper_runs_as_written():
+    # functools.wraps sets __wrapped__ and copies __dict__, yet the wrapper
+    # computes another field: it must not be inlined as the model's f
+    model = models.builtin("rossler").model
+
+    @functools.wraps(model.f)
+    def damped(x):
+        return model.f(x) - x
+
+    x0 = np.array([0.3, -0.2, 0.1])
+    got = sim.integrate(damped, x0, 0.2)
+    assert trace_bytes(got) == trace_bytes(integrate_numpy_oracle(damped, x0, 0.2))
+    assert got.states.tobytes() != sim.integrate(model.f, x0, 0.2).states.tobytes()
+    replaced = dataclasses.replace(model, f=damped)
+    for k in (1, 2, 3):
+        got = sim.integrate_compound(replaced, x0, np.eye(3)[:, :k], k, 0.2)
+        assert trace_bytes(got) == trace_bytes(
+            oracle_compound(replaced, x0, np.eye(3)[:, :k], k, 0.2))
+
+
+def test_emitted_code_stays_small_for_large_dimensions():
+    # a compound rate is emitted only for N = C(n, k) <= 10 and k <= 7, and a
+    # field called per stage runs in a loop whose code does not grow with the state
+    def chain(n):
+        compiled = compile_model(n, [parse_expression(f"-x{i + 1} + 0.5*x{(i + 1) % n + 1}^2", n)
+                                     for i in range(n)], [])
+        return NonlinearModel(dim=n, f=compiled.f, A0=-np.eye(n), terms=[],
+                              theta=compiled.theta, bounds=None)
+
+    big = chain(24)
+    assert all(stepper.compound_rate(big, k) is None for k in range(1, 25))
+    model = chain(6)
+    emitted = {k: stepper.compound_rate(model, k) for k in range(1, 7)}
+    assert [k for k, rate in emitted.items() if rate is not None] == [1, 5, 6]
+    assert max(len(rate.__code__.co_code) for rate in emitted.values() if rate) < 2048
+    sizes = [len(stepper.field_rk4(lambda x: -x, dim).__code__.co_code) for dim in (20, 2000)]
+    assert sizes[0] == sizes[1]
+    A = -np.eye(2000)
+    got = sim.integrate(lambda x: A @ x, np.ones(2000), 0.003)
+    assert trace_bytes(got) == trace_bytes(integrate_numpy_oracle(lambda x: A @ x, np.ones(2000),
+                                                                  0.003))
+    x0, V0 = np.linspace(0.1, 0.6, 6), np.eye(6)[:, :3]
+    got = sim.integrate_compound(model, x0, V0, 3, 0.01)  # N = 20: the numpy field runs
+    assert trace_bytes(got) == trace_bytes(oracle_compound(model, x0, V0, 3, 0.01))
+
+
+def test_field_errors_other_than_float_failures_propagate():
+    A = np.eye(2)
+    with pytest.raises(ValueError, match="matmul"):
+        sim.integrate(lambda x: A @ x, np.ones(3), 1.0)
+
+    def bad_domain(x):
+        raise ValueError("not a float failure")
+
+    with pytest.raises(ValueError, match="not a float failure"):
+        sim.integrate(bad_domain, np.ones(2), 1.0)
+    # math's own domain error is a blow-up: the trace truncates at the first step
+    got = sim.integrate(lambda x: np.array([np.sin(x[0]), math.sin(x[1] * 1e308 * 10)]),
+                        np.ones(2), 1.0)
+    assert got.truncated and len(got) == 1
+
+
+def test_replaced_model_never_runs_a_loop_emitted_for_other_data():
+    # the closed-loop pattern of reproduce_example25 and scripts/cert_digest.py
+    bundle = models.builtin("example25")
+    model, B = bundle.model, bundle.B
+    K = np.asarray(reproduce.load_data("example25_design.json")["K_expected"], float)
+    K = K.reshape(1, -1)
+
+    def closed_field(x):
+        return model.f(x) - B.ravel() * float(K.ravel() @ x)
+
+    x0, V0 = np.array([0.3, -0.2, 0.1]), np.eye(3)[:, :2]
+    open_loop = sim.integrate_compound(model, x0, V0, 2, 0.5)
+    for closed in (dataclasses.replace(model, f=closed_field, f_batch=None, A0=model.A0 - B @ K),
+                   dataclasses.replace(model, A0=model.A0 - B @ K)):
+        got = sim.integrate_compound(closed, x0, V0, 2, 0.5)
+        assert trace_bytes(got) == trace_bytes(oracle_compound(closed, x0, V0, 2, 0.5))
+        assert got.compound_norms.tobytes() != open_loop.compound_norms.tobytes()
+    got = sim.integrate(closed_field, x0, 0.5)
+    assert trace_bytes(got) == trace_bytes(integrate_numpy_oracle(closed_field, x0, 0.5))
+
+
+def test_blow_up_truncates_at_the_numpy_step():
+    # x1^3 overflows a Python float near t = 2.82: the run truncates at the step
+    # where RK4 on numpy floats, which overflow to inf, turns non-finite
+    bundle = models.builtin("rossler_mod")
+    f_nodes = [parse_expression(text, 3) for text in bundle.f_exprs]
+    theta_node = parse_expression(bundle.theta_exprs[0], 3)
+    numpy_f = lambda x: np.array([ref_eval_batch(node, x[None, :])[0] for node in f_nodes])
+    numpy_model = dataclasses.replace(
+        bundle.model, f=numpy_f, theta=lambda x: [ref_eval_batch(theta_node, x[None, :])[0]])
+    x0 = np.array([-0.49835108, 0.89350589, -0.31067962])
+    got = sim.integrate(bundle.model.f, x0, 5.0)
+    want = integrate_numpy_oracle(numpy_f, x0, 5.0)
+    assert got.truncated and want.truncated and len(got) == len(want) == 2820
+    assert np.array_equal(got.times, want.times)
+    assert np.allclose(got.states, want.states, rtol=1e-12, atol=0)
+    got = sim.integrate_compound(bundle.model, x0, np.eye(3), 3, 5.0)
+    want = oracle_compound(numpy_model, x0, np.eye(3), 3, 5.0)
+    assert got.truncated and want.truncated and len(got) == len(want) == 2820
 
 
 def test_scalar_linear_decay():
