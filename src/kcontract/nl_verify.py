@@ -14,6 +14,7 @@ below s * ||P||_2 (resp. s * ||Q||_2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,9 @@ from .numkernel import (
 )
 
 VERTEX_CAP = 16  # 2^16 envelope vertices
+# slabs x 2^m vertices of envelope_vertices_refined: 16x the shipped
+# synchronverter refinement (8 slabs of 2^5 vertices)
+MAX_REFINED_VERTICES = 4096
 
 
 @dataclass(frozen=True)
@@ -158,9 +162,18 @@ def envelope_vertices_refined(model: NonlinearModel, box: Box, splits: dict | No
     splits maps state-axis index to slab count. The union hull is a tighter
     outer approximation of {J(x) : x in box} than the single-box hull, so a
     certificate valid at every refined vertex is valid on the whole box.
+    A slab count below 1, which would leave no vertex to check, and more than
+    MAX_REFINED_VERTICES vertices are rejected before any bound is computed.
     """
+    splits = splits or {}
+    if any(parts < 1 for parts in splits.values()):
+        raise ValueError(f"refinement {splits} has a slab count below 1")
+    count = math.prod(splits.values()) * 2 ** len(model.terms)
+    if count > MAX_REFINED_VERTICES:
+        raise ValueError(f"refinement {splits} gives {count} envelope vertices, above the "
+                         f"cap of {MAX_REFINED_VERTICES}")
     boxes = [box]
-    for axis, parts in (splits or {}).items():
+    for axis, parts in splits.items():
         boxes = [sub for b in boxes for sub in split_box(b, axis, parts)]
     verts = []
     for b in boxes:

@@ -77,9 +77,9 @@ def integrate(field, x0, t_end: float, h: float = 1e-3, record_every: int = 1) -
     """Integrate xdot = field(x) with fixed-step RK4 from x0 to t_end.
 
     The RK4 arithmetic runs on Python floats, elementwise in the order
-    x + (h/6)*(((k1 + 2k2) + 2k3) + k4). A compiled model's f (seen through
-    the tracer's _traced wrappers only) runs inlined in a loop emitted for
-    it, a field that carries a scalar_rate runs through it, and any other
+    x + (h/6)*(((k1 + 2k2) + 2k3) + k4). The rate of a compiled model's f
+    (seen through the tracer's _traced wrappers only), or of a field given
+    one by stepper.inline, runs inlined in a loop emitted for it; any other
     field receives the state as a float ndarray. Non-finite states truncate
     the trace (flagged), they never propagate; a field that fails as floats
     do (ArithmeticError, math's "math domain error") counts as a non-finite
@@ -125,9 +125,10 @@ def integrate_compound(model: NonlinearModel, x0, V0, k: int, t_end: float,
 
     V0 is n x k with independent columns; y(0) is its k-th multiplicative
     compound. The trace records |y(t)| alongside the state samples. The
-    augmented field runs through integrate, with a rate emitted for it when
-    the model is compiled (see stepper.compound_rate) and that rate gives the
-    field's bytes at the initial state.
+    augmented field runs through integrate, with the rate emitted for it
+    (stepper.compound_rate) inlined when the model is compiled and that
+    rate, compiled from the same lines, gives the numpy field's bytes at the
+    initial state.
     """
     n = model.dim
     x0 = np.asarray(x0, dtype=float)
@@ -149,14 +150,15 @@ def integrate_compound(model: NonlinearModel, x0, V0, k: int, t_end: float,
     rate = stepper.compound_rate(model, k)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            agrees = rate is not None and (np.array(rate(*z0.tolist())).tobytes()
+            agrees = rate is not None and (rate.function()(z0).tobytes()
                                            == aug_field(z0).tobytes())
     except (ArithmeticError, ValueError):
         agrees = False  # the numpy field runs, and integrate reads the failure
     if agrees:
-        aug_field.scalar_rate = rate
+        stepper.inline(aug_field, rate)
     tr = integrate(aug_field, z0, t_end, h, record_every)
-    norms = np.linalg.norm(tr.states[:, n:], axis=1)
+    with np.errstate(over="ignore"):  # a truncated run may end near overflow
+        norms = np.linalg.norm(tr.states[:, n:], axis=1)
     return Trace(tr.times, tr.states[:, :n], compound_norms=norms, truncated=tr.truncated)
 
 
@@ -338,13 +340,12 @@ def classify_attractor(trace: Trace, tol: float = 1e-3) -> str:
     times = trace.times[tail_start:]
     end = tail[-1]
     dt = times[-1] - times[-2]
-    speed = float(np.linalg.norm(tail[-1] - tail[-2]) / dt) if dt > 0 else np.inf
-
-    disp = float(np.max(np.linalg.norm(tail - end, axis=1)))
-    if speed < tol and disp < tol:
+    with np.errstate(over="ignore"):  # a truncated run may end near overflow
+        speed = float(np.linalg.norm(tail[-1] - tail[-2]) / dt) if dt > 0 else np.inf
+        dists = np.linalg.norm(tail - end, axis=1)
+    if speed < tol and float(np.max(dists)) < tol:
         return "fixed_point"
     if speed >= tol:
-        dists = np.linalg.norm(tail - end, axis=1)
         m = len(tail)
         guard = max(2, m // 4)  # recurrence must not be mere adjacency
         early = dists[: m - guard]

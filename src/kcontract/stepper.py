@@ -2,15 +2,18 @@
 per field.
 
 The loop runs the arithmetic on Python floats in integrate's operation
-order. A compiled model's f is inlined into it, so no ndarray is built per
-stage; a field that carries scalar_rate is called through it once per
-stage; any other field is called on an ndarray. compound_rate emits the
-scalar_rate of integrate_compound's augmented field for a compiled model.
+order. A field whose rate is known as source, a Rate, has it inlined into
+the loop, so no ndarray is built and no function is called per stage: a
+compiled model's f, and integrate_compound's augmented field once
+compound_rate has emitted its Rate and inline has attached it. Any other
+field is called on an ndarray.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,13 +53,38 @@ _UPDATE = "{s} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
 _STAGES = (("ka", None, None), ("kb", "ka", "half"), ("kc", "kb", "half"), ("kd", "kc", "h"))
 
 
-def _emit_rk4(dim: int, rate, names: dict, unrolled: bool):
-    """The RK4 loop around rate, compiled: rk4(z, n_steps, h, record_every)
+@dataclass(frozen=True)
+class Rate:
+    """A field's rate as source. lines are statements over the state locals
+    x0..x<dim-1>, outputs[i] is the expression of component i, and names
+    binds every other name they read. The locals the lines set (th*, J*_*,
+    Jy) and the names (c*, A*_*_*) shadow none of the RK4 loop's."""
+
+    dim: int
+    lines: tuple
+    outputs: tuple
+    names: dict
+
+    def stage(self, out: str) -> list:
+        """The source lines that set out0..out<dim-1>."""
+        return [*self.lines, *(f"{out}{i} = {expr}" for i, expr in enumerate(self.outputs))]
+
+    def function(self):
+        """rate(z) -> ndarray, compiled from the same lines."""
+        xs = ", ".join(f"x{i}" for i in range(self.dim))
+        body = [f"[{xs}] = asarray(z, dtype=float).tolist()", *self.stage("r"),
+                f"return array([{', '.join(f'r{i}' for i in range(self.dim))}])"]
+        source = "def rate(z):\n" + "".join(f"    {line}\n" for line in body)
+        return exec_source(source, self.names)["rate"]
+
+
+def _emit_rk4(dim: int, stage, names: dict, unrolled: bool):
+    """The RK4 loop around stage, compiled: rk4(z, n_steps, h, record_every)
     returns (times, states, truncated) as lists.
 
-    Unrolled, the state is the locals s0..s<dim-1> and rate(out) gives the
+    Unrolled, the state is the locals s0..s<dim-1> and stage(out) gives the
     source lines that set out0..out<dim-1> from the stage locals
-    x0..x<dim-1>; otherwise the state is the list s and rate(out) sets the
+    x0..x<dim-1>; otherwise the state is the list s and stage(out) sets the
     list out from the list x. names binds every other name those lines read.
     """
     names = {"isfinite": math.isfinite, **names}
@@ -67,7 +95,7 @@ def _emit_rk4(dim: int, rate, names: dict, unrolled: bool):
             stages += [f"x{i} = " + (si if prev is None else
                                       _STAGE.format(s=si, step=step, k=f"{prev}{i}"))
                        for i, si in enumerate(s)]
-            stages += rate(out)
+            stages += stage(out)
         update = [f"{si} = " + _UPDATE.format(s=si, a=f"ka{i}", b=f"kb{i}", c=f"kc{i}",
                                               d=f"kd{i}") for i, si in enumerate(s)]
         state, finite = f"[{', '.join(s)}]", " and ".join(f"isfinite({si})" for si in s)
@@ -76,7 +104,7 @@ def _emit_rk4(dim: int, rate, names: dict, unrolled: bool):
             stages.append("x = s" if prev is None else
                           f"x = [{_STAGE.format(s='a', step=step, k='b')} "
                           f"for a, b in zip(s, {prev})]")
-            stages += rate(out)
+            stages += stage(out)
         update = [f"s = [{_UPDATE.format(s='a', a='b', b='c', c='d', d='e')} "
                   "for a, b, c, d, e in zip(s, ka, kb, kc, kd)]"]
         state, finite = "s", "all(map(isfinite, s))"
@@ -102,27 +130,44 @@ def _scalar_source(fn):
     return scalar_source(_unwrap(fn))
 
 
-def field_rk4(field, dim: int):
-    """RK4 for field: a compiled model's f inlined, or one call per stage of
-    field.scalar_rate (rate(x0, ..., x<dim-1>) -> list) when the field
-    carries one, else of field on an ndarray."""
-    src = _scalar_source(field)
-    if src is not None and src.dim == dim:
-        return _emit_rk4(dim, lambda out: [f"{out}{i} = {body}" for i, body in enumerate(src.f)],
-                         src.names(), unrolled=True)
-    rate = getattr(field, "scalar_rate", None)
-    if rate is not None:
-        outs = lambda out: "".join(f"{out}{i}, " for i in range(dim))
-        return _emit_rk4(dim, lambda out: [f"[{outs(out)}] = rate({outs('x')})"],
-                         {"rate": rate}, unrolled=True)
+# fields integrate runs by an attached Rate, keyed by the field itself (see
+# expressions.scalar_source)
+_INLINED = weakref.WeakKeyDictionary()
 
-    def rate(y):
+
+def inline(field, rate: Rate):
+    """Have integrate run field by inlining rate, whose values must be field's."""
+    _INLINED[field] = rate
+
+
+def _inlined_rate(field) -> Rate | None:
+    """The Rate integrate inlines for field: a compiled model's f, or one
+    attached by inline; None for any other field."""
+    fn = _unwrap(field)
+    src = scalar_source(fn)
+    if src is not None:
+        return Rate(src.dim, (), src.f, src.names())
+    try:
+        return _INLINED.get(fn)
+    except TypeError:  # not weakly referenceable, so nothing is attached
+        return None
+
+
+def field_rk4(field, dim: int):
+    """RK4 for field: its Rate inlined when it has one (a compiled model's f,
+    or a field given one by inline), else one call of field on an ndarray per
+    stage."""
+    rate = _inlined_rate(field)
+    if rate is not None and rate.dim == dim:
+        return _emit_rk4(dim, rate.stage, rate.names, unrolled=True)
+
+    def call(y):
         value = np.asarray(field(np.array(y)), dtype=float).tolist()
         if len(value) != dim:
             raise TypeError(f"field returned {len(value)} components for a state of {dim}")
         return value
 
-    return _emit_rk4(dim, lambda out: [f"{out} = rate(x)"], {"rate": rate}, unrolled=False)
+    return _emit_rk4(dim, lambda out: [f"{out} = rate(x)"], {"rate": call}, unrolled=False)
 
 
 # numpy sums fewer than eight terms one by one from 0.0 (longer sums are
@@ -134,18 +179,20 @@ _MAX_EMITTED_ORDER = 7
 _MAX_EMITTED_COMPOUND_DIM = 10
 
 
-def compound_rate(model: NonlinearModel, k: int):
-    """rate(x0, ..., x<n+N-1>) -> list, the derivative of the augmented state
-    (x, y) with ydot = J(x)^[k] y, emitted for a model whose f, theta and
+def compound_rate(model: NonlinearModel, k: int) -> Rate | None:
+    """The Rate of integrate_compound's augmented field, the derivative of
+    the state (x, y) with ydot = J(x)^[k] y, for a model whose f, theta and
     jacobian are its compiled model's own, k <= 7 and N = C(n, k) <= 10;
     None for any other model.
 
     J(x) accumulates ((A0 + theta_1 A_1) + theta_2 A_2)... as
-    NonlinearModel.jacobian does, the compound entries are formed as in
-    additive_compound, and J^[k] y stays one numpy matmul: no Python
-    summation order reproduces the BLAS product's bytes. The matrices are
-    read now, so a model changed by dataclasses.replace never runs a rate
-    emitted for other data.
+    NonlinearModel.jacobian does, and the compound entries are formed as in
+    additive_compound. For N > 1, J^[k] y stays one numpy matmul: no Python
+    summation order reproduces the BLAS product's bytes. For N = 1 (k = n)
+    it is the float (J^[n] * y) + 0.0, which gives the bytes of numpy's
+    1 x 1 matmul: that product starts from +0.0, so a -0 is stored as +0.
+    The matrices are read now, so a model changed by dataclasses.replace
+    never runs a rate emitted for other data.
     """
     n, src = model.dim, _scalar_source(model.f)
     jacobian = _unwrap(model.jacobian)
@@ -178,8 +225,11 @@ def compound_rate(model: NonlinearModel, k: int):
             entries[p] = f"({sg!r} * J{q // n}_{q % n} + 0.0)"
         for i, sub in enumerate(subs.tolist()):
             entries[i * (N + 1)] = "(" * k + "0.0" + "".join(f" + J{a}_{a})" for a in sub)
-    xs = ", ".join(f"x{i}" for i in range(n + N))
-    lines.append(f"return [{', '.join(src.f)}, *(array([{', '.join(entries)}]).reshape({N}, {N}) "
-                 f"@ array([{xs}])[{n}:]).tolist()]")
-    source = f"def rate({xs}):\n" + "".join(f"    {line}\n" for line in lines)
-    return exec_source(source, names)["rate"]
+    if N == 1:
+        products = [f"({entries[0]} * x{n}) + 0.0"]
+    else:
+        xs = ", ".join(f"x{i}" for i in range(n + N))
+        lines.append(f"Jy = (array([{', '.join(entries)}]).reshape({N}, {N}) "
+                     f"@ array([{xs}])[{n}:]).tolist()")
+        products = [f"Jy[{i}]" for i in range(N)]
+    return Rate(n + N, tuple(lines), (*src.f, *products), names)

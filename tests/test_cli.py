@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,18 @@ def test_simulate_blow_up_reports_truncation(capsys, builtin_model, compound):
                         "--compound", compound)
     assert code == 1 and rep["truncated"] is True and rep["verdict"] == "failure"
     assert rep["samples"] == 2820
+
+
+@pytest.mark.parametrize("compound", ["0", "2", "3"])
+def test_simulate_blow_up_warns_nothing(capsys, builtin_model, compound):
+    # the last states of the truncated run are near 1e189: their norms, in the
+    # attractor label and the compound norms, overflow without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run_cli(capsys, "simulate", "--model", builtin_model("rossler_mod"),
+                            "--x0=-0.49835108,0.89350589,-0.31067962", "--t", "5",
+                            "--compound", compound)
+    assert code == 1 and rep["truncated"] is True and rep["samples"] == 2820
 
 
 @pytest.mark.parametrize("model", ["lin", "rossler_mod"])

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from kcontract import lin_contraction as lc
-from kcontract import models, nl_verify as nv
+from kcontract import models, nl_verify as nv, reproduce
 from kcontract.nl_verify import Box, NonlinearCertificate
 
 
@@ -102,6 +103,24 @@ def test_split_box_refinement_tightens():
     mc = max(nv.metric_condition_margin(doc_cert, J, -15.0) for J in coarse)
     mf = max(nv.metric_condition_margin(doc_cert, J, -15.0) for J in fine)
     assert mf <= mc
+
+
+def test_refined_envelope_over_the_cap_rejected_before_work():
+    b = models.builtin("synchronverter")
+
+    def never(box):
+        raise AssertionError("bounds computed for an oversized refinement")
+
+    model = dataclasses.replace(b.model, bounds=never)
+    # 64 * 8 slabs of 2^5 vertices each: 16384
+    with pytest.raises(ValueError, match="16384 envelope vertices"):
+        nv.envelope_vertices_refined(model, b.box, {3: 64, 2: 8})
+    # no slabs would leave no vertex, and any certificate would pass vacuously
+    with pytest.raises(ValueError, match="below 1"):
+        nv.envelope_vertices_refined(model, b.box, {3: 8, 2: 0})
+    shipped = reproduce.load_data("synchronverter_resolved.json")["refinement"]
+    shipped = {int(axis): parts for axis, parts in shipped.items()}
+    assert len(nv.envelope_vertices_refined(b.model, b.box, shipped)) == 256
 
 
 def test_verify_structural_rejection_inertia():

@@ -137,6 +137,40 @@ def test_compound_diagonal_sums_in_numpy_order():
         assert trace_bytes(got) == trace_bytes(oracle_compound(model, x0, V0, k, 1.0, 0.1))
 
 
+# (theta = x1, y): trace(J) * y underflows to -0, overflows, is 0 * inf or nan
+EDGE_STATES = [(-1e-200, 1e-200), (1e-200, -1e-200), (5e-324, -0.5), (-1.0, 0.0), (2.0, -0.0),
+               (1e200, 1e200), (-1e200, 1e200), (0.0, math.inf), (-0.0, -math.inf),
+               (math.inf, 0.0), (math.nan, 1.0), (1.0, math.nan), (0.75, -3.0)]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_single_compound_entry_gives_the_bytes_of_numpy_matmul(n):
+    # for k = n, J^[n] is the 1 x 1 trace of J, here theta = x1, and the
+    # emitted rate forms J^[n] y on floats as (trace * y) + 0.0
+    compiled = compile_model(n, [parse_expression(f"-x{i + 1}", n) for i in range(n)],
+                             [parse_expression("x1", n)])
+    A1 = np.zeros((n, n))
+    A1[0, 0] = 1.0
+    model = NonlinearModel(dim=n, f=compiled.f, A0=np.zeros((n, n)), terms=[A1],
+                           theta=compiled.theta, bounds=None)
+    rate = stepper.compound_rate(model, n).function()
+    with np.errstate(all="ignore"):
+        for x1, y in EDGE_STATES:
+            z = np.array([x1, *np.linspace(0.5, -0.25, n - 1), y])
+            want = np.concatenate([model.f(z[:n]),
+                                   cp.additive_compound(model.jacobian(z[:n]), n) @ z[n:]])
+            assert rate(z).tobytes() == want.tobytes(), (x1, y)
+
+    def field(z):
+        raise AssertionError("the emitted loop calls no field")
+
+    for k in range(1, n + 1):
+        rate = stepper.compound_rate(model, k)
+        stepper.inline(field, rate)
+        names = stepper.field_rk4(field, rate.dim).__code__.co_names
+        assert ("array" in names) == (k < n)  # N > 1 keeps the numpy matmul
+
+
 def counted(fn, calls):
     """fn behind a call-counting wrapper marked as perfbench's tracer marks its own."""
     def traced(*args):
@@ -202,7 +236,8 @@ def test_emitted_code_stays_small_for_large_dimensions():
     model = chain(6)
     emitted = {k: stepper.compound_rate(model, k) for k in range(1, 7)}
     assert [k for k, rate in emitted.items() if rate is not None] == [1, 5, 6]
-    assert max(len(rate.__code__.co_code) for rate in emitted.values() if rate) < 2048
+    assert max(len(rate.function().__code__.co_code)
+               for rate in emitted.values() if rate) < 2048
     sizes = [len(stepper.field_rk4(lambda x: -x, dim).__code__.co_code) for dim in (20, 2000)]
     assert sizes[0] == sizes[1]
     A = -np.eye(2000)
