@@ -4,11 +4,13 @@
 
 Run from the root of a source checkout; the package is imported from src/.
 At the benchmark's settings (perfbench/workloads.py) it runs the four
-reproduction bundles, then `simulate --compound 2` and `volume` through the
-CLI on each built-in model. Every array that sim.integrate,
-sim.integrate_compound and sim.integrate_batch return during a run is hashed
-together with the run's report or standard output, so equal digests mean
-byte-identical trajectories, compound norms and reports.
+reproduction bundles, then a plain and a compound (k = 2) trajectory of the
+example25 closed loop (models.closed_loop with the reference gain), then
+`simulate --compound 2` and `volume` through the CLI on each built-in model.
+Every array that sim.integrate, sim.integrate_compound and
+sim.integrate_batch return during a run is hashed together with the run's
+report or standard output, so equal digests mean byte-identical
+trajectories, compound norms and reports.
 """
 
 import argparse
@@ -29,6 +31,7 @@ from kcontract import cli, models, reproduce, sim  # noqa: E402
 from workloads import BUNDLE_SEEDS, BUNDLE_SETTINGS, BUNDLES  # noqa: E402
 
 SIM_T, SIM_K = "1", "2"
+CLOSED_LOOP_T, CLOSED_LOOP_K = 1.0, 2
 VOLUME_GRID, VOLUME_T = "32", "0.5"
 
 
@@ -80,6 +83,18 @@ def bundle_digest(name: str, seed: int) -> str:
     return rec.hash.hexdigest()
 
 
+def closed_loop_digest(seed: int) -> str:
+    bundle = models.builtin("example25")
+    K = reproduce.load_data("example25_design.json")["K_expected"]
+    closed = models.closed_loop(bundle, np.reshape(K, (1, -1))).model
+    x0 = bundle.box.sample(np.random.default_rng(seed), 1)[0]
+    V0 = np.eye(closed.dim)[:, :CLOSED_LOOP_K]
+    with Recorder() as rec:
+        sim.integrate(closed.f, x0, CLOSED_LOOP_T)
+        sim.integrate_compound(closed, x0, V0, CLOSED_LOOP_K, CLOSED_LOOP_T)
+    return rec.hash.hexdigest()
+
+
 def cli_digest(argv) -> str:
     buf = io.StringIO()
     with Recorder() as rec, redirect_stdout(buf):
@@ -95,6 +110,7 @@ def main(argv=None) -> int:
 
     for name in BUNDLES:
         print(f"bundle/{name} {bundle_digest(name, args.seed % BUNDLE_SEEDS)}")
+    print(f"closed_loop/example25 {closed_loop_digest(args.seed)}")
     rng = np.random.default_rng(args.seed)
     with tempfile.TemporaryDirectory() as tmp:
         for name in models.BUILTINS:

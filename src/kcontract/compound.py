@@ -123,7 +123,3 @@ def additive_compound(Q, k: int) -> np.ndarray:
     out[dst] = sign * Q.ravel()[src] + 0.0  # as 0 + (+-Q[a, b]): a product -0 is stored as +0
     out[::N + 1] = Q.diagonal()[subs].sum(axis=1)
     return out.reshape(N, N)
-
-
-def compound_dimension(n: int, k: int) -> int:
-    return comb(n, k)

@@ -89,11 +89,6 @@ class VerificationReport:
         raise KeyError(label)
 
 
-def eigen_sum_max(A, k: int) -> float:
-    """Sum of the k largest real parts of eigenvalues of A."""
-    return k_contractive_lti(A, k)[1]
-
-
 def k_contractive_lti(A, k: int):
     """(verdict, margin): margin is the top-k real-part sum.
 

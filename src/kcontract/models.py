@@ -176,6 +176,25 @@ def model_from_dict(doc: dict) -> ModelBundle:
     raise ValueError(f"unknown model kind {kind!r}")
 
 
+def closed_loop(bundle: ModelBundle, K) -> ModelBundle:
+    """The model under feedback u = -K x: field f(x) - B K x and A0 - B K, the
+    rest kept. It is parsed from its JSON document, so it is compiled and
+    envelope-checked like any loaded model; a row of B K that is zero keeps
+    its component's expression."""
+    if bundle.kind != "nonlinear" or bundle.B is None:
+        raise ValueError("a closed loop needs a nonlinear model with an input matrix B")
+    K = np.asarray(K, dtype=float)
+    if K.shape != (bundle.B.shape[1], bundle.dim) or not np.isfinite(K).all():
+        raise ValueError(f"K must be a finite {bundle.B.shape[1]}x{bundle.dim} matrix, "
+                         f"got shape {K.shape}")
+    BK = bundle.B @ K
+    rows = [" + ".join(f"{_fmt(c)}*x{j + 1}" for j, c in enumerate(r) if c) for r in BK]
+    return model_from_dict(bundle.to_json() | {
+        "A0": (bundle.model.A0 - BK).tolist(),
+        "f": [f"({f}) - ({r})" if r else f for f, r in zip(bundle.f_exprs, rows)],
+    })
+
+
 # ---------------------------------------------------------------------------
 # built-in registry
 # ---------------------------------------------------------------------------

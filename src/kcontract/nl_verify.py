@@ -211,6 +211,9 @@ def verify_nl_certificate(model: NonlinearModel, box: Box, cert: NonlinearCertif
     k = cert.k
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
+    verts = envelope_vertices(model, box) if vertices is None else vertices
+    if len(verts) == 0:
+        raise ValueError("no envelope vertex to check")
 
     problems = []
     in0 = inertia_symmetric(P0)
@@ -222,7 +225,6 @@ def verify_nl_certificate(model: NonlinearModel, box: Box, cert: NonlinearCertif
             f"P1 inertia {tuple(in1)} != required ({k - 1}, 0, {n - k + 1})"
         )
 
-    verts = envelope_vertices(model, box) if vertices is None else vertices
     m0, v0 = _worst(metric_condition_margin(P0, J, cert.mu0) for J in verts)
     m1, v1 = _worst(metric_condition_margin(P1, J, cert.mu1) for J in verts)
     thr0 = slack * max(spectral_norm(P0), 1e-300)

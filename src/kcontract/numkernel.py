@@ -160,13 +160,6 @@ def solve_lyapunov(A, Q, allow_consistent_singular: bool = False) -> np.ndarray:
     return P
 
 
-def is_neg_def(S, slack: float = 0.0):
-    """(verdict, margin): margin is lambda_max(S); verdict is margin < slack."""
-    w = eigenvalues_symmetric(S)
-    margin = float(w[-1]) if w.size else -np.inf
-    return margin < slack, margin
-
-
 def sym(M) -> np.ndarray:
     """Symmetric part (M + M') / 2."""
     M = np.asarray(M, dtype=float)

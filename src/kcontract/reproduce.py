@@ -9,7 +9,6 @@ empty) are reported as such, never patched over.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from importlib import resources
 
@@ -283,11 +282,10 @@ def reproduce_example25(seed: int = 0, classify: bool = True) -> dict:
     doc = load_data("example25_design.json")
     W0 = np.asarray(doc["W0"], dtype=float)
     W1 = np.asarray(doc["W1"], dtype=float)
-    B = bundle.B
     slack = data_slack(doc)
 
     K, omega, design_report = nv.synthesize_nl_gain(
-        bundle.model, bundle.box, W0, W1, doc["mu0"], doc["mu1"], B, doc["k"],
+        bundle.model, bundle.box, W0, W1, doc["mu0"], doc["mu1"], bundle.B, doc["k"],
         slack=slack)
     Kv = K.ravel()
 
@@ -295,23 +293,19 @@ def reproduce_example25(seed: int = 0, classify: bool = True) -> dict:
     K_ok = bool(np.all(np.abs(Kv - K_exp) <= doc["K_tolerance"]))
     omega_ok = abs(omega - doc["omega_expected"]) <= doc["omega_tolerance"]
 
-    def closed_field(x):
-        return bundle.model.f(x) - B.ravel() * float(Kv @ x)
-
-    closed = dataclasses.replace(bundle.model, f=closed_field, f_batch=None,
-                                 A0=bundle.model.A0 - B @ K)
+    closed = models.closed_loop(bundle, K).model
     q_report = nv.verify_compound_condition(
         closed, bundle.box, np.asarray(doc["Q"], dtype=float), doc["eta"], doc["k"],
         slack=slack)
 
-    eqs = sim.find_equilibria(closed_field, bundle.box, seeds=40)
+    eqs = sim.find_equilibria(closed.f, bundle.box, seeds=40)
     x1s = sorted(round(float(e.point[0]), 6) for e in eqs)
     n_unstable = sum(e.unstable for e in eqs)
 
     labels = []
     if classify:
         starts = bundle.box.sample(np.random.default_rng(seed), 3)
-        labels = _attractor_labels(closed_field, starts, 200.0)[0]
+        labels = _attractor_labels(closed.f, starts, 200.0)[0]
 
     checks = {
         "gain_matches_reference": K_ok,

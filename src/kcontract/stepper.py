@@ -191,8 +191,8 @@ def compound_rate(model: NonlinearModel, k: int) -> Rate | None:
     summation order reproduces the BLAS product's bytes. For N = 1 (k = n)
     it is the float (J^[n] * y) + 0.0, which gives the bytes of numpy's
     1 x 1 matmul: that product starts from +0.0, so a -0 is stored as +0.
-    The matrices are read now, so a model changed by dataclasses.replace
-    never runs a rate emitted for other data.
+    The matrices are read now, so a model whose matrices were replaced after
+    compiling never runs a rate emitted for other data.
     """
     n, src = model.dim, _scalar_source(model.f)
     jacobian = _unwrap(model.jacobian)

@@ -12,15 +12,15 @@ def hurwitz(M):
 
 
 def test_eigen_sum_examples():
-    assert lc.eigen_sum_max(np.diag([1.0, -3.0]), 2) == pytest.approx(-2.0)
-    assert lc.eigen_sum_max(np.diag([-1.0, 1.0]), 2) == pytest.approx(0.0)
+    assert lc.k_contractive_lti(np.diag([1.0, -3.0]), 2)[1] == pytest.approx(-2.0)
+    assert lc.k_contractive_lti(np.diag([-1.0, 1.0]), 2)[1] == pytest.approx(0.0)
 
 
 def test_eigen_sum_matches_compound_spectrum():
     rng = np.random.default_rng(0)
     for _ in range(20):
         A = rng.standard_normal((6, 6))
-        got = lc.eigen_sum_max(A, 3)
+        got = lc.k_contractive_lti(A, 3)[1]
         oracle = np.linalg.eigvals(cp.additive_compound(A, 3)).real.max()
         assert got == pytest.approx(oracle, abs=1e-8)
 

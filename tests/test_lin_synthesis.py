@@ -3,7 +3,7 @@ import pytest
 
 from kcontract import lin_contraction as lc
 from kcontract import lin_synthesis as ls
-from kcontract.numkernel import inertia_symmetric, is_neg_def, sym
+from kcontract.numkernel import inertia_symmetric, sym
 
 
 def plant_uncontrollable(rng, nc, nu, m=1):
@@ -93,8 +93,7 @@ def test_construct_w_classical_case():
     B = rng.standard_normal((3, 1))
     W = ls.construct_W(A, B, 0.0)
     assert inertia_symmetric(W) == (0, 0, 3)
-    ok, _ = is_neg_def(sym(A @ W) - 0.5 * B @ B.T)
-    assert ok
+    assert np.linalg.eigvalsh(sym(A @ W) - 0.5 * B @ B.T).max() < 0
 
 
 def test_construct_w_double_integrator():
@@ -102,8 +101,7 @@ def test_construct_w_double_integrator():
     B = np.array([[0.0], [1.0]])
     W = ls.construct_W(A, B, 0.0)
     assert inertia_symmetric(W) == (0, 0, 2)
-    ok, margin = is_neg_def(sym(A @ W) - 0.5 * B @ B.T)
-    assert ok and margin < 0
+    assert np.linalg.eigvalsh(sym(A @ W) - 0.5 * B @ B.T).max() < 0
 
 
 def test_construct_w_indefinite_block():
@@ -224,7 +222,7 @@ def test_gain_margin_sweep():
         cert = ls.stabilizability_certificate(A, B, k)
         for rho in (1.0, 10.0, 100.0):
             K = ls.synthesize_gain(cert, B, rho=rho)
-            assert lc.eigen_sum_max(A - B @ K, k) < 0
+            assert lc.k_contractive_lti(A - B @ K, k)[1] < 0
         count += 1
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kcontract import models
+from kcontract import models, reproduce
 from kcontract.expressions import IntervalError
 from kcontract.sim import finite_difference_jacobian
 
@@ -94,6 +94,52 @@ def test_builtin_round_trip():
             assert np.abs(b.model.f(x) - b2.model.f(x)).max() <= 1e-12 * (
                 1.0 + np.abs(b.model.f(x)).max())
         assert np.allclose(b2.model.A0, b.model.A0)
+
+
+def example25_gain():
+    K = reproduce.load_data("example25_design.json")["K_expected"]
+    return np.asarray(K, dtype=float).reshape(1, -1)
+
+
+def test_closed_loop_is_the_feedback_field():
+    bundle, K = models.builtin("example25"), example25_gain()
+    closed = models.closed_loop(bundle, K)
+
+    def closed_field(x):  # the reference: the loop closed around the numpy field
+        return bundle.model.f(x) - bundle.B.ravel() * float(K.ravel() @ x)
+
+    again = models.model_from_dict(closed.to_json())
+    for x in bundle.box.sample(np.random.default_rng(3), 100):
+        want = closed_field(x)
+        assert np.abs(closed.model.f(x) - want).max() <= 1e-14 * np.abs(want).max()
+        assert again.model.f(x).tobytes() == closed.model.f(x).tobytes()
+    assert closed.model.A0.tobytes() == (bundle.model.A0 - bundle.B @ K).tobytes()
+    # only the input row changes; terms, theta, bounds, box and B are kept
+    assert [closed.f_exprs[i] == bundle.f_exprs[i] for i in range(3)] == [True, False, True]
+    assert closed.theta_exprs == bundle.theta_exprs
+    assert closed.theta_bounds_fixed == bundle.theta_bounds_fixed
+    assert all(np.array_equal(a, b) for a, b in zip(closed.model.terms, bundle.model.terms))
+    assert np.array_equal(closed.box.lower, bundle.box.lower)
+    assert np.array_equal(closed.box.upper, bundle.box.upper)
+    assert np.array_equal(closed.B, bundle.B)
+
+
+def test_closed_loop_rejects_bad_input_before_work(monkeypatch):
+    K = example25_gain()
+    linear = models.model_from_dict({"kind": "linear", "A": np.eye(3).tolist(),
+                                     "B": [[0.0], [1.0], [0.0]]})
+    example25 = models.builtin("example25")
+    cases = [(linear, K), (models.builtin("rossler"), K), (example25, K.ravel()),
+             (example25, K[:, :2]), (example25, np.vstack([K, K])),
+             (example25, K * [1.0, np.nan, 1.0]), (example25, K * [1.0, 1.0, np.inf])]
+
+    def never(doc):
+        raise AssertionError("closed loop built from a bad input")
+
+    monkeypatch.setattr(models, "model_from_dict", never)
+    for bundle, gain in cases:
+        with pytest.raises(ValueError):
+            models.closed_loop(bundle, gain)
 
 
 def test_explicit_term_bounds_respected():

@@ -123,6 +123,19 @@ def test_refined_envelope_over_the_cap_rejected_before_work():
     assert len(nv.envelope_vertices_refined(b.model, b.box, shipped)) == 256
 
 
+def test_verify_without_vertices_raises_before_any_margin(monkeypatch):
+    # no vertex would leave both margins at -inf and accept any certificate
+    b = models.builtin("synchronverter")
+    cert = reproduce.cert_from_data(reproduce.load_data("synchronverter_resolved.json"))
+
+    def never(*args):
+        raise AssertionError("margin computed without a vertex")
+
+    monkeypatch.setattr(nv, "metric_condition_margin", never)
+    with pytest.raises(ValueError, match="no envelope vertex to check"):
+        nv.verify_nl_certificate(b.model, b.box, cert, vertices=[])
+
+
 def test_verify_structural_rejection_inertia():
     # identity has no negative direction: wrong inertia for the second metric
     b = models.builtin("rossler")

@@ -131,12 +131,3 @@ def test_solve_lyapunov_resonance_names_pair():
 def test_empty_matrix_kernels():
     assert nk.solve_lyapunov(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
     assert nk.inertia_symmetric(np.zeros((0, 0))) == (0, 0, 0)
-
-
-def test_is_neg_def_examples():
-    ok, margin = nk.is_neg_def(-np.eye(3), 0.0)
-    assert ok and margin == pytest.approx(-1.0)
-    ok, margin = nk.is_neg_def(np.diag([-1.0, 0.0]), 0.0)
-    assert not ok and margin == pytest.approx(0.0)
-    ok, margin = nk.is_neg_def(np.diag([-1.0, 1e-4]), 1e-3)
-    assert ok and margin == pytest.approx(1e-4)

@@ -86,11 +86,11 @@ def test_bundle_quick_example25():
     assert np.all(np.abs(np.array(r["K"]) - r["K_expected"]) <= 0.02)
 
 
-def test_all_bundles_under_five_minutes():
+def test_all_bundles_under_a_minute():
     t0 = time.time()
     for name, fn in reproduce.BUNDLES.items():
         result = fn(seed=0)
         assert result["verdict"] == "success", (name, result["checks"])
     elapsed = time.time() - t0
     print(f"\nfour bundles end-to-end: {elapsed:.0f}s")
-    assert elapsed < 300.0
+    assert elapsed < 60.0

@@ -41,9 +41,15 @@ def trace_bytes(tr):
     return tr.times.tobytes(), tr.states.tobytes(), norms, tr.truncated
 
 
-@pytest.mark.parametrize("name", ["rossler", "rossler_mod", "synchronverter", "example25"])
+def example25_closed_loop():
+    K = reproduce.load_data("example25_design.json")["K_expected"]
+    return models.closed_loop(models.builtin("example25"), np.reshape(K, (1, -1)))
+
+
+@pytest.mark.parametrize("name", ["rossler", "rossler_mod", "synchronverter", "example25",
+                                  "example25_closed_loop"])
 def test_integrate_matches_numpy_oracle_bytes(name, monkeypatch):
-    bundle = models.builtin(name)
+    bundle = example25_closed_loop() if name == "example25_closed_loop" else models.builtin(name)
     x0 = bundle.box.sample(np.random.default_rng(12), 1)[0]
     got = sim.integrate(bundle.model.f, x0, 2.0, 1e-3, record_every=7)
     want = integrate_numpy_oracle(bundle.model.f, x0, 2.0, 1e-3, record_every=7)
@@ -266,7 +272,8 @@ def test_field_errors_other_than_float_failures_propagate():
 
 
 def test_replaced_model_never_runs_a_loop_emitted_for_other_data():
-    # the closed-loop pattern of reproduce_example25 and scripts/cert_digest.py
+    # a model whose f and A0, or A0 alone, are swapped after its own loops ran
+    # must run loops emitted for the new data
     bundle = models.builtin("example25")
     model, B = bundle.model, bundle.B
     K = np.asarray(reproduce.load_data("example25_design.json")["K_expected"], float)
