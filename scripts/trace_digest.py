@@ -6,7 +6,11 @@ Run from the root of a source checkout; the package is imported from src/.
 At the benchmark's settings (perfbench/workloads.py) it runs the four
 reproduction bundles, then a plain and a compound (k = 2) trajectory of the
 example25 closed loop (models.closed_loop with the reference gain), then
-`simulate --compound 2` and `volume` through the CLI on each built-in model.
+`simulate --compound 2` and `volume` through the CLI on each built-in model,
+then two runs whose field is called on an ndarray: `simulate` of a linear
+model drawn from the seed (its field is `A @ x`), and a compound (k = 3)
+trajectory of a 6-state compiled chain, whose C(6, 3) = 20 compound rows
+run the numpy field of sim.integrate_compound.
 Every array that sim.integrate, sim.integrate_compound and
 sim.integrate_batch return during a run is hashed together with the run's
 report or standard output, so equal digests mean byte-identical
@@ -33,6 +37,7 @@ from workloads import BUNDLE_SEEDS, BUNDLE_SETTINGS, BUNDLES  # noqa: E402
 SIM_T, SIM_K = "1", "2"
 CLOSED_LOOP_T, CLOSED_LOOP_K = 1.0, 2
 VOLUME_GRID, VOLUME_T = "32", "0.5"
+LINEAR_DIM, CHAIN_DIM, CHAIN_K, CHAIN_T = 4, 6, 3, 1.0
 
 
 class Recorder:
@@ -95,6 +100,24 @@ def closed_loop_digest(seed: int) -> str:
     return rec.hash.hexdigest()
 
 
+def chain_digest(rng) -> str:
+    """A compound trajectory of x_i' = -x_i + 0.5 x_(i+1)^2 (indices mod n)."""
+    n = CHAIN_DIM
+    terms = []
+    for i in range(n):
+        A = np.zeros((n, n))
+        A[i, (i + 1) % n] = 1.0
+        terms.append({"A": A.tolist(), "theta": f"x{(i + 1) % n + 1}"})
+    chain = models.model_from_dict({
+        "kind": "nonlinear", "dim": n, "A0": (-np.eye(n)).tolist(), "terms": terms,
+        "f": [f"-x{i + 1} + 0.5*x{(i + 1) % n + 1}^2" for i in range(n)],
+        "box": {"lower": [-1.0] * n, "upper": [1.0] * n}}).model
+    x0 = rng.uniform(-1.0, 1.0, n)
+    with Recorder() as rec:
+        sim.integrate_compound(chain, x0, np.eye(n)[:, :CHAIN_K], CHAIN_K, CHAIN_T)
+    return rec.hash.hexdigest()
+
+
 def cli_digest(argv) -> str:
     buf = io.StringIO()
     with Recorder() as rec, redirect_stdout(buf):
@@ -125,6 +148,14 @@ def main(argv=None) -> int:
                  "--compound", SIM_K)))
             print(f"volume/{name} " + cli_digest(
                 ("volume", "--model", str(doc), "--grid", VOLUME_GRID, "--t", VOLUME_T)))
+        rng = np.random.default_rng([args.seed, 1])
+        doc = Path(tmp) / "linear.json"
+        A = rng.standard_normal((LINEAR_DIM, LINEAR_DIM)) - 2.0 * np.eye(LINEAR_DIM)
+        doc.write_text(json.dumps({"kind": "linear", "A": A.tolist()}))
+        x0_arg = "--x0=" + ",".join(repr(float(v)) for v in rng.standard_normal(LINEAR_DIM))
+        print("simulate/linear " + cli_digest(
+            ("simulate", "--model", str(doc), x0_arg, "--t", SIM_T)))
+    print(f"compound/chain{CHAIN_DIM} {chain_digest(rng)}")
     return 0
 
 

@@ -258,16 +258,14 @@ def cmd_volume(args) -> int:
     grid = sim.ImmersionGrid.from_function(immersion, 2, args.grid, dim)
     v0 = sim.volume_of_immersion(grid, np.eye(dim))
     flowed = sim.flow_immersion(grid, field_batch, args.t, args.h)
-    v1 = sim.volume_of_immersion(flowed, np.eye(dim))
-    emit({
-        "command": "volume",
-        "V0": v0,
-        "Vt": v1,
-        "ratio": v1 / v0 if v0 > 0 else float("inf"),
-        "verdict": "success",
-        "anchors": ["area-transport"],
-    }, {"model": bundle.to_json(), "grid": args.grid, "t": args.t, "h": args.h})
-    return EXIT_ACCEPT
+    report = {"command": "volume", "V0": v0, "anchors": ["area-transport"]}
+    if flowed.truncated:  # a node's flow turned non-finite: there is no area at t
+        report.update(Vt=None, ratio=None, truncated=True, verdict="failure")
+    else:
+        v1 = sim.volume_of_immersion(flowed, np.eye(dim))
+        report.update(Vt=v1, ratio=v1 / v0 if v0 > 0 else float("inf"), verdict="success")
+    emit(report, {"model": bundle.to_json(), "grid": args.grid, "t": args.t, "h": args.h})
+    return EXIT_REJECT if flowed.truncated else EXIT_ACCEPT
 
 
 def cmd_reproduce(args) -> int:

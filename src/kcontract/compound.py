@@ -32,12 +32,6 @@ def _check_dimension(n: int, k: int):
                          f"C({n},{k}) = {comb(n, k)}, above {MAX_COMPOUND_DIM}")
 
 
-def index_subsets(n: int, k: int) -> tuple:
-    """1-based index tuples labelling compound rows/columns, lexicographically ordered."""
-    _check_order(n, k, n)
-    return tuple(tuple(i + 1 for i in c) for c in combinations(range(n), k))
-
-
 def _minor(Q, rows, cols) -> float:
     sub = Q[np.ix_(rows, cols)]
     m = len(rows)

@@ -303,31 +303,13 @@ def python_source(node: Node, consts: list, batch: bool = False) -> str:
 
 
 @dataclass(frozen=True)
-class ScalarSource:
-    """The scalar source of a compiled model, for emitting loops around it.
-
-    f and theta hold one python_source body per component, over the locals
-    x0..x<dim-1>; consts[i] is the value of the name c<i> (the model's
-    constants, f_batch's included).
-    """
-
-    dim: int
-    f: tuple
-    theta: tuple
-    consts: tuple
-
-    def names(self) -> dict:
-        return {f"c{i}": value for i, value in enumerate(self.consts)}
-
-
-@dataclass(frozen=True)
 class CompiledModel:
     """A vector field and its envelope parameters compiled together.
 
     f(x) evaluates the field on Python floats and returns an ndarray;
     f_batch(X) evaluates it on every row of an (m, n) block; theta(x) is the
-    list of parameter values. scalar_source(f) and scalar_source(theta) give
-    their ScalarSource.
+    ndarray of parameter values. rate_of(f) and rate_of(theta) give their
+    Rates, which share one names dict.
     """
 
     f: callable
@@ -342,20 +324,6 @@ def _code(source: str):
     return compile(source, "<kcontract model>", "exec")
 
 
-# keyed by the function itself: an attribute would be copied onto
-# functools.wraps wrappers, which may compute something else
-_SCALAR_SOURCES = weakref.WeakKeyDictionary()
-
-
-def scalar_source(fn) -> ScalarSource | None:
-    """The ScalarSource of the f or theta of a CompiledModel; None for any
-    other callable."""
-    try:
-        return _SCALAR_SOURCES.get(fn)
-    except TypeError:  # not weakly referenceable, so not a compiled function
-        return None
-
-
 def exec_source(source: str, names: dict) -> dict:
     """Run source, compiled once per distinct text, in a fresh namespace that
     holds math, np, array, asarray and names; return the namespace."""
@@ -365,29 +333,67 @@ def exec_source(source: str, names: dict) -> dict:
     return namespace
 
 
+@dataclass(frozen=True)
+class Rate:
+    """A function of the state as source. lines are statements over the
+    state locals x0..x<dim-1>, outputs[i] is the expression of value i, and
+    names binds every other name they read. The locals the lines set (th*,
+    J*_*, Jy) and the names (c*, A*_*_*) shadow none of the RK4 loop's."""
+
+    dim: int
+    lines: tuple
+    outputs: tuple
+    names: dict
+
+    def stage(self, out: str) -> list:
+        """The source lines that set out0, out1, ... to the outputs."""
+        return [*self.lines, *(f"{out}{i} = {expr}" for i, expr in enumerate(self.outputs))]
+
+    def function(self):
+        """fn(x) -> ndarray of the outputs, compiled from the same lines and
+        registered, so that rate_of(fn) is this Rate."""
+        xs = ", ".join(f"x{i}" for i in range(self.dim))
+        body = [f"[{xs}] = asarray(x, dtype=float).tolist()", *self.stage("r"),
+                f"return array([{', '.join(f'r{i}' for i in range(len(self.outputs)))}])"]
+        source = "def rate(x):\n" + "".join(f"    {line}\n" for line in body)
+        fn = exec_source(source, self.names)["rate"]
+        inline(fn, self)
+        return fn
+
+
+# the one registry of functions known by their Rate, keyed by the function
+# itself: an attribute would be copied onto functools.wraps wrappers, which
+# may compute something else
+_RATES = weakref.WeakKeyDictionary()
+
+
+def inline(fn, rate: Rate):
+    """Record that fn computes rate, so that an RK4 loop may inline rate in
+    place of calling fn: rate's values must be fn's."""
+    _RATES[fn] = rate
+
+
+def rate_of(fn) -> Rate | None:
+    """The Rate recorded for fn by Rate.function or inline; None for any
+    other callable."""
+    try:
+        return _RATES.get(fn)
+    except TypeError:  # not weakly referenceable, so never recorded
+        return None
+
+
 def compile_model(dim: int, f_nodes, theta_nodes) -> CompiledModel:
-    """Emit the source of f, f_batch and theta and compile it once."""
+    """Emit the source of f, f_batch and theta and compile each once per
+    distinct text; f and theta are made by Rate.function, from Rates that
+    share one names dict."""
     consts = []
-    names = ", ".join(f"x{i}" for i in range(dim))
-    unpack = f"    [{names}] = asarray(x, dtype=float).tolist()\n"
-    f_source = tuple(python_source(n, consts) for n in f_nodes)
-    theta_source = tuple(python_source(n, consts) for n in theta_nodes)
-
-    def scalar(name, body):
-        return f"def {name}(x):\n{unpack}    return {body}\n"
-
-    def listed(bodies):
-        return "[" + ", ".join(bodies) + "]"
-
-    parts = [scalar("f", f"array({listed(f_source)})"), scalar("theta", listed(theta_source))]
-    parts.append(
+    f_outputs = tuple(python_source(n, consts) for n in f_nodes)
+    theta_outputs = tuple(python_source(n, consts) for n in theta_nodes)
+    batch = [python_source(n, consts, True) for n in f_nodes]
+    names = {f"c{i}": value for i, value in enumerate(consts)}
+    f_batch = exec_source(
         "def f_batch(X):\n    X = asarray(X, dtype=float)\n    m = X.shape[0]\n"
         + "".join(f"    x{i} = X[:, {i}]\n" for i in range(dim))
-        + f"    return np.stack({listed(python_source(n, consts, True) for n in f_nodes)}, "
-        "axis=1)\n")
-    source = ScalarSource(dim, f_source, theta_source, tuple(consts))
-    namespace = exec_source("".join(parts), source.names())
-    for name in ("f", "theta"):
-        _SCALAR_SOURCES[namespace[name]] = source
-    return CompiledModel(f=namespace["f"], f_batch=namespace["f_batch"],
-                         theta=namespace["theta"])
+        + f"    return np.stack([{', '.join(batch)}], axis=1)\n", names)["f_batch"]
+    return CompiledModel(f=Rate(dim, (), f_outputs, names).function(), f_batch=f_batch,
+                         theta=Rate(dim, (), theta_outputs, names).function())

@@ -81,7 +81,7 @@ class NonlinearModel:
     """Vector field with an affine-parameter Jacobian envelope.
 
     f(x) evaluates the field; the Jacobian is A0 + sum theta_j(x) A_j with
-    terms the matrices A_j, theta(x) the list [theta_1(x), ...] and bounds a
+    terms the matrices A_j, theta(x) the values [theta_1(x), ...] and bounds a
     procedure mapping a Box to intervals [theta_j-, theta_j+]. For models
     built from the expression language the bounds come from interval
     evaluation.

@@ -1,10 +1,10 @@
 """Dense real linear algebra kernel.
 
-Eigenvalues, symmetric inertia counting, Lyapunov solves and definiteness
-tests. Everything here operates on plain numpy arrays (real entries) and is
-pure: no global state, safe to share across threads. Targets are small dense
-matrices (n <= 20); the Lyapunov solver deliberately uses the O(n^6)
-Kronecker vectorization because at this scale robustness beats speed.
+Eigenvalues, symmetric inertia counting, the resonance predicate and
+Lyapunov solves. Everything here operates on plain numpy arrays (real
+entries) and is pure: no global state, safe to share across threads. Targets
+are small dense matrices (n <= 20); the Lyapunov solver deliberately uses the
+O(n^6) Kronecker vectorization because at this scale robustness beats speed.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def spectral_norm(M) -> float:
 def eigenvalues(M) -> np.ndarray:
     """Complex eigenvalues of a square matrix in the deterministic spectrum ordering.
 
-    Conjugate pairs come out exactly conjugate (real input, LAPACC real Schur
+    Conjugate pairs come out exactly conjugate (real input, LAPACK real Schur
     path); ordering is nonincreasing real part with ties broken by
     nonincreasing imaginary part, so repeated calls agree.
     """

@@ -76,18 +76,19 @@ def _step_count(t_end: float, h: float) -> int:
 def integrate(field, x0, t_end: float, h: float = 1e-3, record_every: int = 1) -> Trace:
     """Integrate xdot = field(x) with fixed-step RK4 from x0 to t_end.
 
-    The RK4 arithmetic runs on Python floats, elementwise in the order
-    x + (h/6)*(((k1 + 2k2) + 2k3) + k4). The rate of a compiled model's f
-    (seen through the tracer's _traced wrappers only), or of a field given
-    one by stepper.inline, runs inlined in a loop emitted for it; any other
-    field receives the state as a float ndarray. Non-finite states truncate
-    the trace (flagged), they never propagate; a field that fails as floats
-    do (ArithmeticError, math's "math domain error") counts as a non-finite
+    The RK4 loop is stepper's one template, elementwise in the order
+    x + (h/6)*(((k1 + 2k2) + 2k3) + k4), in one of two state forms. A field
+    with a Rate (a compiled model's f, seen through the tracer's _traced
+    wrappers only, or a field given one by stepper.inline) has it inlined
+    on Python floats; any other field is called on the state as one float
+    ndarray and must return that shape. Non-finite states truncate the trace
+    (flagged), they never propagate; a field that fails as floats do
+    (ArithmeticError, math's "math domain error") counts as a non-finite
     state. record_every thins the stored samples; the step size is
     unaffected.
     """
     n_steps = _step_count(t_end, h)
-    z = np.asarray(x0, dtype=float).tolist()
+    z = np.asarray(x0, dtype=float)
     rk4 = stepper.field_rk4(field, len(z))
     with np.errstate(over="ignore", invalid="ignore"):
         times, states, truncated = rk4(z, n_steps, h, record_every)
@@ -95,28 +96,22 @@ def integrate(field, x0, t_end: float, h: float = 1e-3, record_every: int = 1) -
 
 
 def integrate_batch(field_batch, X0, t_end: float, h: float = 1e-3, record_every: int = 1):
-    """Vectorized RK4 over a batch of initial conditions (rows of X0).
+    """RK4 over a batch of initial conditions (rows of X0), in integrate's
+    ndarray loop: field_batch maps the (m, n) state block to its (m, n)
+    derivative block once per stage.
 
-    field_batch maps an (m, n) state block to an (m, n) derivative block.
-    Returns (times, trajectory array of shape (n_samples, m, n)).
+    Returns (times, trajectory array of shape (n_samples, m, n)). As in
+    integrate, the first non-finite state of any row ends the run, unrecorded,
+    so a truncated run's last time is below n_steps * h.
     """
     n_steps = _step_count(t_end, h)
-    X = np.asarray(X0, dtype=float).copy()
+    X = np.asarray(X0, dtype=float)
     if len(X) * n_steps > MAX_BATCH_ROW_STEPS:
         raise ValueError(f"{len(X)} rows x {n_steps} steps exceeds the cap of "
                          f"{MAX_BATCH_ROW_STEPS} row-steps")
-    times = [0.0]
-    out = [X.copy()]
-    for i in range(1, n_steps + 1):
-        k1 = field_batch(X)
-        k2 = field_batch(X + 0.5 * h * k1)
-        k3 = field_batch(X + 0.5 * h * k2)
-        k4 = field_batch(X + h * k3)
-        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if i % record_every == 0 or i == n_steps:
-            times.append(i * h)
-            out.append(X.copy())
-    return np.asarray(times), np.asarray(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, states, _ = stepper.array_rk4(field_batch)(X, n_steps, h, record_every)
+    return np.asarray(times), np.asarray(states)
 
 
 def integrate_compound(model: NonlinearModel, x0, V0, k: int, t_end: float,
@@ -188,12 +183,15 @@ def fit_decay(trace: Trace):
 class ImmersionGrid:
     """Sampled immersion of [0,1]^k: nodes at i/(resolution-1) per axis.
 
-    points has shape (resolution,)*k + (n,); k in {1, 2}.
+    points has shape (resolution,)*k + (n,); k in {1, 2}. A flowed grid is
+    truncated when the flow reached a non-finite state; its points are then
+    all NaN.
     """
 
     k: int
     resolution: int
     points: np.ndarray
+    truncated: bool = False
 
     @staticmethod
     def from_function(fn, k: int, resolution: int, dim: int):
@@ -217,12 +215,16 @@ def flow_immersion(grid: ImmersionGrid, field_batch, t_end: float,
                    h: float = 1e-3) -> ImmersionGrid:
     """Flow every grid node with the same steps so differences stay synchronous.
 
-    field_batch evaluates a whole (m, n) block of states at once.
+    field_batch evaluates a whole (m, n) block of states at once. When any
+    node reaches a non-finite state the run ends there, and the grid returned
+    is truncated.
     """
     shape = grid.points.shape
-    flat = grid.points.reshape(-1, shape[-1])
-    _, traj = integrate_batch(field_batch, flat, t_end, h,
-                              record_every=max(1, _step_count(t_end, h)))
+    n_steps = _step_count(t_end, h)
+    times, traj = integrate_batch(field_batch, grid.points.reshape(-1, shape[-1]), t_end, h,
+                                  record_every=max(1, n_steps))
+    if times[-1] < n_steps * h:
+        return ImmersionGrid(grid.k, grid.resolution, np.full(shape, np.nan), truncated=True)
     return ImmersionGrid(grid.k, grid.resolution, traj[-1].reshape(shape))
 
 

@@ -177,6 +177,27 @@ def test_volume_linear(capsys, tmp_path):
     assert rep["ratio"] == pytest.approx(np.exp(-1.5), abs=1e-2)
 
 
+def test_volume_blow_up_reports_failure(capsys, tmp_path):
+    # x1' = x1^3 from x1 near 3 leaves every float before t = 1: the flowed
+    # square has no area, and the report says so in strict JSON
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps({
+        "kind": "nonlinear", "dim": 2, "f": ["x1^3", "-x2"], "A0": [[0.0, 0.0], [0.0, -1.0]],
+        "terms": [{"A": [[3.0, 0.0], [0.0, 0.0]], "theta": "x1^2"}],
+        "box": {"lower": [2.9, -0.1], "upper": [3.1, 0.1]},
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["volume", "--model", str(path), "--grid", "8", "--t", "1"])
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    rep = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == 1 and rep["verdict"] == "failure" and rep["truncated"] is True
+    assert rep["Vt"] is None and rep["ratio"] is None and rep["V0"] > 0
+
+
 def test_volume_one_dimensional_nonlinear_exits_2(capsys, tmp_path):
     path = tmp_path / "nl1.json"
     path.write_text(json.dumps({

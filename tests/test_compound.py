@@ -20,14 +20,6 @@ def minors_oracle(Q, k):
     return out
 
 
-def test_index_subsets_examples():
-    assert list(cp.index_subsets(3, 2)) == [(1, 2), (1, 3), (2, 3)]
-    assert list(cp.index_subsets(4, 1)) == [(1,), (2,), (3,), (4,)]
-    assert list(cp.index_subsets(4, 4)) == [(1, 2, 3, 4)]
-    with pytest.raises(ValueError):
-        cp.index_subsets(3, 4)
-
-
 def test_multiplicative_first_and_full_order():
     rng = np.random.default_rng(0)
     Q = rng.standard_normal((4, 4))

@@ -313,6 +313,50 @@ def test_blow_up_truncates_at_the_numpy_step():
     assert got.truncated and want.truncated and len(got) == len(want) == 2820
 
 
+@pytest.mark.parametrize("shape", [(2,), (5, 2)])
+def test_array_field_of_another_shape_raises_before_any_step(shape):
+    # a value that would broadcast against the state ((2,) + (1,), (5, 2) +
+    # (5, 1)) or that is a bare number is refused at the first stage
+    calls = []
+
+    def narrow(x):
+        calls.append(x)
+        return x[..., :1]
+
+    x0 = np.ones(shape)
+    run = sim.integrate if len(shape) == 1 else sim.integrate_batch
+    for field in (narrow, lambda x: float(x.sum())):
+        with pytest.raises(TypeError, match="shape"):
+            run(field, x0, 1.0)
+    assert len(calls) == 1
+
+
+def test_batch_row_blow_up_truncates_at_the_integrate_step():
+    # x1' = x1^3 from x1 = 3 overflows near t = 0.056: a batch holding that row
+    # ends at the step where sim.integrate of the row alone does, compiled or
+    # through f_batch (then with the row's states byte for byte), and a grid
+    # flowed through it is truncated
+    bundle = models.model_from_dict({
+        "kind": "nonlinear", "dim": 2, "f": ["x1^3", "-x2"],
+        "A0": [[0.0, 0.0], [0.0, -1.0]], "terms": [{"A": [[3.0, 0.0], [0.0, 0.0]],
+                                                    "theta": "x1^2"}],
+        "box": {"lower": [2.9, -0.1], "upper": [3.1, 0.1]}})
+    model, row = bundle.model, np.array([3.0, 0.1])
+    want = sim.integrate(lambda x: model.f_batch(x[None, :])[0], row, 1.0, 1e-3,
+                         record_every=2)
+    times, traj = sim.integrate_batch(model.f_batch, np.array([[0.5, -0.1], row]), 1.0, 1e-3,
+                                      record_every=2)
+    assert want.truncated and 10 < len(want) < 500
+    assert times.tobytes() == want.times.tobytes()
+    assert times.tobytes() == sim.integrate(model.f, row, 1.0, 1e-3, 2).times.tobytes()
+    assert traj[:, 1].tobytes() == want.states.tobytes()
+    assert np.isfinite(traj).all()
+    grid = sim.ImmersionGrid.from_function(lambda r: row + 0.01 * r, 2, 4, 2)
+    flowed = sim.flow_immersion(grid, model.f_batch, 1.0)
+    assert flowed.truncated and np.isnan(flowed.points).all()
+    assert not sim.flow_immersion(grid, model.f_batch, 0.01).truncated
+
+
 def test_scalar_linear_decay():
     tr = sim.integrate(lambda x: -x, np.array([1.0]), 1.0, 1e-3)
     assert abs(tr.states[-1, 0] - np.exp(-1.0)) <= 1e-8
