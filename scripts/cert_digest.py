@@ -18,7 +18,6 @@ byte-identical certificates and reports.
 
 import argparse
 import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from scipy.linalg import block_diag  # noqa: E402
 
 from kcontract import lin_contraction as lc  # noqa: E402
 from kcontract import lin_synthesis as ls  # noqa: E402
-from kcontract import models, nl_verify as nv, reproduce  # noqa: E402
+from kcontract import cli, models, nl_verify as nv, reproduce  # noqa: E402
 from workloads import LIN_ORDERS, LIN_SIZES, LIN_VARIANTS, shifted_system  # noqa: E402
 
 CONSTRUCT_MUS = (0.0, -0.5)
@@ -115,7 +114,7 @@ class Digest:
                 self.hash.update(f"{a.dtype}{a.shape}".encode())
                 self.hash.update(a.tobytes())
             else:
-                self.hash.update(json.dumps(reproduce.jsonable(item), sort_keys=True).encode())
+                self.hash.update(cli.dumps(item).encode())
 
     def run(self, fn, *args):
         try:

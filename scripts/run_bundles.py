@@ -1,10 +1,9 @@
 """Run all four reproduction bundles and print their reports."""
 
-import json
 import sys
 import time
 
-from kcontract import reproduce
+from kcontract import cli, reproduce
 
 
 def main():
@@ -15,7 +14,7 @@ def main():
         result = fn(seed=0)
         result.pop("trace", None)
         result.pop("resolved", None)
-        print(json.dumps(reproduce.jsonable(result), sort_keys=True, indent=2))
+        print(cli.dumps(result, indent=2))
         status = result["verdict"]
         print(f"# {name}: {status} in {time.time() - t1:.1f}s", file=sys.stderr)
         failures += status != "success"

@@ -84,7 +84,7 @@ def bundle_digest(name: str, seed: int) -> str:
     resolved = result.pop("resolved", None)
     if resolved is not None:
         rec.add(resolved.P0, resolved.P1, np.array([resolved.mu0, resolved.mu1]))
-    rec.hash.update(json.dumps(reproduce.jsonable(result), sort_keys=True).encode())
+    rec.hash.update(cli.dumps(result).encode())
     return rec.hash.hexdigest()
 
 

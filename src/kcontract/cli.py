@@ -1,17 +1,20 @@
 """Command-line interface.
 
-Every command prints one JSON report to stdout (deterministic: sorted keys,
-fixed seed defaulting to 0, digest of the effective inputs) and exits with
-0 on accept/success, 1 on a legitimate negative (reject/failure), 2 on usage
-or data errors. Traces are written as CSV next to the report when --out is
+Every command returns its report and the inputs it ran on; main prints the
+report once as strict JSON (sorted keys, fixed seed defaulting to 0, digest
+of the effective inputs) and exits with 0 on accept/success, 1 on any other
+verdict (a legitimate negative), 2 on usage or data errors, non-finite float
+options included. Traces are written as CSV next to the report when --out is
 given.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,180 +24,161 @@ from . import lin_contraction as lc
 from . import lin_synthesis as ls
 from . import models, nl_verify as nv, reproduce, sim
 from .numkernel import NumericalError
-from .reproduce import jsonable
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
 EXIT_USAGE = 2
 
 
-def _canonical(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
+def _plain(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _digest(obj) -> str:
-    return hashlib.sha256(_canonical(obj).encode()).hexdigest()
+def dumps(obj, **kw) -> str:
+    """Strict JSON with sorted keys: numpy arrays and scalars become plain
+    Python, and a non-finite float raises ValueError instead of printing NaN."""
+    return json.dumps(obj, sort_keys=True, default=_plain, allow_nan=False, **kw)
 
 
 def emit(report: dict, inputs) -> None:
-    report = dict(report)
-    report["inputs_digest"] = _digest(inputs)
-    print(json.dumps(jsonable(report), sort_keys=True, indent=2))
+    digest = hashlib.sha256(dumps(inputs, separators=(",", ":")).encode()).hexdigest()
+    print(dumps({**report, "inputs_digest": digest}, indent=2))
 
 
-def _load_model(path: str) -> models.ModelBundle:
-    text = Path(path).read_text()
-    return models.parse_model(text)
-
-
-def _require_linear(bundle) -> None:
-    if bundle.kind != "linear":
-        raise ValueError("this command needs a linear model (kind == 'linear')")
+def _load_model(args, kind: str | None = None, needs_B: bool = False) -> models.ModelBundle:
+    """The --model document, required to be of the given kind and to carry B."""
+    bundle = models.parse_model(Path(args.model).read_text())
+    if kind is not None and bundle.kind != kind:
+        raise ValueError(f"{args.cmd} needs a {kind} model (kind == {kind!r})")
+    if needs_B and bundle.B is None:
+        raise ValueError("model must carry an input matrix B")
+    return bundle
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")], dtype=float)
+    x = np.array([float(v) for v in text.split(",")], dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"--x0 must be finite, got {text}")
+    return x
 
 
-def cmd_counts(args) -> int:
+def cmd_counts(args):
     n1, n2 = lc.variable_counts(args.n, args.k)
-    emit({"command": "counts", "N1": n1, "N2": n2,
-          "anchors": ["unknown-count-comparison"], "verdict": "success"},
-         {"n": args.n, "k": args.k})
-    return EXIT_ACCEPT
+    return ({"command": "counts", "N1": n1, "N2": n2,
+             "anchors": ["unknown-count-comparison"], "verdict": "success"},
+            {"n": args.n, "k": args.k})
 
 
-def cmd_analyze_lin(args) -> int:
-    bundle = _load_model(args.model)
-    _require_linear(bundle)
+def cmd_analyze_lin(args):
+    bundle = _load_model(args, "linear")
     verdict, margin = lc.k_contractive_lti(bundle.A, args.k)
-    emit({
+    return {
         "command": "analyze-lin",
         "k": args.k,
         "verdict": "accept" if verdict else "reject",
         "margins": [["topk_realpart_sum", margin]],
         "anchors": ["lti-spectral-test"],
-    }, {"model": bundle.to_json(), "k": args.k})
-    return EXIT_ACCEPT if verdict else EXIT_REJECT
+    }, {"model": bundle.to_json(), "k": args.k}
 
 
-def cmd_certify_lin(args) -> int:
-    bundle = _load_model(args.model)
-    _require_linear(bundle)
+def cmd_certify_lin(args):
+    bundle = _load_model(args, "linear")
+    inputs = {"model": bundle.to_json(), "k": args.k}
     try:
         cert = lc.build_certificate(bundle.A, args.k)
     except (ValueError, NumericalError) as exc:
-        emit({"command": "certify-lin", "k": args.k, "verdict": "reject",
-              "reason": str(exc), "anchors": ["generalized-lyapunov-certificate"]},
-             {"model": bundle.to_json(), "k": args.k})
-        return EXIT_REJECT
+        return {"command": "certify-lin", "k": args.k, "verdict": "reject",
+                "reason": str(exc), "anchors": ["generalized-lyapunov-certificate"]}, inputs
     report = lc.verify_certificate(bundle.A, args.k, cert, slack=args.slack)
-    cert_doc = {
-        "ell": cert.ell, "k": cert.k, "mus": cert.mus, "ds": cert.ds,
-        "mats": [P.tolist() for P in cert.mats],
-    }
+    cert_doc = {"ell": cert.ell, "k": cert.k, "mus": cert.mus, "ds": cert.ds,
+                "mats": cert.mats}
     if args.out:
-        Path(args.out).write_text(json.dumps(jsonable(cert_doc), sort_keys=True, indent=2))
-    emit({
+        Path(args.out).write_text(dumps(cert_doc, indent=2))
+    return {
         "command": "certify-lin",
         "k": args.k,
         "verdict": "accept" if report.verdict else "reject",
-        "margins": [[l, m] for l, m in report.margins],
+        "margins": report.margins,
         "anchors": ["generalized-lyapunov-certificate"],
         "certificate": cert_doc,
-    }, {"model": bundle.to_json(), "k": args.k})
-    return EXIT_ACCEPT if report.verdict else EXIT_REJECT
+    }, inputs
 
 
-def cmd_stabilizable(args) -> int:
-    bundle = _load_model(args.model)
-    _require_linear(bundle)
-    if bundle.B is None:
-        raise ValueError("model must carry an input matrix B")
+def cmd_stabilizable(args):
+    bundle = _load_model(args, "linear", needs_B=True)
     ok, diag = ls.k_order_stabilizable(bundle.A, bundle.B, args.k)
-    emit({
+    return {
         "command": "stabilizable", "k": args.k,
         "verdict": "accept" if ok else "reject",
         "diagnostics": diag,
         "anchors": ["uncontrollable-block-test"],
-    }, {"model": bundle.to_json(), "k": args.k})
-    return EXIT_ACCEPT if ok else EXIT_REJECT
+    }, {"model": bundle.to_json(), "k": args.k}
 
 
-def cmd_synth_lin(args) -> int:
-    bundle = _load_model(args.model)
-    _require_linear(bundle)
-    if bundle.B is None:
-        raise ValueError("model must carry an input matrix B")
+def cmd_synth_lin(args):
+    bundle = _load_model(args, "linear", needs_B=True)
+    inputs = {"model": bundle.to_json(), "k": args.k, "rho": args.rho}
     try:
         cert = ls.stabilizability_certificate(bundle.A, bundle.B, args.k)
     except (ValueError, NumericalError) as exc:
-        emit({"command": "synth-lin", "k": args.k, "verdict": "reject",
-              "reason": str(exc), "anchors": ["stabilizability-certificate"]},
-             {"model": bundle.to_json(), "k": args.k, "rho": args.rho})
-        return EXIT_REJECT
+        return {"command": "synth-lin", "k": args.k, "verdict": "reject",
+                "reason": str(exc), "anchors": ["stabilizability-certificate"]}, inputs
     K = ls.synthesize_gain(cert, bundle.B, rho=args.rho)
     closed_ok, margin = lc.k_contractive_lti(bundle.A - bundle.B @ K, args.k)
-    emit({
+    return {
         "command": "synth-lin", "k": args.k, "rho": args.rho,
-        "K": K.tolist(),
+        "K": K,
         "closed_loop_margin": margin,
         "margins": [["closed_loop_topk_sum", margin]]
         + [[f"W_{i}", m] for i, m in enumerate(ls.certificate_margins(bundle.A, bundle.B, cert))],
         "verdict": "accept" if closed_ok else "reject",
         "anchors": ["stabilizability-certificate", "colinear-gain"],
-        "certificate": {"ell": cert.ell, "mus": cert.mus, "ds": cert.ds,
-                        "mats": [W.tolist() for W in cert.mats]},
-    }, {"model": bundle.to_json(), "k": args.k, "rho": args.rho})
-    return EXIT_ACCEPT if closed_ok else EXIT_REJECT
+        "certificate": {"ell": cert.ell, "mus": cert.mus, "ds": cert.ds, "mats": cert.mats},
+    }, inputs
 
 
-def cmd_verify_nl(args) -> int:
-    bundle = _load_model(args.model)
-    if bundle.kind != "nonlinear":
-        raise ValueError("verify-nl needs a nonlinear model")
+def cmd_verify_nl(args):
+    bundle = _load_model(args, "nonlinear")
     cert_doc = json.loads(Path(args.cert).read_text())
     cert = reproduce.cert_from_data(cert_doc)
     slack = args.slack if args.slack is not None else reproduce.data_slack(cert_doc)
     report = nv.verify_nl_certificate(bundle.model, bundle.box, cert, slack=slack)
-    emit({
+    return {
         "command": "verify-nl",
         "slack": slack,
         "verdict": "accept" if report.verdict else "reject",
-        "margins": [[l, m] for l, m in report.margins],
+        "margins": report.margins,
         "diagnostics": report.diagnostics,
         "anchors": [f"constant-metric-pair/vertex-{report.data['worst_vertex']['P1']}"],
         "report": reproduce.report_entry(report),
-    }, {"model": bundle.to_json(), "cert": cert_doc, "slack": slack})
-    return EXIT_ACCEPT if report.verdict else EXIT_REJECT
+    }, {"model": bundle.to_json(), "cert": cert_doc, "slack": slack}
 
 
-def cmd_synth_nl(args) -> int:
-    bundle = _load_model(args.model)
-    if bundle.kind != "nonlinear":
-        raise ValueError("synth-nl needs a nonlinear model")
+def cmd_synth_nl(args):
+    bundle = _load_model(args, "nonlinear", needs_B=True)
     doc = json.loads(Path(args.cert).read_text())
-    if bundle.B is None:
-        raise ValueError("model must carry an input matrix B")
     slack = args.slack if args.slack is not None else reproduce.data_slack(doc)
     K, omega, report = nv.synthesize_nl_gain(
         bundle.model, bundle.box, np.asarray(doc["W0"], float),
         np.asarray(doc["W1"], float), doc["mu0"], doc["mu1"], bundle.B, doc["k"],
         slack=slack)
-    emit({
+    return {
         "command": "synth-nl",
-        "K": K.tolist(),
+        "K": K,
         "omega": omega,
         "verdict": "accept" if report.verdict else "reject",
-        "margins": [[l, m] for l, m in report.margins],
+        "margins": report.margins,
         "diagnostics": report.diagnostics,
         "anchors": ["gain-formula", "excess-rate"],
-    }, {"model": bundle.to_json(), "design": doc, "slack": slack})
-    return EXIT_ACCEPT if report.verdict else EXIT_REJECT
+    }, {"model": bundle.to_json(), "design": doc, "slack": slack}
 
 
-def cmd_simulate(args) -> int:
-    bundle = _load_model(args.model)
+def cmd_simulate(args):
+    bundle = _load_model(args)
     x0 = _parse_vector(args.x0)
     if x0.shape != (bundle.dim,):
         raise ValueError(f"--x0 has {x0.size} entries for a model of dimension {bundle.dim}")
@@ -202,39 +186,33 @@ def cmd_simulate(args) -> int:
         if args.compound:
             raise ValueError("simulate --compound needs a nonlinear model")
         A = bundle.A
-        field = lambda x: A @ x
-        tr = sim.integrate(field, x0, args.t, args.h)
-        label = sim.classify_attractor(tr)
-        fitted = None
+        tr = sim.integrate(lambda x: A @ x, x0, args.t, args.h)
+    elif args.compound:
+        tr = sim.integrate_compound(bundle.model, x0, np.eye(bundle.dim)[:, :args.compound],
+                                    args.compound, args.t, args.h)
     else:
-        if args.compound:
-            tr = sim.integrate_compound(bundle.model, x0, np.eye(bundle.dim)[:, :args.compound],
-                                        args.compound, args.t, args.h)
-            fitted = sim.fit_decay(tr)
-        else:
-            tr = sim.integrate(bundle.model.f, x0, args.t, args.h)
-            fitted = None
-        label = sim.classify_attractor(tr)
+        tr = sim.integrate(bundle.model.f, x0, args.t, args.h)
+    label = sim.classify_attractor(tr)
     if args.out:
         sim.trace_to_csv(tr, args.out)
     report = {
         "command": "simulate",
         "samples": len(tr),
-        "final_state": tr.states[-1].tolist(),
+        "final_state": tr.states[-1],
         "attractor": label,
         "truncated": tr.truncated,
         "verdict": "failure" if tr.truncated else "success",
         "anchors": ["trajectory" if not args.compound else "compound-trajectory"],
     }
-    if fitted is not None:
-        report["decay_fit"] = {"a": fitted[0], "b": fitted[1], "residual": fitted[2]}
-    emit(report, {"model": bundle.to_json(), "x0": x0.tolist(), "t": args.t,
-                  "h": args.h, "compound": args.compound})
-    return EXIT_REJECT if tr.truncated else EXIT_ACCEPT
+    if args.compound:  # a truncated trace has no decay to fit
+        report["decay_fit"] = None if tr.truncated else dict(
+            zip(("a", "b", "residual"), sim.fit_decay(tr)))
+    return report, {"model": bundle.to_json(), "x0": x0, "t": args.t,
+                    "h": args.h, "compound": args.compound}
 
 
-def cmd_volume(args) -> int:
-    bundle = _load_model(args.model)
+def cmd_volume(args):
+    bundle = _load_model(args)
     dim = bundle.dim
     if dim < 2:
         raise ValueError("volume needs dimension >= 2")
@@ -257,20 +235,19 @@ def cmd_volume(args) -> int:
         field_batch = model.f_batch
     grid = sim.ImmersionGrid.from_function(immersion, 2, args.grid, dim)
     v0 = sim.volume_of_immersion(grid, np.eye(dim))
+    if not v0 > 0:  # a box of zero width in some axis gives a square of zero area
+        raise ValueError(f"volume needs an initial square of positive area, got V0 = {v0}")
     flowed = sim.flow_immersion(grid, field_batch, args.t, args.h)
     report = {"command": "volume", "V0": v0, "anchors": ["area-transport"]}
     if flowed.truncated:  # a node's flow turned non-finite: there is no area at t
         report.update(Vt=None, ratio=None, truncated=True, verdict="failure")
     else:
         v1 = sim.volume_of_immersion(flowed, np.eye(dim))
-        report.update(Vt=v1, ratio=v1 / v0 if v0 > 0 else float("inf"), verdict="success")
-    emit(report, {"model": bundle.to_json(), "grid": args.grid, "t": args.t, "h": args.h})
-    return EXIT_REJECT if flowed.truncated else EXIT_ACCEPT
+        report.update(Vt=v1, ratio=v1 / v0, verdict="success")
+    return report, {"model": bundle.to_json(), "grid": args.grid, "t": args.t, "h": args.h}
 
 
-def cmd_reproduce(args) -> int:
-    if args.name not in reproduce.BUNDLES:
-        raise ValueError(f"unknown bundle {args.name!r}; available: {sorted(reproduce.BUNDLES)}")
+def cmd_reproduce(args):
     result = reproduce.BUNDLES[args.name](seed=args.seed)
     trace = result.pop("trace", None)
     resolved = result.pop("resolved", None)
@@ -280,14 +257,14 @@ def cmd_reproduce(args) -> int:
         if trace is not None:
             sim.trace_to_csv(trace, outdir / f"{args.name}_trace.csv")
         if resolved is not None:
-            (outdir / f"{args.name}_resolved_cert.json").write_text(json.dumps(jsonable({
+            (outdir / f"{args.name}_resolved_cert.json").write_text(dumps({
                 "P0": resolved.P0, "P1": resolved.P1, "mu0": resolved.mu0,
-                "mu1": resolved.mu1, "k": resolved.k}), sort_keys=True, indent=2))
+                "mu1": resolved.mu1, "k": resolved.k}, indent=2))
     result["command"] = f"reproduce {args.name}"
-    emit(result, {"bundle": args.name, "seed": args.seed})
-    return EXIT_ACCEPT if result.get("verdict") == "success" else EXIT_REJECT
+    return result, {"bundle": args.name, "seed": args.seed}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="kcontract",
@@ -364,17 +341,21 @@ def _attach_x0(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_x0(argv))
+        args = build_parser().parse_args(_attach_x0(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     np.random.seed(args.seed)
     try:
-        return args.fn(args)
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--{name} must be finite, got {value}")
+        report, inputs = args.fn(args)
+        emit(report, inputs)
     except (ValueError, OSError, KeyError, json.JSONDecodeError, NumericalError) as exc:
-        print(json.dumps({"error": str(exc), "verdict": "error"}, indent=2))
+        print(dumps({"error": str(exc), "verdict": "error"}, indent=2))
         return EXIT_USAGE
+    return EXIT_ACCEPT if report["verdict"] in ("accept", "success") else EXIT_REJECT
 
 
 if __name__ == "__main__":

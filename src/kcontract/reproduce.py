@@ -63,24 +63,8 @@ def report_entry(report: VerificationReport):
         "verdict": "accept" if report.verdict else "reject",
         "margins": [[lab, float(m)] for lab, m in report.margins],
         "diagnostics": report.diagnostics,
-        "data": jsonable(report.data),
+        "data": report.data,
     }
-
-
-def jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
 
 
 def _compound_decay(bundle, x0):

@@ -7,10 +7,15 @@ import pytest
 from kcontract import cli
 
 
+def strict_loads(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
-    out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, strict_loads(capsys.readouterr().out)
 
 
 @pytest.fixture
@@ -67,10 +72,9 @@ def test_analyze_lin_rejects_sum_zero_up_to_rounding(capsys, tmp_path, k, A):
 def test_usage_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code = cli.main(["analyze-lin", "--model", str(bad), "--k", "2"])
-    out = capsys.readouterr().out
-    assert code == 2
-    assert "error" in json.loads(out)
+    code, rep = run_cli(capsys, "analyze-lin", "--model", str(bad), "--k", "2")
+    assert code == 2 and rep["verdict"] == "error"
+    assert "error" in rep
 
 
 def test_non_finite_literal_exits_2(capsys, tmp_path):
@@ -127,7 +131,7 @@ def test_simulate_negative_x0_both_forms(capsys, builtin_model):
         assert code == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
-    assert json.loads(outs[0])["final_state"][0] < 0
+    assert strict_loads(outs[0])["final_state"][0] < 0
 
 
 def test_simulate_compound_fit(capsys, builtin_model):
@@ -137,14 +141,16 @@ def test_simulate_compound_fit(capsys, builtin_model):
     assert rep["decay_fit"]["a"] == pytest.approx(0.5, abs=1e-3)
 
 
-@pytest.mark.parametrize("compound", ["0", "3"])
+@pytest.mark.parametrize("compound", ["0", "2", "3"])
 def test_simulate_blow_up_reports_truncation(capsys, builtin_model, compound):
-    # x1^3 overflows a Python float near t = 2.82 (sim.integrate truncates there)
+    # x1^3 overflows a Python float near t = 2.82 (sim.integrate truncates there);
+    # a truncated compound trace has no decay to fit
     code, rep = run_cli(capsys, "simulate", "--model", builtin_model("rossler_mod"),
                         "--x0=-0.49835108,0.89350589,-0.31067962", "--t", "5",
                         "--compound", compound)
     assert code == 1 and rep["truncated"] is True and rep["verdict"] == "failure"
     assert rep["samples"] == 2820
+    assert ("decay_fit" in rep) == (compound != "0") and rep.get("decay_fit") is None
 
 
 @pytest.mark.parametrize("compound", ["0", "2", "3"])
@@ -188,14 +194,27 @@ def test_volume_blow_up_reports_failure(capsys, tmp_path):
     }))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = cli.main(["volume", "--model", str(path), "--grid", "8", "--t", "1"])
-
-    def reject(constant):
-        raise ValueError(f"{constant} is not JSON")
-
-    rep = json.loads(capsys.readouterr().out, parse_constant=reject)
+        code, rep = run_cli(capsys, "volume", "--model", str(path), "--grid", "8", "--t", "1")
     assert code == 1 and rep["verdict"] == "failure" and rep["truncated"] is True
     assert rep["Vt"] is None and rep["ratio"] is None and rep["V0"] > 0
+
+
+def test_volume_zero_area_square_exits_2(capsys, tmp_path, monkeypatch):
+    # a box of zero width in axis 1 makes the initial square a segment: no
+    # area to transport, so nothing is flowed
+    from kcontract import sim
+
+    def refuse(*args):
+        raise AssertionError("zero-area square flowed")
+    monkeypatch.setattr(sim, "flow_immersion", refuse)
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({
+        "kind": "nonlinear", "dim": 2, "f": ["-x1", "-x2"], "A0": [[-1.0, 0.0], [0.0, -1.0]],
+        "terms": [], "box": {"lower": [0.0, 0.0], "upper": [0.0, 1.0]},
+    }))
+    code, rep = run_cli(capsys, "volume", "--model", str(path), "--grid", "8", "--t", "0.1")
+    assert code == 2 and rep["verdict"] == "error"
+    assert "positive area" in rep["error"]
 
 
 def test_volume_one_dimensional_nonlinear_exits_2(capsys, tmp_path):
@@ -215,6 +234,23 @@ def test_infinite_time_exits_2(capsys, lin_model, command):
     code, rep = run_cli(capsys, command, "--model", lin_model, *extra, "--t", "inf")
     assert code == 2 and rep["verdict"] == "error"
     assert "finite" in rep["error"]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("option, argv", [
+    ("slack", ["verify-nl", "--cert", "missing.json", "--slack", "V"]),
+    ("slack", ["synth-nl", "--cert", "missing.json", "--slack", "V"]),
+    ("rho", ["synth-lin", "--k", "2", "--rho", "V"]),
+    ("h", ["simulate", "--x0=0.2,0.5,0", "--t", "0.1", "--h", "V"]),
+    ("x0", ["simulate", "--x0=0.2,V,0", "--t", "0.1"]),
+    ("h", ["volume", "--t", "0.1", "--h", "V"]),
+], ids=lambda case: case if isinstance(case, str) else case[0])
+def test_non_finite_option_exits_2(capsys, builtin_model, option, argv, value):
+    # rejected, naming the option, before the certificate (missing here) is read
+    argv = [arg.replace("V", value) for arg in argv]
+    code, rep = run_cli(capsys, *argv, "--model", builtin_model("rossler_mod"))
+    assert code == 2 and rep["verdict"] == "error"
+    assert f"--{option} must be finite" in rep["error"]
 
 
 def test_simulate_compound_linear_exits_2(capsys, lin_model):
@@ -258,6 +294,28 @@ def test_verify_nl_with_packaged_cert(capsys, builtin_model, tmp_path):
     code, rep = run_cli(capsys, "verify-nl", "--model", builtin_model("synchronverter"),
                         "--cert", str(cert), "--slack", "0")
     assert code == 1 and rep["verdict"] == "reject"
+
+
+def test_parser_is_built_once_and_keeps_no_option(capsys, builtin_model, tmp_path):
+    # the cached parser gives each call fresh defaults: --slack 0 does not
+    # carry into the next call, which takes the data's printed-precision slack
+    from kcontract.reproduce import load_data
+    assert cli.build_parser() is cli.build_parser()
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(load_data("rossler_mod_cert.json")))
+    argv = ["verify-nl", "--model", builtin_model("rossler_mod"), "--cert", str(cert)]
+    _, rep = run_cli(capsys, *argv, "--slack", "0")
+    assert rep["slack"] == 0
+    _, rep = run_cli(capsys, *argv)
+    assert rep["slack"] == 0.01
+
+
+def test_dumps_is_strict_and_plain():
+    assert cli.dumps({"b": np.arange(2), "a": np.float32(0.5), "c": np.bool_(True)}) == \
+        '{"a": 0.5, "b": [0, 1], "c": true}'
+    for bad in (float("inf"), np.float64("nan"), np.array([1.0, -np.inf])):
+        with pytest.raises(ValueError):
+            cli.dumps({"x": bad})
 
 
 def test_synth_nl_from_design_data(capsys, builtin_model, tmp_path):
