@@ -264,9 +264,22 @@ def cmd_reproduce(args):
     return result, {"bundle": args.name, "seed": args.seed}
 
 
+class _UsageError(Exception):
+    """A command line the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors main reports as JSON, as it does
+    every other error, where argparse would print text and exit."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="kcontract",
         description="k-contraction analysis, feedback design, and simulation")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
@@ -340,11 +353,18 @@ def _attach_x0(argv):
     return argv
 
 
+def _error(message: str) -> int:
+    print(dumps({"error": message, "verdict": "error"}, indent=2))
+    return EXIT_USAGE
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_attach_x0(argv))
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help, printed by argparse
         return EXIT_USAGE if exc.code not in (0,) else 0
+    except _UsageError as exc:
+        return _error(str(exc))
     np.random.seed(args.seed)
     try:
         for name, value in vars(args).items():
@@ -353,8 +373,7 @@ def main(argv=None) -> int:
         report, inputs = args.fn(args)
         emit(report, inputs)
     except (ValueError, OSError, KeyError, json.JSONDecodeError, NumericalError) as exc:
-        print(dumps({"error": str(exc), "verdict": "error"}, indent=2))
-        return EXIT_USAGE
+        return _error(str(exc))
     return EXIT_ACCEPT if report["verdict"] in ("accept", "success") else EXIT_REJECT
 
 

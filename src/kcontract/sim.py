@@ -62,12 +62,15 @@ class EquilibriumInfo:
         return not self.stable
 
 
-def _step_count(t_end: float, h: float) -> int:
-    """round(t_end / h); ValueError unless both are finite and positive and the
-    count is at most MAX_STEPS."""
+def _step_count(t_end: float, h: float, record_every: int = 1) -> int:
+    """round(t_end / h); ValueError unless both are finite and positive, the
+    count is at most MAX_STEPS and record_every is an int of at least 1."""
     if not (math.isfinite(t_end) and math.isfinite(h) and t_end > 0 and h > 0):
         raise ValueError(f"h and t_end must be positive and finite, got h={h!r}, "
                          f"t_end={t_end!r}")
+    if (isinstance(record_every, bool) or not isinstance(record_every, (int, np.integer))
+            or record_every < 1):
+        raise ValueError(f"record_every must be an int of at least 1, got {record_every!r}")
     if t_end / h > MAX_STEPS:
         raise ValueError(f"t_end / h = {t_end / h:.6g} steps exceeds the cap of {MAX_STEPS}")
     return int(round(t_end / h))
@@ -85,13 +88,14 @@ def integrate(field, x0, t_end: float, h: float = 1e-3, record_every: int = 1) -
     (flagged), they never propagate; a field that fails as floats do
     (ArithmeticError, math's "math domain error") counts as a non-finite
     state. record_every thins the stored samples; the step size is
-    unaffected.
+    unaffected. A Rate with a C form runs as C, with the same bytes, when a
+    C compiler is present (stepper.field_rk4; its objects are cached).
     """
-    n_steps = _step_count(t_end, h)
+    n_steps = _step_count(t_end, h, record_every)
     z = np.asarray(x0, dtype=float)
-    rk4 = stepper.field_rk4(field, len(z))
+    rk4 = stepper.field_rk4(field, len(z), n_steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        times, states, truncated = rk4(z, n_steps, h, record_every)
+        times, states, truncated = rk4(z, n_steps, h, int(record_every))
     return Trace(np.asarray(times), np.asarray(states), truncated=truncated)
 
 
@@ -104,13 +108,13 @@ def integrate_batch(field_batch, X0, t_end: float, h: float = 1e-3, record_every
     integrate, the first non-finite state of any row ends the run, unrecorded,
     so a truncated run's last time is below n_steps * h.
     """
-    n_steps = _step_count(t_end, h)
+    n_steps = _step_count(t_end, h, record_every)
     X = np.asarray(X0, dtype=float)
     if len(X) * n_steps > MAX_BATCH_ROW_STEPS:
         raise ValueError(f"{len(X)} rows x {n_steps} steps exceeds the cap of "
                          f"{MAX_BATCH_ROW_STEPS} row-steps")
     with np.errstate(over="ignore", invalid="ignore"):
-        times, states, _ = stepper.array_rk4(field_batch)(X, n_steps, h, record_every)
+        times, states, _ = stepper.array_rk4(field_batch)(X, n_steps, h, int(record_every))
     return np.asarray(times), np.asarray(states)
 
 

@@ -1,4 +1,4 @@
-"""The one RK4 loop, emitted as Python source and compiled per field.
+"""The one RK4 loop, emitted as Python source or as C, per field.
 
 One template holds the RK4 arithmetic in sim.integrate's operation order,
 and it is emitted in one of two state forms. A field whose rate is known as
@@ -8,6 +8,12 @@ called per stage: a compiled model's f, and integrate_compound's augmented
 field once compound_rate has emitted its Rate and inline has recorded it.
 Any other field, and every integrate_batch field, is called once per stage
 on the whole state as one ndarray.
+
+The float form has a second emitter, in kcontract.native: the same stages
+and update (step_lines) written as C, with Python's float semantics spelled
+out per operation, built by the C compiler and loaded through ctypes.
+field_rk4 runs it when the Rate has a C form and an object is at hand; the
+Python loop stays the fallback, and the oracle its bytes are tested against.
 """
 
 from __future__ import annotations
@@ -53,6 +59,20 @@ _UPDATE = "{s} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
 _STAGES = (("ka", None, None), ("kb", "ka", "half"), ("kc", "kb", "half"), ("kd", "kc", "h"))
 
 
+def step_lines(parts, stage, end: str = ""):
+    """The statements of one step, the four stages and the update, over the
+    state locals s<p> for p in parts, each statement ending in end."""
+    stages = []
+    for out, prev, step in _STAGES:
+        stages += [f"x{p} = " + (f"s{p}" if prev is None else
+                                 _STAGE.format(s=f"s{p}", step=step, k=f"{prev}{p}")) + end
+                   for p in parts]
+        stages += stage(out)
+    update = [f"s{p} = " + _UPDATE.format(s=f"s{p}", a=f"ka{p}", b=f"kb{p}", c=f"kc{p}",
+                                          d=f"kd{p}") + end for p in parts]
+    return stages, update
+
+
 def _emit_rk4(parts, stage, names: dict, *, load: str, state: str, finite: str):
     """The RK4 loop, compiled: rk4(z, n_steps, h, record_every) returns
     (times, states, truncated) as lists.
@@ -63,20 +83,19 @@ def _emit_rk4(parts, stage, names: dict, *, load: str, state: str, finite: str):
     and names binds every other name those lines read. load, state and
     finite are the source of z as the loop holds it, of the state as
     recorded, and of the test that it is finite."""
-    stages = []
-    for out, prev, step in _STAGES:
-        stages += [f"x{p} = " + (f"s{p}" if prev is None else
-                                 _STAGE.format(s=f"s{p}", step=step, k=f"{prev}{p}"))
-                   for p in parts]
-        stages += stage(out)
-    update = [f"s{p} = " + _UPDATE.format(s=f"s{p}", a=f"ka{p}", b=f"kb{p}", c=f"kc{p}",
-                                          d=f"kd{p}") for p in parts]
+    stages, update = step_lines(parts, stage)
     source = _RK4.format(
         bound=", ".join(f"{name}={name}" for name in names),
         stages="\n".join(" " * 12 + line for line in stages),
         update="\n".join(" " * 8 + line for line in update), load=load, state=state,
         finite=finite)
     return exec_source(source, names)["rk4"]
+
+
+# below this many steps a C loop runs only from an object already built: at
+# 2.2-4 us per Python step that is 22-40 ms, against about 0.1 s for one
+# compiler run, whose object is then cached on disk
+NATIVE_MIN_STEPS = 10_000
 
 
 def _unwrap(fn):
@@ -101,17 +120,23 @@ def array_rk4(field):
                      load="array(z, dtype=float)", state="s", finite="isfinite(s).all()")
 
 
-def field_rk4(field, dim: int):
+def field_rk4(field, dim: int, n_steps: int | None = None):
     """RK4 for field on a state of dim components: its Rate inlined on
     Python floats when it has one of that dimension (a compiled model's f,
-    or a field given one by inline), else array_rk4."""
+    or a field given one by inline), else array_rk4. Given the run's n_steps,
+    a Rate with a C form runs as C instead (native.rk4), from an object
+    already built or, from NATIVE_MIN_STEPS steps on, built now."""
     rate = rate_of(_unwrap(field))
     if rate is None or not rate.dim == len(rate.outputs) == dim:
         return array_rk4(field)
     s = [f"s{i}" for i in range(rate.dim)]
-    return _emit_rk4(range(rate.dim), rate.stage, {"isfinite": math.isfinite, **rate.names},
-                     load="asarray(z, dtype=float).tolist()", state=f"[{', '.join(s)}]",
-                     finite=" and ".join(f"isfinite({si})" for si in s))
+    python = _emit_rk4(range(rate.dim), rate.stage, {"isfinite": math.isfinite, **rate.names},
+                       load="asarray(z, dtype=float).tolist()", state=f"[{', '.join(s)}]",
+                       finite=" and ".join(f"isfinite({si})" for si in s))
+    if n_steps is None:
+        return python
+    from . import native  # the C form and its compiler: on the first eligible run only
+    return native.rk4(rate, python, build=n_steps >= NATIVE_MIN_STEPS) or python
 
 
 # numpy sums fewer than eight terms one by one from 0.0 (longer sums are

@@ -89,7 +89,24 @@ def test_non_finite_literal_exits_2(capsys, tmp_path):
 
 
 def test_missing_subcommand_usage(capsys):
-    assert cli.main([]) == 2
+    code, rep = run_cli(capsys)
+    assert code == 2 and rep["verdict"] == "error"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["counts", "--n", "ten", "--k", "2"], "invalid int value: 'ten'"),
+    (["counts", "--k", "2"], "required: --n"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+])
+def test_usage_errors_print_the_json_error_report(capsys, argv, message):
+    code, rep = run_cli(capsys, *argv)
+    assert code == 2 and rep == {"error": rep["error"], "verdict": "error"}
+    assert message in rep["error"]
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["counts", "--help"]) == 0
+    assert "--n" in capsys.readouterr().out
 
 
 def test_certify_lin_roundtrip(capsys, lin_model, tmp_path):

@@ -1,0 +1,151 @@
+"""The C form of the RK4 loop against the Python loop it stands in for."""
+
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from test_sim import example25_closed_loop, native_cache, needs_cc, trace_bytes
+
+from kcontract import models, native, sim, stepper
+from kcontract.expressions import compile_model, parse_expression, rate_of
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def scalar_model(text):
+    """The compiled f of the one-dimensional field x1' = text."""
+    return compile_model(1, [parse_expression(text, 1)], []).f
+
+
+def python_trace(f, x0, t_end, h=1e-3, record_every=1):
+    """sim.integrate of f on the Python loop, whatever the compiler."""
+    n_steps = int(round(t_end / h))
+    times, states, truncated = stepper.field_rk4(f, len(x0))(np.asarray(x0, dtype=float),
+                                                             n_steps, h, record_every)
+    return sim.Trace(np.asarray(times), np.asarray(states), truncated=truncated)
+
+
+@needs_cc
+@pytest.mark.parametrize("text, x0, steps", [
+    ("1/(1/x1)", 0.0, 1),            # ZeroDivisionError
+    ("1/(x1^3)", 1e103, 1),          # OverflowError of float ** int
+    ("sin(x1*1e308*10)^0", 1.0, 1),  # math domain error, though inf ** 0 is 1
+    ("1/(x1*1e308*10)", 1.0, 101),   # 1/inf is 0.0: both loops run on
+])
+def test_float_failures_truncate_as_in_python(tmp_path, text, x0, steps):
+    f = scalar_model(text)
+    with native_cache(tmp_path):
+        assert stepper.field_rk4(f, 1, 100).__name__ == "native_rk4"
+        got = sim.integrate(f, [x0], 0.1, 1e-3)
+    assert trace_bytes(got) == trace_bytes(python_trace(f, [x0], 0.1))
+    assert len(got) == steps and got.truncated == (steps == 1)
+    assert got.states.base is None  # a truncated run is trimmed to a copy
+
+
+@needs_cc
+@pytest.mark.parametrize("name", ["rossler", "rossler_mod", "synchronverter", "example25",
+                                  "example25_closed_loop"])
+def test_builtins_and_their_k_n_compound_match_the_python_loop(tmp_path, name):
+    bundle = example25_closed_loop() if name == "example25_closed_loop" else models.builtin(name)
+    x0 = bundle.box.sample(np.random.default_rng(12), 1)[0]
+    n = bundle.dim
+    with native_cache(tmp_path):
+        got = sim.integrate(bundle.model.f, x0, 5.0, 1e-3, record_every=7)
+        compound = sim.integrate_compound(bundle.model, x0, np.eye(n), n, 2.0)
+        assert stepper.field_rk4(bundle.model.f, n, 1).__name__ == "native_rk4"
+    assert trace_bytes(got) == trace_bytes(python_trace(bundle.model.f, x0, 5.0, 1e-3, 7))
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("CC", "false")
+        assert trace_bytes(compound) == trace_bytes(
+            sim.integrate_compound(bundle.model, x0, np.eye(n), n, 2.0))
+    assert len(list((tmp_path / "kcontract").glob("*.so"))) == 2
+
+
+def test_c_form_covers_the_language_but_not_the_numpy_matmul():
+    model = models.builtin("synchronverter").model
+    assert native.c_source(rate_of(model.f)) is not None
+    assert native.c_source(stepper.compound_rate(model, 4)) is not None  # k = n
+    assert native.c_source(stepper.compound_rate(model, 2)) is None      # Jy = array(...) @ ...
+    # Python's exact int arithmetic and its complex powers have no C form
+    for lines, outputs, names in (((), ("c0 * c1",), {"c0": 2, "c1": 3}),
+                                  ((), ("x0 ** c0",), {"c0": 0.5}),
+                                  ((), ("x0 * c0",), {"c0": np.float64(2.0)}),
+                                  (("t = x0",), ("t + y",), {})):
+        assert native.c_source(stepper.Rate(1, lines, outputs, names)) is None
+    # constants are read at call time: one source for any parameter values
+    a = native.c_source(rate_of(scalar_model("2.5*x1 - x1^3")))
+    b = native.c_source(rate_of(scalar_model("1.5*x1 - x1^2")))
+    assert a == b and a[1] == ("c0", "c1")
+
+
+@needs_cc
+@pytest.mark.parametrize("hide", ["CC", "PATH"])
+def test_hidden_compiler_runs_the_python_loop_with_the_same_bytes(tmp_path, hide):
+    f = models.builtin("rossler_mod").model.f
+    x0 = np.array([0.1, 0.2, 0.3])
+    with native_cache(tmp_path):
+        got = sim.integrate(f, x0, 2.0)
+        with pytest.MonkeyPatch.context() as m:
+            if hide == "CC":
+                m.setenv("CC", "false")
+            else:
+                m.delenv("CC", raising=False)
+                m.setenv("PATH", str(tmp_path / "empty"))
+            assert native.compiler() is None
+            assert stepper.field_rk4(f, 3, 10**6).__name__ == "rk4"
+            want = sim.integrate(f, x0, 2.0)
+    assert trace_bytes(got) == trace_bytes(want)
+
+
+@needs_cc
+def test_corrupt_cached_object_is_rebuilt_or_passed_over(tmp_path):
+    # the truncated copy goes into a second cache: rewriting an object this
+    # process has loaded would pull its mapped pages away
+    f = models.builtin("rossler").model.f
+    x0 = np.array([0.1, 0.2, 0.3])
+    with native_cache(tmp_path / "built") as built:
+        want = sim.integrate(f, x0, 1.0)
+    [obj] = built.glob("*.so")
+    with native_cache(tmp_path / "corrupt") as cache, pytest.MonkeyPatch.context() as m:
+        cache.mkdir(mode=0o700, parents=True)
+        (cache / obj.name).write_bytes(obj.read_bytes()[:4096])
+        m.setattr(stepper, "NATIVE_MIN_STEPS", 10**6)
+        assert stepper.field_rk4(f, 3, 1000).__name__ == "rk4"  # not loaded, not built
+        assert trace_bytes(sim.integrate(f, x0, 1.0)) == trace_bytes(want)
+        m.setattr(stepper, "NATIVE_MIN_STEPS", 1)
+        assert stepper.field_rk4(f, 3, 1000).__name__ == "native_rk4"  # built again
+        assert trace_bytes(sim.integrate(f, x0, 1.0)) == trace_bytes(want)
+    assert (cache / obj.name).read_bytes() == obj.read_bytes()
+
+
+@needs_cc
+def test_unsafe_cache_directory_is_not_used(tmp_path):
+    cache = tmp_path / "kcontract"
+    cache.mkdir()
+    cache.chmod(0o777)
+    f = models.builtin("rossler").model.f
+    with native_cache(tmp_path):
+        assert native.cache_dir() is None
+        assert stepper.field_rk4(f, 3, 1000).__name__ == "native_rk4"  # a private build
+    assert list(cache.iterdir()) == []
+    cache.chmod(0o700)
+    with native_cache(tmp_path):
+        assert native.cache_dir() == str(cache)
+    fresh = tmp_path / "fresh"
+    with native_cache(fresh):
+        assert stat.S_IMODE(os.stat(native.cache_dir()).st_mode) == 0o700
+
+
+def test_import_starts_no_compiler_and_touches_no_cache(tmp_path):
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), HOME=str(tmp_path),
+               PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, kcontract.cli; "
+            "print([m for m in ('subprocess', 'kcontract.native') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
+    assert list(tmp_path.iterdir()) == []

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import math
@@ -9,7 +10,7 @@ from scipy.linalg import expm
 from test_expressions import node_trees, ref_eval_batch
 
 from kcontract import compound as cp
-from kcontract import models, reproduce, sim, stepper
+from kcontract import models, native, reproduce, sim, stepper
 from kcontract.expressions import compile_model, parse_expression
 from kcontract.nl_verify import Box, NonlinearModel
 
@@ -34,6 +35,21 @@ def integrate_numpy_oracle(field, x0, t_end, h=1e-3, record_every=1):
                 times.append(i * h)
                 states.append(x.copy())
     return sim.Trace(np.asarray(times), np.asarray(states), truncated=truncated)
+
+
+needs_cc = pytest.mark.skipif(native.compiler() is None,
+                              reason="no C compiler: neither $CC nor cc on PATH runs")
+
+
+@contextlib.contextmanager
+def native_cache(path):
+    """Every run of a Rate with a C form goes native, built into (and loaded
+    only from) a cache under path."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("XDG_CACHE_HOME", str(path))
+        m.setattr(stepper, "NATIVE_MIN_STEPS", 1)
+        m.setattr(native, "_LOADED", {})
+        yield path / "kcontract"
 
 
 def trace_bytes(tr):
@@ -109,9 +125,7 @@ def compiled_models(draw):
                           theta=compiled.theta, bounds=None)
 
 
-@given(compiled_models(), st.data())
-@settings(max_examples=120, deadline=None)
-def test_emitted_loops_match_numpy_oracle_bytes(model, data):
+def check_loops_against_numpy_oracle(model, data):
     n = model.dim
     x0 = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n)))
     h = 1e-2
@@ -125,6 +139,21 @@ def test_emitted_loops_match_numpy_oracle_bytes(model, data):
         got = sim.integrate_compound(model, x0, V0, k, t_end, h, every)
         want = oracle_compound(model, x0, V0, k, t_end, h, every)
         assert trace_bytes(got) == trace_bytes(want)
+
+
+@given(compiled_models(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_emitted_loops_match_numpy_oracle_bytes(model, data):
+    check_loops_against_numpy_oracle(model, data)
+
+
+@needs_cc
+@given(compiled_models(), st.data())
+@settings(max_examples=12, deadline=None)  # about two compiler runs (0.1 s each) per example
+def test_native_loops_match_numpy_oracle_bytes(tmp_path_factory, model, data):
+    with native_cache(tmp_path_factory.mktemp("cache")):
+        assert stepper.field_rk4(model.f, model.dim, 1).__name__ == "native_rk4"
+        check_loops_against_numpy_oracle(model, data)
 
 
 def test_compound_diagonal_sums_in_numpy_order():
@@ -490,6 +519,13 @@ def test_integrate_input_validation():
         sim.integrate(lambda x: -x, np.array([1.0]), 1.0, h=0.0)
     with pytest.raises(ValueError):
         sim.integrate(lambda x: -x, np.array([1.0]), -1.0, h=0.1)
+    # i % 0 would divide by zero inside the loop (undefined behaviour in C)
+    for every in (0, -3, 2.5, True, "2"):
+        with pytest.raises(ValueError, match="record_every"):
+            sim.integrate(never, np.array([1.0]), 1.0, 0.1, record_every=every)
+        with pytest.raises(ValueError, match="record_every"):
+            sim.integrate_batch(never, np.ones((2, 1)), 1.0, 0.1, record_every=every)
+    assert len(sim.integrate(lambda x: -x, np.array([1.0]), 1.0, 0.1, np.int64(3))) == 5
 
 
 def test_non_finite_and_over_cap_runs_rejected_before_work():
