@@ -10,7 +10,11 @@ example25 closed loop (models.closed_loop with the reference gain), then
 then two runs whose field is called on an ndarray: `simulate` of a linear
 model drawn from the seed (its field is `A @ x`), and a compound (k = 3)
 trajectory of a 6-state compiled chain, whose C(6, 3) = 20 compound rows
-run the numpy field of sim.integrate_compound.
+run the numpy field of sim.integrate_compound. Last, for rossler_mod and
+example25, whose fields raise states to integer powers, sim.flow_immersion
+of a square over the middle half of the box in x1 and x2: numpy's
+vectorised pow differs from libm's in the last bits of some of its rows,
+so these lines pin integrate_batch's rows-as-integrate arithmetic.
 Every array that sim.integrate, sim.integrate_compound and
 sim.integrate_batch return during a run is hashed together with the run's
 report or standard output, so equal digests mean byte-identical
@@ -38,6 +42,7 @@ SIM_T, SIM_K = "1", "2"
 CLOSED_LOOP_T, CLOSED_LOOP_K = 1.0, 2
 VOLUME_GRID, VOLUME_T = "32", "0.5"
 LINEAR_DIM, CHAIN_DIM, CHAIN_K, CHAIN_T = 4, 6, 3, 1.0
+HALF_BOX_MODELS, HALF_BOX_GRID, HALF_BOX_T = ("rossler_mod", "example25"), 64, 0.5
 
 
 class Recorder:
@@ -118,6 +123,25 @@ def chain_digest(rng) -> str:
     return rec.hash.hexdigest()
 
 
+def half_box_digest(name: str) -> str:
+    """The flow of a square over the middle half of the box in x1 and x2,
+    at the box centre in every other coordinate, and its area."""
+    bundle = models.builtin(name)
+    box = bundle.box
+
+    def square(r):
+        x = np.tile(box.center(), (len(r), 1))
+        x[:, :2] = box.lower[:2] + (0.25 + 0.5 * r) * (box.upper - box.lower)[:2]
+        return x
+
+    grid = sim.ImmersionGrid.from_function(square, 2, HALF_BOX_GRID, box.dim)
+    with Recorder() as rec:
+        flowed = sim.flow_immersion(grid, bundle.model.f, HALF_BOX_T)
+    area = None if flowed.truncated else sim.volume_of_immersion(flowed, np.eye(box.dim))
+    rec.hash.update(f"truncated {flowed.truncated} area {area!r}".encode())
+    return rec.hash.hexdigest()
+
+
 def cli_digest(argv) -> str:
     buf = io.StringIO()
     with Recorder() as rec, redirect_stdout(buf):
@@ -156,6 +180,8 @@ def main(argv=None) -> int:
         print("simulate/linear " + cli_digest(
             ("simulate", "--model", str(doc), x0_arg, "--t", SIM_T)))
     print(f"compound/chain{CHAIN_DIM} {chain_digest(rng)}")
+    for name in HALF_BOX_MODELS:
+        print(f"flow_immersion/{name} {half_box_digest(name)}")
     return 0
 
 

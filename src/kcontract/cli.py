@@ -218,26 +218,25 @@ def cmd_volume(args):
         raise ValueError("volume needs dimension >= 2")
     if bundle.kind == "linear":
         A = bundle.A
-        field_batch = lambda X: X @ A.T
+        field = lambda X: X @ A.T
         def immersion(r):
-            x = np.zeros(dim)
-            x[0], x[1] = r[0], r[1]
+            x = np.zeros((len(r), dim))
+            x[:, :2] = r
             return x
     else:
         model, box = bundle.model, bundle.box
         c = box.center()
         delta = 0.01 * float(np.min(box.upper - box.lower))
         def immersion(r):
-            x = c.copy()
-            x[0] += delta * r[0]
-            x[1] += delta * r[1]
+            x = np.tile(c, (len(r), 1))
+            x[:, :2] += delta * r
             return x
-        field_batch = model.f_batch
+        field = model.f
     grid = sim.ImmersionGrid.from_function(immersion, 2, args.grid, dim)
     v0 = sim.volume_of_immersion(grid, np.eye(dim))
     if not v0 > 0:  # a box of zero width in some axis gives a square of zero area
         raise ValueError(f"volume needs an initial square of positive area, got V0 = {v0}")
-    flowed = sim.flow_immersion(grid, field_batch, args.t, args.h)
+    flowed = sim.flow_immersion(grid, field, args.t, args.h)
     report = {"command": "volume", "V0": v0, "anchors": ["area-transport"]}
     if flowed.truncated:  # a node's flow turned non-finite: there is no area at t
         report.update(Vt=None, ratio=None, truncated=True, verdict="failure")

@@ -256,50 +256,33 @@ def parse_expression(text: str, dim: int) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def _is_literal(node) -> bool:
-    """A constant, possibly negated: exact on a Python float."""
-    return node.op == "const" or (node.op == "neg" and _is_literal(node.args[0]))
-
-
-def python_source(node: Node, consts: list, batch: bool = False) -> str:
-    """Fully parenthesised Python source of node over the locals x0..x<n-1>.
-
-    Every constant is appended to consts and read by name (c<i>), never
-    written as a literal. Scalar source evaluates on Python floats with
-    math.sin/math.cos. Batch source reads x<i> as a column of the (m, n)
-    state block and uses np.sin/np.cos. There a constant stays a Python float
-    only where it, possibly negated, is an operand of + - * / whose other
-    operand depends on a variable; elsewhere it is np.full(m, c). So every
-    operation runs in numpy on length-m arrays, and an expression without
-    variables still gives m values.
-    """
+def python_source(node: Node, consts: list) -> str:
+    """Fully parenthesised Python source of node over the float locals
+    x0..x<n-1>, with math.sin/math.cos. Every constant is appended to consts
+    and read by name (c<i>), never written as a literal."""
 
     def bind(value):
         consts.append(value)
         return f"c{len(consts) - 1}"
 
-    def emit(node, wide):
+    def emit(node):
         op, args = node.op, node.args
         if op == "const":
-            name = bind(args[0])
-            return f"np.full(m, {name})" if wide else name
+            return bind(args[0])
         if op == "var":
             return f"x{args[0]}"
         if op == "neg":
-            return f"(-{emit(args[0], wide)})"
+            return f"(-{emit(args[0])})"
         if op in ("+", "-", "*", "/"):
-            a, b = args
-            wide_a = batch and not (_is_literal(a) and b.variables())
-            wide_b = batch and not (_is_literal(b) and a.variables())
-            return f"({emit(a, wide_a)} {op} {emit(b, wide_b)})"
+            return f"({emit(args[0])} {op} {emit(args[1])})"
         if op == "pow":
-            base = emit(args[0], batch)
+            base = emit(args[0])
             return f"({base} ** {bind(args[1])})"
         if op in ("sin", "cos"):
-            return f"{'np' if batch else 'math'}.{op}({emit(args[0], batch)})"
+            return f"math.{op}({emit(args[0])})"
         raise AssertionError(op)
 
-    return emit(node, batch)
+    return emit(node)
 
 
 @dataclass(frozen=True)
@@ -307,13 +290,12 @@ class CompiledModel:
     """A vector field and its envelope parameters compiled together.
 
     f(x) evaluates the field on Python floats and returns an ndarray;
-    f_batch(X) evaluates it on every row of an (m, n) block; theta(x) is the
-    ndarray of parameter values. rate_of(f) and rate_of(theta) give their
-    Rates, which share one names dict.
+    theta(x) is the ndarray of parameter values. rate_of(f) and
+    rate_of(theta) give their Rates, which share one names dict; the RK4
+    loops, integrate_batch's rows included, inline f's.
     """
 
     f: callable
-    f_batch: callable
     theta: callable
 
 
@@ -383,17 +365,12 @@ def rate_of(fn) -> Rate | None:
 
 
 def compile_model(dim: int, f_nodes, theta_nodes) -> CompiledModel:
-    """Emit the source of f, f_batch and theta and compile each once per
-    distinct text; f and theta are made by Rate.function, from Rates that
-    share one names dict."""
+    """Emit the source of f and theta and compile each once per distinct
+    text; both are made by Rate.function, from Rates that share one names
+    dict."""
     consts = []
     f_outputs = tuple(python_source(n, consts) for n in f_nodes)
     theta_outputs = tuple(python_source(n, consts) for n in theta_nodes)
-    batch = [python_source(n, consts, True) for n in f_nodes]
     names = {f"c{i}": value for i, value in enumerate(consts)}
-    f_batch = exec_source(
-        "def f_batch(X):\n    X = asarray(X, dtype=float)\n    m = X.shape[0]\n"
-        + "".join(f"    x{i} = X[:, {i}]\n" for i in range(dim))
-        + f"    return np.stack([{', '.join(batch)}], axis=1)\n", names)["f_batch"]
-    return CompiledModel(f=Rate(dim, (), f_outputs, names).function(), f_batch=f_batch,
+    return CompiledModel(f=Rate(dim, (), f_outputs, names).function(),
                          theta=Rate(dim, (), theta_outputs, names).function())

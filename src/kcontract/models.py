@@ -110,7 +110,7 @@ def _build_nonlinear(name, dim, f_exprs, A0, term_docs, box, B=None, params=None
 
     model = NonlinearModel(
         dim=dim, f=compiled.f, A0=A0, terms=term_mats, theta=compiled.theta,
-        bounds=bounds, f_batch=compiled.f_batch,
+        bounds=bounds,
     )
     return ModelBundle(
         kind="nonlinear", name=name, B=None if B is None else np.asarray(B, dtype=float),

@@ -93,7 +93,9 @@ class NonlinearModel:
     terms: list  # [A_1, A_2, ...]
     theta: callable  # x -> [theta_1(x), ...]
     bounds: callable  # Box -> [(lo, hi), ...]
-    f_batch: callable | None = None  # optional vectorized evaluator (m,n) -> (m,n)
+    # read by nothing in kcontract (integrate_batch takes f) and None on
+    # compiled models; kept for code outside the package that reads it
+    f_batch: callable | None = None
 
     def __post_init__(self):
         self.A0 = np.asarray(self.A0, dtype=float)

@@ -188,10 +188,10 @@ def square_volumes(bundle, rng, count: int) -> list:
                     box.upper - 0.05 * (box.upper - box.lower))
         Qm, _ = np.linalg.qr(rng.standard_normal((model.dim, 2)))
         grid = sim.ImmersionGrid.from_function(
-            lambda r: c + 0.01 * (r[0] * Qm[:, 0] + r[1] * Qm[:, 1]), 2, 12, model.dim)
+            lambda r: c + 0.01 * (r[:, :1] * Qm[:, 0] + r[:, 1:] * Qm[:, 1]), 2, 12, model.dim)
         vols = [sim.volume_of_immersion(grid, eye)]
         for t1, t2 in zip(SQUARE_TIMES[:-1], SQUARE_TIMES[1:]):
-            grid = sim.flow_immersion(grid, model.f_batch, t2 - t1, 1e-3)
+            grid = sim.flow_immersion(grid, model.f, t2 - t1, 1e-3)
             vols.append(sim.volume_of_immersion(grid, eye))
         runs.append(vols)
     return runs

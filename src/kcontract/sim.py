@@ -19,7 +19,9 @@ from .compound import additive_compound, multiplicative_compound
 from .nl_verify import Box, NonlinearModel
 
 # caps that reject a run before it starts: 2x the longest shipped run (500k
-# steps); 1e8 row-steps of integrate_batch take 20-40 s on the built-in models
+# steps); 1e8 row-steps of integrate_batch on the built-in models take 8-12 s
+# as C (80-115 ns each on a 2-core x86-64 host) and 100-210 s on the Python
+# loop (1.0-2.1 us each)
 MAX_STEPS = 1_000_000
 MAX_BATCH_ROW_STEPS = 100_000_000
 MAX_GRID_RESOLUTION = 1024
@@ -99,22 +101,32 @@ def integrate(field, x0, t_end: float, h: float = 1e-3, record_every: int = 1) -
     return Trace(np.asarray(times), np.asarray(states), truncated=truncated)
 
 
-def integrate_batch(field_batch, X0, t_end: float, h: float = 1e-3, record_every: int = 1):
-    """RK4 over a batch of initial conditions (rows of X0), in integrate's
-    ndarray loop: field_batch maps the (m, n) state block to its (m, n)
-    derivative block once per stage.
+def integrate_batch(field, X0, t_end: float, h: float = 1e-3, record_every: int = 1):
+    """RK4 over a batch of initial conditions, the rows of the (m, n) block X0.
 
-    Returns (times, trajectory array of shape (n_samples, m, n)). As in
-    integrate, the first non-finite state of any row ends the run, unrecorded,
-    so a truncated run's last time is below n_steps * h.
+    field is taken as integrate takes it. A field with a Rate (a compiled
+    model's f) runs each row exactly as integrate(field, row) runs it: as C
+    when an object is at hand or, from stepper.NATIVE_MIN_STEPS row-steps
+    on, built now, else on Python floats, row by row; X0 must then have
+    the Rate's n columns. Any other field maps the whole (m, n) state block
+    to its (m, n) derivative block once per stage, in integrate's ndarray
+    loop (stepper.array_rk4).
+
+    Returns (times, trajectory array of shape (n_samples, m, n)). The first
+    non-finite state of any row ends the run, unrecorded, so a truncated
+    run's last time is below n_steps * h.
     """
     n_steps = _step_count(t_end, h, record_every)
     X = np.asarray(X0, dtype=float)
+    dim = stepper.rate_dim(field)
+    if X.ndim != 2 or dim not in (None, X.shape[1]):
+        raise ValueError(f"X0 must be an (m, {dim or 'n'}) block of rows, got shape {X.shape}")
     if len(X) * n_steps > MAX_BATCH_ROW_STEPS:
         raise ValueError(f"{len(X)} rows x {n_steps} steps exceeds the cap of "
                          f"{MAX_BATCH_ROW_STEPS} row-steps")
+    rk4 = stepper.field_rk4(field, X.shape[1], len(X) * n_steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        times, states, _ = stepper.array_rk4(field_batch)(X, n_steps, h, int(record_every))
+        times, states, _ = rk4(X, n_steps, h, int(record_every))
     return np.asarray(times), np.asarray(states)
 
 
@@ -199,33 +211,35 @@ class ImmersionGrid:
 
     @staticmethod
     def from_function(fn, k: int, resolution: int, dim: int):
+        """The grid of fn's points, fn called once: it maps the (N, k) array
+        of node coordinates, one node per row (node (i, j) of a k = 2 grid
+        in row i * resolution + j), to the (N, dim) array of their points."""
         if k not in (1, 2):
             raise ValueError("only k in {1, 2} immersions are supported")
         if not 3 <= resolution <= MAX_GRID_RESOLUTION:
             raise ValueError(f"resolution must be in [3, {MAX_GRID_RESOLUTION}], "
                              f"got {resolution}")
-        axes = [np.linspace(0.0, 1.0, resolution)] * k
-        if k == 1:
-            pts = np.array([fn(np.array([r])) for r in axes[0]], dtype=float)
-            return ImmersionGrid(1, resolution, pts.reshape(resolution, dim))
-        pts = np.empty((resolution, resolution, dim))
-        for i, r1 in enumerate(axes[0]):
-            for j, r2 in enumerate(axes[1]):
-                pts[i, j] = fn(np.array([r1, r2]))
-        return ImmersionGrid(2, resolution, pts)
+        axes = np.meshgrid(*[np.linspace(0.0, 1.0, resolution)] * k, indexing="ij")
+        r = np.stack(axes, axis=-1).reshape(-1, k)
+        pts = np.asarray(fn(r), dtype=float)
+        if pts.shape != (len(r), dim):
+            raise ValueError(f"immersion gave points of shape {pts.shape} for {len(r)} nodes "
+                             f"in dimension {dim}")
+        return ImmersionGrid(k, resolution, pts.reshape((resolution,) * k + (dim,)))
 
 
-def flow_immersion(grid: ImmersionGrid, field_batch, t_end: float,
+def flow_immersion(grid: ImmersionGrid, field, t_end: float,
                    h: float = 1e-3) -> ImmersionGrid:
     """Flow every grid node with the same steps so differences stay synchronous.
 
-    field_batch evaluates a whole (m, n) block of states at once. When any
-    node reaches a non-finite state the run ends there, and the grid returned
-    is truncated.
+    The nodes are the rows of one integrate_batch run of field: a compiled
+    model's f flows each node as integrate flows it, and any other field
+    maps the whole (m, n) block of nodes at once. When any node reaches a
+    non-finite state the run ends there, and the grid returned is truncated.
     """
     shape = grid.points.shape
     n_steps = _step_count(t_end, h)
-    times, traj = integrate_batch(field_batch, grid.points.reshape(-1, shape[-1]), t_end, h,
+    times, traj = integrate_batch(field, grid.points.reshape(-1, shape[-1]), t_end, h,
                                   record_every=max(1, n_steps))
     if times[-1] < n_steps * h:
         return ImmersionGrid(grid.k, grid.resolution, np.full(shape, np.nan), truncated=True)

@@ -6,14 +6,16 @@ source (expressions.rate_of gives its Rate) has that rate inlined into a
 loop over Python float locals, so no ndarray is built and no function is
 called per stage: a compiled model's f, and integrate_compound's augmented
 field once compound_rate has emitted its Rate and inline has recorded it.
-Any other field, and every integrate_batch field, is called once per stage
-on the whole state as one ndarray.
+integrate_batch runs that loop on each row of its block. Any other field is
+called once per stage on the whole state, one row or a block, as one
+ndarray.
 
 The float form has a second emitter, in kcontract.native: the same stages
 and update (step_lines) written as C, with Python's float semantics spelled
-out per operation, built by the C compiler and loaded through ctypes.
-field_rk4 runs it when the Rate has a C form and an object is at hand; the
-Python loop stays the fallback, and the oracle its bytes are tested against.
+out per operation, built by the C compiler and loaded through ctypes, one
+entry point for a row and one for a block of rows. field_rk4 runs it when
+the Rate has a C form and an object is at hand; the Python loop stays the
+fallback, and the oracle its bytes are tested against.
 """
 
 from __future__ import annotations
@@ -108,6 +110,13 @@ def _unwrap(fn):
     return fn
 
 
+def rate_dim(field) -> int | None:
+    """The state dimension of field's Rate, seen through _traced wrappers;
+    None for a field without one."""
+    rate = rate_of(_unwrap(field))
+    return None if rate is None else rate.dim
+
+
 def array_rk4(field):
     """RK4 on one ndarray state, 1-d or an (m, n) batch: each stage calls
     field on the whole state, and a value of another shape raises TypeError."""
@@ -120,11 +129,39 @@ def array_rk4(field):
                      load="array(z, dtype=float)", state="s", finite="isfinite(s).all()")
 
 
+def _by_rows(row_rk4):
+    """row_rk4, the float loop of one state, also run on an (m, n) block of
+    states, row by row, into states of shape (n_samples, m, n). The first
+    row that truncates ends the block at its last record, so later rows run
+    only to that record's step."""
+    def rk4(z, n_steps, h, record_every):
+        z = np.asarray(z, dtype=float)
+        if z.ndim != 2:
+            return row_rk4(z, n_steps, h, record_every)
+        times, runs, truncated = None, [], False
+        for row in z:
+            times, states, failed = row_rk4(row, n_steps, h, record_every)
+            runs.append(states)
+            if failed:
+                truncated, n_steps = True, (len(times) - 1) * record_every
+        if times is None:  # no rows: the records of the whole run
+            times = [0.0, *(i * h for i in range(1, n_steps + 1)
+                            if i % record_every == 0 or i == n_steps)]
+        block = np.empty((len(times), *z.shape))
+        for j, states in enumerate(runs):
+            block[:, j] = states[:len(times)]
+        return times, block, truncated
+
+    return rk4
+
+
 def field_rk4(field, dim: int, n_steps: int | None = None):
     """RK4 for field on a state of dim components: its Rate inlined on
     Python floats when it has one of that dimension (a compiled model's f,
-    or a field given one by inline), else array_rk4. Given the run's n_steps,
-    a Rate with a C form runs as C instead (native.rk4), from an object
+    or a field given one by inline), else array_rk4. Given the run's
+    n_steps (row-steps, for a block), the Rate's loop also runs an (m, dim)
+    block of such states, each row as its own run (integrate_batch's rows),
+    and a Rate with a C form runs as C instead (native.rk4), from an object
     already built or, from NATIVE_MIN_STEPS steps on, built now."""
     rate = rate_of(_unwrap(field))
     if rate is None or not rate.dim == len(rate.outputs) == dim:
@@ -135,6 +172,7 @@ def field_rk4(field, dim: int, n_steps: int | None = None):
                        finite=" and ".join(f"isfinite({si})" for si in s))
     if n_steps is None:
         return python
+    python = _by_rows(python)
     from . import native  # the C form and its compiler: on the first eligible run only
     return native.rk4(rate, python, build=n_steps >= NATIVE_MIN_STEPS) or python
 

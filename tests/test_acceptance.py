@@ -281,10 +281,10 @@ def test_criterion_9_volume_decay():
                       box.upper - 0.05 * (box.upper - box.lower))
         Qm, _ = np.linalg.qr(rng.standard_normal((4, 2)))
         grid = sim.ImmersionGrid.from_function(
-            lambda r: cpt + 0.01 * (r[0] * Qm[:, 0] + r[1] * Qm[:, 1]), 2, 12, 4)
+            lambda r: cpt + 0.01 * (r[:, :1] * Qm[:, 0] + r[:, 1:] * Qm[:, 1]), 2, 12, 4)
         vols = [sim.volume_of_immersion(grid, np.eye(4))]
         for t1, t2 in zip(times[:-1], times[1:]):
-            grid = sim.flow_immersion(grid, bundle.model.f_batch, t2 - t1, 1e-3)
+            grid = sim.flow_immersion(grid, bundle.model.f, t2 - t1, 1e-3)
             vols.append(sim.volume_of_immersion(grid, np.eye(4)))
         mono_all = mono_all and all(v2 < v1 for v1, v2 in zip(vols[:-1], vols[1:]))
     ok = ok and mono_all

@@ -65,6 +65,36 @@ def test_builtins_and_their_k_n_compound_match_the_python_loop(tmp_path, name):
     assert len(list((tmp_path / "kcontract").glob("*.so"))) == 2
 
 
+class Refused(Exception):
+    """Raised by a Python loop that a native run must not fall back to."""
+
+
+def refuse(*args):
+    raise Refused
+
+
+@needs_cc
+def test_block_runs_in_one_c_call(tmp_path):
+    # every row of a nonempty block runs in C (the Python loop is never
+    # called), with the bytes of the Python loop's rows; an empty block is
+    # left to the Python loop
+    f = models.builtin("rossler_mod").model.f
+    X = np.array([[0.1, 0.2, 0.3], [-0.49835108, 0.89350589, -0.31067962], [0.3, 0.2, 0.1]])
+    with native_cache(tmp_path):
+        rk4 = native.rk4(rate_of(f), refuse, build=True)
+        for every in (1, 7, 5000):
+            got = rk4(X, 5000, 1e-3, every)
+            with pytest.MonkeyPatch.context() as m:
+                m.setenv("CC", "false")
+                want = stepper.field_rk4(f, 3, 5000)(X, 5000, 1e-3, every)
+            assert got[0].tobytes() == np.asarray(want[0]).tobytes()
+            assert got[1].tobytes() == want[1].tobytes() and got[1].shape[1:] == (3, 3)
+            assert got[2] and want[2]
+            assert got[1].base is None  # trimmed to a copy
+        with pytest.raises(Refused):
+            rk4(np.zeros((0, 3)), 10, 1e-3, 1)
+
+
 def test_c_form_covers_the_language_but_not_the_numpy_matmul():
     model = models.builtin("synchronverter").model
     assert native.c_source(rate_of(model.f)) is not None

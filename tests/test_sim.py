@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
-from test_expressions import node_trees, ref_eval_batch
+from test_expressions import assert_rows_run_as_integrate, node_trees, ref_eval_batch
 
 from kcontract import compound as cp
 from kcontract import models, native, reproduce, sim, stepper
@@ -313,7 +313,7 @@ def test_replaced_model_never_runs_a_loop_emitted_for_other_data():
 
     x0, V0 = np.array([0.3, -0.2, 0.1]), np.eye(3)[:, :2]
     open_loop = sim.integrate_compound(model, x0, V0, 2, 0.5)
-    for closed in (dataclasses.replace(model, f=closed_field, f_batch=None, A0=model.A0 - B @ K),
+    for closed in (dataclasses.replace(model, f=closed_field, A0=model.A0 - B @ K),
                    dataclasses.replace(model, A0=model.A0 - B @ K)):
         got = sim.integrate_compound(closed, x0, V0, 2, 0.5)
         assert trace_bytes(got) == trace_bytes(oracle_compound(closed, x0, V0, 2, 0.5))
@@ -360,30 +360,69 @@ def test_array_field_of_another_shape_raises_before_any_step(shape):
     assert len(calls) == 1
 
 
-def test_batch_row_blow_up_truncates_at_the_integrate_step():
-    # x1' = x1^3 from x1 = 3 overflows near t = 0.056: a batch holding that row
-    # ends at the step where sim.integrate of the row alone does, compiled or
-    # through f_batch (then with the row's states byte for byte), and a grid
-    # flowed through it is truncated
+@contextlib.contextmanager
+def compiler(cc, path):
+    """A native cache under path with the compiler ("cc"), or none ("false")."""
+    if cc == "cc" and native.compiler() is None:
+        pytest.skip("no C compiler: neither $CC nor cc on PATH runs")
+    with native_cache(path) as cache, pytest.MonkeyPatch.context() as m:
+        if cc == "false":
+            m.setenv("CC", "false")
+        yield cache
+
+
+@pytest.mark.parametrize("cc", ["cc", "false"])
+@pytest.mark.parametrize("name", ["rossler", "rossler_mod", "synchronverter", "example25",
+                                  "example25_closed_loop"])
+def test_batch_rows_run_as_integrate_runs_them(tmp_path, name, cc):
+    # rossler_mod's second row overflows at step 2820 (see
+    # test_blow_up_truncates_at_the_numpy_step), and the batch ends no later
+    bundle = example25_closed_loop() if name == "example25_closed_loop" else models.builtin(name)
+    X = bundle.box.sample(np.random.default_rng(3), 3)
+    if name == "rossler_mod":
+        X[1] = [-0.49835108, 0.89350589, -0.31067962]
+    with compiler(cc, tmp_path) as cache:
+        for every in (1, 3, 3000):
+            times, runs = assert_rows_run_as_integrate(bundle.model.f, X, 3.0, 1e-3, every)
+            truncated = any(tr.truncated for tr in runs)
+            assert (times[-1] < 3.0) == truncated == (name == "rossler_mod")
+    assert len(list(cache.glob("*.so"))) == (cc == "cc")
+
+
+def test_batch_row_blow_up_truncates_at_the_integrate_step(tmp_path):
+    # x1' = x1^3 from x1 = 3 overflows at step 58 (h = 1e-3): a batch holding that row
+    # ends at the step where sim.integrate of the row alone does, with the
+    # row's states byte for byte, and a grid flowed through it is truncated
     bundle = models.model_from_dict({
         "kind": "nonlinear", "dim": 2, "f": ["x1^3", "-x2"],
         "A0": [[0.0, 0.0], [0.0, -1.0]], "terms": [{"A": [[3.0, 0.0], [0.0, 0.0]],
                                                     "theta": "x1^2"}],
         "box": {"lower": [2.9, -0.1], "upper": [3.1, 0.1]}})
     model, row = bundle.model, np.array([3.0, 0.1])
-    want = sim.integrate(lambda x: model.f_batch(x[None, :])[0], row, 1.0, 1e-3,
-                         record_every=2)
-    times, traj = sim.integrate_batch(model.f_batch, np.array([[0.5, -0.1], row]), 1.0, 1e-3,
-                                      record_every=2)
-    assert want.truncated and 10 < len(want) < 500
-    assert times.tobytes() == want.times.tobytes()
-    assert times.tobytes() == sim.integrate(model.f, row, 1.0, 1e-3, 2).times.tobytes()
-    assert traj[:, 1].tobytes() == want.states.tobytes()
-    assert np.isfinite(traj).all()
-    grid = sim.ImmersionGrid.from_function(lambda r: row + 0.01 * r, 2, 4, 2)
-    flowed = sim.flow_immersion(grid, model.f_batch, 1.0)
-    assert flowed.truncated and np.isnan(flowed.points).all()
-    assert not sim.flow_immersion(grid, model.f_batch, 0.01).truncated
+    for cc in ["false"] + ["cc"] * (native.compiler() is not None):
+        with compiler(cc, tmp_path / cc):
+            for every in (1, 2, 1000):
+                times, runs = assert_rows_run_as_integrate(
+                    model.f, np.array([[0.5, -0.1], row, [2.0, 0.0]]), 1.0, 1e-3, every)
+                assert runs[1].truncated and len(times) == len(runs[1]) < len(runs[0])
+                assert len(runs[1]) == 1 + 57 // every  # step 58 overflows
+            grid = sim.ImmersionGrid.from_function(lambda r: row + 0.01 * r, 2, 4, 2)
+            flowed = sim.flow_immersion(grid, model.f, 1.0)
+            assert flowed.truncated and np.isnan(flowed.points).all()
+            assert not sim.flow_immersion(grid, model.f, 0.01).truncated
+
+
+def test_batch_input_is_checked_before_any_step():
+    f = models.builtin("rossler_mod").model.f
+    for field, X0 in ((never, np.ones(3)), (never, np.ones((1, 2, 3))), (f, np.ones(3)),
+                      (f, np.ones((2, 2))), (f, np.ones((2, 4)))):
+        with pytest.raises(ValueError, match="block of rows"):
+            sim.integrate_batch(field, X0, 1.0, 0.1)
+    # an empty block records every step of the run
+    for field, n in ((f, 3), (lambda X: -X, 2)):
+        times, traj = sim.integrate_batch(field, np.zeros((0, n)), 1.0, 0.1, 3)
+        assert times.tolist() == [0.0, 3 * 0.1, 6 * 0.1, 9 * 0.1, 10 * 0.1]
+        assert traj.shape == (5, 0, n)
 
 
 def test_scalar_linear_decay():
@@ -489,15 +528,36 @@ def test_volume_unit_square():
 
 
 def test_volume_metric_scaling():
-    g = sim.ImmersionGrid.from_function(lambda r: np.array([r[0]]), 1, 64, 1)
+    g = sim.ImmersionGrid.from_function(lambda r: r.copy(), 1, 64, 1)
     assert sim.volume_of_immersion(g, 4.0 * np.eye(1)) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_volume_curved_quadrature_error():
     # quarter-turn arc of radius 1: length pi/2, midpoint rule O(res^-2)
     g = sim.ImmersionGrid.from_function(
-        lambda r: np.array([np.cos(np.pi / 2 * r[0]), np.sin(np.pi / 2 * r[0])]), 1, 64, 2)
+        lambda r: np.hstack([np.cos(np.pi / 2 * r), np.sin(np.pi / 2 * r)]), 1, 64, 2)
     assert sim.volume_of_immersion(g, np.eye(2)) == pytest.approx(np.pi / 2, abs=1e-3)
+
+
+def test_immersion_grid_calls_fn_once_on_the_nodes_in_order():
+    # node (i, j) sits in row i * resolution + j; the square of
+    # reproduce.square_volumes, written over the rows, gives each node the
+    # bytes of the same expression evaluated at that node alone
+    calls = []
+
+    def square(r):
+        calls.append(r.shape)
+        return c + 0.01 * (r[:, :1] * Q[:, 0] + r[:, 1:] * Q[:, 1])
+
+    c, Q = np.array([0.3, -1.7, 2.9]), np.linalg.qr(np.arange(6.0).reshape(3, 2) ** 1.5)[0]
+    g = sim.ImmersionGrid.from_function(square, 2, 5, 3)
+    assert calls == [(25, 2)] and g.points.shape == (5, 5, 3)
+    axis = np.linspace(0.0, 1.0, 5)
+    for i, j in np.ndindex(5, 5):
+        node = c + 0.01 * (axis[i] * Q[:, 0] + axis[j] * Q[:, 1])
+        assert g.points[i, j].tobytes() == node.tobytes()
+    with pytest.raises(ValueError, match="shape"):
+        sim.ImmersionGrid.from_function(lambda r: r.T, 2, 5, 2)
 
 
 def test_volume_rejects_indefinite_metric():
@@ -568,7 +628,7 @@ def test_volume_compound_agreement():
     V0 = rng.standard_normal((3, 2))
     x0 = np.zeros(3)
     t = 0.7
-    g = sim.ImmersionGrid.from_function(lambda r: x0 + V0 @ r, 2, 48, 3)
+    g = sim.ImmersionGrid.from_function(lambda r: x0 + r @ V0.T, 2, 48, 3)
     flowed = sim.flow_immersion(g, lambda X: X @ A.T, t, 1e-3)
     vol = sim.volume_of_immersion(flowed, np.eye(3))
     y = cp.multiplicative_compound(expm(A * t) @ V0, 2).ravel()
