@@ -339,25 +339,18 @@ class Rate:
                 f"return array([{', '.join(f'r{i}' for i in range(len(self.outputs)))}])"]
         source = "def rate(x):\n" + "".join(f"    {line}\n" for line in body)
         fn = exec_source(source, self.names)["rate"]
-        inline(fn, self)
+        _RATES[fn] = self
         return fn
 
 
-# the one registry of functions known by their Rate, keyed by the function
-# itself: an attribute would be copied onto functools.wraps wrappers, which
-# may compute something else
+# the one registry of functions known by their Rate, written only by
+# Rate.function and keyed by the function itself: an attribute would be
+# copied onto functools.wraps wrappers, which may compute something else
 _RATES = weakref.WeakKeyDictionary()
 
 
-def inline(fn, rate: Rate):
-    """Record that fn computes rate, so that an RK4 loop may inline rate in
-    place of calling fn: rate's values must be fn's."""
-    _RATES[fn] = rate
-
-
 def rate_of(fn) -> Rate | None:
-    """The Rate recorded for fn by Rate.function or inline; None for any
-    other callable."""
+    """The Rate whose Rate.function made fn; None for any other callable."""
     try:
         return _RATES.get(fn)
     except TypeError:  # not weakly referenceable, so never recorded

@@ -3,19 +3,19 @@ disk and loaded through ctypes.
 
 c_source writes the loop of stepper.field_rk4 as C from the Rate's Python
 source, through ast, with the same stages and update (stepper.step_lines),
-for one row and for an (m, dim) block of rows run as integrate_batch runs
-them; rk4 runs it in the Python loop's place. The compiler is $CC, or cc on
-PATH. An object is built with FLAGS and keyed by the SHA-256 of its source,
-the flags and the compiler's -dumpfullversion and -dumpmachine, and kept
-under $XDG_CACHE_HOME/kcontract (by default ~/.cache/kcontract): a
-directory created with mode 0700 and used only while it belongs to this
-user and no one else can write to it. Where it cannot be used, an object is
-built in a private temporary directory for this process alone. Each object
-carries the SHA-256 of its bytes after them, and one whose bytes do not
-match is never loaded. Any failure (no compiler, a failed build, an object
-that does not load) gives None, and the caller runs the Python loop.
-stepper imports this module on the first run that may go native, never at
-import kcontract.
+as one entry point, kcontract_rk4, that runs an (m, dim) block of rows as
+stepper's Python twin runs them; rk4 runs it in that twin's place. The
+compiler is $CC, or cc on PATH. An object is built with FLAGS and keyed by
+the SHA-256 of its source, the flags and the compiler's -dumpfullversion
+and -dumpmachine, and kept under $XDG_CACHE_HOME/kcontract (by default
+~/.cache/kcontract): a directory created with mode 0700 and used only while
+it belongs to this user and no one else can write to it. Where it cannot be
+used, an object is built in a private temporary directory for this process
+alone. Each object carries the SHA-256 of its bytes after them, and one
+whose bytes do not match is never loaded. Any failure (no compiler, a
+failed build, an object that does not load) gives None, and the caller runs
+the Python twin. stepper imports this module on the first run that may go
+native, never at import kcontract.
 """
 
 from __future__ import annotations
@@ -40,12 +40,11 @@ from .stepper import step_lines
 # folded builtins change bytes (example25 first differs at step 107 844)
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC")
 LIBS = ("-lm",)
-_ARGTYPES = (ctypes.c_void_p, ctypes.c_long, ctypes.c_double, ctypes.c_long,
+_ARGTYPES = (ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_double, ctypes.c_long,
              ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
-_ROWS_ARGTYPES = (ctypes.c_void_p, ctypes.c_long, *_ARGTYPES[1:])
 _DIGEST = hashlib.sha256().digest_size
 
-# the loaded entry points of this process, by key; None where building failed
+# the loaded entry point of this process, by key; None where building failed
 _LOADED = {}
 
 
@@ -55,9 +54,8 @@ _LOADED = {}
 # whose divisor is == 0.0 (ZeroDivisionError), py_pow where float ** int
 # raises, sin or cos of an infinity ("math domain error"). The constants are
 # read from p at call time, so the source, and the object built from it,
-# depend only on the structure of the rate. kcontract_rk4 runs one row, and
-# kcontract_rk4_rows each row of an (m, dim) block in turn, as
-# integrate_batch runs them.
+# depend only on the structure of the rate. kcontract_rk4 runs each row of
+# an (m, dim) block in turn, as integrate_batch runs them.
 _C_RK4 = """\
 #include <errno.h>
 #include <math.h>
@@ -119,18 +117,12 @@ fail:
     return -rows;
 }}
 
-long kcontract_rk4(const double *z, long n_steps, double h, long record_every,
-                   const double *p, double *times, double *states)
-{{
-    return run(z, n_steps, h, record_every, p, times, states, {dim});
-}}
-
 /* the run from each of the m rows of z, record r of row j at
    states[(r * m + j) * DIM]: the first row that truncates ends the batch
    at its last record, so later rows run only to that record's step. The
    number of records is returned, negated when the batch truncated. */
-long kcontract_rk4_rows(const double *z, long m, long n_steps, double h, long record_every,
-                        const double *p, double *times, double *states)
+long kcontract_rk4(const double *z, long m, long n_steps, double h, long record_every,
+                   const double *p, double *times, double *states)
 {{
     long j, got = 0, truncated = 0;
     for (j = 0; j < m; j++) {{
@@ -262,13 +254,11 @@ def _c_source(dim: int, lines: tuple, outputs: tuple, kinds: tuple):
     return source, tuple(params)
 
 
-def rk4(rate, python, build: bool):
-    """The C form of rate's loop, with the signature and results of python
-    (the Python loop it stands in for, on one row of rate.dim floats or on
-    a nonempty (m, rate.dim) block of them; python still runs any other
-    state), but times and states as arrays; None when rate has no C form,
-    or no object is loaded and build is false, or building or loading
-    fails."""
+def rk4(rate, build: bool):
+    """The C form of rate's loop on a nonempty (m, rate.dim) block of rows,
+    with the signature and results of stepper's Python twin, but times and
+    states as arrays; None when rate has no C form, or no object is loaded
+    and build is false, or building or loading fails."""
     form = c_source(rate)
     if form is None:
         return None
@@ -277,20 +267,16 @@ def rk4(rate, python, build: bool):
         p = np.array([float(rate.names[name]) for name in params])
     except OverflowError:  # an int beyond the float range, on which Python raises
         return None
-    fns = load(source, build)
-    if fns is None:
+    fn = load(source, build)
+    if fn is None:
         return None
-    one, block = fns
-    dim = rate.dim
 
     def native_rk4(z, n_steps, h, record_every):
         z = np.ascontiguousarray(z, dtype=float)
-        if not (z.shape == (dim,) or z.ndim == 2 and z.shape[1] == dim and len(z)):
-            return python(z, n_steps, h, record_every)
         rows = 1 + -(-n_steps // record_every)
         times, states = np.empty(rows), np.empty((rows, *z.shape))
-        args = (n_steps, h, record_every, p.ctypes.data, times.ctypes.data, states.ctypes.data)
-        got = one(z.ctypes.data, *args) if z.ndim == 1 else block(z.ctypes.data, len(z), *args)
+        got = fn(z.ctypes.data, len(z), n_steps, h, record_every, p.ctypes.data,
+                 times.ctypes.data, states.ctypes.data)
         if abs(got) < rows:  # truncated: a copy, so the full buffers are freed
             times, states = times[:abs(got)].copy(), states[:abs(got)].copy()
         return times, states, got < 0
@@ -342,10 +328,9 @@ def cache_dir() -> str | None:
 
 
 def load(source: str, build: bool):
-    """(kcontract_rk4, kcontract_rk4_rows) of source, built with FLAGS: from
-    this process, from the cache, or, when build is true, compiled now. None
-    when there is no compiler, no object and build is false, or building or
-    loading fails."""
+    """kcontract_rk4 of source, built with FLAGS: from this process, from
+    the cache, or, when build is true, compiled now. None when there is no
+    compiler, no object and build is false, or building or loading fails."""
     found = compiler()
     if found is None:
         return None
@@ -355,14 +340,14 @@ def load(source: str, build: bool):
         return _LOADED[key]
     cache = cache_dir()
     if cache is not None:
-        fns = _open(os.path.join(cache, key + ".so"))
-        if fns is not None:
-            _LOADED[key] = fns
-            return fns
+        fn = _open(os.path.join(cache, key + ".so"))
+        if fn is not None:
+            _LOADED[key] = fn
+            return fn
     if not build:
         return None
-    _LOADED[key] = fns = _build(argv, source, cache, key)
-    return fns
+    _LOADED[key] = fn = _build(argv, source, cache, key)
+    return fn
 
 
 def _build(argv, source: str, cache: str | None, key: str):
@@ -389,8 +374,8 @@ def _build(argv, source: str, cache: str | None, key: str):
 
 
 def _open(path: str):
-    """(kcontract_rk4, kcontract_rk4_rows) of the object at path, if its
-    bytes match the digest after them and it loads; else None."""
+    """kcontract_rk4 of the object at path, if its bytes match the digest
+    after them and it loads; else None."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -399,10 +384,8 @@ def _open(path: str):
     if hashlib.sha256(data[:-_DIGEST]).digest() != data[-_DIGEST:]:
         return None
     try:
-        lib = ctypes.CDLL(path)
-        fns = lib.kcontract_rk4, lib.kcontract_rk4_rows
+        fn = ctypes.CDLL(path).kcontract_rk4
     except (OSError, AttributeError):
         return None
-    for fn, argtypes in zip(fns, (_ARGTYPES, _ROWS_ARGTYPES)):
-        fn.argtypes, fn.restype = argtypes, ctypes.c_long
-    return fns
+    fn.argtypes, fn.restype = _ARGTYPES, ctypes.c_long
+    return fn

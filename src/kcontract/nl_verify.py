@@ -33,6 +33,9 @@ VERTEX_CAP = 16  # 2^16 envelope vertices
 # slabs x 2^m vertices of envelope_vertices_refined: 16x the shipped
 # synchronverter refinement (8 slabs of 2^5 vertices)
 MAX_REFINED_VERTICES = 4096
+# entries of solve_metric_lmi's (V + 2) x (n(n+1)/2 + 1) x n x n tensors
+# (128 MiB of float64 each): 370x the shipped maximum, 258 * 11 * 16
+MAX_LMI_ENTRIES = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -373,10 +376,16 @@ def solve_metric_lmi(verts, mu):
     starts from the strictly feasible point P = 0, t = 1 and follows the
     central path until the duality gap is below BARRIER_GAP. t* < 0 means P
     meets every vertex condition strictly, and then (Ostrowski-Schneider) P
-    has the inertia that the vertex spectra force.
+    has the inertia that the vertex spectra force. A vertex set whose
+    tensors would hold more than MAX_LMI_ENTRIES entries raises ValueError
+    before any is built.
     """
+    V, n = len(verts), len(verts[0])
+    entries = (V + 2) * (n * (n + 1) // 2 + 1) * n * n
+    if entries > MAX_LMI_ENTRIES:
+        raise ValueError(f"{V} vertices of size {n} need {entries} LMI entries, above the "
+                         f"cap of {MAX_LMI_ENTRIES}")
     A = np.asarray(verts, dtype=float)
-    V, n = len(A), A.shape[1]
     A = A - mu * np.eye(n)
     norms = np.linalg.norm(A, axis=(1, 2))
     A = A / np.where(norms > 0, norms, 1.0)[:, None, None]

@@ -83,11 +83,11 @@ def integrate(field, x0, t_end: float, h: float = 1e-3, record_every: int = 1) -
 
     The RK4 loop is stepper's one template, elementwise in the order
     x + (h/6)*(((k1 + 2k2) + 2k3) + k4), in one of two state forms. A field
-    with a Rate (a compiled model's f, seen through the tracer's _traced
-    wrappers only, or a field given one by stepper.inline) has it inlined
-    on Python floats; any other field is called on the state as one float
-    ndarray and must return that shape. Non-finite states truncate the trace
-    (flagged), they never propagate; a field that fails as floats do
+    with a Rate (a function made by Rate.function, such as a compiled
+    model's f, seen through the tracer's _traced wrappers only) has it
+    inlined on Python floats, as a one-row block; any other field is called
+    on the state as one float ndarray and must return that shape. Non-finite
+    states truncate the trace (flagged), they never propagate; a field that fails as floats do
     (ArithmeticError, math's "math domain error") counts as a non-finite
     state. record_every thins the stored samples; the step size is
     unaffected. A Rate with a C form runs as C, with the same bytes, when a
@@ -136,10 +136,10 @@ def integrate_compound(model: NonlinearModel, x0, V0, k: int, t_end: float,
 
     V0 is n x k with independent columns; y(0) is its k-th multiplicative
     compound. The trace records |y(t)| alongside the state samples. The
-    augmented field runs through integrate, with the rate emitted for it
-    (stepper.compound_rate) inlined when the model is compiled and that
-    rate, compiled from the same lines, gives the numpy field's bytes at the
-    initial state.
+    augmented field runs through integrate: the function of the rate
+    emitted for it (stepper.compound_rate) when the model is compiled and
+    that function gives the numpy field's bytes at the initial state, else
+    the numpy field.
     """
     n = model.dim
     x0 = np.asarray(x0, dtype=float)
@@ -158,16 +158,16 @@ def integrate_compound(model: NonlinearModel, x0, V0, k: int, t_end: float,
         return np.concatenate([np.asarray(model.f(x), dtype=float), Ck @ y])
 
     z0 = np.concatenate([x0, y0])
-    rate = stepper.compound_rate(model, k)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            agrees = rate is not None and (rate.function()(z0).tobytes()
-                                           == aug_field(z0).tobytes())
-    except (ArithmeticError, ValueError):
-        agrees = False  # the numpy field runs, and integrate reads the failure
-    if agrees:
-        stepper.inline(aug_field, rate)
-    tr = integrate(aug_field, z0, t_end, h, record_every)
+    field, rate = aug_field, stepper.compound_rate(model, k)
+    if rate is not None:
+        fn = rate.function()
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if fn(z0).tobytes() == aug_field(z0).tobytes():
+                    field = fn
+        except (ArithmeticError, ValueError):
+            pass  # the numpy field runs, and integrate reads the failure
+    tr = integrate(field, z0, t_end, h, record_every)
     with np.errstate(over="ignore"):  # a truncated run may end near overflow
         norms = np.linalg.norm(tr.states[:, n:], axis=1)
     return Trace(tr.times, tr.states[:, :n], compound_norms=norms, truncated=tr.truncated)

@@ -1,31 +1,30 @@
 """The one RK4 loop, emitted as Python source or as C, per field.
 
 One template holds the RK4 arithmetic in sim.integrate's operation order,
-and it is emitted in one of two state forms. A field whose rate is known as
-source (expressions.rate_of gives its Rate) has that rate inlined into a
+and it is emitted in one of two state forms. A field with a Rate
+(expressions.rate_of: a function made by Rate.function, such as a compiled
+model's f or the function of compound_rate's Rate) has it inlined into a
 loop over Python float locals, so no ndarray is built and no function is
-called per stage: a compiled model's f, and integrate_compound's augmented
-field once compound_rate has emitted its Rate and inline has recorded it.
-integrate_batch runs that loop on each row of its block. Any other field is
-called once per stage on the whole state, one row or a block, as one
-ndarray.
+called per stage. Any other field is called once per stage on the whole
+state, one row or a block, as one ndarray.
 
-The float form has a second emitter, in kcontract.native: the same stages
-and update (step_lines) written as C, with Python's float semantics spelled
-out per operation, built by the C compiler and loaded through ctypes, one
-entry point for a row and one for a block of rows. field_rk4 runs it when
-the Rate has a C form and an object is at hand; the Python loop stays the
-fallback, and the oracle its bytes are tested against.
+A Rate runs one shape, a nonempty (m, dim) block of rows, each row its own
+run, by one of two runners with one contract: the C form of the float loop
+(kcontract.native: the same stages and update, step_lines, as C with
+Python's float semantics spelled out per operation), when the Rate has one
+and an object is at hand, or else its Python twin, the float loop row by
+row, which is the oracle the C bytes are tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .compound import additive_scatter
-from .expressions import Rate, exec_source, inline, rate_of  # noqa: F401 (stepper.inline)
+from .expressions import Rate, exec_source, rate_of
 from .nl_verify import NonlinearModel
 
 # The one RK4 loop. Stages are s + half*k and s + h*k3; the update is
@@ -130,23 +129,17 @@ def array_rk4(field):
 
 
 def _by_rows(row_rk4):
-    """row_rk4, the float loop of one state, also run on an (m, n) block of
-    states, row by row, into states of shape (n_samples, m, n). The first
-    row that truncates ends the block at its last record, so later rows run
-    only to that record's step."""
+    """row_rk4, the float loop of one state, run on a nonempty (m, n) block
+    of states, row by row, into states of shape (n_samples, m, n): the
+    Python twin of native.rk4. The first row that truncates ends the block
+    at its last record, so later rows run only to that record's step."""
     def rk4(z, n_steps, h, record_every):
-        z = np.asarray(z, dtype=float)
-        if z.ndim != 2:
-            return row_rk4(z, n_steps, h, record_every)
-        times, runs, truncated = None, [], False
+        runs, truncated = [], False
         for row in z:
             times, states, failed = row_rk4(row, n_steps, h, record_every)
             runs.append(states)
             if failed:
                 truncated, n_steps = True, (len(times) - 1) * record_every
-        if times is None:  # no rows: the records of the whole run
-            times = [0.0, *(i * h for i in range(1, n_steps + 1)
-                            if i % record_every == 0 or i == n_steps)]
         block = np.empty((len(times), *z.shape))
         for j, states in enumerate(runs):
             block[:, j] = states[:len(times)]
@@ -155,26 +148,40 @@ def _by_rows(row_rk4):
     return rk4
 
 
-def field_rk4(field, dim: int, n_steps: int | None = None):
-    """RK4 for field on a state of dim components: its Rate inlined on
-    Python floats when it has one of that dimension (a compiled model's f,
-    or a field given one by inline), else array_rk4. Given the run's
-    n_steps (row-steps, for a block), the Rate's loop also runs an (m, dim)
-    block of such states, each row as its own run (integrate_batch's rows),
-    and a Rate with a C form runs as C instead (native.rk4), from an object
-    already built or, from NATIVE_MIN_STEPS steps on, built now."""
+def field_rk4(field, dim: int, n_steps: int):
+    """RK4 for field on a state of dim components, or on an (m, dim) block
+    of them, each row as its own run (integrate_batch's rows), in a run of
+    n_steps steps (row-steps, for a block). A field with a Rate of that
+    dimension (a compiled model's f, or any function made by Rate.function)
+    runs the Rate's block runner: native.rk4, from an object already built
+    or, from NATIVE_MIN_STEPS steps on, built now, or else the Python twin.
+    A single state runs as a one-row block, and an empty block gives the
+    run's record times and no states. Any other field runs array_rk4."""
     rate = rate_of(_unwrap(field))
     if rate is None or not rate.dim == len(rate.outputs) == dim:
         return array_rk4(field)
-    s = [f"s{i}" for i in range(rate.dim)]
-    python = _emit_rk4(range(rate.dim), rate.stage, {"isfinite": math.isfinite, **rate.names},
-                       load="asarray(z, dtype=float).tolist()", state=f"[{', '.join(s)}]",
-                       finite=" and ".join(f"isfinite({si})" for si in s))
-    if n_steps is None:
-        return python
-    python = _by_rows(python)
     from . import native  # the C form and its compiler: on the first eligible run only
-    return native.rk4(rate, python, build=n_steps >= NATIVE_MIN_STEPS) or python
+    block_rk4 = native.rk4(rate, build=n_steps >= NATIVE_MIN_STEPS)
+    if block_rk4 is None:
+        s = [f"s{i}" for i in range(rate.dim)]
+        block_rk4 = _by_rows(_emit_rk4(
+            range(rate.dim), rate.stage, {"isfinite": math.isfinite, **rate.names},
+            load="asarray(z, dtype=float).tolist()", state=f"[{', '.join(s)}]",
+            finite=" and ".join(f"isfinite({si})" for si in s)))
+
+    @functools.wraps(block_rk4)
+    def rk4(z, n_steps, h, record_every):
+        z = np.asarray(z, dtype=float)
+        if z.ndim == 1:
+            times, states, truncated = block_rk4(z[None], n_steps, h, record_every)
+            return times, states[:, 0], truncated
+        if len(z):
+            return block_rk4(z, n_steps, h, record_every)
+        times = [0.0, *(i * h for i in range(1, n_steps + 1)
+                        if i % record_every == 0 or i == n_steps)]
+        return times, np.empty((len(times), *z.shape)), False
+
+    return rk4
 
 
 # numpy sums fewer than eight terms one by one from 0.0 (longer sums are

@@ -229,6 +229,13 @@ def test_metric_lmi_sign_decides_feasibility():
     assert nv.solve_metric_lmi(verts, -1.0)[1] >= 0
 
 
+def test_metric_lmi_rejects_an_oversized_vertex_set_before_any_allocation():
+    # 70 000 references to one 20 x 20 matrix would need 70 002 * 211 * 400
+    # entries (47 GB of float64) per tensor; the cap rejects them before np.asarray
+    with pytest.raises(ValueError, match="cap of 16777216"):
+        nv.solve_metric_lmi([np.zeros((20, 20))] * 70_000, 0.0)
+
+
 def test_search_linear_system_succeeds():
     A = np.diag([0.5, -1.0, -2.0])  # 2-contractive but not 1-contractive
     bundle = linear_bundle(A)

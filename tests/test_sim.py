@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import ctypes
 import dataclasses
 import functools
 import math
@@ -64,7 +66,7 @@ def example25_closed_loop():
 
 @pytest.mark.parametrize("name", ["rossler", "rossler_mod", "synchronverter", "example25",
                                   "example25_closed_loop"])
-def test_integrate_matches_numpy_oracle_bytes(name, monkeypatch):
+def test_integrate_matches_numpy_oracle_bytes(name):
     bundle = example25_closed_loop() if name == "example25_closed_loop" else models.builtin(name)
     x0 = bundle.box.sample(np.random.default_rng(12), 1)[0]
     got = sim.integrate(bundle.model.f, x0, 2.0, 1e-3, record_every=7)
@@ -73,9 +75,7 @@ def test_integrate_matches_numpy_oracle_bytes(name, monkeypatch):
     for k in (2, 3):
         V0 = np.eye(bundle.dim)[:, :k]
         got = sim.integrate_compound(bundle.model, x0, V0, k, 0.5, 1e-3)
-        with monkeypatch.context() as m:
-            m.setattr(sim, "integrate", integrate_numpy_oracle)
-            want = sim.integrate_compound(bundle.model, x0, V0, k, 0.5, 1e-3)
+        want = oracle_compound(bundle.model, x0, V0, k, 0.5, 1e-3)
         assert trace_bytes(got) == trace_bytes(want)
 
 
@@ -102,8 +102,10 @@ def raising_as_nan(field):
 
 
 def oracle_compound(model, x0, V0, k, t_end, h=1e-3, record_every=1):
-    """sim.integrate_compound with the numpy oracle in place of sim.integrate."""
+    """sim.integrate_compound of the numpy field (no emitted compound rate),
+    with the numpy oracle in place of sim.integrate."""
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(stepper, "compound_rate", lambda model, k: None)
         m.setattr(sim, "integrate", lambda field, *args: integrate_numpy_oracle(
             raising_as_nan(field), *args))
         return sim.integrate_compound(model, x0, V0, k, t_end, h, record_every)
@@ -195,14 +197,9 @@ def test_single_compound_entry_gives_the_bytes_of_numpy_matmul(n):
             want = np.concatenate([model.f(z[:n]),
                                    cp.additive_compound(model.jacobian(z[:n]), n) @ z[n:]])
             assert rate(z).tobytes() == want.tobytes(), (x1, y)
-
-    def field(z):
-        raise AssertionError("the emitted loop calls no field")
-
     for k in range(1, n + 1):
-        rate = stepper.compound_rate(model, k)
-        stepper.inline(field, rate)
-        names = stepper.field_rk4(field, rate.dim).__code__.co_names
+        names = {node.id for line in stepper.compound_rate(model, k).stage("k")
+                 for node in ast.walk(ast.parse(line)) if isinstance(node, ast.Name)}
         assert ("array" in names) == (k < n)  # N > 1 keeps the numpy matmul
 
 
@@ -273,7 +270,8 @@ def test_emitted_code_stays_small_for_large_dimensions():
     assert [k for k, rate in emitted.items() if rate is not None] == [1, 5, 6]
     assert max(len(rate.function().__code__.co_code)
                for rate in emitted.values() if rate) < 2048
-    sizes = [len(stepper.field_rk4(lambda x: -x, dim).__code__.co_code) for dim in (20, 2000)]
+    sizes = [len(stepper.field_rk4(lambda x: -x, dim, 1).__code__.co_code)
+             for dim in (20, 2000)]
     assert sizes[0] == sizes[1]
     A = -np.eye(2000)
     got = sim.integrate(lambda x: A @ x, np.ones(2000), 0.003)
@@ -387,6 +385,60 @@ def test_batch_rows_run_as_integrate_runs_them(tmp_path, name, cc):
             truncated = any(tr.truncated for tr in runs)
             assert (times[-1] < 3.0) == truncated == (name == "rossler_mod")
     assert len(list(cache.glob("*.so"))) == (cc == "cc")
+
+
+@pytest.mark.parametrize("cc", ["cc", "false"])
+@pytest.mark.parametrize("name", ["rossler", "rossler_mod", "synchronverter", "example25",
+                                  "example25_closed_loop"])
+def test_one_state_runs_as_a_one_row_block(tmp_path, name, cc):
+    # integrate and integrate_batch take one run shape, a block of rows: a
+    # state is the block's one row, also on rossler_mod's row that overflows
+    # at step 2820, and an empty block gives the run's record times
+    bundle = example25_closed_loop() if name == "example25_closed_loop" else models.builtin(name)
+    f = bundle.model.f
+    x0 = (np.array([-0.49835108, 0.89350589, -0.31067962]) if name == "rossler_mod"
+          else bundle.box.sample(np.random.default_rng(5), 1)[0])
+    with compiler(cc, tmp_path) as cache:
+        for every in (7, 1):
+            tr = sim.integrate(f, x0, 5.0, 1e-3, every)
+            times, traj = sim.integrate_batch(f, x0[None], 5.0, 1e-3, every)
+            assert times.tobytes() == tr.times.tobytes()
+            assert traj[:, 0].tobytes() == tr.states.tobytes()
+            assert (times[-1] < 5.0) == tr.truncated
+        assert name != "rossler_mod" or tr.truncated and len(tr) == 2820
+        times, traj = sim.integrate_batch(f, np.empty((0, bundle.dim)), 5.0, 1e-3, 7)
+        want = [i * 1e-3 for i in (*range(0, 5000, 7), 5000)]
+        assert times.tobytes() == np.array(want).tobytes()
+        assert traj.shape == (len(times), 0, bundle.dim)
+    objects = list(cache.glob("*.so"))
+    assert len(objects) == (cc == "cc")
+    for obj in objects:  # one entry point: the block of rows
+        lib = ctypes.CDLL(str(obj))
+        assert hasattr(lib, "kcontract_rk4") and not hasattr(lib, "kcontract_rk4_rows")
+
+
+@pytest.mark.parametrize("cc", ["cc", "false"])
+def test_compound_rate_that_differs_at_the_initial_state_is_not_run(tmp_path, cc):
+    # integrate_compound runs the emitted rate only where its function gives
+    # the numpy field's bytes at z0: with one output negated, the numpy field
+    # runs, as in the oracle, and no C object is built for the rate
+    model = models.builtin("rossler_mod").model
+    emitted = stepper.compound_rate
+
+    def negated(model, k):
+        rate = emitted(model, k)
+        return dataclasses.replace(rate, outputs=(f"(-{rate.outputs[0]})", *rate.outputs[1:]))
+
+    x0 = np.array([0.1, 0.2, 0.3])
+    with compiler(cc, tmp_path) as cache, pytest.MonkeyPatch.context() as m:
+        m.setattr(stepper, "compound_rate", negated)
+        for k in (1, 2, 3):
+            V0 = np.eye(3)[:, :k]
+            z0 = np.concatenate([x0, cp.multiplicative_compound(V0, k).ravel()])
+            assert negated(model, k).function()(z0)[0] == -emitted(model, k).function()(z0)[0]
+            got = sim.integrate_compound(model, x0, V0, k, 0.5)
+            assert trace_bytes(got) == trace_bytes(oracle_compound(model, x0, V0, k, 0.5))
+    assert list(cache.glob("*.so")) == []
 
 
 def test_batch_row_blow_up_truncates_at_the_integrate_step(tmp_path):
