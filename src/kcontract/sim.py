@@ -79,7 +79,8 @@ def _step_count(t_end: float, h: float, record_every: int = 1) -> int:
 
 
 def integrate(field, x0, t_end: float, h: float = 1e-3, record_every: int = 1) -> Trace:
-    """Integrate xdot = field(x) with fixed-step RK4 from x0 to t_end.
+    """Integrate xdot = field(x) with fixed-step RK4 from x0, one 1-d state,
+    to t_end.
 
     The RK4 loop is stepper's one template, elementwise in the order
     x + (h/6)*(((k1 + 2k2) + 2k3) + k4), in one of two state forms. A field
@@ -95,6 +96,8 @@ def integrate(field, x0, t_end: float, h: float = 1e-3, record_every: int = 1) -
     """
     n_steps = _step_count(t_end, h, record_every)
     z = np.asarray(x0, dtype=float)
+    if z.ndim != 1:
+        raise ValueError(f"x0 must be one state, a 1-d array, got shape {z.shape}")
     rk4 = stepper.field_rk4(field, len(z), n_steps)
     with np.errstate(over="ignore", invalid="ignore"):
         times, states, truncated = rk4(z, n_steps, h, int(record_every))

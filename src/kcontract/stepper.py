@@ -18,7 +18,6 @@ row, which is the oracle the C bytes are tested against.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -156,7 +155,8 @@ def field_rk4(field, dim: int, n_steps: int):
     runs the Rate's block runner: native.rk4, from an object already built
     or, from NATIVE_MIN_STEPS steps on, built now, or else the Python twin.
     A single state runs as a one-row block, and an empty block gives the
-    run's record times and no states. Any other field runs array_rk4."""
+    run's record times and no states; a state of any other shape raises
+    ValueError before either runner sees it. Any other field runs array_rk4."""
     rate = rate_of(_unwrap(field))
     if rate is None or not rate.dim == len(rate.outputs) == dim:
         return array_rk4(field)
@@ -169,9 +169,11 @@ def field_rk4(field, dim: int, n_steps: int):
             load="asarray(z, dtype=float).tolist()", state=f"[{', '.join(s)}]",
             finite=" and ".join(f"isfinite({si})" for si in s)))
 
-    @functools.wraps(block_rk4)
     def rk4(z, n_steps, h, record_every):
         z = np.asarray(z, dtype=float)
+        if z.ndim not in (1, 2) or z.shape[-1] != dim:  # the C loop reads dim floats a row
+            raise ValueError(f"a Rate of dimension {dim} runs a ({dim},) state or an "
+                             f"(m, {dim}) block, got shape {z.shape}")
         if z.ndim == 1:
             times, states, truncated = block_rk4(z[None], n_steps, h, record_every)
             return times, states[:, 0], truncated

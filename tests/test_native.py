@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_sim import example25_closed_loop, native_cache, needs_cc, trace_bytes
+from test_sim import example25_closed_loop, native_cache, native_loaded, needs_cc, trace_bytes
 
 from kcontract import models, native, sim, stepper
 from kcontract.expressions import compile_model, parse_expression, rate_of
@@ -38,8 +38,8 @@ def python_trace(f, x0, t_end, h=1e-3, record_every=1):
 def test_float_failures_truncate_as_in_python(tmp_path, text, x0, steps):
     f = scalar_model(text)
     with native_cache(tmp_path):
-        assert stepper.field_rk4(f, 1, 100).__name__ == "native_rk4"
         got = sim.integrate(f, [x0], 0.1, 1e-3)
+        assert native_loaded(f)
     assert trace_bytes(got) == trace_bytes(python_trace(f, [x0], 0.1))
     assert len(got) == steps and got.truncated == (steps == 1)
     # a truncated run is trimmed to a copy: the one row of it is all its memory
@@ -56,7 +56,7 @@ def test_builtins_and_their_k_n_compound_match_the_python_loop(tmp_path, name):
     with native_cache(tmp_path):
         got = sim.integrate(bundle.model.f, x0, 5.0, 1e-3, record_every=7)
         compound = sim.integrate_compound(bundle.model, x0, np.eye(n), n, 2.0)
-        assert stepper.field_rk4(bundle.model.f, n, 1).__name__ == "native_rk4"
+        assert native_loaded(bundle.model.f)
     assert trace_bytes(got) == trace_bytes(python_trace(bundle.model.f, x0, 5.0, 1e-3, 7))
     with pytest.MonkeyPatch.context() as m:
         m.setenv("CC", "false")
@@ -82,6 +82,26 @@ def test_block_runs_in_one_c_call(tmp_path):
             assert got[1].tobytes() == want[1].tobytes() and got[1].shape[1:] == (3, 3)
             assert got[2] and want[2]
             assert got[1].base is None  # trimmed to a copy
+
+
+@needs_cc
+def test_a_state_of_another_shape_reaches_neither_runner(tmp_path):
+    # the C loop reads dim floats a row and writes rows * dim a record: a
+    # state of any other shape must be refused before it, as by its twin
+    f = models.builtin("rossler").model.f
+    with native_cache(tmp_path):
+        for hide in (False, True):
+            with pytest.MonkeyPatch.context() as m:
+                if hide:
+                    m.setenv("CC", "false")
+                rk4 = stepper.field_rk4(f, 3, 10)  # built now, unless the compiler is hidden
+                assert native_loaded(f) != hide
+                for shape in ((3, 2), (3, 5), (3, 3)):
+                    with pytest.raises(ValueError):
+                        sim.integrate(f, np.zeros(shape), 20.0)
+                for shape in ((2,), (4,), (3, 2), (3, 5), (0, 2), (1, 3, 3)):
+                    with pytest.raises(ValueError, match="dimension 3"):
+                        rk4(np.zeros(shape), 10, 1e-3, 1)
 
 
 def test_c_form_covers_the_language_but_not_the_numpy_matmul():
@@ -115,7 +135,7 @@ def test_hidden_compiler_runs_the_python_loop_with_the_same_bytes(tmp_path, hide
                 m.delenv("CC", raising=False)
                 m.setenv("PATH", str(tmp_path / "empty"))
             assert native.compiler() is None
-            assert stepper.field_rk4(f, 3, 10**6).__name__ == "rk4"
+            assert not native_loaded(f)
             want = sim.integrate(f, x0, 2.0)
     assert trace_bytes(got) == trace_bytes(want)
 
@@ -133,11 +153,11 @@ def test_corrupt_cached_object_is_rebuilt_or_passed_over(tmp_path):
         cache.mkdir(mode=0o700, parents=True)
         (cache / obj.name).write_bytes(obj.read_bytes()[:4096])
         m.setattr(stepper, "NATIVE_MIN_STEPS", 10**6)
-        assert stepper.field_rk4(f, 3, 1000).__name__ == "rk4"  # not loaded, not built
         assert trace_bytes(sim.integrate(f, x0, 1.0)) == trace_bytes(want)
+        assert not native_loaded(f)  # not loaded, not built
         m.setattr(stepper, "NATIVE_MIN_STEPS", 1)
-        assert stepper.field_rk4(f, 3, 1000).__name__ == "native_rk4"  # built again
         assert trace_bytes(sim.integrate(f, x0, 1.0)) == trace_bytes(want)
+        assert native_loaded(f)  # built again
     assert (cache / obj.name).read_bytes() == obj.read_bytes()
 
 
@@ -149,7 +169,8 @@ def test_unsafe_cache_directory_is_not_used(tmp_path):
     f = models.builtin("rossler").model.f
     with native_cache(tmp_path):
         assert native.cache_dir() is None
-        assert stepper.field_rk4(f, 3, 1000).__name__ == "native_rk4"  # a private build
+        stepper.field_rk4(f, 3, 1000)
+        assert native_loaded(f)  # a private build
     assert list(cache.iterdir()) == []
     cache.chmod(0o700)
     with native_cache(tmp_path):

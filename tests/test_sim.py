@@ -13,7 +13,7 @@ from test_expressions import assert_rows_run_as_integrate, node_trees, ref_eval_
 
 from kcontract import compound as cp
 from kcontract import models, native, reproduce, sim, stepper
-from kcontract.expressions import compile_model, parse_expression
+from kcontract.expressions import compile_model, parse_expression, rate_of
 from kcontract.nl_verify import Box, NonlinearModel
 
 
@@ -52,6 +52,12 @@ def native_cache(path):
         m.setattr(stepper, "NATIVE_MIN_STEPS", 1)
         m.setattr(native, "_LOADED", {})
         yield path / "kcontract"
+
+
+def native_loaded(f):
+    """Whether the C loop of f's Rate is at hand, loaded in this process or
+    cached, so that stepper.field_rk4 runs it for f without building."""
+    return native.rk4(rate_of(f), build=False) is not None
 
 
 def trace_bytes(tr):
@@ -154,7 +160,8 @@ def test_emitted_loops_match_numpy_oracle_bytes(model, data):
 @settings(max_examples=12, deadline=None)  # about two compiler runs (0.1 s each) per example
 def test_native_loops_match_numpy_oracle_bytes(tmp_path_factory, model, data):
     with native_cache(tmp_path_factory.mktemp("cache")):
-        assert stepper.field_rk4(model.f, model.dim, 1).__name__ == "native_rk4"
+        stepper.field_rk4(model.f, model.dim, 1)
+        assert native_loaded(model.f)
         check_loops_against_numpy_oracle(model, data)
 
 
@@ -638,6 +645,12 @@ def test_integrate_input_validation():
         with pytest.raises(ValueError, match="record_every"):
             sim.integrate_batch(never, np.ones((2, 1)), 1.0, 0.1, record_every=every)
     assert len(sim.integrate(lambda x: -x, np.array([1.0]), 1.0, 0.1, np.int64(3))) == 5
+    # x0 is one state: a block of them is integrate_batch's
+    for x0 in (np.full((3, 3), 0.1), np.zeros((1, 3)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="1-d"):
+            sim.integrate(lambda x: -x, x0, 0.01)
+        with pytest.raises(ValueError, match="1-d"):
+            sim.integrate(models.builtin("rossler").model.f, x0, 0.01)
 
 
 def test_non_finite_and_over_cap_runs_rejected_before_work():
