@@ -11,14 +11,17 @@ ones, so a slow stretch of a shared host does not land on one side only.
 After the pairs, one traced run (`--trace 1`, seed 1) per side and
 workload gives the per-layer metrics.
 
-The output holds every run's end-to-end metrics, the change/parent ratio of
-each pair, and per metric and workload both sides' median and quartiles
-plus the number of pairs the change won (lower is better for every
-end-to-end metric of the benchmark).
+The output records the host, with the cores this process may run on
+(nproc) and the machine's (cpu_count): the C loop splits large batches
+between threads, one a usable core. It holds every run's end-to-end
+metrics, the change/parent ratio of each pair, and per metric and workload
+both sides' median and quartiles plus the number of pairs the change won
+(lower is better for every end-to-end metric of the benchmark).
 """
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -89,7 +92,8 @@ def main(argv=None) -> int:
         "parent": git("rev-parse", args.parent),
         "change": "working tree",
         "host": {"python": platform.python_version(), "machine": platform.machine(),
-                 "processor": platform.processor()},
+                 "processor": platform.processor(), "nproc": len(os.sched_getaffinity(0)),
+                 "cpu_count": os.cpu_count()},
         "settings": {"pairs": PAIRS, "seconds": seconds},
         "workloads": {},
     }

@@ -182,6 +182,9 @@ def cmd_simulate(args):
     x0 = _parse_vector(args.x0)
     if x0.shape != (bundle.dim,):
         raise ValueError(f"--x0 has {x0.size} entries for a model of dimension {bundle.dim}")
+    if args.compound and not 1 <= args.compound <= bundle.dim:  # 0: no compound
+        raise ValueError(f"--compound must be in [1, n] for a model of dimension "
+                         f"n = {bundle.dim}, got {args.compound}")
     if bundle.kind == "linear":
         if args.compound:
             raise ValueError("simulate --compound needs a nonlinear model")

@@ -4,9 +4,20 @@ disk and loaded through ctypes.
 c_source writes the loop of stepper.field_rk4 as C from the Rate's Python
 source, through ast, with the same stages and update (stepper.step_lines),
 as one entry point, kcontract_rk4, that runs an (m, dim) block of rows as
-stepper's Python twin runs them; rk4 runs it in that twin's place. The
-compiler is $CC, or cc on PATH. An object is built with FLAGS and keyed by
-the SHA-256 of its source, the flags and the compiler's -dumpfullversion
+stepper's Python twin runs them; rk4 runs it in that twin's place.
+
+A block of SPLIT_MIN_ROW_STEPS row-steps or more is split into contiguous
+row slices, one a thread (threads(): the usable cores, at most
+MAX_THREADS), each through kcontract_rk4, which takes the full block's row
+count as its record stride, so every slice writes its own rows of the one
+states array and its own times. The calling thread runs the first slice,
+and ctypes releases the GIL for each call. The slices merge by the batch
+rule: the batch ends at the fewest records of any slice, truncated if any
+slice truncated, as one call on the whole block ends it. The Python twin
+stays sequential.
+
+The compiler is $CC, or cc on PATH. An object is built with FLAGS and keyed
+by the SHA-256 of its source, the flags and the compiler's -dumpfullversion
 and -dumpmachine, and kept under $XDG_CACHE_HOME/kcontract (by default
 ~/.cache/kcontract): a directory created with mode 0700 and used only while
 it belongs to this user and no one else can write to it. Where it cannot be
@@ -31,6 +42,7 @@ import shutil
 import stat
 import subprocess
 import tempfile
+import threading
 
 import numpy as np
 
@@ -40,9 +52,20 @@ from .stepper import step_lines
 # folded builtins change bytes (example25 first differs at step 107 844)
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC")
 LIBS = ("-lm",)
-_ARGTYPES = (ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_double, ctypes.c_long,
-             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+_ARGTYPES = (ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_double,
+             ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
 _DIGEST = hashlib.sha256().digest_size
+
+# a block of at least this many row-steps (rows x n_steps) is split into
+# contiguous row slices, one a thread (threads()). Measured on a 2-core
+# x86-64 host, 2 slices against one call, on the four built-ins: from 51 200
+# row-steps on they take 0.53-0.61 of its time when the second thread gets a
+# core of its own, and where the scheduler keeps it on the caller's core
+# (most calls in the first seconds of a process there), 1.02-1.05 of it at
+# 51 200 and 1.01-1.03 at 128 000. Starting and joining a thread takes 60-130
+# us, about 1% of a block at this size.
+SPLIT_MIN_ROW_STEPS = 100_000
+MAX_THREADS = 8
 
 # the loaded entry point of this process, by key; None where building failed
 _LOADED = {}
@@ -54,8 +77,10 @@ _LOADED = {}
 # whose divisor is == 0.0 (ZeroDivisionError), py_pow where float ** int
 # raises, sin or cos of an infinity ("math domain error"). The constants are
 # read from p at call time, so the source, and the object built from it,
-# depend only on the structure of the rate. kcontract_rk4 runs each row of
-# an (m, dim) block in turn, as integrate_batch runs them.
+# depend only on the structure of the rate. kcontract_rk4 runs each of the
+# m rows it is given in turn, as integrate_batch runs them; those rows are
+# one block or a slice of one, of block_rows rows, whose records it writes
+# with that stride.
 _C_RK4 = """\
 #include <errno.h>
 #include <math.h>
@@ -117,17 +142,18 @@ fail:
     return -rows;
 }}
 
-/* the run from each of the m rows of z, record r of row j at
-   states[(r * m + j) * DIM]: the first row that truncates ends the batch
-   at its last record, so later rows run only to that record's step. The
-   number of records is returned, negated when the batch truncated. */
-long kcontract_rk4(const double *z, long m, long n_steps, double h, long record_every,
-                   const double *p, double *times, double *states)
+/* the run from each of the m rows of z, rows of a block of block_rows:
+   record r of row j at states[(r * block_rows + j) * DIM]. The first row
+   that truncates ends the batch at its last record, so later rows run only
+   to that record's step. The number of records is returned, negated when
+   the batch truncated. */
+long kcontract_rk4(const double *z, long m, long block_rows, long n_steps, double h,
+                   long record_every, const double *p, double *times, double *states)
 {{
     long j, got = 0, truncated = 0;
     for (j = 0; j < m; j++) {{
         got = run(z + j * {dim}, n_steps, h, record_every, p, times, states + j * {dim},
-                  m * {dim});
+                  block_rows * {dim});
         if (got < 0) {{
             truncated = 1;
             got = -got;
@@ -258,7 +284,8 @@ def rk4(rate, build: bool):
     """The C form of rate's loop on a nonempty (m, rate.dim) block of rows,
     with the signature and results of stepper's Python twin, but times and
     states as arrays; None when rate has no C form, or no object is loaded
-    and build is false, or building or loading fails."""
+    and build is false, or building or loading fails. A block of
+    SPLIT_MIN_ROW_STEPS row-steps or more runs as threads() row slices."""
     form = c_source(rate)
     if form is None:
         return None
@@ -273,15 +300,46 @@ def rk4(rate, build: bool):
 
     def native_rk4(z, n_steps, h, record_every):
         z = np.ascontiguousarray(z, dtype=float)
+        m = len(z)
         rows = 1 + -(-n_steps // record_every)
-        times, states = np.empty(rows), np.empty((rows, *z.shape))
-        got = fn(z.ctypes.data, len(z), n_steps, h, record_every, p.ctypes.data,
-                 times.ctypes.data, states.ctypes.data)
-        if abs(got) < rows:  # truncated: a copy, so the full buffers are freed
-            times, states = times[:abs(got)].copy(), states[:abs(got)].copy()
-        return times, states, got < 0
+        states = np.empty((rows, *z.shape))
+        parts = min(threads(), m) if m * n_steps >= SPLIT_MIN_ROW_STEPS else 1
+        bounds = [m * i // parts for i in range(parts + 1)]
+        times, got = [np.empty(rows) for _ in range(parts)], [0] * parts
+
+        def run(i):
+            # a worker's target: it holds z, states and times, the buffers
+            # the C call writes, until that call returns
+            start = bounds[i]
+            got[i] = fn(z[start].ctypes.data, bounds[i + 1] - start, m, n_steps, h,
+                        record_every, p.ctypes.data, times[i].ctypes.data,
+                        states[0, start].ctypes.data)
+
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(1, parts)]
+        for worker in workers:
+            worker.start()
+        run(0)
+        for worker in workers:
+            worker.join()
+        # the batch rule, as one call on the whole block computes it: the
+        # batch ends at the fewest records of any slice, and it is truncated
+        # if any slice truncated, which is when a slice has fewer than rows
+        count = min(abs(g) for g in got)
+        if count < rows:  # truncated: a copy, so the full buffers are freed
+            return times[0][:count].copy(), states[:count].copy(), True
+        return times[0], states, False
 
     return native_rk4
+
+
+def threads() -> int:
+    """The threads a block of SPLIT_MIN_ROW_STEPS row-steps or more is split
+    between: the cores this process may run on, at most MAX_THREADS."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cores = os.cpu_count() or 1
+    return min(cores, MAX_THREADS)
 
 
 def compiler():

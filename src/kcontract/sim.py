@@ -20,8 +20,9 @@ from .nl_verify import Box, NonlinearModel
 
 # caps that reject a run before it starts: 2x the longest shipped run (500k
 # steps); 1e8 row-steps of integrate_batch on the built-in models take 8-12 s
-# as C (80-115 ns each on a 2-core x86-64 host) and 100-210 s on the Python
-# loop (1.0-2.1 us each)
+# on one core as C (80-115 ns each on a 2-core x86-64 host; the C loop splits
+# such a block between threads, one a usable core) and 100-210 s on the
+# Python loop (1.0-2.1 us each), which runs on one core
 MAX_STEPS = 1_000_000
 MAX_BATCH_ROW_STEPS = 100_000_000
 MAX_GRID_RESOLUTION = 1024
@@ -66,7 +67,8 @@ class EquilibriumInfo:
 
 def _step_count(t_end: float, h: float, record_every: int = 1) -> int:
     """round(t_end / h); ValueError unless both are finite and positive, the
-    count is at most MAX_STEPS and record_every is an int of at least 1."""
+    count is at least 1 and at most MAX_STEPS and record_every is an int of
+    at least 1."""
     if not (math.isfinite(t_end) and math.isfinite(h) and t_end > 0 and h > 0):
         raise ValueError(f"h and t_end must be positive and finite, got h={h!r}, "
                          f"t_end={t_end!r}")
@@ -75,7 +77,11 @@ def _step_count(t_end: float, h: float, record_every: int = 1) -> int:
         raise ValueError(f"record_every must be an int of at least 1, got {record_every!r}")
     if t_end / h > MAX_STEPS:
         raise ValueError(f"t_end / h = {t_end / h:.6g} steps exceeds the cap of {MAX_STEPS}")
-    return int(round(t_end / h))
+    n_steps = int(round(t_end / h))
+    if n_steps == 0:  # t_end <= h / 2: the run would report x0 without a step
+        raise ValueError(f"t_end / h = {t_end / h:.6g} rounds to 0 steps, got h={h!r}, "
+                         f"t_end={t_end!r}")
+    return n_steps
 
 
 def integrate(field, x0, t_end: float, h: float = 1e-3, record_every: int = 1) -> Trace:

@@ -298,6 +298,29 @@ def test_simulate_oversized_compound_exits_2(capsys, tmp_path, monkeypatch):
     assert code == 2 and rep["verdict"] == "error"
 
 
+@pytest.mark.parametrize("compound", ["-1", "4"])
+def test_simulate_compound_out_of_range_exits_2(capsys, builtin_model, compound):
+    code, rep = run_cli(capsys, "simulate", "--model", builtin_model("rossler_mod"),
+                        "--x0", "0.1,0.1,0.1", "--t", "0.1", "--compound", compound)
+    assert code == 2 and rep["verdict"] == "error"
+    assert rep["error"] == ("--compound must be in [1, n] for a model of dimension n = 3, "
+                            f"got {compound}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--x0", "0.1,0.1,0.1", "--t", "0.0004"),  # t < h / 2
+    ("simulate", "--x0", "0.1,0.1,0.1", "--t", "0.0005"),  # round(0.5) is 0
+    ("simulate", "--x0", "0.1,0.1,0.1", "--t", "0.0004", "--compound", "2"),
+    ("volume", "--grid", "3", "--t", "0.1", "--h", "0.2"),
+])
+def test_run_of_zero_steps_exits_2(capsys, builtin_model, argv):
+    # a run that rounds to no step would report x0 (or a ratio of 1.0) as
+    # a successful flow
+    code, rep = run_cli(capsys, *argv, "--model", builtin_model("rossler_mod"))
+    assert code == 2 and rep["verdict"] == "error"
+    assert "rounds to 0 steps" in rep["error"]
+
+
 def test_verify_nl_with_packaged_cert(capsys, builtin_model, tmp_path):
     from kcontract.reproduce import load_data
     cert = tmp_path / "cert.json"

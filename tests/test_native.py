@@ -4,11 +4,14 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
-from test_sim import example25_closed_loop, native_cache, native_loaded, needs_cc, trace_bytes
+from test_expressions import assert_rows_run_as_integrate
+from test_sim import (compiler, example25_closed_loop, native_cache, native_loaded, needs_cc,
+                      trace_bytes)
 
 from kcontract import models, native, sim, stepper
 from kcontract.expressions import compile_model, parse_expression, rate_of
@@ -102,6 +105,148 @@ def test_a_state_of_another_shape_reaches_neither_runner(tmp_path):
                 for shape in ((2,), (4,), (3, 2), (3, 5), (0, 2), (1, 3, 3)):
                     with pytest.raises(ValueError, match="dimension 3"):
                         rk4(np.zeros(shape), 10, 1e-3, 1)
+
+
+# rossler_mod rows that overflow, a py_pow failure (read through errno, which
+# is thread-local), by the step at which they do: the second is the first
+# scaled by 1.1
+OVERFLOWS = {2820: np.array([-0.49835108, 0.89350589, -0.31067962])}
+OVERFLOWS[2532] = OVERFLOWS[2820] * 1.1
+
+
+class RecordedThread:
+    """A stand-in for threading.Thread that records each thread planned and
+    runs its target in the calling thread on start, so no thread starts."""
+
+    planned = []
+
+    def __init__(self, target, args=()):
+        self.target, self.args = target, args
+        RecordedThread.planned.append(self)
+
+    def start(self):
+        self.target(*self.args)
+
+    def join(self):
+        pass
+
+
+def batch_bytes(f, X, t_end, everies):
+    out = []
+    for every in everies:
+        times, traj = sim.integrate_batch(f, X, t_end, 1e-3, every)
+        out.append((times.tobytes(), traj.tobytes(), traj.shape))
+    return out
+
+
+@needs_cc
+@pytest.mark.parametrize("name", ["rossler", "rossler_mod", "synchronverter", "example25",
+                                  "example25_closed_loop"])
+def test_split_block_gives_the_bytes_of_one_call_and_of_the_python_twin(tmp_path, name):
+    # with 3 usable cores and the split from the first row-step on, 5 rows
+    # run as slices of 1, 2 and 2 rows, two of them on worker threads
+    bundle = example25_closed_loop() if name == "example25_closed_loop" else models.builtin(name)
+    f, X, everies = bundle.model.f, bundle.box.sample(np.random.default_rng(7), 5), (1, 7, 2000)
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    runs = {}
+    for label, cc, split in (("one call", "cc", 10**12), ("split", "cc", 1),
+                             ("python twin", "false", 1)):
+        with compiler(cc, tmp_path / cc), pytest.MonkeyPatch.context() as m:
+            m.setattr(native, "SPLIT_MIN_ROW_STEPS", split)
+            m.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+            m.setattr(threading, "Thread", Counted)
+            runs[label] = batch_bytes(f, X, 2.0, everies)
+        assert len(started) == 2 * len(everies) * (label == "split")
+        started.clear()
+    assert runs["split"] == runs["one call"] == runs["python twin"]
+
+
+@pytest.mark.parametrize("cc", ["cc", "false"])
+@pytest.mark.parametrize("overflow", [{0: 2820}, {3: 2820}, {0: 2820, 3: 2532},
+                                      {0: 2532, 3: 2820}],
+                         ids=["first slice", "last slice", "both, later first",
+                              "both, earlier first"])
+def test_overflow_in_any_slice_ends_the_batch_where_one_call_ends_it(tmp_path, cc, overflow):
+    # 4 rows on 2 cores: slices of rows 0-1 and 2-3
+    bundle = models.builtin("rossler_mod")
+    f, X = bundle.model.f, bundle.box.sample(np.random.default_rng(2), 4)  # none overflows
+    for j, step in overflow.items():
+        X[j] = OVERFLOWS[step]
+    everies = (1, 7, 3000)
+    with compiler(cc, tmp_path) as cache, pytest.MonkeyPatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        m.setattr(native, "SPLIT_MIN_ROW_STEPS", 10**12)
+        one_call = batch_bytes(f, X, 3.0, everies)
+        m.setattr(native, "SPLIT_MIN_ROW_STEPS", 1)
+        assert batch_bytes(f, X, 3.0, everies) == one_call
+        for every in everies:
+            # the batch ends at the fewest records of any row's own run
+            times, runs = assert_rows_run_as_integrate(f, X, 3.0, 1e-3, every)
+            assert times[-1] < 3.0
+            if every == 1:
+                assert [len(tr) for tr in runs] == [overflow.get(j, 3001) for j in range(4)]
+    assert len(list(cache.glob("*.so"))) == (cc == "cc")
+
+
+@needs_cc
+def test_more_slices_than_cores_keep_the_bytes(tmp_path):
+    # 8 slices (7 worker threads) over 16 rows, two of which overflow in
+    # different slices, with thread switches forced often: each run gives
+    # the bytes of one call
+    bundle = models.builtin("rossler_mod")
+    f, X = bundle.model.f, bundle.box.sample(np.random.default_rng(2), 16)
+    X[5], X[12] = OVERFLOWS[2820], OVERFLOWS[2532]
+    interval, threads = sys.getswitchinterval(), threading.active_count()
+    with native_cache(tmp_path), pytest.MonkeyPatch.context() as m:
+        rk4 = native.rk4(rate_of(f), build=True)
+        m.setattr(native, "SPLIT_MIN_ROW_STEPS", 10**12)
+        want = rk4(X, 3000, 1e-3, 1)
+        m.setattr(native, "SPLIT_MIN_ROW_STEPS", 1)
+        m.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                got = rk4(X, 3000, 1e-3, 1)
+                assert len(got[0]) == 2532 and got[2]
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+    assert threading.active_count() == threads  # every worker was joined
+
+
+@needs_cc
+def test_thread_count_is_capped_and_planned_only_for_large_blocks(tmp_path):
+    # no real thread is started: RecordedThread runs each slice in this thread
+    f = models.builtin("synchronverter").model.f
+    X = models.builtin("synchronverter").box.sample(np.random.default_rng(4), 64)
+    with native_cache(tmp_path), pytest.MonkeyPatch.context() as m:
+        rk4 = native.rk4(rate_of(f), build=True)
+        want = rk4(X, 100, 1e-3, 7)
+        m.setattr(threading, "Thread", RecordedThread)
+        m.setattr(native, "SPLIT_MIN_ROW_STEPS", 64 * 100)
+        for cores, rows, steps, planned in ((64, 64, 100, 7), (64, 3, 100 * 64 // 3 + 1, 2),
+                                            (64, 64, 99, 0), (1, 64, 100, 0), (2, 64, 100, 1)):
+            RecordedThread.planned.clear()
+            m.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            got = rk4(X[:rows], steps, 1e-3, 7)
+            assert len(RecordedThread.planned) == planned
+            if steps == 100:
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1][:, :rows].tobytes()
+        # without CPU affinity, the count is os.cpu_count(), or one thread
+        m.delattr(os, "sched_getaffinity")
+        for count, planned in ((64, 7), (None, 0)):
+            RecordedThread.planned.clear()
+            m.setattr(os, "cpu_count", lambda: count)
+            rk4(X, 100, 1e-3, 7)
+            assert len(RecordedThread.planned) == planned
 
 
 def test_c_form_covers_the_language_but_not_the_numpy_matmul():

@@ -666,6 +666,12 @@ def test_non_finite_and_over_cap_runs_rejected_before_work():
         sim.integrate_batch(never, np.zeros((rows, 1)), 1.0, 1e-3)
     with pytest.raises(ValueError, match="resolution"):
         sim.ImmersionGrid.from_function(never, 2, sim.MAX_GRID_RESOLUTION + 1, 2)
+    # t_end <= h / 2 rounds to no step: x0 would come back as the run's end
+    for t_end in (0.4e-3, 0.5e-3):
+        with pytest.raises(ValueError, match="rounds to 0 steps"):
+            sim.integrate(never, np.array([1.0]), t_end, 1e-3)
+        with pytest.raises(ValueError, match="rounds to 0 steps"):
+            sim.integrate_batch(never, np.ones((2, 1)), t_end, 1e-3)
 
 
 def test_fit_decay_requires_positive_norms():
