@@ -108,16 +108,6 @@ class Node:
             return _ivcos(args[0].interval(boxes))
         raise AssertionError(op)
 
-    def variables(self):
-        op, args = self.op, self.args
-        if op == "const":
-            return set()
-        if op == "var":
-            return {args[0]}
-        if op == "pow":
-            return args[0].variables()
-        return set().union(*(a.variables() for a in args if isinstance(a, Node)))
-
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -285,20 +275,6 @@ def python_source(node: Node, consts: list) -> str:
     return emit(node)
 
 
-@dataclass(frozen=True)
-class CompiledModel:
-    """A vector field and its envelope parameters compiled together.
-
-    f(x) evaluates the field on Python floats and returns an ndarray;
-    theta(x) is the ndarray of parameter values. rate_of(f) and
-    rate_of(theta) give their Rates, which share one names dict; the RK4
-    loops, integrate_batch's rows included, inline f's.
-    """
-
-    f: callable
-    theta: callable
-
-
 @lru_cache(maxsize=64)
 def _code(source: str):
     # constants are bound by name, so models that differ only in their
@@ -357,13 +333,15 @@ def rate_of(fn) -> Rate | None:
         return None
 
 
-def compile_model(dim: int, f_nodes, theta_nodes) -> CompiledModel:
-    """Emit the source of f and theta and compile each once per distinct
-    text; both are made by Rate.function, from Rates that share one names
-    dict."""
+def compile_model(dim: int, f_nodes, theta_nodes):
+    """(f, theta): the vector field and its envelope parameters, each
+    compiled once per distinct text. f(x) evaluates the field on Python
+    floats and theta(x) the parameter values, each into an ndarray; both are
+    made by Rate.function, from Rates that share one names dict, so the RK4
+    loops inline f's."""
     consts = []
     f_outputs = tuple(python_source(n, consts) for n in f_nodes)
     theta_outputs = tuple(python_source(n, consts) for n in theta_nodes)
     names = {f"c{i}": value for i, value in enumerate(consts)}
-    return CompiledModel(f=Rate(dim, (), f_outputs, names).function(),
-                         theta=Rate(dim, (), theta_outputs, names).function())
+    return (Rate(dim, (), f_outputs, names).function(),
+            Rate(dim, (), theta_outputs, names).function())

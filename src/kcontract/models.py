@@ -85,7 +85,7 @@ def _build_nonlinear(name, dim, f_exprs, A0, term_docs, box, B=None, params=None
         theta_nodes.append(parse_expression(doc["theta"], dim))
         theta_exprs.append(doc["theta"])
         fixed_bounds.append(tuple(doc["bounds"]) if "bounds" in doc else None)
-    compiled = compile_model(dim, f_nodes, theta_nodes)
+    f, theta = compile_model(dim, f_nodes, theta_nodes)
 
     def bounds(b: Box):
         ivs = b.intervals()
@@ -109,7 +109,7 @@ def _build_nonlinear(name, dim, f_exprs, A0, term_docs, box, B=None, params=None
         return out
 
     model = NonlinearModel(
-        dim=dim, f=compiled.f, A0=A0, terms=term_mats, theta=compiled.theta,
+        dim=dim, f=f, A0=A0, terms=term_mats, theta=theta,
         bounds=bounds,
     )
     return ModelBundle(

@@ -1,20 +1,21 @@
 """The C form of stepper's RK4 loop: emitted from a Rate, built, cached on
 disk and loaded through ctypes.
 
-c_source writes the loop of stepper.field_rk4 as C from the Rate's Python
-source, through ast, with the same stages and update (stepper.step_lines),
-as one entry point, kcontract_rk4, that runs an (m, dim) block of rows as
-stepper's Python twin runs them; rk4 runs it in that twin's place.
+c_source writes stepper's float loop as C from the Rate's Python source,
+through ast, with the same stages and update (stepper.step_lines), as one
+entry point, kcontract_rk4, that runs an (m, dim) block of rows as
+stepper.python_rk4 runs them; rk4 runs it in that twin's place.
 
 A block of SPLIT_MIN_ROW_STEPS row-steps or more is split into contiguous
 row slices, one a thread (threads(): the usable cores, at most
 MAX_THREADS), each through kcontract_rk4, which takes the full block's row
 count as its record stride, so every slice writes its own rows of the one
 states array and its own times. The calling thread runs the first slice,
-and ctypes releases the GIL for each call. The slices merge by the batch
-rule: the batch ends at the fewest records of any slice, truncated if any
-slice truncated, as one call on the whole block ends it. The Python twin
-stays sequential.
+and ctypes releases the GIL for each call. The slices share one stop step:
+a row runs to the step it reads there when it starts, and a row that
+truncates lowers it to its last record's step. So the batch ends at that
+step, as one call on the whole block ends it, and a slice stops running
+full rows once another has truncated. The Python twin stays sequential.
 
 The compiler is $CC, or cc on PATH. An object is built with FLAGS and keyed
 by the SHA-256 of its source, the flags and the compiler's -dumpfullversion
@@ -25,8 +26,8 @@ used, an object is built in a private temporary directory for this process
 alone. Each object carries the SHA-256 of its bytes after them, and one
 whose bytes do not match is never loaded. Any failure (no compiler, a
 failed build, an object that does not load) gives None, and the caller runs
-the Python twin. stepper imports this module on the first run that may go
-native, never at import kcontract.
+the Python twin. stepper imports this module on the first run of a Rate,
+never at import kcontract.
 """
 
 from __future__ import annotations
@@ -52,9 +53,15 @@ from .stepper import step_lines
 # folded builtins change bytes (example25 first differs at step 107 844)
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC")
 LIBS = ("-lm",)
-_ARGTYPES = (ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_double,
-             ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+_ARGTYPES = (ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_double, ctypes.c_long,
+             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.POINTER(ctypes.c_long))
 _DIGEST = hashlib.sha256().digest_size
+
+# below this many row-steps (rows x n_steps) a C loop runs only from an
+# object already built: at 2.2-4 us per Python step that is 22-40 ms,
+# against about 0.1 s for one compiler run, whose object is then cached on
+# disk
+NATIVE_MIN_STEPS = 10_000
 
 # a block of at least this many row-steps (rows x n_steps) is split into
 # contiguous row slices, one a thread (threads()). Measured on a 2-core
@@ -80,7 +87,8 @@ _LOADED = {}
 # depend only on the structure of the rate. kcontract_rk4 runs each of the
 # m rows it is given in turn, as integrate_batch runs them; those rows are
 # one block or a slice of one, of block_rows rows, whose records it writes
-# with that stride.
+# with that stride, and *stop is the block's step count, shared by its
+# slices.
 _C_RK4 = """\
 #include <errno.h>
 #include <math.h>
@@ -143,24 +151,25 @@ fail:
 }}
 
 /* the run from each of the m rows of z, rows of a block of block_rows:
-   record r of row j at states[(r * block_rows + j) * DIM]. The first row
-   that truncates ends the batch at its last record, so later rows run only
-   to that record's step. The number of records is returned, negated when
-   the batch truncated. */
-long kcontract_rk4(const double *z, long m, long block_rows, long n_steps, double h,
-                   long record_every, const double *p, double *times, double *states)
+   record r of row j at states[(r * block_rows + j) * DIM]. Each row runs
+   to the step *stop holds when it starts, and a row that truncates lowers
+   *stop to its last record's step by an atomic min, so later rows, of this
+   slice or of another slice of the block, run only to that step. */
+void kcontract_rk4(const double *z, long m, long block_rows, double h, long record_every,
+                   const double *p, double *times, double *states, long *stop)
 {{
-    long j, got = 0, truncated = 0;
+    long j, got, last, now;
     for (j = 0; j < m; j++) {{
-        got = run(z + j * {dim}, n_steps, h, record_every, p, times, states + j * {dim},
-                  block_rows * {dim});
+        got = run(z + j * {dim}, __atomic_load_n(stop, __ATOMIC_RELAXED), h, record_every, p,
+                  times, states + j * {dim}, block_rows * {dim});
         if (got < 0) {{
-            truncated = 1;
-            got = -got;
-            n_steps = (got - 1) * record_every;
+            last = (-got - 1) * record_every;
+            now = __atomic_load_n(stop, __ATOMIC_RELAXED);
+            while (last < now && !__atomic_compare_exchange_n(stop, &now, last, 0,
+                                                             __ATOMIC_RELAXED, __ATOMIC_RELAXED))
+                ;
         }}
     }}
-    return truncated ? -got : got;
 }}
 """
 _C_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**"}
@@ -177,7 +186,7 @@ def _kind(value) -> str | None:
 
 
 def c_source(rate):
-    """(source, params): the C form of field_rk4's loop with rate inlined,
+    """(source, params): the C form of stepper's float loop with rate inlined,
     and the names whose values it reads from p, in order; None when rate has
     no C form.
 
@@ -280,12 +289,13 @@ def _c_source(dim: int, lines: tuple, outputs: tuple, kinds: tuple):
     return source, tuple(params)
 
 
-def rk4(rate, build: bool):
-    """The C form of rate's loop on a nonempty (m, rate.dim) block of rows,
-    with the signature and results of stepper's Python twin, but times and
-    states as arrays; None when rate has no C form, or no object is loaded
-    and build is false, or building or loading fails. A block of
-    SPLIT_MIN_ROW_STEPS row-steps or more runs as threads() row slices."""
+def rk4(rate, block, n_steps: int, h: float, record_every: int):
+    """The C form of rate's loop on a nonempty (m, rate.dim) block of rows:
+    stepper.python_rk4's results, with times and states as arrays; None when
+    rate has no C form or no object is at hand. The object is loaded from
+    this process or the cache or, from NATIVE_MIN_STEPS row-steps on, built
+    now. A block of SPLIT_MIN_ROW_STEPS row-steps or more runs as threads()
+    row slices."""
     form = c_source(rate)
     if form is None:
         return None
@@ -294,42 +304,36 @@ def rk4(rate, build: bool):
         p = np.array([float(rate.names[name]) for name in params])
     except OverflowError:  # an int beyond the float range, on which Python raises
         return None
-    fn = load(source, build)
+    m = len(block)
+    fn = load(source, build=m * n_steps >= NATIVE_MIN_STEPS)
     if fn is None:
         return None
+    z = np.ascontiguousarray(block, dtype=float)
+    rows = 1 + -(-n_steps // record_every)
+    states = np.empty((rows, *z.shape))
+    parts = min(threads(), m) if m * n_steps >= SPLIT_MIN_ROW_STEPS else 1
+    bounds = [m * i // parts for i in range(parts + 1)]
+    times, stop = [np.empty(rows) for _ in range(parts)], ctypes.c_long(n_steps)
 
-    def native_rk4(z, n_steps, h, record_every):
-        z = np.ascontiguousarray(z, dtype=float)
-        m = len(z)
-        rows = 1 + -(-n_steps // record_every)
-        states = np.empty((rows, *z.shape))
-        parts = min(threads(), m) if m * n_steps >= SPLIT_MIN_ROW_STEPS else 1
-        bounds = [m * i // parts for i in range(parts + 1)]
-        times, got = [np.empty(rows) for _ in range(parts)], [0] * parts
+    def run(i):
+        # a worker's target: it holds z, states and times, the buffers the
+        # C call writes, until that call returns
+        start = bounds[i]
+        fn(z[start].ctypes.data, bounds[i + 1] - start, m, h, record_every, p.ctypes.data,
+           times[i].ctypes.data, states[0, start].ctypes.data, ctypes.byref(stop))
 
-        def run(i):
-            # a worker's target: it holds z, states and times, the buffers
-            # the C call writes, until that call returns
-            start = bounds[i]
-            got[i] = fn(z[start].ctypes.data, bounds[i + 1] - start, m, n_steps, h,
-                        record_every, p.ctypes.data, times[i].ctypes.data,
-                        states[0, start].ctypes.data)
-
-        workers = [threading.Thread(target=run, args=(i,)) for i in range(1, parts)]
-        for worker in workers:
-            worker.start()
-        run(0)
-        for worker in workers:
-            worker.join()
-        # the batch rule, as one call on the whole block computes it: the
-        # batch ends at the fewest records of any slice, and it is truncated
-        # if any slice truncated, which is when a slice has fewer than rows
-        count = min(abs(g) for g in got)
-        if count < rows:  # truncated: a copy, so the full buffers are freed
-            return times[0][:count].copy(), states[:count].copy(), True
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, parts)]
+    for worker in workers:
+        worker.start()
+    run(0)
+    for worker in workers:
+        worker.join()
+    if stop.value == n_steps:
         return times[0], states, False
-
-    return native_rk4
+    # truncated: the batch ends at the record of the stop step, and is
+    # trimmed to a copy, so the full buffers are freed
+    count = stop.value // record_every + 1
+    return times[0][:count].copy(), states[:count].copy(), True
 
 
 def threads() -> int:
@@ -445,5 +449,5 @@ def _open(path: str):
         fn = ctypes.CDLL(path).kcontract_rk4
     except (OSError, AttributeError):
         return None
-    fn.argtypes, fn.restype = _ARGTYPES, ctypes.c_long
+    fn.argtypes, fn.restype = _ARGTYPES, None
     return fn

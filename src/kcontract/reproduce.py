@@ -50,11 +50,18 @@ def compound_constant_check(bundle, seed=0, count=100, expected=-0.5, k=3):
     return worst
 
 
-def derive_attractor_box(bundle, x0, t_end=400.0, h=1e-2, inflate=1.1):
+# derive_attractor_box's reference run, t in [0, 400] at h = 1e-2, and the
+# factor its box is inflated by
+ATTRACTOR_T_END = 400.0
+ATTRACTOR_H = 1e-2
+ATTRACTOR_INFLATE = 1.1
+
+
+def derive_attractor_box(bundle, x0):
     """Bounding box of the trailing half of a reference trajectory, inflated."""
-    tr = sim.integrate(bundle.model.f, np.asarray(x0, dtype=float), t_end, h)
+    tr = sim.integrate(bundle.model.f, np.asarray(x0, dtype=float), ATTRACTOR_T_END, ATTRACTOR_H)
     tail = tr.states[len(tr) // 2:]
-    box = nv.Box(tail.min(axis=0), tail.max(axis=0)).inflate(inflate)
+    box = nv.Box(tail.min(axis=0), tail.max(axis=0)).inflate(ATTRACTOR_INFLATE)
     return box, tr
 
 

@@ -27,6 +27,15 @@ MAX_STEPS = 1_000_000
 MAX_BATCH_ROW_STEPS = 100_000_000
 MAX_GRID_RESOLUTION = 1024
 
+# find_equilibria: Newton steps per seed, the residual (relative to the box
+# diagonal) at which a point is an equilibrium, and the distance within
+# which two are one
+NEWTON_STEPS = 80
+NEWTON_TOL = 1e-12
+DEDUP = 1e-6
+# classify_attractor's speed and recurrence tolerance
+ATTRACTOR_TOL = 1e-3
+
 
 @dataclass
 class Trace:
@@ -98,15 +107,14 @@ def integrate(field, x0, t_end: float, h: float = 1e-3, record_every: int = 1) -
     (ArithmeticError, math's "math domain error") counts as a non-finite
     state. record_every thins the stored samples; the step size is
     unaffected. A Rate with a C form runs as C, with the same bytes, when a
-    C compiler is present (stepper.field_rk4; its objects are cached).
+    C compiler is present (stepper.run; its objects are cached), and a
+    state whose length is not the Rate's dimension raises ValueError.
     """
     n_steps = _step_count(t_end, h, record_every)
     z = np.asarray(x0, dtype=float)
     if z.ndim != 1:
         raise ValueError(f"x0 must be one state, a 1-d array, got shape {z.shape}")
-    rk4 = stepper.field_rk4(field, len(z), n_steps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        times, states, truncated = rk4(z, n_steps, h, int(record_every))
+    times, states, truncated = stepper.run(field, z, n_steps, h, record_every)
     return Trace(np.asarray(times), np.asarray(states), truncated=truncated)
 
 
@@ -115,7 +123,7 @@ def integrate_batch(field, X0, t_end: float, h: float = 1e-3, record_every: int 
 
     field is taken as integrate takes it. A field with a Rate (a compiled
     model's f) runs each row exactly as integrate(field, row) runs it: as C
-    when an object is at hand or, from stepper.NATIVE_MIN_STEPS row-steps
+    when an object is at hand or, from native.NATIVE_MIN_STEPS row-steps
     on, built now, else on Python floats, row by row; X0 must then have
     the Rate's n columns. Any other field maps the whole (m, n) state block
     to its (m, n) derivative block once per stage, in integrate's ndarray
@@ -127,15 +135,12 @@ def integrate_batch(field, X0, t_end: float, h: float = 1e-3, record_every: int 
     """
     n_steps = _step_count(t_end, h, record_every)
     X = np.asarray(X0, dtype=float)
-    dim = stepper.rate_dim(field)
-    if X.ndim != 2 or dim not in (None, X.shape[1]):
-        raise ValueError(f"X0 must be an (m, {dim or 'n'}) block of rows, got shape {X.shape}")
+    if X.ndim != 2:
+        raise ValueError(f"X0 must be an (m, n) block of rows, got shape {X.shape}")
     if len(X) * n_steps > MAX_BATCH_ROW_STEPS:
         raise ValueError(f"{len(X)} rows x {n_steps} steps exceeds the cap of "
                          f"{MAX_BATCH_ROW_STEPS} row-steps")
-    rk4 = stepper.field_rk4(field, X.shape[1], len(X) * n_steps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        times, states, _ = rk4(X, n_steps, h, int(record_every))
+    times, states, _ = stepper.run(field, X, n_steps, h, record_every)
     return np.asarray(times), np.asarray(states)
 
 
@@ -298,11 +303,10 @@ def finite_difference_jacobian(field, x, eps: float = 1e-6):
     return J
 
 
-def find_equilibria(field, box: Box, seeds: int = 27, newton_steps: int = 80,
-                    tol: float = 1e-12, dedup: float = 1e-6):
+def find_equilibria(field, box: Box, seeds: int = 27):
     """Damped Newton from seeded points; classify by the Jacobian spectrum.
 
-    Returns a list of EquilibriumInfo, deduplicated within `dedup`. An empty
+    Returns a list of EquilibriumInfo, deduplicated within DEDUP. An empty
     list is a legitimate outcome.
     """
     rng = np.random.default_rng(0)
@@ -313,9 +317,9 @@ def find_equilibria(field, box: Box, seeds: int = 27, newton_steps: int = 80,
     for s in starts:
         x = np.asarray(s, dtype=float).copy()
         ok = False
-        for _ in range(newton_steps):
+        for _ in range(NEWTON_STEPS):
             fx = np.asarray(field(x), dtype=float)
-            if np.linalg.norm(fx) < tol * scale:
+            if np.linalg.norm(fx) < NEWTON_TOL * scale:
                 ok = True
                 break
             J = finite_difference_jacobian(field, x)
@@ -338,7 +342,7 @@ def find_equilibria(field, box: Box, seeds: int = 27, newton_steps: int = 80,
                 break
         if not ok or not box.contains(x, tol=0.05 * scale):
             continue
-        if any(np.linalg.norm(x - e.point) < dedup for e in found):
+        if any(np.linalg.norm(x - e.point) < DEDUP for e in found):
             continue
         J = finite_difference_jacobian(field, x)
         ev = np.linalg.eigvals(J)
@@ -352,13 +356,14 @@ def find_equilibria(field, box: Box, seeds: int = 27, newton_steps: int = 80,
     return found
 
 
-def classify_attractor(trace: Trace, tol: float = 1e-3) -> str:
+def classify_attractor(trace: Trace) -> str:
     """Label the trace's limit behavior: fixed_point, limit_cycle, or unresolved.
 
     The first half of the trace is discarded as transient. fixed_point needs
-    terminal speed and trailing displacement below tol; limit_cycle needs a
-    recurrence: the final state is revisited within tol by a sample at least a
-    quarter-window earlier, with an excursion away from it in between.
+    terminal speed and trailing displacement below ATTRACTOR_TOL; limit_cycle
+    needs a recurrence: the final state is revisited within ATTRACTOR_TOL by
+    a sample at least a quarter-window earlier, with an excursion away from
+    it in between.
     unresolved is the honest fallback.
     """
     n = len(trace)
@@ -372,15 +377,15 @@ def classify_attractor(trace: Trace, tol: float = 1e-3) -> str:
     with np.errstate(over="ignore"):  # a truncated run may end near overflow
         speed = float(np.linalg.norm(tail[-1] - tail[-2]) / dt) if dt > 0 else np.inf
         dists = np.linalg.norm(tail - end, axis=1)
-    if speed < tol and float(np.max(dists)) < tol:
+    if speed < ATTRACTOR_TOL and float(np.max(dists)) < ATTRACTOR_TOL:
         return "fixed_point"
-    if speed >= tol:
+    if speed >= ATTRACTOR_TOL:
         m = len(tail)
         guard = max(2, m // 4)  # recurrence must not be mere adjacency
         early = dists[: m - guard]
-        if early.size and early.min() < tol:
+        if early.size and early.min() < ATTRACTOR_TOL:
             hit = int(np.argmin(early))
-            if dists[hit:].max() > 10 * tol:  # genuinely left the neighborhood
+            if dists[hit:].max() > 10 * ATTRACTOR_TOL:  # genuinely left the neighborhood
                 return "limit_cycle"
     return "unresolved"
 

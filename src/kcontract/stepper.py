@@ -6,14 +6,16 @@ and it is emitted in one of two state forms. A field with a Rate
 model's f or the function of compound_rate's Rate) has it inlined into a
 loop over Python float locals, so no ndarray is built and no function is
 called per stage. Any other field is called once per stage on the whole
-state, one row or a block, as one ndarray.
+state, one row or a block, as one ndarray (array_rk4).
 
-A Rate runs one shape, a nonempty (m, dim) block of rows, each row its own
-run, by one of two runners with one contract: the C form of the float loop
-(kcontract.native: the same stages and update, step_lines, as C with
-Python's float semantics spelled out per operation), when the Rate has one
-and an object is at hand, or else its Python twin, the float loop row by
-row, which is the oracle the C bytes are tested against.
+run is the one call that runs a field, and the one place that checks a
+state against a Rate. A Rate runs one shape, a nonempty (m, dim) block of
+rows, each row its own run, by one of two runners with one signature,
+(rate, block, n_steps, h, record_every): native.rk4, the C form of the
+float loop (the same stages and update, step_lines, as C with Python's
+float semantics spelled out per operation), when the Rate has one and an
+object is at hand, or else python_rk4, the float loop row by row, which is
+the oracle the C bytes are tested against.
 """
 
 from __future__ import annotations
@@ -92,12 +94,6 @@ def _emit_rk4(parts, stage, names: dict, *, load: str, state: str, finite: str):
     return exec_source(source, names)["rk4"]
 
 
-# below this many steps a C loop runs only from an object already built: at
-# 2.2-4 us per Python step that is 22-40 ms, against about 0.1 s for one
-# compiler run, whose object is then cached on disk
-NATIVE_MIN_STEPS = 10_000
-
-
 def _unwrap(fn):
     """fn seen through the wrappers that mark themselves _traced (perfbench's
     tracer does): they only count and time calls, so fn may run in their
@@ -106,13 +102,6 @@ def _unwrap(fn):
     while getattr(fn, "_traced", False):
         fn = fn.__wrapped__
     return fn
-
-
-def rate_dim(field) -> int | None:
-    """The state dimension of field's Rate, seen through _traced wrappers;
-    None for a field without one."""
-    rate = rate_of(_unwrap(field))
-    return None if rate is None else rate.dim
 
 
 def array_rk4(field):
@@ -127,63 +116,60 @@ def array_rk4(field):
                      load="array(z, dtype=float)", state="s", finite="isfinite(s).all()")
 
 
-def _by_rows(row_rk4):
-    """row_rk4, the float loop of one state, run on a nonempty (m, n) block
-    of states, row by row, into states of shape (n_samples, m, n): the
-    Python twin of native.rk4. The first row that truncates ends the block
-    at its last record, so later rows run only to that record's step."""
-    def rk4(z, n_steps, h, record_every):
-        runs, truncated = [], False
-        for row in z:
-            times, states, failed = row_rk4(row, n_steps, h, record_every)
-            runs.append(states)
-            if failed:
-                truncated, n_steps = True, (len(times) - 1) * record_every
-        block = np.empty((len(times), *z.shape))
-        for j, states in enumerate(runs):
-            block[:, j] = states[:len(times)]
-        return times, block, truncated
+def python_rk4(rate, block, n_steps: int, h: float, record_every: int):
+    """rate's float loop on each row of a nonempty (m, rate.dim) block in
+    turn, into states of shape (n_samples, m, dim): the Python twin of
+    native.rk4, and the oracle its bytes are tested against. The first row
+    that truncates ends the block at its last record, so later rows run only
+    to that record's step."""
+    s = [f"s{i}" for i in range(rate.dim)]
+    row_rk4 = _emit_rk4(range(rate.dim), rate.stage, {"isfinite": math.isfinite, **rate.names},
+                        load="asarray(z, dtype=float).tolist()", state=f"[{', '.join(s)}]",
+                        finite=" and ".join(f"isfinite({si})" for si in s))
+    runs, truncated = [], False
+    for row in block:
+        times, states, failed = row_rk4(row, n_steps, h, record_every)
+        runs.append(states)
+        if failed:
+            truncated, n_steps = True, (len(times) - 1) * record_every
+    states = np.empty((len(times), *block.shape))
+    for j, run_states in enumerate(runs):
+        states[:, j] = run_states[:len(times)]
+    return times, states, truncated
 
-    return rk4
 
+def run(field, z, n_steps: int, h: float, record_every: int):
+    """(times, states, truncated) of n_steps RK4 steps of field from z, one
+    state or an (m, n) block of them, each row its own run (integrate_batch's
+    rows); states has shape (n_samples, *z.shape).
 
-def field_rk4(field, dim: int, n_steps: int):
-    """RK4 for field on a state of dim components, or on an (m, dim) block
-    of them, each row as its own run (integrate_batch's rows), in a run of
-    n_steps steps (row-steps, for a block). A field with a Rate of that
-    dimension (a compiled model's f, or any function made by Rate.function)
-    runs the Rate's block runner: native.rk4, from an object already built
-    or, from NATIVE_MIN_STEPS steps on, built now, or else the Python twin.
-    A single state runs as a one-row block, and an empty block gives the
-    run's record times and no states; a state of any other shape raises
-    ValueError before either runner sees it. Any other field runs array_rk4."""
+    A field with a Rate (a function made by Rate.function, such as a
+    compiled model's f, seen through _traced wrappers) runs a (dim,) state or
+    an (m, dim) block, dim being both the Rate's dimension and its number of
+    outputs: any other shape raises ValueError before any step. It runs as
+    a block of rows, a state as a one-row block, by native.rk4 or, where
+    that has no object, python_rk4; an empty block gives the run's record
+    times and no states. Any other field runs array_rk4 on z."""
+    z = np.asarray(z, dtype=float)
+    record_every = int(record_every)
     rate = rate_of(_unwrap(field))
-    if rate is None or not rate.dim == len(rate.outputs) == dim:
-        return array_rk4(field)
-    from . import native  # the C form and its compiler: on the first eligible run only
-    block_rk4 = native.rk4(rate, build=n_steps >= NATIVE_MIN_STEPS)
-    if block_rk4 is None:
-        s = [f"s{i}" for i in range(rate.dim)]
-        block_rk4 = _by_rows(_emit_rk4(
-            range(rate.dim), rate.stage, {"isfinite": math.isfinite, **rate.names},
-            load="asarray(z, dtype=float).tolist()", state=f"[{', '.join(s)}]",
-            finite=" and ".join(f"isfinite({si})" for si in s)))
-
-    def rk4(z, n_steps, h, record_every):
-        z = np.asarray(z, dtype=float)
-        if z.ndim not in (1, 2) or z.shape[-1] != dim:  # the C loop reads dim floats a row
-            raise ValueError(f"a Rate of dimension {dim} runs a ({dim},) state or an "
-                             f"(m, {dim}) block, got shape {z.shape}")
-        if z.ndim == 1:
-            times, states, truncated = block_rk4(z[None], n_steps, h, record_every)
-            return times, states[:, 0], truncated
-        if len(z):
-            return block_rk4(z, n_steps, h, record_every)
-        times = [0.0, *(i * h for i in range(1, n_steps + 1)
-                        if i % record_every == 0 or i == n_steps)]
-        return times, np.empty((len(times), *z.shape)), False
-
-    return rk4
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rate is None:
+            return array_rk4(field)(z, n_steps, h, record_every)
+        if not (z.ndim in (1, 2) and z.shape[-1] == rate.dim == len(rate.outputs)):
+            # the C loop reads and writes dim floats a row
+            raise ValueError(f"a field with a Rate runs an (n,) state or an (m, n) block of rows, "
+                             f"n its dimension and its output count, here {rate.dim} and "
+                             f"{len(rate.outputs)}; got shape {z.shape}")
+        block = z.reshape(-1, rate.dim)
+        if not len(block):
+            times = [0.0, *(i * h for i in range(1, n_steps + 1)
+                            if i % record_every == 0 or i == n_steps)]
+            return times, np.empty((len(times), *z.shape)), False
+        from . import native  # the C form and its compiler: on the first Rate run only
+        times, states, truncated = (native.rk4(rate, block, n_steps, h, record_every)
+                                    or python_rk4(rate, block, n_steps, h, record_every))
+    return times, states.reshape(len(times), *z.shape), truncated
 
 
 # numpy sums fewer than eight terms one by one from 0.0 (longer sums are

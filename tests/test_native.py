@@ -1,5 +1,6 @@
 """The C form of the RK4 loop against the Python loop it stands in for."""
 
+import ctypes
 import os
 import stat
 import subprocess
@@ -21,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def scalar_model(text):
     """The compiled f of the one-dimensional field x1' = text."""
-    return compile_model(1, [parse_expression(text, 1)], []).f
+    return compile_model(1, [parse_expression(text, 1)], [])[0]
 
 
 def python_trace(f, x0, t_end, h=1e-3, record_every=1):
@@ -72,15 +73,12 @@ def test_builtins_and_their_k_n_compound_match_the_python_loop(tmp_path, name):
 def test_block_runs_in_one_c_call(tmp_path):
     # every row of a block runs in one C call, with the bytes of the Python
     # twin's rows
-    f = models.builtin("rossler_mod").model.f
+    rate = rate_of(models.builtin("rossler_mod").model.f)
     X = np.array([[0.1, 0.2, 0.3], [-0.49835108, 0.89350589, -0.31067962], [0.3, 0.2, 0.1]])
     with native_cache(tmp_path):
-        rk4 = native.rk4(rate_of(f), build=True)
         for every in (1, 7, 5000):
-            got = rk4(X, 5000, 1e-3, every)
-            with pytest.MonkeyPatch.context() as m:
-                m.setenv("CC", "false")
-                want = stepper.field_rk4(f, 3, 5000)(X, 5000, 1e-3, every)
+            got = native.rk4(rate, X, 5000, 1e-3, every)
+            want = stepper.python_rk4(rate, X, 5000, 1e-3, every)
             assert got[0].tobytes() == np.asarray(want[0]).tobytes()
             assert got[1].tobytes() == want[1].tobytes() and got[1].shape[1:] == (3, 3)
             assert got[2] and want[2]
@@ -90,21 +88,24 @@ def test_block_runs_in_one_c_call(tmp_path):
 @needs_cc
 def test_a_state_of_another_shape_reaches_neither_runner(tmp_path):
     # the C loop reads dim floats a row and writes rows * dim a record: a
-    # state of any other shape must be refused before it, as by its twin
+    # state of any other shape must be refused before it, as before its twin
     f = models.builtin("rossler").model.f
+
+    def reached(*args):
+        raise AssertionError("a runner was reached")
+
     with native_cache(tmp_path):
-        for hide in (False, True):
-            with pytest.MonkeyPatch.context() as m:
-                if hide:
-                    m.setenv("CC", "false")
-                rk4 = stepper.field_rk4(f, 3, 10)  # built now, unless the compiler is hidden
-                assert native_loaded(f) != hide
-                for shape in ((3, 2), (3, 5), (3, 3)):
-                    with pytest.raises(ValueError):
-                        sim.integrate(f, np.zeros(shape), 20.0)
-                for shape in ((2,), (4,), (3, 2), (3, 5), (0, 2), (1, 3, 3)):
-                    with pytest.raises(ValueError, match="dimension 3"):
-                        rk4(np.zeros(shape), 10, 1e-3, 1)
+        sim.integrate(f, np.zeros(3), 0.01)  # built now
+        assert native_loaded(f)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(native, "rk4", reached)
+            m.setattr(stepper, "python_rk4", reached)
+            for shape in ((3, 2), (3, 5), (3, 3)):
+                with pytest.raises(ValueError):
+                    sim.integrate(f, np.zeros(shape), 20.0)
+            for shape in ((), (2,), (4,), (3, 2), (3, 5), (0, 2), (1, 3, 3)):
+                with pytest.raises(ValueError, match="here 3 and 3; got shape"):
+                    stepper.run(f, np.zeros(shape), 10, 1e-3, 1)
 
 
 # rossler_mod rows that overflow, a py_pow failure (read through errno, which
@@ -195,6 +196,27 @@ def test_overflow_in_any_slice_ends_the_batch_where_one_call_ends_it(tmp_path, c
 
 
 @needs_cc
+def test_rows_run_to_the_shared_stop_step_and_a_truncation_lowers_it(tmp_path):
+    # kcontract_rk4 called directly: each row runs to the step *stop holds
+    # when it starts, and rossler_mod's row that overflows at step 2820
+    # lowers it to its last record's step, so the rows after it, of this
+    # slice or of another, stop there as well
+    rate = rate_of(models.builtin("rossler_mod").model.f)
+    source, params = native.c_source(rate)
+    with native_cache(tmp_path):
+        fn = native.load(source, build=True)
+    p = np.array([float(rate.names[name]) for name in params])
+    X = np.array([OVERFLOWS[2820], [0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])
+    for first, last in ((3000, 2819), (100, 100)):
+        stop = ctypes.c_long(first)
+        times, states = np.full(3001, np.nan), np.full((3001, 3, 3), np.nan)
+        fn(X.ctypes.data, 3, 3, 1e-3, 1, p.ctypes.data, times.ctypes.data, states.ctypes.data,
+           ctypes.byref(stop))
+        assert stop.value == last
+        assert not np.isnan(states[:last + 1, 1:]).any() and np.isnan(states[last + 1:, 1:]).all()
+
+
+@needs_cc
 def test_more_slices_than_cores_keep_the_bytes(tmp_path):
     # 8 slices (7 worker threads) over 16 rows, two of which overflow in
     # different slices, with thread switches forced often: each run gives
@@ -203,16 +225,16 @@ def test_more_slices_than_cores_keep_the_bytes(tmp_path):
     f, X = bundle.model.f, bundle.box.sample(np.random.default_rng(2), 16)
     X[5], X[12] = OVERFLOWS[2820], OVERFLOWS[2532]
     interval, threads = sys.getswitchinterval(), threading.active_count()
+    rate = rate_of(f)
     with native_cache(tmp_path), pytest.MonkeyPatch.context() as m:
-        rk4 = native.rk4(rate_of(f), build=True)
         m.setattr(native, "SPLIT_MIN_ROW_STEPS", 10**12)
-        want = rk4(X, 3000, 1e-3, 1)
+        want = native.rk4(rate, X, 3000, 1e-3, 1)
         m.setattr(native, "SPLIT_MIN_ROW_STEPS", 1)
         m.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(10):
-                got = rk4(X, 3000, 1e-3, 1)
+                got = native.rk4(rate, X, 3000, 1e-3, 1)
                 assert len(got[0]) == 2532 and got[2]
                 assert got[0].tobytes() == want[0].tobytes()
                 assert got[1].tobytes() == want[1].tobytes()
@@ -224,18 +246,17 @@ def test_more_slices_than_cores_keep_the_bytes(tmp_path):
 @needs_cc
 def test_thread_count_is_capped_and_planned_only_for_large_blocks(tmp_path):
     # no real thread is started: RecordedThread runs each slice in this thread
-    f = models.builtin("synchronverter").model.f
+    rate = rate_of(models.builtin("synchronverter").model.f)
     X = models.builtin("synchronverter").box.sample(np.random.default_rng(4), 64)
     with native_cache(tmp_path), pytest.MonkeyPatch.context() as m:
-        rk4 = native.rk4(rate_of(f), build=True)
-        want = rk4(X, 100, 1e-3, 7)
+        want = native.rk4(rate, X, 100, 1e-3, 7)
         m.setattr(threading, "Thread", RecordedThread)
         m.setattr(native, "SPLIT_MIN_ROW_STEPS", 64 * 100)
         for cores, rows, steps, planned in ((64, 64, 100, 7), (64, 3, 100 * 64 // 3 + 1, 2),
                                             (64, 64, 99, 0), (1, 64, 100, 0), (2, 64, 100, 1)):
             RecordedThread.planned.clear()
             m.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-            got = rk4(X[:rows], steps, 1e-3, 7)
+            got = native.rk4(rate, X[:rows], steps, 1e-3, 7)
             assert len(RecordedThread.planned) == planned
             if steps == 100:
                 assert got[0].tobytes() == want[0].tobytes()
@@ -245,7 +266,7 @@ def test_thread_count_is_capped_and_planned_only_for_large_blocks(tmp_path):
         for count, planned in ((64, 7), (None, 0)):
             RecordedThread.planned.clear()
             m.setattr(os, "cpu_count", lambda: count)
-            rk4(X, 100, 1e-3, 7)
+            native.rk4(rate, X, 100, 1e-3, 7)
             assert len(RecordedThread.planned) == planned
 
 
@@ -297,10 +318,10 @@ def test_corrupt_cached_object_is_rebuilt_or_passed_over(tmp_path):
     with native_cache(tmp_path / "corrupt") as cache, pytest.MonkeyPatch.context() as m:
         cache.mkdir(mode=0o700, parents=True)
         (cache / obj.name).write_bytes(obj.read_bytes()[:4096])
-        m.setattr(stepper, "NATIVE_MIN_STEPS", 10**6)
+        m.setattr(native, "NATIVE_MIN_STEPS", 10**6)
         assert trace_bytes(sim.integrate(f, x0, 1.0)) == trace_bytes(want)
         assert not native_loaded(f)  # not loaded, not built
-        m.setattr(stepper, "NATIVE_MIN_STEPS", 1)
+        m.setattr(native, "NATIVE_MIN_STEPS", 1)
         assert trace_bytes(sim.integrate(f, x0, 1.0)) == trace_bytes(want)
         assert native_loaded(f)  # built again
     assert (cache / obj.name).read_bytes() == obj.read_bytes()
@@ -314,7 +335,7 @@ def test_unsafe_cache_directory_is_not_used(tmp_path):
     f = models.builtin("rossler").model.f
     with native_cache(tmp_path):
         assert native.cache_dir() is None
-        stepper.field_rk4(f, 3, 1000)
+        sim.integrate(f, np.array([0.1, 0.2, 0.3]), 0.01)
         assert native_loaded(f)  # a private build
     assert list(cache.iterdir()) == []
     cache.chmod(0o700)

@@ -12,7 +12,7 @@ def test_compound_constant_check_helper():
 
 def test_derive_attractor_box_protocol():
     bundle = models.builtin("rossler_mod")
-    box, tr = reproduce.derive_attractor_box(bundle, [0.2, 0.5, 0.0], t_end=200.0)
+    box, tr = reproduce.derive_attractor_box(bundle, [0.2, 0.5, 0.0])
     assert not tr.truncated
     assert box.contains(tr.states[-1])
     # inflation leaves slack around the trailing samples
@@ -26,7 +26,7 @@ def test_decay_rate_dominates_certificate_budget():
     # -(mu1 + (k-1) mu0) up to transient tolerance, over random starts
     bundle = models.builtin("rossler_mod")
     doc = reproduce.load_data("rossler_mod_cert.json")
-    box, _ = reproduce.derive_attractor_box(bundle, [0.2, 0.5, 0.0], t_end=200.0)
+    box, _ = reproduce.derive_attractor_box(bundle, [0.2, 0.5, 0.0])
     cert = nv.search_nl_certificate(bundle.model, box, 3, mus=(doc["mu0"], doc["mu1"]))
     assert cert is not None
     bound = -cert.rate_sum - 0.1

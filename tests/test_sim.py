@@ -49,15 +49,15 @@ def native_cache(path):
     only from) a cache under path."""
     with pytest.MonkeyPatch.context() as m:
         m.setenv("XDG_CACHE_HOME", str(path))
-        m.setattr(stepper, "NATIVE_MIN_STEPS", 1)
+        m.setattr(native, "NATIVE_MIN_STEPS", 1)
         m.setattr(native, "_LOADED", {})
         yield path / "kcontract"
 
 
 def native_loaded(f):
     """Whether the C loop of f's Rate is at hand, loaded in this process or
-    cached, so that stepper.field_rk4 runs it for f without building."""
-    return native.rk4(rate_of(f), build=False) is not None
+    cached, so that stepper.run runs it for f without building."""
+    return native.load(native.c_source(rate_of(f))[0], build=False) is not None
 
 
 def trace_bytes(tr):
@@ -128,9 +128,8 @@ def compiled_models(draw):
     theta_nodes = draw(st.lists(node_trees(n), max_size=2))
     mats = [np.reshape(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n)), (n, n))
             for _ in range(len(theta_nodes) + 1)]
-    compiled = compile_model(n, f_nodes, theta_nodes)
-    return NonlinearModel(dim=n, f=compiled.f, A0=mats[0], terms=mats[1:],
-                          theta=compiled.theta, bounds=None)
+    f, theta = compile_model(n, f_nodes, theta_nodes)
+    return NonlinearModel(dim=n, f=f, A0=mats[0], terms=mats[1:], theta=theta, bounds=None)
 
 
 def check_loops_against_numpy_oracle(model, data):
@@ -160,7 +159,7 @@ def test_emitted_loops_match_numpy_oracle_bytes(model, data):
 @settings(max_examples=12, deadline=None)  # about two compiler runs (0.1 s each) per example
 def test_native_loops_match_numpy_oracle_bytes(tmp_path_factory, model, data):
     with native_cache(tmp_path_factory.mktemp("cache")):
-        stepper.field_rk4(model.f, model.dim, 1)
+        native.load(native.c_source(rate_of(model.f))[0], build=True)
         assert native_loaded(model.f)
         check_loops_against_numpy_oracle(model, data)
 
@@ -169,10 +168,9 @@ def test_compound_diagonal_sums_in_numpy_order():
     # ((0 + 1) + 1e16) - 1e16 = 0 but ((0 - 1e16) + 1e16) + 1 = 1: each diagonal
     # entry of J^[k] must sum the trace of J over its index set in numpy's order
     A0 = np.diag([1.0, 1e16, -1e16, 0.5])
-    compiled = compile_model(4, [parse_expression(f"{float(A0[i, i])!r}*x{i + 1}", 4)
+    f, theta = compile_model(4, [parse_expression(f"{float(A0[i, i])!r}*x{i + 1}", 4)
                                  for i in range(4)], [])
-    model = NonlinearModel(dim=4, f=compiled.f, A0=A0, terms=[], theta=compiled.theta,
-                           bounds=None)
+    model = NonlinearModel(dim=4, f=f, A0=A0, terms=[], theta=theta, bounds=None)
     x0 = np.array([0.5, 0.0, 0.0, 0.125])
     for k in (3, 4):
         V0 = np.eye(4)[:, :k]
@@ -191,12 +189,12 @@ EDGE_STATES = [(-1e-200, 1e-200), (1e-200, -1e-200), (5e-324, -0.5), (-1.0, 0.0)
 def test_single_compound_entry_gives_the_bytes_of_numpy_matmul(n):
     # for k = n, J^[n] is the 1 x 1 trace of J, here theta = x1, and the
     # emitted rate forms J^[n] y on floats as (trace * y) + 0.0
-    compiled = compile_model(n, [parse_expression(f"-x{i + 1}", n) for i in range(n)],
+    f, theta = compile_model(n, [parse_expression(f"-x{i + 1}", n) for i in range(n)],
                              [parse_expression("x1", n)])
     A1 = np.zeros((n, n))
     A1[0, 0] = 1.0
-    model = NonlinearModel(dim=n, f=compiled.f, A0=np.zeros((n, n)), terms=[A1],
-                           theta=compiled.theta, bounds=None)
+    model = NonlinearModel(dim=n, f=f, A0=np.zeros((n, n)), terms=[A1], theta=theta,
+                           bounds=None)
     rate = stepper.compound_rate(model, n).function()
     with np.errstate(all="ignore"):
         for x1, y in EDGE_STATES:
@@ -265,10 +263,9 @@ def test_emitted_code_stays_small_for_large_dimensions():
     # a compound rate is emitted only for N = C(n, k) <= 10 and k <= 7, and a
     # field called per stage runs in a loop whose code does not grow with the state
     def chain(n):
-        compiled = compile_model(n, [parse_expression(f"-x{i + 1} + 0.5*x{(i + 1) % n + 1}^2", n)
+        f, theta = compile_model(n, [parse_expression(f"-x{i + 1} + 0.5*x{(i + 1) % n + 1}^2", n)
                                      for i in range(n)], [])
-        return NonlinearModel(dim=n, f=compiled.f, A0=-np.eye(n), terms=[],
-                              theta=compiled.theta, bounds=None)
+        return NonlinearModel(dim=n, f=f, A0=-np.eye(n), terms=[], theta=theta, bounds=None)
 
     big = chain(24)
     assert all(stepper.compound_rate(big, k) is None for k in range(1, 25))
@@ -277,9 +274,7 @@ def test_emitted_code_stays_small_for_large_dimensions():
     assert [k for k, rate in emitted.items() if rate is not None] == [1, 5, 6]
     assert max(len(rate.function().__code__.co_code)
                for rate in emitted.values() if rate) < 2048
-    sizes = [len(stepper.field_rk4(lambda x: -x, dim, 1).__code__.co_code)
-             for dim in (20, 2000)]
-    assert sizes[0] == sizes[1]
+    assert len(stepper.array_rk4(lambda x: -x).__code__.co_code) < 2048
     A = -np.eye(2000)
     got = sim.integrate(lambda x: A @ x, np.ones(2000), 0.003)
     assert trace_bytes(got) == trace_bytes(integrate_numpy_oracle(lambda x: A @ x, np.ones(2000),
@@ -482,6 +477,24 @@ def test_batch_input_is_checked_before_any_step():
         times, traj = sim.integrate_batch(field, np.zeros((0, n)), 1.0, 0.1, 3)
         assert times.tolist() == [0.0, 3 * 0.1, 6 * 0.1, 9 * 0.1, 10 * 0.1]
         assert traj.shape == (5, 0, n)
+
+
+@pytest.mark.parametrize("cc", ["cc", "false"])
+def test_rate_field_refuses_a_state_of_another_width(tmp_path, cc):
+    # a Rate runs states as wide as its dimension, which must also be its
+    # number of outputs: rossler_mod's f is 3 -> 3 and its theta 3 -> 1. A
+    # state of another width raises this ValueError before any step (no
+    # object is built, though every Rate run would build one here), not an
+    # error from inside the first stage
+    model = models.builtin("rossler_mod").model
+    with compiler(cc, tmp_path) as cache:
+        for field, width, outputs in ((model.f, 2, 3), (model.f, 4, 3), (model.theta, 3, 1)):
+            want = rf"here 3 and {outputs}; got shape \({{}}\)"
+            with pytest.raises(ValueError, match=want.format(f"{width},")):
+                sim.integrate(field, np.zeros(width), 1.0)
+            with pytest.raises(ValueError, match=want.format(f"5, {width}")):
+                sim.integrate_batch(field, np.zeros((5, width)), 1.0)
+        assert not cache.exists() or list(cache.glob("*.so")) == []
 
 
 def test_scalar_linear_decay():
