@@ -6,6 +6,15 @@ through ast, with the same stages and update (stepper.step_lines), as one
 entry point, kcontract_rk4, that runs an (m, dim) block of rows as
 stepper.python_rk4 runs them; rk4 runs it in that twin's place.
 
+A compound rate with N = C(n, k) > 1 forms J^[k] y as one numpy matmul,
+whose bytes no summation order written in C gives. Its C form calls the
+kernel numpy's matmul calls: numpy's own cblas dgemv, found by gemv() among
+the symbols of GEMV_SYMBOLS through numpy's extension module, and probed
+against np.matmul at every order of GEMV_ORDERS before first use. Its
+address is passed to kcontract_rk4 at call time, as the constants are, so
+no source or cache key depends on the BLAS. Where it is not found or the
+probe fails, such a rate has no C form and runs the Python twin.
+
 A block of SPLIT_MIN_ROW_STEPS row-steps or more is split into contiguous
 row slices, one a thread (threads(): the usable cores, at most
 MAX_THREADS), each through kcontract_rk4, which takes the full block's row
@@ -26,8 +35,10 @@ used, an object is built in a private temporary directory for this process
 alone. Each object carries the SHA-256 of its bytes after them, and one
 whose bytes do not match is never loaded. Any failure (no compiler, a
 failed build, an object that does not load) gives None, and the caller runs
-the Python twin. stepper imports this module on the first run of a Rate,
-never at import kcontract.
+the Python twin. An object is built when the Python loop's estimated cost
+reaches NATIVE_MIN_COST, and below it only loaded. stepper imports this
+module on the first run of a Rate, never at import kcontract, and gemv()
+looks up and probes dgemv on the first C form that calls it.
 """
 
 from __future__ import annotations
@@ -38,12 +49,14 @@ import functools
 import hashlib
 import math
 import os
+import random
 import shlex
 import shutil
 import stat
 import subprocess
 import tempfile
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,14 +67,27 @@ from .stepper import step_lines
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC")
 LIBS = ("-lm",)
 _ARGTYPES = (ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_double, ctypes.c_long,
-             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.POINTER(ctypes.c_long))
+             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+             ctypes.POINTER(ctypes.c_long))
 _DIGEST = hashlib.sha256().digest_size
 
-# below this many row-steps (rows x n_steps) a C loop runs only from an
-# object already built: at 2.2-4 us per Python step that is 22-40 ms,
-# against about 0.1 s for one compiler run, whose object is then cached on
-# disk
-NATIVE_MIN_STEPS = 10_000
+# below this estimated cost of the Python loop, row-steps (rows x n_steps)
+# times the AST nodes of the Rate's lines and outputs (CForm.size), a C loop
+# runs only from an object already built. Measured on a 2-core x86-64 host,
+# the Python loop takes 45-130 ns a node-step: 2.6-4.1 us a step for the
+# built-ins' f (28-94 nodes), 29-57 us for their compound rates with N > 1
+# (222-1194 nodes). So this is 9-26 ms, against 0.15-0.45 s for one
+# compiler run, whose object is then cached on disk. Those compound rates
+# are built from 1000 steps on, the built-ins' f from 2100-7200.
+NATIVE_MIN_COST = 200_000
+
+# numpy's cblas dgemv by the symbols its BLAS builds export, with the width
+# of their integers. A symbol not listed here is never called: the wrong
+# width crashes rather than gives other bytes.
+GEMV_SYMBOLS = (("scipy_cblas_dgemv64_", 64), ("cblas_dgemv64_", 64), ("scipy_cblas_dgemv", 32))
+# the orders of matrix the C loop multiplies through dgemv, each probed
+# (gemv) before first use; at order 1 numpy's matmul is a dot product
+GEMV_ORDERS = range(2, 11)
 
 # a block of at least this many row-steps (rows x n_steps) is split into
 # contiguous row slices, one a thread (threads()). Measured on a 2-core
@@ -83,15 +109,34 @@ _LOADED = {}
 # and unrecorded, as the Python loop's except clauses end it: a division
 # whose divisor is == 0.0 (ZeroDivisionError), py_pow where float ** int
 # raises, sin or cos of an infinity ("math domain error"). The constants are
-# read from p at call time, so the source, and the object built from it,
-# depend only on the structure of the rate. kcontract_rk4 runs each of the
-# m rows it is given in turn, as integrate_batch runs them; those rows are
-# one block or a slice of one, of block_rows rows, whose records it writes
-# with that stride, and *stop is the block's step count, shared by its
-# slices.
+# read from p, and numpy's dgemv from g32 or g64, at call time, so the
+# source, and the object built from it, depend only on the structure of the
+# rate. A J^[k] y line fills a local N x N array in reshape's order and
+# calls matvec: numpy's dgemv with numpy's own arguments. kcontract_rk4
+# runs each of the m rows it is given in turn, as integrate_batch runs
+# them; those rows are one block or a slice of one, of block_rows rows,
+# whose records it writes with that stride, and *stop is the block's step
+# count, shared by its slices.
 _C_RK4 = """\
 #include <errno.h>
 #include <math.h>
+#include <stdint.h>
+
+/* cblas dgemv with 32-bit and with 64-bit integers */
+typedef void (*gemv32)(int, int, int32_t, int32_t, double, const double *, int32_t,
+                       const double *, int32_t, double, double *, int32_t);
+typedef void (*gemv64)(int, int, int64_t, int64_t, double, const double *, int64_t,
+                       const double *, int64_t, double, double *, int64_t);
+
+/* out = a @ y for the row-major n x n matrix a, as numpy's matmul computes
+   it: numpy's own dgemv, g32 or g64 (the other is null), with numpy's
+   arguments (CblasColMajor = 102, CblasTrans = 112) */
+static inline void matvec(gemv32 g32, gemv64 g64, int n, const double *a, const double *y,
+                          double *out)
+{{
+    if (g64) g64(102, 112, n, n, 1.0, a, n, y, 1, 0.0, out, 1);
+    else g32(102, 112, n, n, 1.0, a, n, y, 1, 0.0, out, 1);
+}}
 
 /* v ** w for an integer w, case by case as CPython's float_pow computes it;
    1 where Python raises (0.0 to a negative power, OverflowError), else 0
@@ -128,7 +173,8 @@ static int py_pow(double v, double w, double *out)
    states[r * stride:r * stride + DIM], and the number of records is
    returned, negated when the run truncated */
 static long run(const double *z, long n_steps, double h, long record_every,
-                const double *p, double *times, double *states, long stride)
+                const double *p, gemv32 g32, gemv64 g64, double *times, double *states,
+                long stride)
 {{
     const double half = 0.5 * h, sixth = h / 6.0;
     double {declare};
@@ -156,12 +202,13 @@ fail:
    *stop to its last record's step by an atomic min, so later rows, of this
    slice or of another slice of the block, run only to that step. */
 void kcontract_rk4(const double *z, long m, long block_rows, double h, long record_every,
-                   const double *p, double *times, double *states, long *stop)
+                   const double *p, gemv32 g32, gemv64 g64, double *times, double *states,
+                   long *stop)
 {{
     long j, got, last, now;
     for (j = 0; j < m; j++) {{
         got = run(z + j * {dim}, __atomic_load_n(stop, __ATOMIC_RELAXED), h, record_every, p,
-                  times, states + j * {dim}, block_rows * {dim});
+                  g32, g64, times, states + j * {dim}, block_rows * {dim});
         if (got < 0) {{
             last = (-got - 1) * record_every;
             now = __atomic_load_n(stop, __ATOMIC_RELAXED);
@@ -185,10 +232,21 @@ def _kind(value) -> str | None:
     return {float: "float", int: "int"}.get(type(value))
 
 
-def c_source(rate):
-    """(source, params): the C form of stepper's float loop with rate inlined,
-    and the names whose values it reads from p, in order; None when rate has
-    no C form.
+class CForm(NamedTuple):
+    """A Rate's C form: the source of its loop; the names whose values it
+    reads from p, in order; gemv, the (gemv32, gemv64) addresses of numpy's
+    dgemv that it calls, or (None, None) when it calls none; and size, the
+    AST nodes of the Rate's lines and outputs."""
+
+    source: str
+    params: tuple
+    gemv: tuple
+    size: int
+
+
+def c_source(rate) -> CForm | None:
+    """The C form of stepper's float loop with rate inlined; None when rate
+    has no C form.
 
     Every line and output is translated through ast, and only these nodes
     have a C form: + - * / ** on two operands, unary -, math.sin and
@@ -196,22 +254,50 @@ def c_source(rate):
     name is a state local x<i>, a local set by an earlier line, or one of
     rate.names holding a float or an int. Since Python's arithmetic on two
     ints is exact, an operation on two int operands has no C form, and
-    neither has ** with a float exponent (float_pow's complex results)."""
+    neither has ** with a float exponent (float_pow's complex results).
+
+    One line more has a C form, stepper.compound_rate's J^[k] y:
+    name = (array([floats]).reshape(N, N) @ array([floats])[a:]).tolist()
+    with N in GEMV_ORDERS, read as name[i] with a constant i. It calls
+    numpy's own dgemv as numpy's matmul does, so it has a C form only when
+    gemv() finds and probes that kernel."""
     kinds = tuple(sorted((name, _kind(value)) for name, value in rate.names.items()))
-    return _c_source(rate.dim, rate.lines, rate.outputs, kinds)
+    form = _c_source(rate.dim, rate.lines, rate.outputs, kinds)
+    if form is None:
+        return None
+    source, params, calls_gemv, size = form
+    pointers = gemv() if calls_gemv else (None, None)
+    return None if pointers is None else CForm(source, params, pointers, size)
 
 
 @functools.lru_cache(maxsize=64)
 def _c_source(dim: int, lines: tuple, outputs: tuple, kinds: tuple):
     bound = dict(kinds)
     local = {f"x{i}": (f"x{i}", "float") for i in range(dim)}  # name -> (C name, kind)
-    params, body, temps = [], [], []
+    vectors = {}  # name -> (C name, length), of the J^[k] y lines
+    params, body, temps, arrays = [], [], [], []
+    size = 0
 
     def temp(value=None):
         name = f"T{len(temps)}"
         temps.append(name)
         if value is not None:
             body.append(f"{name} = {value};")
+        return name
+
+    def array(length):
+        name = f"V{len(arrays)}"
+        arrays.append(f"{name}[{length}]")
+        return name
+
+    def fill(values):
+        """A C array of the floats values; the guards they need go to body."""
+        name = array(len(values))
+        for i, node in enumerate(values):
+            value, kind = emit(node)
+            if kind != "float":  # numpy would hold an int array, or objects
+                raise _NoCForm
+            body.append(f"{name}[{i}] = {value};")
         return name
 
     def emit(node):
@@ -255,29 +341,68 @@ def _c_source(dim: int, lines: tuple, outputs: tuple, kinds: tuple):
             arg = temp(emit(node.args[0])[0])
             body.append(f"if (isinf({arg})) goto fail;")
             return f"{node.func.attr}({arg})", "float"
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id in vectors and isinstance(node.slice, ast.Constant)
+                and type(node.slice.value) is int
+                and 0 <= node.slice.value < vectors[node.value.id][1]):
+            return f"{vectors[node.value.id][0]}[{node.slice.value}]", "float"
         raise _NoCForm
+
+    def matvec(node):
+        """(C name, N) of the C array that numpy's dgemv fills when node is
+        compound_rate's J^[k] y, from the matrix in reshape's (row-major)
+        order; None for any other node."""
+        match node:
+            case ast.Call(ast.Attribute(ast.BinOp(
+                    ast.Call(ast.Attribute(ast.Call(ast.Name("array"), [ast.List(entries)], []),
+                                           "reshape"), [ast.Constant(rows), ast.Constant(cols)],
+                             []),
+                    ast.MatMult(),
+                    ast.Subscript(ast.Call(ast.Name("array"), [ast.List(column)], []),
+                                  ast.Slice(ast.Constant(start), None, None))),
+                    "tolist"), [], []):
+                pass
+            case _:
+                return None
+        if ("array" in local or "array" in bound or "array" in vectors or type(rows) is not int
+                or rows != cols or rows not in GEMV_ORDERS or len(entries) != rows * rows
+                or type(start) is not int or start < 0 or len(column) - start != rows):
+            raise _NoCForm
+        matrix, y, out = fill(entries), fill(column), array(rows)
+        body.append(f"matvec(g32, g64, {rows}, {matrix}, {y} + {start}, {out});")
+        return out, rows
 
     try:
         for line in lines:
             [statement] = ast.parse(line).body
+            size += sum(1 for _ in ast.walk(statement))
             if not (isinstance(statement, ast.Assign) and len(statement.targets) == 1
                     and isinstance(statement.targets[0], ast.Name)):
                 raise _NoCForm
             name = statement.targets[0].id
-            if name in bound or not name.isascii():
+            if name in bound or name in vectors or not name.isascii():
                 raise _NoCForm
+            vector = matvec(statement.value)
+            if vector is not None:
+                if name in local:
+                    raise _NoCForm
+                vectors[name] = vector
+                continue
             value, kind = emit(statement.value)
             c_name = local[name][0] if name in local else f"L_{name}"
             body.append(f"{c_name} = {value};")
             local[name] = (c_name, kind)
-        results = [emit(ast.parse(output, mode="eval").body)[0] for output in outputs]
+        trees = [ast.parse(output, mode="eval").body for output in outputs]
+        size += sum(1 for tree in trees for _ in ast.walk(tree))
+        results = [emit(tree)[0] for tree in trees]
     except (_NoCForm, SyntaxError, ValueError, OverflowError):
         return None
     parts = range(dim)
     stages, update = step_lines(
         parts, lambda out: [*body, *(f"{out}{i} = {r};" for i, r in enumerate(results))], ";")
     declare = [f"{v}{p}" for v in ("s", "x", "ka", "kb", "kc", "kd") for p in parts]
-    declare += [c_name for c_name, _ in local.values() if c_name.startswith("L_")] + temps
+    declare += [c_name for c_name, _ in local.values() if c_name.startswith("L_")]
+    declare += temps + arrays
     source = _C_RK4.format(
         declare=", ".join(declare),
         load="\n".join(f"    states[{p}] = s{p} = z[{p}];" for p in parts),
@@ -286,26 +411,25 @@ def _c_source(dim: int, lines: tuple, outputs: tuple, kinds: tuple):
         finite=" && ".join(f"isfinite(s{p})" for p in parts),
         record="\n".join(f"            states[rows * stride + {p}] = s{p};" for p in parts),
         dim=dim)
-    return source, tuple(params)
+    return source, tuple(params), bool(vectors), size
 
 
 def rk4(rate, block, n_steps: int, h: float, record_every: int):
     """The C form of rate's loop on a nonempty (m, rate.dim) block of rows:
     stepper.python_rk4's results, with times and states as arrays; None when
     rate has no C form or no object is at hand. The object is loaded from
-    this process or the cache or, from NATIVE_MIN_STEPS row-steps on, built
-    now. A block of SPLIT_MIN_ROW_STEPS row-steps or more runs as threads()
-    row slices."""
+    this process or the cache or, from an estimated Python-loop cost of
+    NATIVE_MIN_COST on (row-steps x the Rate's size), built now. A block of
+    SPLIT_MIN_ROW_STEPS row-steps or more runs as threads() row slices."""
     form = c_source(rate)
     if form is None:
         return None
-    source, params = form
     try:
-        p = np.array([float(rate.names[name]) for name in params])
+        p = np.array([float(rate.names[name]) for name in form.params])
     except OverflowError:  # an int beyond the float range, on which Python raises
         return None
     m = len(block)
-    fn = load(source, build=m * n_steps >= NATIVE_MIN_STEPS)
+    fn = load(form.source, build=m * n_steps * form.size >= NATIVE_MIN_COST)
     if fn is None:
         return None
     z = np.ascontiguousarray(block, dtype=float)
@@ -320,7 +444,7 @@ def rk4(rate, block, n_steps: int, h: float, record_every: int):
         # C call writes, until that call returns
         start = bounds[i]
         fn(z[start].ctypes.data, bounds[i + 1] - start, m, h, record_every, p.ctypes.data,
-           times[i].ctypes.data, states[0, start].ctypes.data, ctypes.byref(stop))
+           *form.gemv, times[i].ctypes.data, states[0, start].ctypes.data, ctypes.byref(stop))
 
     workers = [threading.Thread(target=run, args=(i,)) for i in range(1, parts)]
     for worker in workers:
@@ -334,6 +458,74 @@ def rk4(rate, block, n_steps: int, h: float, record_every: int):
     # trimmed to a copy, so the full buffers are freed
     count = stop.value // record_every + 1
     return times[0][:count].copy(), states[:count].copy(), True
+
+
+@functools.cache
+def gemv():
+    """(gemv32, gemv64): the address of numpy's own cblas dgemv, as an int
+    in the slot of its integer width and None in the other; None when no
+    symbol of GEMV_SYMBOLS is found or the first one found fails the probe
+    (_gemv_matches).
+
+    The symbol is looked up through numpy's extension module, which
+    searches that module and the libraries it loaded, so it is the kernel
+    numpy's matmul calls and not another copy of the BLAS."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for symbol, bits in GEMV_SYMBOLS:
+        try:
+            fn = getattr(lib, symbol)
+        except AttributeError:
+            continue
+        blasint = ctypes.c_int64 if bits == 64 else ctypes.c_int32
+        fn.argtypes = (ctypes.c_int, ctypes.c_int, blasint, blasint, ctypes.c_double,
+                       ctypes.c_void_p, blasint, ctypes.c_void_p, blasint, ctypes.c_double,
+                       ctypes.c_void_p, blasint)
+        fn.restype = None
+        if not _gemv_matches(fn):
+            return None
+        address = ctypes.cast(fn, ctypes.c_void_p).value
+        return (None, address) if bits == 64 else (address, None)
+    return None
+
+
+def _gemv_matches(fn) -> bool:
+    """Whether fn, called with numpy's arguments, gives the bytes of
+    np.matmul(J, y) for fixed J and y of each order in GEMV_ORDERS: entries
+    of one scale and spread over 600 decades, and entries among +-0, +-inf,
+    NaN, subnormals and the float extremes, at two alignments, into an out
+    buffer holding garbage first."""
+    rng = random.Random(20231)
+    special = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320,
+               2.2250738585072014e-308, -1e-300, 1.7976931348623157e308, -1.0, 3.0)
+    garbage = (math.nan, -math.inf, -0.0, 1e300)
+    for n in GEMV_ORDERS:
+        for case in range(4):
+            values = [rng.uniform(-1.0, 1.0) for _ in range(n * n + n)]
+            if case == 1:
+                values = [v * 10.0 ** rng.randint(-300, 300) for v in values]
+            elif case >= 2:
+                values = [rng.choice(special) if rng.random() < 0.5 * (case - 1) else v
+                          for v in values]
+            offset = case % 2  # J and y shifted by one double in the buffer
+            buffer = np.empty(offset + len(values) + n)
+            buffer[offset:offset + len(values)] = values
+            J = buffer[offset:offset + n * n].reshape(n, n)
+            y = buffer[offset + n * n:offset + len(values)]
+            out = buffer[-n:]
+            out[:] = garbage[case]
+            with np.errstate(all="ignore"):
+                want = np.matmul(J, y)
+            fn(102, 112, n, n, 1.0, J.ctypes.data, n, y.ctypes.data, 1, 0.0, out.ctypes.data, 1)
+            if out.tobytes() != want.tobytes():
+                return False
+    return True
 
 
 def threads() -> int:

@@ -123,11 +123,11 @@ def integrate_batch(field, X0, t_end: float, h: float = 1e-3, record_every: int 
 
     field is taken as integrate takes it. A field with a Rate (a compiled
     model's f) runs each row exactly as integrate(field, row) runs it: as C
-    when an object is at hand or, from native.NATIVE_MIN_STEPS row-steps
-    on, built now, else on Python floats, row by row; X0 must then have
-    the Rate's n columns. Any other field maps the whole (m, n) state block
-    to its (m, n) derivative block once per stage, in integrate's ndarray
-    loop (stepper.array_rk4).
+    when an object is at hand or, from an estimated Python-loop cost of
+    native.NATIVE_MIN_COST on, built now, else on Python floats, row by
+    row; X0 must then have the Rate's n columns. Any other field maps the
+    whole (m, n) state block to its (m, n) derivative block once per stage,
+    in integrate's ndarray loop (stepper.array_rk4).
 
     Returns (times, trajectory array of shape (n_samples, m, n)). The first
     non-finite state of any row ends the run, unrecorded, so a truncated
@@ -148,20 +148,22 @@ def integrate_compound(model: NonlinearModel, x0, V0, k: int, t_end: float,
                        h: float = 1e-3, record_every: int = 1) -> Trace:
     """Co-integrate x(t) and the compound state y(t) with ydot = J(x)^[k] y.
 
-    V0 is n x k with independent columns; y(0) is its k-th multiplicative
-    compound. The trace records |y(t)| alongside the state samples. The
-    augmented field runs through integrate: the function of the rate
-    emitted for it (stepper.compound_rate) when the model is compiled and
-    that function gives the numpy field's bytes at the initial state, else
-    the numpy field.
+    V0 is an (n, k) array with independent columns, and any other shape
+    raises ValueError; y(0) is its k-th multiplicative compound. The trace
+    records |y(t)| alongside the state samples. The augmented field runs
+    through integrate: the function of the rate emitted for it
+    (stepper.compound_rate) when the model is compiled and that function
+    gives the numpy field's bytes at the initial state, else the numpy
+    field. That rate runs as C (native) as a compiled model's f does, with
+    J^[k] y through numpy's own dgemv, when N = C(n, k) > 1.
     """
     n = model.dim
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({n},)")
-    V0 = np.asarray(V0, dtype=float).reshape(n, -1)
-    if V0.shape[1] != k:
-        raise ValueError(f"V0 must have k={k} columns")
+    V0 = np.asarray(V0, dtype=float)
+    if V0.shape != (n, k):
+        raise ValueError(f"V0 has shape {V0.shape}, expected ({n}, {k}): k columns of length n")
     if np.linalg.matrix_rank(V0) < k:
         raise ValueError("V0 columns must be linearly independent")
     y0 = multiplicative_compound(V0, k).ravel()

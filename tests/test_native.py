@@ -1,6 +1,8 @@
 """The C form of the RK4 loop against the Python loop it stands in for."""
 
 import ctypes
+import json
+import math
 import os
 import stat
 import subprocess
@@ -14,7 +16,7 @@ from test_expressions import assert_rows_run_as_integrate
 from test_sim import (compiler, example25_closed_loop, native_cache, native_loaded, needs_cc,
                       trace_bytes)
 
-from kcontract import models, native, sim, stepper
+from kcontract import cli, models, native, sim, stepper
 from kcontract.expressions import compile_model, parse_expression, rate_of
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -202,16 +204,16 @@ def test_rows_run_to_the_shared_stop_step_and_a_truncation_lowers_it(tmp_path):
     # lowers it to its last record's step, so the rows after it, of this
     # slice or of another, stop there as well
     rate = rate_of(models.builtin("rossler_mod").model.f)
-    source, params = native.c_source(rate)
+    form = native.c_source(rate)
     with native_cache(tmp_path):
-        fn = native.load(source, build=True)
-    p = np.array([float(rate.names[name]) for name in params])
+        fn = native.load(form.source, build=True)
+    p = np.array([float(rate.names[name]) for name in form.params])
     X = np.array([OVERFLOWS[2820], [0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])
     for first, last in ((3000, 2819), (100, 100)):
         stop = ctypes.c_long(first)
         times, states = np.full(3001, np.nan), np.full((3001, 3, 3), np.nan)
-        fn(X.ctypes.data, 3, 3, 1e-3, 1, p.ctypes.data, times.ctypes.data, states.ctypes.data,
-           ctypes.byref(stop))
+        fn(X.ctypes.data, 3, 3, 1e-3, 1, p.ctypes.data, None, None, times.ctypes.data,
+           states.ctypes.data, ctypes.byref(stop))
         assert stop.value == last
         assert not np.isnan(states[:last + 1, 1:]).any() and np.isnan(states[last + 1:, 1:]).all()
 
@@ -270,11 +272,153 @@ def test_thread_count_is_capped_and_planned_only_for_large_blocks(tmp_path):
             assert len(RecordedThread.planned) == planned
 
 
-def test_c_form_covers_the_language_but_not_the_numpy_matmul():
+# (model, k) of every built-in compound rate with N = C(n, k) > 1, whose
+# J^[k] y is numpy's dgemv
+COMPOUNDS = [(name, k) for name, n in (("rossler", 3), ("rossler_mod", 3), ("synchronverter", 4),
+                                       ("example25", 3), ("example25_closed_loop", 3))
+             for k in range(1, n)]
+
+
+def builtin(name):
+    return example25_closed_loop() if name == "example25_closed_loop" else models.builtin(name)
+
+
+@pytest.fixture(scope="module")
+def compound_cache(tmp_path_factory):
+    """One object cache for the compound tests, so each rate is built once."""
+    return tmp_path_factory.mktemp("compound")
+
+
+@needs_cc
+@pytest.mark.parametrize("name, k", COMPOUNDS)
+def test_compound_rates_run_as_c_with_the_bytes_of_the_python_twin(compound_cache, name, k):
+    # two rows of (x, y); on rossler_mod the first overflows at step 2820,
+    # which ends the block there
+    bundle = builtin(name)
+    n, rate = bundle.dim, stepper.compound_rate(bundle.model, k)
+    assert rate.dim - n > 1 and native.c_source(rate).gemv != (None, None)
+    X = bundle.box.sample(np.random.default_rng(9), 2)
+    steps = 3000 if name == "rossler_mod" else 500
+    if name == "rossler_mod":
+        X[0] = OVERFLOWS[2820]
+    block = np.hstack([X, np.tile(np.linspace(1.0, -0.5, rate.dim - n), (2, 1))])
+    V0 = np.eye(n)[:, :k]
+    with native_cache(compound_cache):
+        for every in (1, 7):
+            got = native.rk4(rate, block, steps, 1e-3, every)
+            want = stepper.python_rk4(rate, block, steps, 1e-3, every)
+            assert got[0].tobytes() == np.asarray(want[0]).tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2] == want[2] == (name == "rossler_mod")
+        compound = sim.integrate_compound(bundle.model, X[1], V0, k, 0.5, 1e-3, 3)
+        assert native_loaded(rate.function())
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("CC", "false")
+        assert trace_bytes(compound) == trace_bytes(
+            sim.integrate_compound(bundle.model, X[1], V0, k, 0.5, 1e-3, 3))
+
+
+@needs_cc
+def test_split_compound_block_gives_the_bytes_of_the_python_twin(compound_cache):
+    # 5 rows on 3 cores run as slices of 1, 2 and 2 rows, each slice calling
+    # numpy's dgemv from its own thread; row 3 overflows at step 2820
+    bundle = models.builtin("rossler_mod")
+    rate = stepper.compound_rate(bundle.model, 1)
+    X = bundle.box.sample(np.random.default_rng(5), 5)
+    X[3] = OVERFLOWS[2820]
+    block = np.hstack([X, np.tile([1.0, 0.5, -0.25], (5, 1))])
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    with native_cache(compound_cache), pytest.MonkeyPatch.context() as m:
+        m.setattr(native, "SPLIT_MIN_ROW_STEPS", 5 * 3000)
+        m.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        m.setattr(threading, "Thread", Counted)
+        got = native.rk4(rate, block, 3000, 1e-3, 7)
+    want = stepper.python_rk4(rate, block, 3000, 1e-3, 7)
+    assert len(started) == 2 and got[2] and want[2]
+    assert got[0].tobytes() == np.asarray(want[0]).tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("fault", ["probe mismatch", "missing symbol"])
+def test_without_a_probed_dgemv_a_compound_runs_the_python_loop(tmp_path, fault):
+    model = models.builtin("rossler").model
+    x0, V0 = np.array([0.2, 0.5, 0.0]), np.eye(3)[:, :2]
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("CC", "false")
+        want = sim.integrate_compound(model, x0, V0, 2, 1.0)
+    native.gemv.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as m:
+            if fault == "probe mismatch":  # a dgemv one ulp off numpy's matmul
+                m.setattr(np, "matmul", lambda a, b: np.nextafter(a @ b, math.inf))
+            else:  # no symbol of the allow-list is exported
+                m.setattr(native, "GEMV_SYMBOLS", (("kcontract_no_such_dgemv64_", 64),))
+            assert native.gemv() is None
+        assert native.c_source(stepper.compound_rate(model, 2)) is None
+        assert native.c_source(stepper.compound_rate(model, 3)) is not None  # N = 1
+        with native_cache(tmp_path) as cache:
+            got = sim.integrate_compound(model, x0, V0, 2, 1.0)
+    finally:
+        native.gemv.cache_clear()
+    assert trace_bytes(got) == trace_bytes(want)
+    assert not list(cache.glob("*.so"))
+
+
+def test_numpy_dgemv_is_used_wherever_numpy_exports_a_known_symbol():
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    exported = [bits for symbol, bits in native.GEMV_SYMBOLS if hasattr(lib, symbol)]
+    found = native.gemv()
+    assert (found is None) == (not exported)
+    if found:
+        assert (found[1] is not None) == (exported[0] == 64) == (found[0] is None)
+
+
+@needs_cc
+def test_cold_cache_simulate_compound_builds_its_object(tmp_path, capsys):
+    path = tmp_path / "rossler.json"
+    path.write_text(json.dumps({"kind": "builtin", "name": "rossler"}))
+    cache = tmp_path / "cache" / "kcontract"
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        m.setattr(native, "_LOADED", {})
+        assert cli.main(["simulate", "--model", str(path), "--x0", "0.2,0.5,0", "--t", "2",
+                         "--compound", "2"]) == 0
+        assert len(list(cache.glob("*.so"))) == 1
+        assert native_loaded(stepper.compound_rate(models.builtin("rossler").model, 2).function())
+    capsys.readouterr()
+    # every built-in compound with N > 1 is built from a run of 1000 steps on
+    for name, k in COMPOUNDS:
+        form = native.c_source(stepper.compound_rate(builtin(name).model, k))
+        assert 1000 * form.size >= native.NATIVE_MIN_COST
+
+
+def test_c_form_covers_the_language_and_the_compound_matmul():
     model = models.builtin("synchronverter").model
-    assert native.c_source(rate_of(model.f)) is not None
-    assert native.c_source(stepper.compound_rate(model, 4)) is not None  # k = n
-    assert native.c_source(stepper.compound_rate(model, 2)) is None      # Jy = array(...) @ ...
+    assert native.c_source(rate_of(model.f)).gemv == (None, None)
+    assert native.c_source(stepper.compound_rate(model, 4)).gemv == (None, None)  # k = n
+    # Jy = array(...) @ ...: numpy's own dgemv, where gemv finds and probes it
+    form = native.c_source(stepper.compound_rate(model, 2))
+    assert (form is None) == (native.gemv() is None)
+    assert form is None or form.gemv == native.gemv()
+    # the line as compound_rate writes it, and no other: another order, an
+    # int array, a shadowed array, or a vector read as a float
+    line = "Jy = (array([x0, 0.0, 0.0, x1]).reshape(2, 2) @ array([x0, x1, x2])[1:]).tolist()"
+    assert (native.c_source(stepper.Rate(3, (line,), ("Jy[0]", "Jy[1]", "x0"), {})) is None) == (
+        native.gemv() is None)
+    for lines, outputs, names in (((line.replace("(2, 2)", "(4, 1)"),), ("Jy[0]",), {}),
+                                  ((line.replace("0.0", "0"),), ("Jy[0]",), {}),
+                                  ((line.replace("[1:]", "[:2]"),), ("Jy[0]",), {}),
+                                  ((line,), ("Jy[2]",), {}),
+                                  ((line,), ("Jy",), {}),
+                                  ((line,), ("Jy[0] + 1.0",), {"array": 1.0}),
+                                  ((line, "Jy = x0"), ("Jy",), {})):
+        assert native.c_source(stepper.Rate(3, lines, outputs, names)) is None
     # Python's exact int arithmetic and its complex powers have no C form
     for lines, outputs, names in (((), ("c0 * c1",), {"c0": 2, "c1": 3}),
                                   ((), ("x0 ** c0",), {"c0": 0.5}),
@@ -318,10 +462,10 @@ def test_corrupt_cached_object_is_rebuilt_or_passed_over(tmp_path):
     with native_cache(tmp_path / "corrupt") as cache, pytest.MonkeyPatch.context() as m:
         cache.mkdir(mode=0o700, parents=True)
         (cache / obj.name).write_bytes(obj.read_bytes()[:4096])
-        m.setattr(native, "NATIVE_MIN_STEPS", 10**6)
+        m.setattr(native, "NATIVE_MIN_COST", 10**12)
         assert trace_bytes(sim.integrate(f, x0, 1.0)) == trace_bytes(want)
         assert not native_loaded(f)  # not loaded, not built
-        m.setattr(native, "NATIVE_MIN_STEPS", 1)
+        m.setattr(native, "NATIVE_MIN_COST", 1)
         assert trace_bytes(sim.integrate(f, x0, 1.0)) == trace_bytes(want)
         assert native_loaded(f)  # built again
     assert (cache / obj.name).read_bytes() == obj.read_bytes()

@@ -49,7 +49,7 @@ def native_cache(path):
     only from) a cache under path."""
     with pytest.MonkeyPatch.context() as m:
         m.setenv("XDG_CACHE_HOME", str(path))
-        m.setattr(native, "NATIVE_MIN_STEPS", 1)
+        m.setattr(native, "NATIVE_MIN_COST", 1)
         m.setattr(native, "_LOADED", {})
         yield path / "kcontract"
 
@@ -158,7 +158,11 @@ def test_emitted_loops_match_numpy_oracle_bytes(model, data):
 @given(compiled_models(), st.data())
 @settings(max_examples=12, deadline=None)  # about two compiler runs (0.1 s each) per example
 def test_native_loops_match_numpy_oracle_bytes(tmp_path_factory, model, data):
-    with native_cache(tmp_path_factory.mktemp("cache")):
+    # compound rates with N > 1 run the Python loop here, as without numpy's
+    # dgemv: built too, they would double the compiler runs of this test.
+    # test_native.py runs their C form on every built-in.
+    with native_cache(tmp_path_factory.mktemp("cache")), pytest.MonkeyPatch.context() as m:
+        m.setattr(native, "gemv", lambda: None)
         native.load(native.c_source(rate_of(model.f))[0], build=True)
         assert native_loaded(model.f)
         check_loops_against_numpy_oracle(model, data)
@@ -553,6 +557,19 @@ def test_compound_trace_linear_oracle():
     for t, norm in zip(tr.times, tr.compound_norms):
         expected = np.linalg.norm(expm(C * t) @ y0)
         assert norm == pytest.approx(expected, rel=1e-6, abs=1e-9)
+
+
+def test_compound_refuses_a_v0_of_another_shape():
+    # the k vectors as the rows of a (k, n) array, of full rank: read as an
+    # (n, k) array it would run from another compound state
+    model = models.builtin("rossler").model
+    x0 = np.array([0.2, 0.5, 0.0])
+    rows = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 2.0]])
+    for V0, k in ((rows, 2), (rows.ravel(), 2), (np.ones(3), 1), (np.eye(3), 2)):
+        with pytest.raises(ValueError, match="V0 has shape"):
+            sim.integrate_compound(model, x0, V0, k, 0.1)
+    tr = sim.integrate_compound(model, x0, rows.T, 2, 0.1)
+    assert tr.compound_norms[0] == pytest.approx(math.sqrt(6.0))
 
 
 def test_compound_k1_is_variational():
