@@ -12,7 +12,10 @@ Grammar (total; parse errors carry position):
 Variables are x1..xn and numeric literals must be finite. Expressions are
 evaluated by compiling them to Python source (``compile_model``), and bounded
 over boxes by interval evaluation (``Node.interval``); interval division by a
-zero-crossing denominator raises (no silent widening to infinity).
+zero-crossing denominator raises (no silent widening to infinity). An
+expression with constant denominators also has an exact normal form
+(``normal_form``), a polynomial over x_i, sin(u) and cos(u) that
+``derivative`` differentiates symbolically.
 """
 
 from __future__ import annotations
@@ -236,8 +239,10 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", pos)
 
 
+@lru_cache(maxsize=256)
 def parse_expression(text: str, dim: int) -> Node:
-    """Parse one scalar expression over variables x1..x<dim>."""
+    """Parse one scalar expression over variables x1..x<dim>. Nodes are
+    immutable, so repeated loads of one text share one tree."""
     return _Parser(text, dim).parse()
 
 
@@ -345,3 +350,190 @@ def compile_model(dim: int, f_nodes, theta_nodes):
     names = {f"c{i}": value for i, value in enumerate(consts)}
     return (Rate(dim, (), f_outputs, names).function(),
             Rate(dim, (), theta_outputs, names).function())
+
+
+# ---------------------------------------------------------------------------
+# exact normal form
+# ---------------------------------------------------------------------------
+
+# The largest size a product or power may reach. The size of a normal form is
+# its number of terms plus their atom factors counted with their exponents,
+# which is what the exact arithmetic on it costs; a product or power is
+# refused from its factors' sizes before it is formed.
+MAX_NORMAL_FORM = 1000
+
+_ONE = frozenset()  # the monomial of the constant term
+_UNIT = {_ONE: 1}
+
+
+def normal_form(node: Node) -> dict:
+    """The exact value of node as a polynomial over the atoms x_i, sin(u) and
+    cos(u): a dict from monomial to its nonzero coefficient.
+
+    A monomial is a frozenset of (atom, exponent) pairs, empty for the
+    constant term. An atom is ("x", i), ("sin", u) or ("cos", u), where u is
+    the normal form of the argument as a frozenset of its items. Coefficients
+    are ints or fractions.Fraction, exact in the float literals. Raises
+    ValueError for a denominator that is zero or not constant, for sin or cos
+    of a constant argument, and for a product or power that could exceed
+    MAX_NORMAL_FORM."""
+
+    def walk(node):
+        op, args = node.op, node.args
+        if op == "const":
+            return {_ONE: _exact(args[0])} if args[0] else {}
+        if op == "var":
+            return {frozenset({(("x", args[0]), 1)}): 1}
+        if op == "neg":
+            return _scale(walk(args[0]), -1)
+        if op in ("+", "-"):
+            return _add(walk(args[0]), walk(args[1]), 1 if op == "+" else -1)
+        if op == "*":
+            return _mul(walk(args[0]), walk(args[1]))
+        if op == "/":
+            den = walk(args[1])
+            if den.keys() - {_ONE}:
+                raise ValueError("a denominator that is not constant is outside the exact "
+                                 "class (polynomials in x_i, sin(u) and cos(u))")
+            if not den:
+                raise ValueError("division by a constant zero")
+            from fractions import Fraction  # deferred, as in _exact
+            return _scale(walk(args[0]), 1 / Fraction(den[_ONE]))
+        if op == "pow":
+            return _pow(walk(args[0]), args[1])
+        if op in ("sin", "cos"):
+            u = walk(args[0])
+            if not u.keys() - {_ONE}:
+                raise ValueError(f"{op} of a constant argument; write its value as a literal")
+            return {frozenset({((op, frozenset(u.items())), 1)}): 1}
+        raise AssertionError(op)
+
+    return walk(node)
+
+
+def derivative(form: dict, j: int, cache: dict) -> dict:
+    """The normal form of d form / d x_(j+1), by the product and chain rules.
+    cache holds the derivatives of sin and cos atoms between calls."""
+    out = {}
+    for monomial, c in form.items():
+        for atom, e in monomial:
+            d_atom = _atom_derivative(atom, j, cache)
+            if d_atom:
+                rest = dict(monomial)
+                if e == 1:
+                    del rest[atom]
+                else:
+                    rest[atom] = e - 1
+                term = {frozenset(rest.items()): c * e}
+                _add(out, term if d_atom is _UNIT else _mul(term, d_atom))
+    return out
+
+
+def affine_form(constant: float, terms) -> dict:
+    """The normal form of constant + sum w * form over the (w, form) pairs of
+    terms, with every float weight taken exactly; no form is modified."""
+    out = {_ONE: _exact(constant)} if constant else {}
+    for w, form in terms:
+        if w:
+            _add(out, _scale(form, _exact(w)))
+    return out
+
+
+def monomial_text(monomial) -> str:
+    """A monomial in the expression language, its factors sorted by text."""
+    factors = []
+    for (kind, arg), e in monomial:
+        if kind == "x":
+            text = f"x{arg + 1}"
+        else:
+            terms = sorted(monomial_text(m) if c == 1 else f"{float(c)!r}*{monomial_text(m)}"
+                           for m, c in arg)
+            text = f"{kind}({' + '.join(terms)})"
+        factors.append(text if e == 1 else f"{text}^{e}")
+    return "*".join(sorted(factors)) or "1"
+
+
+def _exact(v):
+    if float(v).is_integer():
+        return int(v)
+    from fractions import Fraction  # deferred: only model loading does exact arithmetic
+    return Fraction(v)
+
+
+def _scale(form, c):
+    return {m: c * v for m, v in form.items()}
+
+
+def _add(p, q, sign=1):
+    """p + sign * q, written into p, which the caller owns."""
+    for m, c in q.items():
+        c = c if sign > 0 else -c
+        if m in p:
+            c += p[m]
+            if not c:
+                del p[m]
+                continue
+        p[m] = c
+    return p
+
+
+def _degree(monomial):
+    return sum(e for _, e in monomial)
+
+
+def _size(form):
+    return sum(1 + _degree(m) for m in form)
+
+
+def _mul(p, q):
+    # every product of two monomials has the size of the pair less one
+    bound = len(q) * _size(p) + len(p) * _size(q) - len(p) * len(q)
+    if bound > MAX_NORMAL_FORM:
+        raise ValueError(f"a product expands past the normal-form cap of {MAX_NORMAL_FORM}")
+    out = {}
+    for ma, ca in p.items():
+        for mb, cb in q.items():
+            if ma and mb:
+                exps = dict(ma)
+                for atom, e in mb:
+                    exps[atom] = exps.get(atom, 0) + e
+                m = frozenset(exps.items())
+            else:
+                m = ma or mb
+            c = ca * cb
+            if m in out:
+                c += out[m]
+                if not c:
+                    del out[m]
+                    continue
+            out[m] = c
+    return out
+
+
+def _pow(form, k):
+    if k == 0:
+        return dict(_UNIT)
+    # its top-degree term alone has size 1 + k * degree
+    if 1 + k * max(map(_degree, form), default=0) > MAX_NORMAL_FORM:
+        raise ValueError(f"a power expands past the normal-form cap of {MAX_NORMAL_FORM}")
+    if len(form) == 1:  # one term: its coefficient by repeated squaring
+        (monomial, c), = form.items()
+        return {frozenset((atom, e * k) for atom, e in monomial): c ** k}
+    out = form
+    for _ in range(k - 1):
+        out = _mul(out, form)
+    return out
+
+
+def _atom_derivative(atom, j, cache):
+    kind, arg = atom
+    if kind == "x":
+        return _UNIT if arg == j else None
+    key = (atom, j)
+    if key not in cache:
+        du = derivative(dict(arg), j, cache)
+        if du:  # sin' = cos, cos' = -sin
+            other, sign = ("cos", 1) if kind == "sin" else ("sin", -1)
+            du = _mul({frozenset({((other, arg), 1)}): sign}, du)
+        cache[key] = du
+    return cache[key]

@@ -2,9 +2,12 @@
 
 A nonlinear model document carries the vector field as expression strings,
 the envelope split J(x) = A0 + sum theta_j(x) A_j, and a working box. On
-parse, the declared envelope is cross-checked against a finite-difference
-Jacobian of the field at sampled points, so a mis-declared term matrix never
-survives ingestion.
+parse, every field of the document is validated, and the declared envelope
+is checked exactly against the field's symbolic Jacobian (``_check_envelope``),
+so a mis-declared term matrix never survives ingestion. The check covers
+polynomials in x_i, sin(u) and cos(u) with constant denominators; a document
+outside that class, or one whose expansion exceeds
+``expressions.MAX_NORMAL_FORM``, is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -15,12 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import IntervalError, compile_model, parse_expression
+from .expressions import (IntervalError, affine_form, compile_model, derivative,
+                          monomial_text, normal_form, parse_expression)
 from .nl_verify import Box, NonlinearModel
-from .sim import finite_difference_jacobian
-
-ENVELOPE_CHECK_POINTS = 100
-ENVELOPE_CHECK_RTOL = 1e-6
 
 
 @dataclass
@@ -70,21 +70,10 @@ class ModelBundle:
 
 def _build_nonlinear(name, dim, f_exprs, A0, term_docs, box, B=None, params=None):
     f_nodes = [parse_expression(s, dim) for s in f_exprs]
-    if len(f_nodes) != dim:
-        raise ValueError(f"expected {dim} field components, got {len(f_nodes)}")
-
-    term_mats = []
-    theta_nodes = []
-    theta_exprs = []
-    fixed_bounds = []
-    for doc in term_docs:
-        Aj = np.asarray(doc["A"], dtype=float)
-        if Aj.shape != (dim, dim):
-            raise ValueError(f"term matrix has shape {Aj.shape}, expected {(dim, dim)}")
-        term_mats.append(Aj)
-        theta_nodes.append(parse_expression(doc["theta"], dim))
-        theta_exprs.append(doc["theta"])
-        fixed_bounds.append(tuple(doc["bounds"]) if "bounds" in doc else None)
+    term_mats = [np.asarray(doc["A"], dtype=float) for doc in term_docs]
+    theta_exprs = [doc["theta"] for doc in term_docs]
+    theta_nodes = [parse_expression(s, dim) for s in theta_exprs]
+    fixed_bounds = [tuple(doc["bounds"]) if "bounds" in doc else None for doc in term_docs]
     f, theta = compile_model(dim, f_nodes, theta_nodes)
 
     def bounds(b: Box):
@@ -119,25 +108,121 @@ def _build_nonlinear(name, dim, f_exprs, A0, term_docs, box, B=None, params=None
     )
 
 
-def _check_envelope(bundle: ModelBundle, points: int = ENVELOPE_CHECK_POINTS):
-    """Cross-check the declared envelope against a finite-difference Jacobian."""
-    model, box = bundle.model, bundle.box
-    rng = np.random.default_rng(0)
-    worst = (0.0, None)
-    for x in box.sample(rng, points):
-        J_env = model.jacobian(x)
-        J_fd = finite_difference_jacobian(model.f, x)
-        if np.isfinite(J_env).all() and np.isfinite(J_fd).all():
-            err = np.abs(J_env - J_fd).max() / (1.0 + np.abs(J_env).max())
-        else:
-            err = math.inf  # a non-finite Jacobian never agrees
-        if err > worst[0]:
-            worst = (err, x)
-    if worst[0] > ENVELOPE_CHECK_RTOL:
-        raise ValueError(
-            f"declared envelope disagrees with the field Jacobian: relative error "
-            f"{worst[0]:.3e} at x = {np.round(worst[1], 6).tolist()}"
-        )
+def _check_envelope(bundle: ModelBundle):
+    """Check that the declared envelope is the field's exact Jacobian.
+
+    Every f_i and theta_m is brought to its exact normal form
+    (``expressions.normal_form``), and f_i is differentiated in it. Entry
+    (i, j) is accepted when, for every monomial, the exact coefficient of
+    d f_i / d x_j and that of A0_ij + sum_m theta_m (A_m)_ij round to the
+    same double. Rounding once lets ``closed_loop``'s A0 - BK pass: each of
+    its entries is one float subtraction of the literal fl((BK)_ij) that its
+    field carries, so it is the rounded exact value. The rule leaves a gap of
+    up to half an ulp per coefficient, which interval bounds rounded outward
+    would have to cover. A failure names the entry and the monomial."""
+    dim = bundle.dim
+    f_forms = [_normal_form(f"f{i + 1}", s, dim) for i, s in enumerate(bundle.f_exprs)]
+    theta_forms = [_normal_form(f"theta{m + 1}", s, dim)
+                   for m, s in enumerate(bundle.theta_exprs)]
+    A0 = bundle.model.A0.tolist()
+    terms = [A.tolist() for A in bundle.model.terms]
+    cache = {}
+    for i, form in enumerate(f_forms):
+        for j in range(dim):
+            got = derivative(form, j, cache)
+            want = affine_form(A0[i][j], [(A[i][j], th) for A, th in zip(terms, theta_forms)])
+            bad = [m for m in got.keys() | want.keys()
+                   if got.get(m, 0) != want.get(m, 0)
+                   and _rounded(got.get(m, 0)) != _rounded(want.get(m, 0))]
+            if bad:
+                m = min(bad, key=monomial_text)
+                raise ValueError(
+                    f"declared envelope disagrees with the field Jacobian: entry "
+                    f"({i + 1}, {j + 1}), monomial {monomial_text(m)}: d f{i + 1}/d x{j + 1} "
+                    f"has {_rounded(got.get(m, 0))!r}, A0 + sum theta_m A_m has "
+                    f"{_rounded(want.get(m, 0))!r}")
+
+
+def _normal_form(name, text, dim):
+    try:
+        return normal_form(parse_expression(text, dim))
+    except ValueError as exc:
+        raise ValueError(f"{name} = {text}: {exc}") from None
+
+
+def _rounded(c) -> float:
+    """The double nearest the exact coefficient c, infinite past the range."""
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
+
+
+def _check_centre(bundle: ModelBundle):
+    """Refuse a field that is not finite in floats at the box centre."""
+    centre = bundle.box.center()
+    try:
+        finite = bool(np.isfinite(bundle.model.f(centre)).all())
+    except (ArithmeticError, ValueError):  # ** overflowing, a math domain error
+        finite = False
+    if not finite:
+        raise ValueError(f"f is not finite at the box centre {centre.tolist()}")
+
+
+def _finite(value, name: str, shape: tuple) -> np.ndarray:
+    """value as a finite float array of shape, where None stands for any
+    positive length; otherwise a ValueError that names the field."""
+    want = str(tuple("m" if s is None else s for s in shape)).replace("'", "")
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a {want} array of numbers") from None
+    if a.ndim != len(shape) or any(n < 1 if s is None else n != s
+                                   for n, s in zip(a.shape, shape)):
+        raise ValueError(f"{name} has shape {a.shape}, expected {want}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
+def _nonlinear_from_dict(doc: dict) -> ModelBundle:
+    """A nonlinear document, every field validated and the envelope checked."""
+    dim = doc["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ValueError(f"nonlinear model dim must be a positive integer, got {dim!r}")
+    dim = int(dim)
+    box_doc = doc.get("box")
+    if box_doc is None:
+        raise ValueError("nonlinear model requires a box")
+    box = Box(_finite(box_doc["lower"], "box lower", (dim,)),
+              _finite(box_doc["upper"], "box upper", (dim,)))
+    f_exprs = doc["f"]
+    if not (isinstance(f_exprs, list) and len(f_exprs) == dim
+            and all(isinstance(s, str) for s in f_exprs)):
+        raise ValueError(f"f must be a list of {dim} expression strings")
+    A0 = _finite(doc["A0"], "A0", (dim, dim))
+    terms = []
+    for k, term in enumerate(doc.get("terms", [])):
+        where = f"terms[{k}]"
+        if not (isinstance(term, dict) and isinstance(term.get("theta"), str)):
+            raise ValueError(f"{where} must be an object with a theta expression string")
+        checked = {"A": _finite(term["A"], f"{where}.A", (dim, dim)), "theta": term["theta"]}
+        if "bounds" in term:
+            bnd = term["bounds"]
+            if not (isinstance(bnd, list) and len(bnd) == 2
+                    and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                            and math.isfinite(v) for v in bnd) and bnd[0] <= bnd[1]):
+                raise ValueError(f"{where}.bounds must be two finite numbers lo <= hi, "
+                                 f"got {bnd!r}")
+            checked["bounds"] = bnd
+        terms.append(checked)
+    B = doc.get("B")
+    if B is not None:
+        B = _finite(B, "B", (dim, None))
+    bundle = _build_nonlinear(doc.get("name", ""), dim, f_exprs, A0, terms, box, B)
+    _check_envelope(bundle)
+    _check_centre(bundle)
+    return bundle
 
 
 def parse_model(text: str) -> ModelBundle:
@@ -160,17 +245,7 @@ def model_from_dict(doc: dict) -> ModelBundle:
             raise ValueError("B row count must match A")
         return ModelBundle(kind="linear", name=doc.get("name", ""), A=A, B=B)
     if kind == "nonlinear":
-        dim = int(doc["dim"])
-        box_doc = doc.get("box")
-        if box_doc is None:
-            raise ValueError("nonlinear model requires a box")
-        box = Box(np.asarray(box_doc["lower"], float), np.asarray(box_doc["upper"], float))
-        bundle = _build_nonlinear(
-            doc.get("name", ""), dim, doc["f"], doc["A0"], doc.get("terms", []),
-            box, doc.get("B"),
-        )
-        _check_envelope(bundle)
-        return bundle
+        return _nonlinear_from_dict(doc)
     if kind == "builtin":
         return builtin(doc["name"], **doc.get("params", {}))
     raise ValueError(f"unknown model kind {kind!r}")

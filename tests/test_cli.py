@@ -1,10 +1,12 @@
 import json
+import re
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from kcontract import cli
+from kcontract import cli, models
 
 
 def strict_loads(text):
@@ -86,6 +88,79 @@ def test_non_finite_literal_exits_2(capsys, tmp_path):
     code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", "0", "--t", "0.1")
     assert code == 2 and rep["verdict"] == "error"
     assert "position 0" in rep["error"]
+
+
+def rossler_mod_doc():
+    return models.builtin("rossler_mod").to_json() | {"B": [[0.0], [1.0], [0.0]]}
+
+
+def edit(doc, path, value):
+    """doc with the entry at path (keys and indices) set to value."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("path, value, field", [
+    pytest.param(("dim",), 2.7, "dim", id="dim-fraction"),
+    pytest.param(("dim",), 0, "dim", id="dim-zero"),
+    pytest.param(("box", "lower", 0), NAN, "box lower", id="box-nan"),
+    pytest.param(("box", "upper", 2), INF, "box upper", id="box-inf"),
+    pytest.param(("box", "lower"), [-1.0, -1.0, -0.5, 0.0], "box lower", id="box-length"),
+    pytest.param(("A0", 1, 1), NAN, "A0", id="A0-nan"),
+    pytest.param(("A0", 2, 0), -INF, "A0", id="A0-inf"),
+    pytest.param(("A0",), [[0.0, 1.0, -2.0], [-1.0, 0.0, -1.0]], "A0", id="A0-shape"),
+    pytest.param(("terms", 0, "A", 2, 0), NAN, r"terms\[0\]\.A", id="term-nan"),
+    pytest.param(("terms", 0, "bounds"), [1.0, 0.0], r"terms\[0\]\.bounds",
+                 id="bounds-reversed"),
+    pytest.param(("terms", 0, "bounds"), [0.0, 1.0, 2.0], r"terms\[0\]\.bounds",
+                 id="bounds-three"),
+    pytest.param(("terms", 0, "bounds"), [0.0, INF], r"terms\[0\]\.bounds",
+                 id="bounds-inf"),
+    pytest.param(("B",), [[0.0], [1.0]], "B", id="B-rows"),
+    pytest.param(("B", 1, 0), NAN, "B", id="B-nan"),
+    pytest.param(("f",), ["x2 - 2*x3", "-x1 - x3"], "f", id="f-length"),
+    pytest.param(("f", 1), "x2/(1 + x1^2)", "f2 = .*denominator", id="variable-denominator"),
+    pytest.param(("terms", 0, "theta"), "sin(1)", "theta1 = .*constant argument",
+                 id="sin-constant"),
+])
+def test_bad_nonlinear_document_exits_2(capsys, tmp_path, path, value, field):
+    # each bad field is refused by name while the model loads, before any work
+    path_ = tmp_path / "bad.json"
+    path_.write_text(json.dumps(edit(rossler_mod_doc(), path, value)))
+    code, rep = run_cli(capsys, "simulate", "--model", str(path_), "--x0", "0.1,0.1,0.1",
+                        "--t", "0.1")
+    assert code == 2 and rep["verdict"] == "error"
+    assert re.search(field, rep["error"])
+
+
+@pytest.mark.parametrize("expr", ["x1^1000000", "(x1 + x2 + x3 + 1)^60", "((x1 + x2)^30)^30"])
+def test_oversized_expression_exits_2_quickly(capsys, tmp_path, expr):
+    # refused from the factors' sizes, before the expansion is formed
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(edit(rossler_mod_doc(), ("f", 0), expr)))
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", "0.1,0.1,0.1",
+                        "--t", "0.1")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and "f1 = " in rep["error"] and "normal-form cap" in rep["error"]
+
+
+def test_field_overflowing_at_the_box_centre_exits_2(capsys, tmp_path):
+    # envelope exact, but f = x1^400 overflows the floats at the centre x1 = 10
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "kind": "nonlinear", "dim": 1, "f": ["x1^400"], "A0": [[0.0]],
+        "terms": [{"A": [[400.0]], "theta": "x1^399"}], "box": {"lower": [9], "upper": [11]},
+    }))
+    code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", "10", "--t", "0.1")
+    assert code == 2 and rep["error"] == "f is not finite at the box centre [10.0]"
 
 
 def test_missing_subcommand_usage(capsys):

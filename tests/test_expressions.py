@@ -3,11 +3,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from kcontract import sim
-from kcontract.expressions import (IntervalError, Node, ParseError, compile_model,
-                                   parse_expression)
+from kcontract.expressions import (MAX_NORMAL_FORM, IntervalError, Node, ParseError,
+                                   compile_model, derivative, normal_form, parse_expression)
 
 
 # The tree-walking evaluator the compiled source replaces, kept as the oracle.
@@ -220,3 +220,92 @@ def test_compiled_matches_tree_walker(node, rows):
     times, _ = assert_rows_run_as_integrate(f, X, 0.5, 0.5)
     if any(isinstance(outcome(ref_eval, node, x), type) for x in X):
         assert len(times) == 1
+
+
+def polynomial_trees(dim):
+    """Random trees inside the exact class: constants in [-10, 10], sin, cos,
+    pow and division by a nonzero constant only."""
+    consts = st.floats(-10.0, 10.0).map(lambda v: Node("const", (v,)))
+    leaves = consts | st.integers(0, dim - 1).map(lambda i: Node("var", (i,)))
+    divisors = (st.floats(0.5, 10.0) | st.floats(-10.0, -0.5)).map(
+        lambda v: Node("const", (v,)))
+
+    def extend(children):
+        return st.one_of(
+            children.map(lambda a: Node("neg", (a,))),
+            st.tuples(st.sampled_from("+-*"), children, children).map(
+                lambda t: Node(t[0], (t[1], t[2]))),
+            st.tuples(children, divisors).map(lambda t: Node("/", t)),
+            st.tuples(children, st.integers(0, 3)).map(lambda t: Node("pow", t)),
+            st.tuples(st.sampled_from(["sin", "cos"]), children).map(
+                lambda t: Node(t[0], (t[1],))),
+        )
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def form_value(form, x, size=abs):
+    """The normal form evaluated in floats at x; with size=abs, a bound on the
+    magnitudes its rounding errors scale with."""
+    total = 0.0
+    for monomial, c in form.items():
+        term = size(float(c))
+        for (kind, arg), e in monomial:
+            if kind == "x":
+                atom = size(x[arg])
+            else:
+                u = form_value(dict(arg), x, size)
+                atom = max(1.0, u) if size is abs else getattr(math, kind)(u)
+            term *= atom ** e
+        total += term
+    return total
+
+
+def tree_size(node, x):
+    """A bound on the magnitudes the rounding errors of node's float value scale with."""
+    op, args = node.op, node.args
+    if op in ("const", "var"):
+        return abs(ref_eval(node, x))
+    parts = [tree_size(a, x) for a in args if isinstance(a, Node)]
+    if op in ("neg", "+", "-"):
+        return sum(parts)
+    if op == "*":
+        return parts[0] * parts[1]
+    if op == "/":
+        return parts[0] / parts[1]
+    if op == "pow":
+        return parts[0] ** args[1]
+    return max(1.0, parts[0])  # sin and cos move by at most their argument's error
+
+
+@given(polynomial_trees(2), st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                                     min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_normal_form_matches_compiled_field(node, rows):
+    try:
+        form = normal_form(node)
+    except ValueError as exc:  # sin or cos of an argument that is constant
+        assert "constant argument" in str(exc)
+        reject()
+    f, _ = compile_model(2, [node], [])
+    for x in np.array(rows, dtype=float):
+        scale = max(tree_size(node, x), form_value(form, x))
+        assert form_value(form, x, lambda v: v) == pytest.approx(f(x)[0], rel=1e-9,
+                                                                abs=1e-9 * scale)
+        for j in range(2):
+            # the central difference, Richardson-extrapolated from steps h and h/2,
+            # within its own step-halving change
+            h = 1e-3
+            e = np.eye(2)[j]
+            d1, d2 = ((f(x + s * e)[0] - f(x - s * e)[0]) / (2 * s) for s in (h, h / 2))
+            want = (4 * d2 - d1) / 3
+            got = form_value(derivative(form, j, {}), x, lambda v: v)
+            assert got == pytest.approx(want, rel=1e-9, abs=abs(d2 - d1) + 1e-12 * (1 + scale) / h)
+
+
+def test_normal_form_cap_and_zero_denominator():
+    # a term of degree MAX_NORMAL_FORM - 1 has size MAX_NORMAL_FORM: at the cap, not past it
+    assert len(normal_form(parse_expression(f"x1^{MAX_NORMAL_FORM - 1}", 1))) == 1
+    with pytest.raises(ValueError, match="cap"):
+        normal_form(parse_expression(f"x1^{MAX_NORMAL_FORM}", 1))
+    with pytest.raises(ValueError, match="constant zero"):
+        normal_form(parse_expression("x1/(x2 - x2)", 2))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,7 +187,42 @@ def test_bounds_reject_non_finite():
     bundle = models.model_from_dict(doc)
     with pytest.raises(IntervalError, match="non-finite"):
         bundle.model.bounds(bundle.box)
+    # a fixed bound that is not finite is refused when the document is loaded
     doc["terms"] = [{"A": [[0, 0], [0, 0]], "theta": "x1", "bounds": [-math.inf, 1.0]}]
-    bundle = models.model_from_dict(doc)
-    with pytest.raises(IntervalError, match="non-finite"):
-        bundle.model.bounds(bundle.box)
+    with pytest.raises(ValueError, match=r"terms\[0\]\.bounds"):
+        models.model_from_dict(doc)
+
+
+def closed_loop_docs():
+    """The example25 closed loop, and a two-input one whose B K entries are
+    sums of two rounded products."""
+    K = example25_gain()
+    two = models.builtin("example25")
+    two.B = np.array([[0.3, 0.0], [1.0, 0.7], [0.0, 0.1]])
+    K2 = np.vstack([K, np.random.default_rng(5).standard_normal((1, 3))])
+    return [models.closed_loop(models.builtin("example25"), K).to_json(),
+            models.closed_loop(two, K2).to_json()]
+
+
+def test_exact_envelope_accepts_builtins_and_closed_loops():
+    docs = [models.builtin(name).to_json() for name in models.BUILTINS] + closed_loop_docs()
+    for doc in docs:
+        assert models.model_from_dict(doc).model.A0.tolist() == doc["A0"]
+
+
+@pytest.mark.parametrize("path, value, entry, monomial", [
+    (("terms", 0, "A", 2, 0), -1.5 * (1 + 1e-6), "(3, 1)", "x1^2"),
+    (("terms", 0, "A", 2, 0), -1.5 * (1 + 1e-8), "(3, 1)", "x1^2"),
+    (("terms", 0, "A", 2, 0), math.nextafter(-1.5, math.inf), "(3, 1)", "x1^2"),
+    (("terms", 0, "theta"), "x1*x2", "(3, 1)", "x1*x2"),
+    (("A0", 0, 1), -1.0, "(1, 2)", "1"),
+], ids=["1e-6", "1e-8", "one-ulp", "wrong-theta", "A0-sign"])
+def test_exact_envelope_rejects_naming_the_entry(path, value, entry, monomial):
+    doc = models.builtin("rossler_mod").to_json()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValueError, match=r"envelope disagrees.*entry "
+                       + re.escape(f"{entry}, monomial {monomial}:")):
+        models.model_from_dict(doc)
