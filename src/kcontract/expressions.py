@@ -239,10 +239,8 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", pos)
 
 
-@lru_cache(maxsize=256)
 def parse_expression(text: str, dim: int) -> Node:
-    """Parse one scalar expression over variables x1..x<dim>. Nodes are
-    immutable, so repeated loads of one text share one tree."""
+    """Parse one scalar expression over variables x1..x<dim>."""
     return _Parser(text, dim).parse()
 
 
@@ -361,6 +359,11 @@ def compile_model(dim: int, f_nodes, theta_nodes):
 # which is what the exact arithmetic on it costs; a product or power is
 # refused from its factors' sizes before it is formed.
 MAX_NORMAL_FORM = 1000
+# The most bits a product or power may give a coefficient's numerator or
+# denominator, bounded from its factors' bits before it is formed. A float
+# literal is exact in at most 1075 bits, so this leaves room for products of
+# a dozen extreme literals; a constant power such as 0.1^1000000 is refused.
+MAX_COEFFICIENT_BITS = 1 << 14
 
 _ONE = frozenset()  # the monomial of the constant term
 _UNIT = {_ONE: 1}
@@ -376,7 +379,7 @@ def normal_form(node: Node) -> dict:
     are ints or fractions.Fraction, exact in the float literals. Raises
     ValueError for a denominator that is zero or not constant, for sin or cos
     of a constant argument, and for a product or power that could exceed
-    MAX_NORMAL_FORM."""
+    MAX_NORMAL_FORM or MAX_COEFFICIENT_BITS."""
 
     def walk(node):
         op, args = node.op, node.args
@@ -411,9 +414,10 @@ def normal_form(node: Node) -> dict:
     return walk(node)
 
 
-def derivative(form: dict, j: int, cache: dict) -> dict:
+def derivative(form: dict, j: int, cache: dict | None = None) -> dict:
     """The normal form of d form / d x_(j+1), by the product and chain rules.
-    cache holds the derivatives of sin and cos atoms between calls."""
+    A cache passed in keeps the derivatives of sin and cos atoms between calls."""
+    cache = {} if cache is None else cache
     out = {}
     for monomial, c in form.items():
         for atom, e in monomial:
@@ -426,16 +430,6 @@ def derivative(form: dict, j: int, cache: dict) -> dict:
                     rest[atom] = e - 1
                 term = {frozenset(rest.items()): c * e}
                 _add(out, term if d_atom is _UNIT else _mul(term, d_atom))
-    return out
-
-
-def affine_form(constant: float, terms) -> dict:
-    """The normal form of constant + sum w * form over the (w, form) pairs of
-    terms, with every float weight taken exactly; no form is modified."""
-    out = {_ONE: _exact(constant)} if constant else {}
-    for w, form in terms:
-        if w:
-            _add(out, _scale(form, _exact(w)))
     return out
 
 
@@ -485,11 +479,19 @@ def _size(form):
     return sum(1 + _degree(m) for m in form)
 
 
+def _bits(form):
+    """The most bits of any coefficient's numerator or denominator."""
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for c in form.values()), default=0)
+
+
 def _mul(p, q):
     # every product of two monomials has the size of the pair less one
     bound = len(q) * _size(p) + len(p) * _size(q) - len(p) * len(q)
     if bound > MAX_NORMAL_FORM:
         raise ValueError(f"a product expands past the normal-form cap of {MAX_NORMAL_FORM}")
+    if _bits(p) + _bits(q) > MAX_COEFFICIENT_BITS:
+        raise ValueError(f"a product's coefficients pass the cap of {MAX_COEFFICIENT_BITS} bits")
     out = {}
     for ma, ca in p.items():
         for mb, cb in q.items():
@@ -513,11 +515,18 @@ def _mul(p, q):
 def _pow(form, k):
     if k == 0:
         return dict(_UNIT)
+    if not form:  # zero
+        return {}
     # its top-degree term alone has size 1 + k * degree
-    if 1 + k * max(map(_degree, form), default=0) > MAX_NORMAL_FORM:
+    if 1 + k * max(map(_degree, form)) > MAX_NORMAL_FORM:
         raise ValueError(f"a power expands past the normal-form cap of {MAX_NORMAL_FORM}")
     if len(form) == 1:  # one term: its coefficient by repeated squaring
         (monomial, c), = form.items()
+        # c ** k has at most k times c's bits, and one bit if c is 1 or -1
+        bits = _bits(form)
+        if bits > 1 and k * bits > MAX_COEFFICIENT_BITS:
+            raise ValueError(f"a power's coefficient passes the cap of "
+                             f"{MAX_COEFFICIENT_BITS} bits")
         return {frozenset((atom, e * k) for atom, e in monomial): c ** k}
     out = form
     for _ in range(k - 1):

@@ -7,7 +7,9 @@ is checked exactly against the field's symbolic Jacobian (``_check_envelope``),
 so a mis-declared term matrix never survives ingestion. The check covers
 polynomials in x_i, sin(u) and cos(u) with constant denominators; a document
 outside that class, or one whose expansion exceeds
-``expressions.MAX_NORMAL_FORM``, is refused with ValueError.
+``expressions.MAX_NORMAL_FORM`` or ``expressions.MAX_COEFFICIENT_BITS``, is
+refused with ValueError, and so is a field that is not finite in floats at
+the box centre or at ``FINITE_CHECK_POINTS`` points sampled in the box.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import (IntervalError, affine_form, compile_model, derivative,
-                          monomial_text, normal_form, parse_expression)
+from .expressions import (IntervalError, compile_model, derivative, monomial_text,
+                          normal_form, parse_expression)
 from .nl_verify import Box, NonlinearModel
 
 
@@ -68,13 +70,21 @@ class ModelBundle:
         return doc
 
 
-def _build_nonlinear(name, dim, f_exprs, A0, term_docs, box, B=None, params=None):
+def _build_nonlinear(name, dim, f_exprs, A0, term_docs, box, B=None, params=None,
+                     check=False):
+    """The bundle of a nonlinear model; with check, its envelope is checked
+    exactly (``_check_envelope``) and its field in floats (``_check_finite``)."""
     f_nodes = [parse_expression(s, dim) for s in f_exprs]
     term_mats = [np.asarray(doc["A"], dtype=float) for doc in term_docs]
     theta_exprs = [doc["theta"] for doc in term_docs]
     theta_nodes = [parse_expression(s, dim) for s in theta_exprs]
     fixed_bounds = [tuple(doc["bounds"]) if "bounds" in doc else None for doc in term_docs]
+    if check:
+        _check_envelope(_normal_forms("f", f_exprs, f_nodes),
+                        _normal_forms("theta", theta_exprs, theta_nodes), A0, term_mats)
     f, theta = compile_model(dim, f_nodes, theta_nodes)
+    if check:
+        _check_finite(f, box)
 
     def bounds(b: Box):
         ivs = b.intervals()
@@ -108,29 +118,25 @@ def _build_nonlinear(name, dim, f_exprs, A0, term_docs, box, B=None, params=None
     )
 
 
-def _check_envelope(bundle: ModelBundle):
+def _check_envelope(f_forms, theta_forms, A0, terms):
     """Check that the declared envelope is the field's exact Jacobian.
 
-    Every f_i and theta_m is brought to its exact normal form
-    (``expressions.normal_form``), and f_i is differentiated in it. Entry
-    (i, j) is accepted when, for every monomial, the exact coefficient of
-    d f_i / d x_j and that of A0_ij + sum_m theta_m (A_m)_ij round to the
+    f_forms and theta_forms are the exact normal forms of f_i and theta_m
+    (``expressions.normal_form``), and f_i is differentiated in its form.
+    Entry (i, j) is accepted when, for every monomial, the exact coefficient
+    of d f_i / d x_j and that of A0_ij + sum_m theta_m (A_m)_ij round to the
     same double. Rounding once lets ``closed_loop``'s A0 - BK pass: each of
     its entries is one float subtraction of the literal fl((BK)_ij) that its
     field carries, so it is the rounded exact value. The rule leaves a gap of
     up to half an ulp per coefficient, which interval bounds rounded outward
     would have to cover. A failure names the entry and the monomial."""
-    dim = bundle.dim
-    f_forms = [_normal_form(f"f{i + 1}", s, dim) for i, s in enumerate(bundle.f_exprs)]
-    theta_forms = [_normal_form(f"theta{m + 1}", s, dim)
-                   for m, s in enumerate(bundle.theta_exprs)]
-    A0 = bundle.model.A0.tolist()
-    terms = [A.tolist() for A in bundle.model.terms]
+    A0 = np.asarray(A0, dtype=float).tolist()
+    terms = [A.tolist() for A in terms]
     cache = {}
     for i, form in enumerate(f_forms):
-        for j in range(dim):
+        for j in range(len(f_forms)):
             got = derivative(form, j, cache)
-            want = affine_form(A0[i][j], [(A[i][j], th) for A, th in zip(terms, theta_forms)])
+            want = _envelope_form(A0[i][j], [(A[i][j], th) for A, th in zip(terms, theta_forms)])
             bad = [m for m in got.keys() | want.keys()
                    if got.get(m, 0) != want.get(m, 0)
                    and _rounded(got.get(m, 0)) != _rounded(want.get(m, 0))]
@@ -143,11 +149,32 @@ def _check_envelope(bundle: ModelBundle):
                     f"{_rounded(want.get(m, 0))!r}")
 
 
-def _normal_form(name, text, dim):
-    try:
-        return normal_form(parse_expression(text, dim))
-    except ValueError as exc:
-        raise ValueError(f"{name} = {text}: {exc}") from None
+def _normal_forms(prefix, texts, nodes):
+    out = []
+    for k, (text, node) in enumerate(zip(texts, nodes)):
+        try:
+            out.append(normal_form(node))
+        except ValueError as exc:
+            raise ValueError(f"{prefix}{k + 1} = {text}: {exc}") from None
+    return out
+
+
+def _envelope_form(constant: float, weighted) -> dict:
+    """The exact normal form of constant + sum w * form over the (w, form)
+    pairs of weighted, every float taken exactly. A monomial may be left with
+    a zero coefficient, which compares like an absent one."""
+    from fractions import Fraction  # deferred: only model loading does exact arithmetic
+
+    def exact(v):
+        return int(v) if v.is_integer() else Fraction(v)
+
+    out = {frozenset(): exact(constant)} if constant else {}  # the constant term
+    for w, form in weighted:
+        if w:
+            w = exact(w)
+            for m, c in form.items():
+                out[m] = out.get(m, 0) + w * c
+    return out
 
 
 def _rounded(c) -> float:
@@ -158,15 +185,24 @@ def _rounded(c) -> float:
         return math.inf if c > 0 else -math.inf
 
 
-def _check_centre(bundle: ModelBundle):
-    """Refuse a field that is not finite in floats at the box centre."""
-    centre = bundle.box.center()
-    try:
-        finite = bool(np.isfinite(bundle.model.f(centre)).all())
-    except (ArithmeticError, ValueError):  # ** overflowing, a math domain error
-        finite = False
-    if not finite:
-        raise ValueError(f"f is not finite at the box centre {centre.tolist()}")
+# a field that overflows in floats somewhere in the box is refused, checked at
+# the centre and at points sampled with a fixed seed
+FINITE_CHECK_POINTS = 100
+
+
+def _check_finite(f, box: Box):
+    """Refuse a field that is not finite in floats at the box centre or at
+    FINITE_CHECK_POINTS points sampled in the box."""
+    points = np.vstack([box.center(), box.sample(np.random.default_rng(0), FINITE_CHECK_POINTS)])
+    values = []
+    for x in points:
+        try:
+            values.append(f(x))
+        except (ArithmeticError, ValueError):  # ** overflowing, a math domain error
+            values.append(np.full(len(x), np.nan))
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if len(bad):
+        raise ValueError(f"f is not finite in floats at x = {points[bad[0]].tolist()} in the box")
 
 
 def _finite(value, name: str, shape: tuple) -> np.ndarray:
@@ -219,10 +255,7 @@ def _nonlinear_from_dict(doc: dict) -> ModelBundle:
     B = doc.get("B")
     if B is not None:
         B = _finite(B, "B", (dim, None))
-    bundle = _build_nonlinear(doc.get("name", ""), dim, f_exprs, A0, terms, box, B)
-    _check_envelope(bundle)
-    _check_centre(bundle)
-    return bundle
+    return _build_nonlinear(doc.get("name", ""), dim, f_exprs, A0, terms, box, B, check=True)
 
 
 def parse_model(text: str) -> ModelBundle:

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from kcontract import cli, models
+from kcontract import cli
+from test_models import edit, rossler_mod_doc
 
 
 def strict_loads(text):
@@ -90,20 +91,6 @@ def test_non_finite_literal_exits_2(capsys, tmp_path):
     assert "position 0" in rep["error"]
 
 
-def rossler_mod_doc():
-    return models.builtin("rossler_mod").to_json() | {"B": [[0.0], [1.0], [0.0]]}
-
-
-def edit(doc, path, value):
-    """doc with the entry at path (keys and indices) set to value."""
-    doc = json.loads(json.dumps(doc))
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    return doc
-
-
 NAN, INF = float("nan"), float("inf")
 
 
@@ -140,27 +127,52 @@ def test_bad_nonlinear_document_exits_2(capsys, tmp_path, path, value, field):
     assert re.search(field, rep["error"])
 
 
-@pytest.mark.parametrize("expr", ["x1^1000000", "(x1 + x2 + x3 + 1)^60", "((x1 + x2)^30)^30"])
+@pytest.mark.parametrize("expr", [
+    "x1^1000000", "(x1 + x2 + x3 + 1)^60", "((x1 + x2)^30)^30",
+    "0.1^1000000000", "3^1000000000", "(0.1*x1)^900",
+])
 def test_oversized_expression_exits_2_quickly(capsys, tmp_path, expr):
-    # refused from the factors' sizes, before the expansion is formed
+    # refused from the factors' sizes and coefficient bits, before the
+    # expansion or the coefficient is formed
     path = tmp_path / "big.json"
     path.write_text(json.dumps(edit(rossler_mod_doc(), ("f", 0), expr)))
     start = time.perf_counter()
     code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", "0.1,0.1,0.1",
                         "--t", "0.1")
     assert time.perf_counter() - start < 2.0
-    assert code == 2 and "f1 = " in rep["error"] and "normal-form cap" in rep["error"]
+    assert code == 2 and "f1 = " in rep["error"]
+    assert re.search(r"(normal-form cap of|cap of \d+ bits)", rep["error"])
 
 
-def test_field_overflowing_at_the_box_centre_exits_2(capsys, tmp_path):
-    # envelope exact, but f = x1^400 overflows the floats at the centre x1 = 10
+@pytest.mark.parametrize("zero", ["0^1000000000", "(x1 - x1)^1000000000"])
+def test_power_of_zero_loads_quickly(capsys, tmp_path, zero):
+    # a zero base makes the power zero at once, whatever its exponent
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(edit(rossler_mod_doc(), ("f", 0), f"x2 - 2*x3 + {zero}")))
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", "0.1,0.1,0.1",
+                        "--t", "0.1")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and rep["verdict"] != "error"
+
+
+@pytest.mark.parametrize("f, terms, box, at", [
+    # overflows at the centre x1 = 10
+    ("x1^400", [{"A": [[400.0]], "theta": "x1^399"}], [9, 11], r"\[10\.0\]"),
+    # exactly 0, but inf - inf = nan in floats wherever |x1| > 1e-46
+    ("(1e200*x1)*(1e200*x1) - (1e200*x1)*(1e200*x1)", [], [-1, 1], r"\[-?0\.\d+\]"),
+], ids=["centre", "sampled"])
+def test_field_not_finite_in_the_box_exits_2(capsys, tmp_path, f, terms, box, at):
+    # the envelope is exact, but f is not finite in floats in the box
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps({
-        "kind": "nonlinear", "dim": 1, "f": ["x1^400"], "A0": [[0.0]],
-        "terms": [{"A": [[400.0]], "theta": "x1^399"}], "box": {"lower": [9], "upper": [11]},
+        "kind": "nonlinear", "dim": 1, "f": [f], "A0": [[0.0]], "terms": terms,
+        "box": {"lower": [box[0]], "upper": [box[1]]},
     }))
-    code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", "10", "--t", "0.1")
-    assert code == 2 and rep["error"] == "f is not finite at the box centre [10.0]"
+    code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", str(box[0]),
+                        "--t", "0.1")
+    assert code == 2
+    assert re.fullmatch(rf"f is not finite in floats at x = {at} in the box", rep["error"])
 
 
 def test_missing_subcommand_usage(capsys):

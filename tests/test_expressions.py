@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from kcontract import sim
-from kcontract.expressions import (MAX_NORMAL_FORM, IntervalError, Node, ParseError,
-                                   compile_model, derivative, normal_form, parse_expression)
+from kcontract.expressions import (MAX_COEFFICIENT_BITS, MAX_NORMAL_FORM, IntervalError, Node,
+                                   ParseError, compile_model, derivative, normal_form,
+                                   parse_expression)
 
 
 # The tree-walking evaluator the compiled source replaces, kept as the oracle.
@@ -298,7 +299,7 @@ def test_normal_form_matches_compiled_field(node, rows):
             e = np.eye(2)[j]
             d1, d2 = ((f(x + s * e)[0] - f(x - s * e)[0]) / (2 * s) for s in (h, h / 2))
             want = (4 * d2 - d1) / 3
-            got = form_value(derivative(form, j, {}), x, lambda v: v)
+            got = form_value(derivative(form, j), x, lambda v: v)
             assert got == pytest.approx(want, rel=1e-9, abs=abs(d2 - d1) + 1e-12 * (1 + scale) / h)
 
 
@@ -309,3 +310,17 @@ def test_normal_form_cap_and_zero_denominator():
         normal_form(parse_expression(f"x1^{MAX_NORMAL_FORM}", 1))
     with pytest.raises(ValueError, match="constant zero"):
         normal_form(parse_expression("x1/(x2 - x2)", 2))
+
+
+def test_power_coefficients_are_capped_and_zero_powers_are_zero():
+    # a power of zero is zero at once, whatever its exponent
+    assert normal_form(parse_expression("0^1000000000", 1)) == {}
+    assert normal_form(parse_expression("(x1 - x1)^1000000000000000000", 1)) == {}
+    assert normal_form(parse_expression("(-1)^1000000001", 1)) == normal_form(Node("const", (-1.0,)))
+    # 2^k has k + 1 bits; the bound is k times 2's two bits
+    half = MAX_COEFFICIENT_BITS // 2
+    assert normal_form(parse_expression(f"2^{half}", 1)) == {frozenset(): 2 ** half}
+    for text in (f"2^{half + 1}", "0.1^1000000000", "3^1000000000", "(0.1*x1)^900",
+                 "(0.1^150*x1)*(0.1^150*x2)"):
+        with pytest.raises(ValueError, match=f"cap of {MAX_COEFFICIENT_BITS} bits"):
+            normal_form(parse_expression(text, 2))

@@ -193,6 +193,20 @@ def test_bounds_reject_non_finite():
         models.model_from_dict(doc)
 
 
+def rossler_mod_doc():
+    return models.builtin("rossler_mod").to_json() | {"B": [[0.0], [1.0], [0.0]]}
+
+
+def edit(doc, path, value):
+    """doc with the entry at path (keys and indices) set to value."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
 def closed_loop_docs():
     """The example25 closed loop, and a two-input one whose B K entries are
     sums of two rounded products."""
@@ -218,11 +232,22 @@ def test_exact_envelope_accepts_builtins_and_closed_loops():
     (("A0", 0, 1), -1.0, "(1, 2)", "1"),
 ], ids=["1e-6", "1e-8", "one-ulp", "wrong-theta", "A0-sign"])
 def test_exact_envelope_rejects_naming_the_entry(path, value, entry, monomial):
-    doc = models.builtin("rossler_mod").to_json()
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
     with pytest.raises(ValueError, match=r"envelope disagrees.*entry "
                        + re.escape(f"{entry}, monomial {monomial}:")):
+        models.model_from_dict(edit(rossler_mod_doc(), path, value))
+
+
+def test_field_not_finite_in_the_box_is_refused():
+    # the exact form is x2, so the envelope matches; in floats the first
+    # component is inf - inf = nan wherever |x1| > 1e-46, though 0 at the centre
+    doc = {
+        "kind": "nonlinear", "dim": 2,
+        "f": ["(1e200*x1)*(1e200*x1) - (1e200*x1)*(1e200*x1) + x2", "-x1"],
+        "A0": [[0, 1], [-1, 0]],
+        "terms": [],
+        "box": {"lower": [-1, -1], "upper": [1, 1]},
+    }
+    with pytest.raises(ValueError, match=r"f is not finite in floats at x = \[.*\] in the box"):
         models.model_from_dict(doc)
+    doc["f"][0] = "x2"
+    assert models.model_from_dict(doc).model.f(np.array([0.5, 0.0])).tolist() == [0.0, -0.5]
