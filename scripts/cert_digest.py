@@ -172,14 +172,14 @@ def nonlinear_digests():
     bundle = models.builtin("example25")
     doc = reproduce.load_data("example25_design.json")
     slack = reproduce.data_slack(doc)
-    K, omega, report = nv.synthesize_nl_gain(
-        bundle.model, bundle.box, np.asarray(doc["W0"], float), np.asarray(doc["W1"], float),
-        doc["mu0"], doc["mu1"], bundle.B, doc["k"], slack=slack)
+    design = reproduce.design_from_data(doc)
+    K, omega, report = nv.synthesize_nl_gain(bundle.model, bundle.box, B=bundle.B, slack=slack,
+                                             **design)
     out["synthesize_nl_gain/example25"] = digest_of(K, omega, reproduce.report_entry(report))
 
     closed = models.closed_loop(bundle, K).model
     report = nv.verify_compound_condition(closed, bundle.box, np.asarray(doc["Q"], float),
-                                          doc["eta"], doc["k"], slack=slack)
+                                          doc["eta"], design["k"], slack=slack)
     out["verify_compound_condition/example25"] = digest_of(reproduce.report_entry(report))
     return out
 

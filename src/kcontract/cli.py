@@ -161,11 +161,10 @@ def cmd_verify_nl(args):
 def cmd_synth_nl(args):
     bundle = _load_model(args, "nonlinear", needs_B=True)
     doc = json.loads(Path(args.cert).read_text())
+    design = reproduce.design_from_data(doc)
     slack = args.slack if args.slack is not None else reproduce.data_slack(doc)
-    K, omega, report = nv.synthesize_nl_gain(
-        bundle.model, bundle.box, np.asarray(doc["W0"], float),
-        np.asarray(doc["W1"], float), doc["mu0"], doc["mu1"], bundle.B, doc["k"],
-        slack=slack)
+    K, omega, report = nv.synthesize_nl_gain(bundle.model, bundle.box, B=bundle.B, slack=slack,
+                                             **design)
     return {
         "command": "synth-nl",
         "K": K,
@@ -284,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="kcontract",
         description="k-contraction analysis, feedback design, and simulation")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
+    p.add_argument("--seed", type=int, default=0, help="seed of the reproduce bundles' draws")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def add(name, fn, **kwargs):
@@ -367,7 +366,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     except _UsageError as exc:
         return _error(str(exc))
-    np.random.seed(args.seed)
     try:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):

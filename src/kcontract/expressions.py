@@ -144,12 +144,25 @@ def _tokenize(text):
     return tokens
 
 
+# The deepest an expression may nest, counted as the parentheses, calls and
+# negations open at once while it is parsed and as its tree's height (the
+# operators above its deepest leaf); parse_expression refuses a deeper one
+# before anything recurses. Every stage recurses about once a level, and the
+# bound is half the tightest limit: the parser takes 5 Python frames a
+# parenthesis, 500 of the default recursion limit of 1000 at the bound, and
+# python_source nests a parenthesis a level, where CPython's tokenizer
+# refuses 200. So the stages would also take closed_loop's "(f) - (r)", a
+# level more than f, though the bound refuses a closed loop past it.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text, dim):
         self.text = text
         self.dim = dim
         self.tokens = _tokenize(text)
         self.i = 0
+        self.level = 0  # the parentheses, calls and negations open at the token
 
     def peek(self):
         return self.tokens[self.i]
@@ -169,6 +182,17 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing token {val!r}", pos)
+        if _height(node) > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", 0)
+        return node
+
+    def nested(self, parse, pos):
+        """parse() one level deeper; a ParseError past MAX_DEPTH levels."""
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+        node = parse()
+        self.level -= 1
         return node
 
     def expr(self):
@@ -192,10 +216,10 @@ class _Parser:
                 return node
 
     def factor(self):
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            return Node("neg", (self.factor(),))
+            return Node("neg", (self.nested(self.factor, pos),))
         return self.power()
 
     def power(self):
@@ -222,7 +246,7 @@ class _Parser:
         if kind == "name":
             if val in ("sin", "cos"):
                 self.expect_op("(")
-                inner = self.expr()
+                inner = self.nested(self.expr, pos)
                 self.expect_op(")")
                 return Node(val, (inner,))
             m = re.fullmatch(r"x(\d+)", val)
@@ -233,14 +257,25 @@ class _Parser:
                 raise ParseError(f"variable {val} out of range for dimension {self.dim}", pos)
             return Node("var", (idx,))
         if kind == "op" and val == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr, pos)
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected token {val!r}", pos)
 
 
+def _height(node: Node) -> int:
+    """The operators above node's deepest leaf, counted without recursion."""
+    height, stack = 0, [(node, 0)]
+    while stack:
+        node, h = stack.pop()
+        height = max(height, h)
+        stack.extend((a, h + 1) for a in node.args if isinstance(a, Node))
+    return height
+
+
 def parse_expression(text: str, dim: int) -> Node:
-    """Parse one scalar expression over variables x1..x<dim>."""
+    """Parse one scalar expression over variables x1..x<dim>; ParseError for
+    one that nests deeper than MAX_DEPTH levels."""
     return _Parser(text, dim).parse()
 
 
@@ -287,8 +322,8 @@ def _code(source: str):
 
 def exec_source(source: str, names: dict) -> dict:
     """Run source, compiled once per distinct text, in a fresh namespace that
-    holds math, np, array, asarray and names; return the namespace."""
-    namespace = {"math": math, "np": np, "array": np.array, "asarray": np.asarray}
+    holds math, array, asarray and names; return the namespace."""
+    namespace = {"math": math, "array": np.array, "asarray": np.asarray}
     namespace.update(names)
     exec(_code(source), namespace)
     return namespace

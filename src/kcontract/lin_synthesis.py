@@ -39,11 +39,10 @@ KAPPA_HALVINGS = 60
 
 @dataclass
 class KalmanDecomposition:
-    """Orthogonal staircase form: z = T x, T A T' = [[Ac, A12], [0, Au]]."""
+    """Orthogonal staircase form: z = T x, T A T' = [[Ac, *], [0, Au]]."""
 
     T: np.ndarray
     Ac: np.ndarray
-    A12: np.ndarray
     Au: np.ndarray
     Bc: np.ndarray
     nc: int
@@ -78,7 +77,6 @@ def kalman_decompose(A, B) -> KalmanDecomposition:
     return KalmanDecomposition(
         T=T,
         Ac=At[:rank, :rank],
-        A12=At[:rank, rank:],
         Au=At[rank:, rank:],
         Bc=Bt[:rank, :],
         nc=rank,

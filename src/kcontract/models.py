@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,14 +206,25 @@ def _check_finite(f, box: Box):
         raise ValueError(f"f is not finite in floats at x = {points[bad[0]].tolist()} in the box")
 
 
-def _finite(value, name: str, shape: tuple) -> np.ndarray:
-    """value as a finite float array of shape, where None stands for any
-    positive length; otherwise a ValueError that names the field."""
+def is_number(value) -> bool:
+    """Whether value is a number, not a bool, and a finite float: nan, inf
+    and an int past the float range (which math.isfinite cannot take) are not."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def finite(value, name: str, shape: tuple) -> np.ndarray:
+    """value, an array of numbers (no strings or nulls), as a finite float
+    array of shape, where None stands for any positive length; otherwise a
+    ValueError that names the field."""
     want = str(tuple("m" if s is None else s for s in shape)).replace("'", "")
     try:
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        a = np.asarray(value)
+        if a.dtype.kind not in "iuf":  # strings, nulls, booleans
+            raise TypeError
+    except (TypeError, ValueError):  # or a ragged nesting
         raise ValueError(f"{name} must be a {want} array of numbers") from None
+    a = a.astype(float)
     if a.ndim != len(shape) or any(n < 1 if s is None else n != s
                                    for n, s in zip(a.shape, shape)):
         raise ValueError(f"{name} has shape {a.shape}, expected {want}")
@@ -230,31 +242,30 @@ def _nonlinear_from_dict(doc: dict) -> ModelBundle:
     box_doc = doc.get("box")
     if box_doc is None:
         raise ValueError("nonlinear model requires a box")
-    box = Box(_finite(box_doc["lower"], "box lower", (dim,)),
-              _finite(box_doc["upper"], "box upper", (dim,)))
+    box = Box(finite(box_doc["lower"], "box lower", (dim,)),
+              finite(box_doc["upper"], "box upper", (dim,)))
     f_exprs = doc["f"]
     if not (isinstance(f_exprs, list) and len(f_exprs) == dim
             and all(isinstance(s, str) for s in f_exprs)):
         raise ValueError(f"f must be a list of {dim} expression strings")
-    A0 = _finite(doc["A0"], "A0", (dim, dim))
+    A0 = finite(doc["A0"], "A0", (dim, dim))
     terms = []
     for k, term in enumerate(doc.get("terms", [])):
         where = f"terms[{k}]"
         if not (isinstance(term, dict) and isinstance(term.get("theta"), str)):
             raise ValueError(f"{where} must be an object with a theta expression string")
-        checked = {"A": _finite(term["A"], f"{where}.A", (dim, dim)), "theta": term["theta"]}
+        checked = {"A": finite(term["A"], f"{where}.A", (dim, dim)), "theta": term["theta"]}
         if "bounds" in term:
             bnd = term["bounds"]
-            if not (isinstance(bnd, list) and len(bnd) == 2
-                    and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                            and math.isfinite(v) for v in bnd) and bnd[0] <= bnd[1]):
+            if not (isinstance(bnd, list) and len(bnd) == 2 and all(map(is_number, bnd))
+                    and bnd[0] <= bnd[1]):
                 raise ValueError(f"{where}.bounds must be two finite numbers lo <= hi, "
                                  f"got {bnd!r}")
             checked["bounds"] = bnd
         terms.append(checked)
     B = doc.get("B")
     if B is not None:
-        B = _finite(B, "B", (dim, None))
+        B = finite(B, "B", (dim, None))
     return _build_nonlinear(doc.get("name", ""), dim, f_exprs, A0, terms, box, B, check=True)
 
 

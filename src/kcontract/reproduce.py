@@ -25,19 +25,54 @@ def load_data(name: str) -> dict:
     return json.loads(path.read_text())
 
 
-def cert_from_data(doc: dict) -> nv.NonlinearCertificate:
-    return nv.NonlinearCertificate(
-        P0=np.asarray(doc["P0"], dtype=float),
-        P1=np.asarray(doc["P1"], dtype=float),
-        mu0=float(doc["mu0"]),
-        mu1=float(doc["mu1"]),
-        k=int(doc["k"]),
-    )
+def _field(doc, name: str):
+    if not isinstance(doc, dict):
+        raise ValueError(f"the document must be a JSON object, got {type(doc).__name__}")
+    if name not in doc:
+        raise ValueError(f"the document has no field {name}")
+    return doc[name]
+
+
+def _matrix(doc, name: str) -> np.ndarray:
+    return models.finite(_field(doc, name), name, (None, None))
+
+
+def _rate(doc, name: str) -> float:
+    value = _field(doc, name)
+    if not models.is_number(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _order(doc) -> int:
+    k = _field(doc, "k")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
+    return k
+
+
+def cert_from_data(doc) -> nv.NonlinearCertificate:
+    """The constant-metric pair of a certificate document, each field checked
+    by name: P0 and P1 finite matrices, the rates mu0 and mu1 finite numbers
+    and the order k an integer of at least 1; ValueError otherwise."""
+    return nv.NonlinearCertificate(P0=_matrix(doc, "P0"), P1=_matrix(doc, "P1"),
+                                   mu0=_rate(doc, "mu0"), mu1=_rate(doc, "mu1"), k=_order(doc))
+
+
+def design_from_data(doc) -> dict:
+    """synthesize_nl_gain's keyword arguments W0, W1, mu0, mu1 and k from a
+    design document, each checked by name as cert_from_data checks its own."""
+    return {"W0": _matrix(doc, "W0"), "W1": _matrix(doc, "W1"), "mu0": _rate(doc, "mu0"),
+            "mu1": _rate(doc, "mu1"), "k": _order(doc)}
 
 
 def data_slack(doc: dict) -> float:
-    """Printed-precision reference data gets relative slack 1e-2; exact data 0."""
-    return 1e-2 if doc.get("printed_precision") else 0.0
+    """Printed-precision reference data gets relative slack 1e-2; exact data
+    0, as does a document without printed_precision, which must be a bool."""
+    printed = doc.get("printed_precision", False)
+    if not isinstance(printed, bool):
+        raise ValueError(f"printed_precision must be true or false, got {printed!r}")
+    return 1e-2 if printed else 0.0
 
 
 def compound_constant_check(bundle, seed=0, count=100, expected=-0.5, k=3):
@@ -271,13 +306,11 @@ def reproduce_example25(seed: int = 0, classify: bool = True) -> dict:
     compound-condition cross-check on the closed loop, equilibrium census."""
     bundle = models.builtin("example25")
     doc = load_data("example25_design.json")
-    W0 = np.asarray(doc["W0"], dtype=float)
-    W1 = np.asarray(doc["W1"], dtype=float)
+    design = design_from_data(doc)
     slack = data_slack(doc)
 
-    K, omega, design_report = nv.synthesize_nl_gain(
-        bundle.model, bundle.box, W0, W1, doc["mu0"], doc["mu1"], bundle.B, doc["k"],
-        slack=slack)
+    K, omega, design_report = nv.synthesize_nl_gain(bundle.model, bundle.box, B=bundle.B,
+                                                    slack=slack, **design)
     Kv = K.ravel()
 
     K_exp = np.asarray(doc["K_expected"], dtype=float)
@@ -286,10 +319,10 @@ def reproduce_example25(seed: int = 0, classify: bool = True) -> dict:
 
     closed = models.closed_loop(bundle, K).model
     q_report = nv.verify_compound_condition(
-        closed, bundle.box, np.asarray(doc["Q"], dtype=float), doc["eta"], doc["k"],
+        closed, bundle.box, np.asarray(doc["Q"], dtype=float), doc["eta"], design["k"],
         slack=slack)
 
-    eqs = sim.find_equilibria(closed.f, bundle.box, seeds=40)
+    eqs = sim.find_equilibria(closed, bundle.box)
     x1s = sorted(round(float(e.point[0]), 6) for e in eqs)
     n_unstable = sum(e.unstable for e in eqs)
 

@@ -1,9 +1,10 @@
-"""Trajectory, variational-compound and volume dynamics.
+"""Trajectory, variational-compound and volume dynamics, and equilibria.
 
 Fixed-step classical RK4 throughout: traces are bit-for-bit reproducible
 across runs, which matters more than speed at this scale. The compound state
 is integrated directly in its C(n,k)-dimensional space with the exact linear
-dynamics ydot = J(x)^[k] y; minors are never differentiated numerically.
+dynamics ydot = J(x)^[k] y, and find_equilibria runs Newton on the model's
+exact envelope Jacobian: nothing here differentiates numerically.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ MAX_STEPS = 1_000_000
 MAX_BATCH_ROW_STEPS = 100_000_000
 MAX_GRID_RESOLUTION = 1024
 
-# find_equilibria: Newton steps per seed, the residual (relative to the box
-# diagonal) at which a point is an equilibrium, and the distance within
-# which two are one
+# find_equilibria: its seeds (the box centre and points sampled with seed 0),
+# Newton steps per seed, the residual (relative to the box diagonal) at which
+# a point is an equilibrium, and the distance within which two are one
+EQUILIBRIUM_SEEDS = 40
 NEWTON_STEPS = 80
 NEWTON_TOL = 1e-12
 DEDUP = 1e-6
@@ -293,40 +295,28 @@ def volume_of_immersion(grid: ImmersionGrid, P) -> float:
     return float(np.sqrt(np.maximum(det, 0.0)).sum() * hstep ** 2)
 
 
-def finite_difference_jacobian(field, x, eps: float = 1e-6):
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    J = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = eps
-        J[:, j] = (np.asarray(field(x + e), dtype=float)
-                   - np.asarray(field(x - e), dtype=float)) / (2 * eps)
-    return J
-
-
-def find_equilibria(field, box: Box, seeds: int = 27):
-    """Damped Newton from seeded points; classify by the Jacobian spectrum.
+def find_equilibria(model: NonlinearModel, box: Box):
+    """Damped Newton on model.f from EQUILIBRIUM_SEEDS seeded points, each
+    step and the classification on the spectrum of model.jacobian, the
+    model's exact envelope Jacobian.
 
     Returns a list of EquilibriumInfo, deduplicated within DEDUP. An empty
     list is a legitimate outcome.
     """
-    rng = np.random.default_rng(0)
-    starts = [box.center()]
-    starts.extend(box.sample(rng, max(0, seeds - 1)))
+    f, jacobian = model.f, model.jacobian
+    starts = [box.center(), *box.sample(np.random.default_rng(0), EQUILIBRIUM_SEEDS - 1)]
     found = []
     scale = max(float(np.linalg.norm(box.upper - box.lower)), 1.0)
     for s in starts:
         x = np.asarray(s, dtype=float).copy()
         ok = False
         for _ in range(NEWTON_STEPS):
-            fx = np.asarray(field(x), dtype=float)
+            fx = np.asarray(f(x), dtype=float)
             if np.linalg.norm(fx) < NEWTON_TOL * scale:
                 ok = True
                 break
-            J = finite_difference_jacobian(field, x)
             try:
-                step = np.linalg.solve(J, -fx)
+                step = np.linalg.solve(jacobian(x), -fx)
             except np.linalg.LinAlgError:
                 break
             # damping: backtrack until the residual shrinks
@@ -334,7 +324,7 @@ def find_equilibria(field, box: Box, seeds: int = 27):
             fn = np.linalg.norm(fx)
             for _ in range(30):
                 xn = x + lam * step
-                if np.linalg.norm(np.asarray(field(xn), dtype=float)) < fn:
+                if np.linalg.norm(np.asarray(f(xn), dtype=float)) < fn:
                     break
                 lam *= 0.5
             else:
@@ -346,8 +336,7 @@ def find_equilibria(field, box: Box, seeds: int = 27):
             continue
         if any(np.linalg.norm(x - e.point) < DEDUP for e in found):
             continue
-        J = finite_difference_jacobian(field, x)
-        ev = np.linalg.eigvals(J)
+        ev = np.linalg.eigvals(jacobian(x))
         found.append(EquilibriumInfo(
             point=x,
             eigenvalues=ev,

@@ -132,7 +132,7 @@ def test_criterion_4_design_example():
     ok = ok and q_report.verdict
     detail.append(f"compound LMI @1e-2: {q_report.verdict}")
 
-    eqs = sim.find_equilibria(closed.f, bundle.box, seeds=40)
+    eqs = sim.find_equilibria(closed, bundle.box)
     x1s = sorted(float(e.point[0]) for e in eqs)
     ok = ok and len(eqs) == 3
     ok = ok and all(abs(a - b) <= 1e-6 for a, b in zip(x1s, (-0.5, 0.0, 0.5)))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kcontract import cli
+from kcontract.expressions import MAX_DEPTH
 from test_models import edit, rossler_mod_doc
 
 
@@ -102,6 +103,7 @@ NAN, INF = float("nan"), float("inf")
     pytest.param(("box", "lower"), [-1.0, -1.0, -0.5, 0.0], "box lower", id="box-length"),
     pytest.param(("A0", 1, 1), NAN, "A0", id="A0-nan"),
     pytest.param(("A0", 2, 0), -INF, "A0", id="A0-inf"),
+    pytest.param(("A0", 0, 1), "1", "A0", id="A0-string"),
     pytest.param(("A0",), [[0.0, 1.0, -2.0], [-1.0, 0.0, -1.0]], "A0", id="A0-shape"),
     pytest.param(("terms", 0, "A", 2, 0), NAN, r"terms\[0\]\.A", id="term-nan"),
     pytest.param(("terms", 0, "bounds"), [1.0, 0.0], r"terms\[0\]\.bounds",
@@ -110,6 +112,8 @@ NAN, INF = float("nan"), float("inf")
                  id="bounds-three"),
     pytest.param(("terms", 0, "bounds"), [0.0, INF], r"terms\[0\]\.bounds",
                  id="bounds-inf"),
+    pytest.param(("terms", 0, "bounds"), [0, 10 ** 400], r"terms\[0\]\.bounds",
+                 id="bounds-huge-int"),
     pytest.param(("B",), [[0.0], [1.0]], "B", id="B-rows"),
     pytest.param(("B", 1, 0), NAN, "B", id="B-nan"),
     pytest.param(("f",), ["x2 - 2*x3", "-x1 - x3"], "f", id="f-length"),
@@ -142,6 +146,35 @@ def test_oversized_expression_exits_2_quickly(capsys, tmp_path, expr):
     assert time.perf_counter() - start < 2.0
     assert code == 2 and "f1 = " in rep["error"]
     assert re.search(r"(normal-form cap of|cap of \d+ bits)", rep["error"])
+
+
+def nested_field(kind, levels):
+    """A 1-state document whose field nests levels deep: a sum of levels + 1
+    terms x1, or x1 inside levels parentheses or negations."""
+    f, slope = {"sum": ("+".join(["x1"] * (levels + 1)), levels + 1.0),
+                "parentheses": ("(" * levels + "x1" + ")" * levels, 1.0),
+                "negations": ("-" * levels + "x1", (-1.0) ** levels)}[kind]
+    return {"kind": "nonlinear", "dim": 1, "f": [f], "A0": [[slope]], "terms": [],
+            "box": {"lower": [-1], "upper": [1]}}
+
+
+@pytest.mark.parametrize("kind", ["sum", "parentheses", "negations"])
+def test_deep_expression_exits_2_quickly(capsys, tmp_path, kind):
+    # refused by the parser, before it or a later stage recurses too deep
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(nested_field(kind, 1000)))
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", "0.1", "--t", "0.01")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and f"deeper than {MAX_DEPTH} levels" in rep["error"]
+
+
+@pytest.mark.parametrize("kind", ["sum", "parentheses", "negations"])
+def test_expression_at_the_depth_bound_loads_and_simulates(capsys, tmp_path, kind):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(nested_field(kind, MAX_DEPTH)))
+    code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", "0.001", "--t", "0.01")
+    assert code == 0 and rep["samples"] == 11
 
 
 @pytest.mark.parametrize("zero", ["0^1000000000", "(x1 - x1)^1000000000"])
@@ -421,6 +454,63 @@ def test_verify_nl_with_packaged_cert(capsys, builtin_model, tmp_path):
     code, rep = run_cli(capsys, "verify-nl", "--model", builtin_model("synchronverter"),
                         "--cert", str(cert), "--slack", "0")
     assert code == 1 and rep["verdict"] == "reject"
+
+
+BAD_DATA = [
+    pytest.param("k", 2.9, "k", id="k-fraction"),
+    pytest.param("k", "2", "k", id="k-string"),
+    pytest.param("k", True, "k", id="k-bool"),
+    pytest.param("k", 0, "k", id="k-zero"),
+    pytest.param("mu0", "0.1", "mu0", id="mu0-string"),
+    pytest.param("mu0", None, "mu0", id="mu0-null"),
+    pytest.param("mu1", INF, "mu1", id="mu1-inf"),
+    pytest.param("mu1", 10 ** 400, "mu1", id="mu1-huge-int"),
+    pytest.param("printed_precision", "no", "printed_precision", id="printed-string"),
+]
+
+
+@pytest.mark.parametrize("field, value, named", BAD_DATA + [
+    pytest.param("P0", [["0.1", "0"], ["0", "0.1"]], "P0", id="P0-strings"),
+    pytest.param("P1", None, "P1", id="P1-null"),
+    pytest.param("P1", [[NAN]], "P1", id="P1-nan"),
+    pytest.param("P0", ..., "P0", id="P0-missing"),
+])
+def test_bad_certificate_exits_2(capsys, builtin_model, tmp_path, field, value, named):
+    from kcontract.reproduce import load_data
+    doc = load_data("synchronverter_cert.json")
+    doc = {k: v for k, v in doc.items() if k != field} if value is ... else doc | {field: value}
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, rep = run_cli(capsys, "verify-nl", "--model", builtin_model("synchronverter"),
+                        "--cert", str(cert))
+    assert code == 2 and rep["verdict"] == "error"
+    assert named in rep["error"]
+
+
+@pytest.mark.parametrize("field, value, named", BAD_DATA + [
+    pytest.param("W0", [[NAN, 0, 0], [0, 1, 0], [0, 0, 1]], "W0", id="W0-nan"),
+    pytest.param("W1", "[[1]]", "W1", id="W1-string"),
+    pytest.param("W1", ..., "W1", id="W1-missing"),
+])
+def test_bad_design_exits_2(capsys, builtin_model, tmp_path, field, value, named):
+    from kcontract.reproduce import load_data
+    doc = load_data("example25_design.json")
+    doc = {k: v for k, v in doc.items() if k != field} if value is ... else doc | {field: value}
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps(doc))
+    code, rep = run_cli(capsys, "synth-nl", "--model", builtin_model("example25"),
+                        "--cert", str(design))
+    assert code == 2 and rep["verdict"] == "error"
+    assert named in rep["error"]
+
+
+@pytest.mark.parametrize("command, model", [("verify-nl", "synchronverter"),
+                                            ("synth-nl", "example25")])
+def test_data_document_not_an_object_exits_2(capsys, builtin_model, tmp_path, command, model):
+    path = tmp_path / "data.json"
+    path.write_text("[1, 2]")
+    code, rep = run_cli(capsys, command, "--model", builtin_model(model), "--cert", str(path))
+    assert code == 2 and "JSON object" in rep["error"]
 
 
 def test_parser_is_built_once_and_keeps_no_option(capsys, builtin_model, tmp_path):

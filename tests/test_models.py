@@ -7,7 +7,18 @@ import pytest
 
 from kcontract import models, reproduce
 from kcontract.expressions import IntervalError
-from kcontract.sim import finite_difference_jacobian
+
+
+def finite_difference_jacobian(field, x, eps: float = 1e-6):
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    J = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = eps
+        J[:, j] = (np.asarray(field(x + e), dtype=float)
+                   - np.asarray(field(x - e), dtype=float)) / (2 * eps)
+    return J
 
 
 def test_parse_linear_double_integrator():

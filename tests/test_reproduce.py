@@ -42,7 +42,7 @@ def test_no_repelling_equilibria_under_full_order_contraction():
     # the chaotic example has constant negative full-order compound, so no
     # equilibrium can repel in every direction
     bundle = models.builtin("rossler")
-    eqs = sim.find_equilibria(bundle.model.f, bundle.box, seeds=40)
+    eqs = sim.find_equilibria(bundle.model, bundle.box)
     assert eqs, "expected at least one equilibrium in the box"
     assert all(not e.repelling for e in eqs)
 
@@ -80,10 +80,34 @@ def test_synchronverter_pair_rederived_on_refinement():
                                     vertices=verts).verdict
 
 
+def test_shipped_data_reads_the_same_floats():
+    for name in ("rossler_mod_cert", "rossler_mod_resolved", "synchronverter_cert",
+                 "synchronverter_resolved"):
+        doc = reproduce.load_data(f"{name}.json")
+        cert = reproduce.cert_from_data(doc)
+        for m in ("P0", "P1"):
+            assert np.array_equal(getattr(cert, m), doc[m])
+        assert (cert.mu0, cert.mu1, cert.k) == (doc["mu0"], doc["mu1"], doc["k"])
+    doc = reproduce.load_data("example25_design.json")
+    design = reproduce.design_from_data(doc)
+    assert np.array_equal(design["W0"], doc["W0"]) and np.array_equal(design["W1"], doc["W1"])
+    assert [design[k] for k in ("mu0", "mu1", "k")] == [doc[k] for k in ("mu0", "mu1", "k")]
+
+
 def test_bundle_quick_example25():
     r = reproduce.reproduce_example25(classify=False)
     assert r["verdict"] == "success"
     assert np.all(np.abs(np.array(r["K"]) - r["K_expected"]) <= 0.02)
+
+
+def test_example25_mirrored_equilibria_share_their_spectrum():
+    # the closed loop is odd, f(-x) = -f(x), so J(x) = J(-x): the exact
+    # Jacobian gives the x1 = +-0.5 pair one spectrum, where central
+    # differences left the real parts 4e-11 apart
+    eqs = reproduce.reproduce_example25(classify=False)["equilibria"]
+    low, high = (e for e in eqs if abs(e["point"][0]) > 0.25)
+    assert low["point"][0] < 0 < high["point"][0]
+    assert np.allclose(low["eigenvalues_re"], high["eigenvalues_re"], rtol=0, atol=1e-13)
 
 
 def test_all_bundles_under_a_minute():

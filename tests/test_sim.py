@@ -736,21 +736,28 @@ def test_volume_compound_agreement():
     assert vol == pytest.approx(np.linalg.norm(y), rel=1e-3)
 
 
+def scalar_model(f, a0, terms=()):
+    """A 1-state model loaded from its document, so its Jacobian is exact."""
+    return models.model_from_dict({
+        "kind": "nonlinear", "dim": 1, "f": [f], "A0": [[a0]], "terms": list(terms),
+        "box": {"lower": [-1.0], "upper": [1.0]}}).model
+
+
 def test_find_equilibria_scalar():
     box = Box(np.array([-2.0]), np.array([2.0]))
-    eqs = sim.find_equilibria(lambda x: -x, box, seeds=10)
+    eqs = sim.find_equilibria(scalar_model("-x1", -1.0), box)
     assert len(eqs) == 1
     assert eqs[0].label == "stable" and not eqs[0].repelling
 
-    eqs = sim.find_equilibria(lambda x: x.copy(), box, seeds=10)
+    eqs = sim.find_equilibria(scalar_model("x1", 1.0), box)
     assert len(eqs) == 1
     assert eqs[0].repelling and eqs[0].label == "repelling"
 
 
 def test_find_equilibria_multistable():
-    field = lambda x: np.array([x[0] * (0.25 - x[0] ** 2)])
+    model = scalar_model("x1*(0.25 - x1^2)", 0.25, [{"A": [[-3.0]], "theta": "x1^2"}])
     box = Box(np.array([-1.0]), np.array([1.0]))
-    eqs = sim.find_equilibria(field, box, seeds=30)
+    eqs = sim.find_equilibria(model, box)
     xs = sorted(round(float(e.point[0]), 6) for e in eqs)
     assert xs == [-0.5, 0.0, 0.5]
     assert sum(e.unstable for e in eqs) == 1
