@@ -6,6 +6,11 @@ import time
 from kcontract import cli, reproduce
 
 
+def ms(seconds: float) -> str:
+    """A time in ms to three significant digits, written without an exponent."""
+    return f"{float(f'{1e3 * seconds:.3g}'):g} ms"
+
+
 def main():
     t0 = time.time()
     failures = 0
@@ -16,9 +21,9 @@ def main():
         result.pop("resolved", None)
         print(cli.dumps(result, indent=2))
         status = result["verdict"]
-        print(f"# {name}: {status} in {time.time() - t1:.1f}s", file=sys.stderr)
+        print(f"# {name}: {status} in {ms(time.time() - t1)}", file=sys.stderr)
         failures += status != "success"
-    print(f"# total: {time.time() - t0:.1f}s", file=sys.stderr)
+    print(f"# total: {ms(time.time() - t0)}", file=sys.stderr)
     return 1 if failures else 0
 
 

@@ -97,7 +97,7 @@ def additive_scatter(n: int, k: int):
 
 
 def additive_compound(Q, k: int) -> np.ndarray:
-    """k-th additive compound by closed form.
+    """k-th additive compound by closed form, of Q or of each matrix of a (..., n, n) stack.
 
     Entry (I, I) is the trace of Q over I; entry (I, J) with I and J sharing
     all but one index a in I, b in J carries (-1)^(pos_I(a) + pos_J(b)) Q[a, b];
@@ -105,15 +105,17 @@ def additive_compound(Q, k: int) -> np.ndarray:
     index arrays built once per (n, k).
     """
     Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+    if Q.ndim < 2 or Q.shape[-1] != Q.shape[-2]:
         raise ValueError("additive compound needs a square matrix")
-    n = Q.shape[0]
+    n, stack = Q.shape[-1], Q.shape[:-2]
     _check_order(n, k, n)
     if k == 1:
         return Q.copy()
     subs, dst, src, sign = additive_scatter(n, k)
     N = len(subs)
-    out = np.zeros(N * N)
-    out[dst] = sign * Q.ravel()[src] + 0.0  # as 0 + (+-Q[a, b]): a product -0 is stored as +0
-    out[::N + 1] = Q.diagonal()[subs].sum(axis=1)
-    return out.reshape(N, N)
+    out = np.zeros(stack + (N * N,))
+    # as 0 + (+-Q[a, b]): a product -0 is stored as +0
+    out[..., dst] = sign * Q.reshape(stack + (n * n,)).take(src, axis=-1) + 0.0
+    # take keeps each trace's k terms contiguous, so all sum in the 2-d call's order
+    out[..., ::N + 1] = Q.diagonal(axis1=-2, axis2=-1).take(subs, axis=-1).sum(axis=-1)
+    return out.reshape(stack + (N, N))

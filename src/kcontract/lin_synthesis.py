@@ -125,9 +125,11 @@ def _gramian_block(Ac, Bc, mu):
 
 
 def design_margin(A, B, W, mu):
-    """Half-form margin of W A' + A W - B B' < 2 mu W."""
+    """Half-form margin of W A' + A W - B B' < 2 mu W: a float at one A, one
+    margin per matrix of a (V, n, n) stack."""
     BBt = B @ B.T
-    return float(np.linalg.eigvalsh(sym(A @ W) - 0.5 * BBt - mu * W).max())
+    margin = np.linalg.eigvalsh(sym(A @ W) - 0.5 * BBt - mu * W).max(axis=-1)
+    return margin if margin.ndim else float(margin)
 
 
 def _assemble(dec: KalmanDecomposition, A, B, Wc, mu):

@@ -127,24 +127,22 @@ class NonlinearCertificate:
 
 
 def envelope_vertices(model: NonlinearModel, box: Box):
-    """The 2^m matrices A0 + sum theta_j^{+/-} A_j bracketing J(x) on the box."""
+    """The 2^m matrices A0 + sum theta_j^{+/-} A_j bracketing J(x) on the box, as one
+    (2^m, n, n) stack. Vertex v takes theta_j's upper bound where bit j of v is set,
+    and adds the terms in order, ((A0 + theta_1 A_1) + theta_2 A_2) + ..., as jacobian does."""
     m = len(model.terms)
-    if m == 0:
-        return [model.A0.copy()]
     if m > VERTEX_CAP:
         raise ValueError(
             f"{m} envelope terms means 2^{m} vertices, above the cap of 2^{VERTEX_CAP}"
         )
-    ivs = model.bounds(box)
+    ivs = model.bounds(box) if m else []
     if len(ivs) != m:
         raise ValueError("bounds procedure returned wrong number of intervals")
-    verts = []
-    for mask in range(2 ** m):
-        J = model.A0.copy()
-        for j, Aj in enumerate(model.terms):
-            lo, hi = ivs[j]
-            J += (hi if (mask >> j) & 1 else lo) * Aj
-        verts.append(J)
+    lo, hi = np.asarray(ivs, dtype=float).reshape(m, 2).T
+    theta = np.where((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1, hi, lo)
+    verts = np.repeat(model.A0[None], 2 ** m, axis=0)
+    for j, Aj in enumerate(model.terms):
+        verts += theta[:, j, None, None] * Aj
     return verts
 
 
@@ -180,24 +178,22 @@ def envelope_vertices_refined(model: NonlinearModel, box: Box, splits: dict | No
     boxes = [box]
     for axis, parts in splits.items():
         boxes = [sub for b in boxes for sub in split_box(b, axis, parts)]
-    verts = []
-    for b in boxes:
-        verts.extend(envelope_vertices(model, b))
-    return verts
+    return np.concatenate([envelope_vertices(model, b) for b in boxes])
 
 
 def metric_condition_margin(P, J, mu):
-    """Half-form margin of J'P + PJ < 2 mu P at one Jacobian."""
-    return float(np.linalg.eigvalsh(sym(P @ J) - mu * P).max())
+    """Half-form margin of J'P + PJ < 2 mu P: a float at one Jacobian J, one
+    margin per matrix of a (V, n, n) stack."""
+    margin = np.linalg.eigvalsh(sym(P @ J) - mu * P).max(axis=-1)
+    return margin if margin.ndim else float(margin)
 
 
 def _worst(margins):
-    """(largest margin, its index) over an iterable of per-vertex margins."""
-    worst, arg = -np.inf, -1
-    for i, m in enumerate(margins):
-        if m > worst:
-            worst, arg = m, i
-    return worst, arg
+    """(largest margin, first index) of a margin array, skipping NaN and -inf; else (-inf, -1)."""
+    margins = np.where(np.isnan(margins), -np.inf, margins)
+    arg = int(np.argmax(margins))
+    worst = float(margins[arg])
+    return (worst, arg) if worst > -np.inf else (-np.inf, -1)
 
 
 def verify_nl_certificate(model: NonlinearModel, box: Box, cert: NonlinearCertificate,
@@ -216,7 +212,7 @@ def verify_nl_certificate(model: NonlinearModel, box: Box, cert: NonlinearCertif
     k = cert.k
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    verts = envelope_vertices(model, box) if vertices is None else vertices
+    verts = envelope_vertices(model, box) if vertices is None else np.asarray(vertices, float)
     if len(verts) == 0:
         raise ValueError("no envelope vertex to check")
 
@@ -230,8 +226,8 @@ def verify_nl_certificate(model: NonlinearModel, box: Box, cert: NonlinearCertif
             f"P1 inertia {tuple(in1)} != required ({k - 1}, 0, {n - k + 1})"
         )
 
-    m0, v0 = _worst(metric_condition_margin(P0, J, cert.mu0) for J in verts)
-    m1, v1 = _worst(metric_condition_margin(P1, J, cert.mu1) for J in verts)
+    m0, v0 = _worst(metric_condition_margin(P0, verts, cert.mu0))
+    m1, v1 = _worst(metric_condition_margin(P1, verts, cert.mu1))
     thr0 = slack * max(spectral_norm(P0), 1e-300)
     thr1 = slack * max(spectral_norm(P1), 1e-300)
     if not m0 < thr0:
@@ -277,8 +273,8 @@ def verify_compound_condition(model: NonlinearModel, box: Box, Q, eta: float, k:
         raise ValueError("eta must be positive")
     verts = envelope_vertices(model, box)
     shift = 0.5 * eta * np.eye(len(Q))
-    worst, arg = _worst(float(np.linalg.eigvalsh(sym(Q @ additive_compound(J, k)) + shift).max())
-                        for J in verts)
+    worst, arg = _worst(
+        np.linalg.eigvalsh(sym(Q @ additive_compound(verts, k)) + shift).max(axis=-1))
     thr = slack * max(spectral_norm(Q), 1e-300)
     ok = worst <= thr
     return VerificationReport(
@@ -330,8 +326,8 @@ def synthesize_nl_gain(model: NonlinearModel, box: Box, W0, W1, mu0: float, mu1:
 
     verts = envelope_vertices(model, box)
     shift = 0.5 * BBt @ W0i
-    worst_a, va = _worst(design_margin(J, B, W0, mu0) for J in verts)
-    worst_b, vb = _worst(design_margin(J - shift, B, W1, mu1) for J in verts)
+    worst_a, va = _worst(design_margin(verts, B, W0, mu0))
+    worst_b, vb = _worst(design_margin(verts - shift, B, W1, mu1))
     thr_a = slack * max(spectral_norm(W0), 1e-300)
     thr_b = slack * max(spectral_norm(W1), 1e-300)
     rate = (k - 1) * mu0 + mu1 + omega
@@ -460,7 +456,7 @@ def search_nl_certificate(model: NonlinearModel, box: Box, k: int, mus=None):
     verts = envelope_vertices(model, box)
 
     # pointwise-necessary windows for the rates, from vertex spectra
-    res = np.array([np.sort(np.linalg.eigvals(J).real)[::-1] for J in verts])
+    res = np.sort(np.linalg.eigvals(verts).real, axis=1)[:, ::-1]
     rmax = res[:, 0].max()
     if k >= 2:
         lo1 = res[:, k - 1].max()   # mu1 must sit above the k-th largest everywhere

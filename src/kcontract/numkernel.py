@@ -161,6 +161,6 @@ def solve_lyapunov(A, Q, allow_consistent_singular: bool = False) -> np.ndarray:
 
 
 def sym(M) -> np.ndarray:
-    """Symmetric part (M + M') / 2."""
+    """Symmetric part (M + M') / 2, of each matrix of a (..., n, n) stack."""
     M = np.asarray(M, dtype=float)
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.swapaxes(-1, -2))

@@ -78,11 +78,8 @@ def data_slack(doc: dict) -> float:
 def compound_constant_check(bundle, seed=0, count=100, expected=-0.5, k=3):
     """Max deviation of the k-th additive compound of the Jacobian from a constant."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for x in bundle.box.sample(rng, count):
-        val = additive_compound(bundle.model.jacobian(x), k)
-        worst = max(worst, float(np.abs(val - expected).max()))
-    return worst
+    J = np.array([bundle.model.jacobian(x) for x in bundle.box.sample(rng, count)])
+    return float(np.abs(additive_compound(J, k) - expected).max(initial=0.0))
 
 
 # derive_attractor_box's reference run, t in [0, 400] at h = 1e-2, and the

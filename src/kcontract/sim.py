@@ -194,16 +194,19 @@ def integrate_compound(model: NonlinearModel, x0, V0, k: int, t_end: float,
 def fit_decay(trace: Trace):
     """Least-squares exponential fit |y(t)| ~ b |y(0)| exp(-a t) on the trailing half.
 
+    A norm that underflowed to 0 ends the samples; at least two are fitted.
     Returns (a, b, residual); a is the decay rate (negative means growth).
     """
     if trace.compound_norms is None:
         raise ValueError("trace has no compound norms")
     norms = np.asarray(trace.compound_norms, dtype=float)
-    if np.any(norms <= 0):
+    zeros = np.flatnonzero(norms <= 0)
+    count = int(zeros[0]) if len(zeros) else len(norms)
+    if count < 2:
         raise ValueError("compound norms must be positive for a log-linear fit")
-    half = len(norms) // 2
-    t = trace.times[half:]
-    y = np.log(norms[half:])
+    half = min(count // 2, count - 2)
+    t = trace.times[half:count]
+    y = np.log(norms[half:count])
     A = np.vstack([t, np.ones_like(t)]).T
     coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
     slope, intercept = coef

@@ -278,6 +278,19 @@ def test_simulate_compound_fit(capsys, builtin_model):
     assert rep["decay_fit"]["a"] == pytest.approx(0.5, abs=1e-3)
 
 
+def test_simulate_compound_fit_stops_at_underflow(capsys, tmp_path):
+    # RK4 scales y by 0.375 a step at h * (-1000) = -1: |y| reaches 0.0 before t = 1,
+    # and the decay is fitted on the samples before it
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps({"kind": "nonlinear", "dim": 1, "f": ["-1000*x1"],
+                                "A0": [[-1000]], "terms": [],
+                                "box": {"lower": [-1], "upper": [1]}}))
+    code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", "0.5", "--t", "1",
+                        "--compound", "1")
+    assert code == 0 and rep["truncated"] is False and rep["verdict"] == "success"
+    assert rep["decay_fit"]["a"] == pytest.approx(-np.log(0.375) / 1e-3, rel=1e-4)
+
+
 @pytest.mark.parametrize("compound", ["0", "2", "3"])
 def test_simulate_blow_up_reports_truncation(capsys, builtin_model, compound):
     # x1^3 overflows a Python float near t = 2.82 (sim.integrate truncates there);

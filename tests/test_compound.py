@@ -109,6 +109,20 @@ def test_additive_matches_loop_oracle_bytes():
                     additive_loop_oracle(Q.T, k).tobytes()
 
 
+def test_batched_additive_matches_loop_oracle_bytes():
+    # each matrix of a stack gets its own compound; k >= 8 sums a trace's terms
+    # pairwise, in one order only if they sit contiguous
+    rng = np.random.default_rng(12)
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            Q = rng.standard_normal((2, 3, n, n)) * 10.0 ** rng.integers(-3, 4, (2, 3, n, n))
+            Q[rng.random(Q.shape) < 0.3] = -0.0
+            got = cp.additive_compound(Q, k)
+            want = [additive_loop_oracle(q, k) for q in Q.reshape(6, n, n)]
+            assert got.shape == (2, 3) + want[0].shape
+            assert got.tobytes() == np.array(want).tobytes(), (n, k)
+
+
 @pytest.mark.parametrize("build, shape", [(cp.multiplicative_compound, (24, 12)),
                                           (cp.additive_compound, (24, 24))])
 def test_oversized_compound_rejected_before_enumeration(build, shape, monkeypatch):

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from kcontract import sim
 from kcontract.expressions import (MAX_COEFFICIENT_BITS, MAX_NORMAL_FORM, IntervalError, Node,
@@ -278,9 +278,30 @@ def tree_size(node, x):
     return max(1.0, parts[0])  # sin and cos move by at most their argument's error
 
 
+def float_ops(node):
+    """The float operations of node's compiled value, one per node."""
+    return 1 + sum(float_ops(a) for a in node.args if isinstance(a, Node))
+
+
+def form_ops(form):
+    """The float operations form_value makes on form."""
+    return sum(2 + sum(2 + (0 if kind == "x" else 1 + form_ops(dict(arg)))
+                       for (kind, arg), _ in monomial) for monomial in form)
+
+
+def const(v):
+    return Node("const", (v,))
+
+
 @given(polynomial_trees(2), st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
                                      min_size=1, max_size=3))
 @settings(max_examples=300, deadline=None)
+# -(2.0 * (2.5e-320 * x1)) at x1 = 0.125: exactly -6.25e-321, in floats -6.245e-321
+@example(Node("neg", (Node("*", (const(2.0), Node("*", (const(2.5e-320), Node("var", (0,)))))),)),
+         [(0.125, 0.0)])
+# 2 * -(5e-324 / 2): exactly -5e-324, in floats -0.0 (5e-324 / 2 rounds to 0)
+@example(Node("*", (const(2.0), Node("neg", (Node("/", (const(5e-324), const(2.0))),)))),
+         [(0.0, 0.0)])
 def test_normal_form_matches_compiled_field(node, rows):
     try:
         form = normal_form(node)
@@ -288,10 +309,13 @@ def test_normal_form_matches_compiled_field(node, rows):
         assert "constant argument" in str(exc)
         reject()
     f, _ = compile_model(2, [node], [])
+    # each float operation may lose up to 2^-1075 to underflow; the sum over both
+    # sides' operations is rounded up to whole multiples of 2^-1074
+    underflow = math.ldexp(-(-(float_ops(node) + form_ops(form)) // 2), -1074)
     for x in np.array(rows, dtype=float):
         scale = max(tree_size(node, x), form_value(form, x))
         assert form_value(form, x, lambda v: v) == pytest.approx(f(x)[0], rel=1e-9,
-                                                                abs=1e-9 * scale)
+                                                                abs=1e-9 * scale + underflow)
         for j in range(2):
             # the central difference, Richardson-extrapolated from steps h and h/2,
             # within its own step-halving change

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kcontract import lin_contraction as lc
-from kcontract import models, nl_verify as nv, reproduce
+from kcontract import lin_synthesis, models, nl_verify as nv, reproduce
 from kcontract.nl_verify import Box, NonlinearCertificate
 
 
@@ -131,9 +131,86 @@ def test_verify_without_vertices_raises_before_any_margin(monkeypatch):
     def never(*args):
         raise AssertionError("margin computed without a vertex")
 
-    monkeypatch.setattr(nv, "metric_condition_margin", never)
+    # every margin is a batched eigvalsh of the vertex stack
+    monkeypatch.setattr(np.linalg, "eigvalsh", never)
     with pytest.raises(ValueError, match="no envelope vertex to check"):
         nv.verify_nl_certificate(b.model, b.box, cert, vertices=[])
+
+
+def loop_worst(margins):
+    """(largest margin, its index) by the per-vertex loop: the first of tied
+    maxima, NaN skipped, (-inf, -1) when no margin beats -inf."""
+    worst, arg = -np.inf, -1
+    for i, m in enumerate(margins):
+        if m > worst:
+            worst, arg = m, i
+    return worst, arg
+
+
+def per_matrix(fn):
+    """fn called on one matrix at a time, as the per-vertex loop called it."""
+    def loop(a, *args, **kwargs):
+        a = np.asarray(a)
+        if a.ndim == 2:
+            return fn(a, *args, **kwargs)
+        return np.array([fn(m, *args, **kwargs) for m in a])
+    return loop
+
+
+def test_batched_margins_match_the_per_vertex_loop():
+    b = models.builtin("synchronverter")
+    doc = reproduce.load_data("synchronverter_resolved.json")
+    verts = nv.envelope_vertices_refined(b.model, b.box,
+                                         {int(a): p for a, p in doc["refinement"].items()})
+    assert verts.shape == (256, 4, 4)
+    cert = reproduce.cert_from_data(doc)
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((4, 2))
+    for P, mu in ((cert.P0, cert.mu0), (cert.P1, cert.mu1)):
+        want = [nv.metric_condition_margin(P, J, mu) for J in verts]
+        got = nv.metric_condition_margin(P, verts, mu)
+        assert got.tobytes() == np.array(want).tobytes()
+        assert nv._worst(got) == loop_worst(want)
+        want = [lin_synthesis.design_margin(J, B, P, mu) for J in verts]
+        got = lin_synthesis.design_margin(verts, B, P, mu)
+        assert got.tobytes() == np.array(want).tobytes()
+        assert nv._worst(got) == loop_worst(want)
+
+
+@pytest.mark.parametrize("margins", [
+    [1.0, 3.0, 3.0, 2.0],           # tied maxima: the first wins
+    [-0.0, 0.0], [0.0, -0.0],       # signed zeros tie
+    [np.nan, -1.0, np.nan, -0.5],   # NaN skipped
+    [np.nan, np.nan], [-np.inf, np.nan],
+    [-2.0],
+])
+def test_worst_matches_the_per_vertex_loop(margins):
+    got, want = nv._worst(np.array(margins)), loop_worst(margins)
+    assert got == want and np.signbit(got[0]) == np.signbit(want[0])
+
+
+def test_envelope_without_terms_is_a_one_vertex_stack():
+    A = np.array([[-1.0, 2.0], [-0.0, -3.0]])
+    b = linear_bundle(A)
+    verts = nv.envelope_vertices(b.model, b.box)
+    assert verts.shape == (1, 2, 2) and verts[0].tobytes() == b.model.A0.tobytes()
+    P = np.eye(2)
+    report = nv.verify_nl_certificate(b.model, b.box, NonlinearCertificate(
+        P0=P, P1=P, mu0=-0.5, mu1=-0.5, k=1))
+    assert report.margin("P0") == nv.metric_condition_margin(P, A, -0.5)
+    assert report.data["worst_vertex"] == {"P0": 0, "P1": 0} and report.data["n_vertices"] == 1
+
+
+def test_batched_search_matches_the_per_vertex_loop(monkeypatch):
+    b = models.builtin("synchronverter")
+    got = nv.search_nl_certificate(b.model, b.box, 2)
+    monkeypatch.setattr(np.linalg, "eigvals", per_matrix(np.linalg.eigvals))
+    monkeypatch.setattr(np.linalg, "eigvalsh", per_matrix(np.linalg.eigvalsh))
+    want = nv.search_nl_certificate(b.model, b.box, 2)
+    assert got is not None and want is not None
+    for field in ("P0", "P1", "mu0", "mu1", "k"):
+        assert np.asarray(getattr(got, field)).tobytes() == \
+            np.asarray(getattr(want, field)).tobytes(), field
 
 
 def test_verify_structural_rejection_inertia():

@@ -599,6 +599,24 @@ def test_fit_decay_synthetic():
     assert b == pytest.approx(1.0, rel=1e-6)
 
 
+def test_fit_decay_stops_at_the_first_zero_norm():
+    times = np.linspace(0.0, 10.0, 1001)
+    norms = np.exp(-0.5 * times)
+    cut = norms.copy()
+    cut[600:] = 0.0  # an underflowed norm, then samples the fit must ignore
+    cut[601::2] = 1.0
+    fit = lambda n: sim.fit_decay(sim.Trace(times, np.zeros((len(times), 1)),
+                                            compound_norms=n))
+    whole = sim.Trace(times[:600], np.zeros((600, 1)), compound_norms=norms[:600])
+    assert fit(cut) == sim.fit_decay(whole)
+    # two positive samples still fit, exactly
+    a, b, _ = fit(np.concatenate([norms[:2], np.zeros(999)]))
+    assert a == pytest.approx(0.5) and b == pytest.approx(1.0)
+    for positive in (0, 1):
+        with pytest.raises(ValueError, match="must be positive"):
+            fit(np.concatenate([norms[:positive], np.zeros(1001 - positive)]))
+
+
 def test_fit_decay_no_decay_reports_nonpositive():
     tr = sim.integrate_compound(
         models.model_from_dict({
