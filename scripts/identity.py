@@ -10,6 +10,13 @@ scripts/trace_digest.py --seed 3 and --seed 5, scripts/cert_digest.py
 compiler and once with CC=false (the Python loop), and compares each run's
 standard output and exit status. It prints the lines that differ, and exits
 1 on any difference, else 0.
+
+Every run has one BLAS thread (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
+MKL_NUM_THREADS set to 1), as perfbench/run.py pins it. OpenBLAS splits a
+product between threads in a way that can change its rounding: with two
+threads cert_digest.py --seed 0 prints other build_certificate,
+stabilizability_certificate and construct_W digests than with one, so an
+unpinned comparison would check arithmetic the benchmark never runs.
 """
 
 import argparse
@@ -29,13 +36,15 @@ JOBS = (("trace_digest.py", "--seed", "3"), ("trace_digest.py", "--seed", "5"),
         ("cert_digest.py", "--seed", "0"), ("cert_digest.py", "--seed", "1"),
         ("run_bundles.py",))
 COMPILERS = {"compiler": {}, "CC=false": {"CC": "false"}}
+ONE_THREAD = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def output(checkout: Path, job: tuple, env: dict) -> list:
     """The standard output lines of one script run in checkout, then its exit status."""
     proc = subprocess.run([sys.executable, str(Path("scripts", job[0])), *job[1:]],
                           cwd=checkout, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(checkout / "src"), **env})
+                          env={**os.environ, **ONE_THREAD, "PYTHONPATH": str(checkout / "src"),
+                               **env})
     return [*proc.stdout.splitlines(), f"exit status {proc.returncode}"]
 
 

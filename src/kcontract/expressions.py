@@ -468,18 +468,30 @@ def derivative(form: dict, j: int, cache: dict | None = None) -> dict:
     return out
 
 
-def monomial_text(monomial) -> str:
-    """A monomial in the expression language, its factors sorted by text."""
+def monomial_text(monomial, elide: bool = False) -> str:
+    """A monomial in the expression language, its factors sorted by text.
+
+    With elide, an atom argument that holds an atom itself is written ``…``
+    (``cos(sin(x1))`` reads ``cos(…)``), and factors that then read alike are
+    merged into one power that counts them, so the text stays short however
+    deep the nesting."""
     factors = []
     for (kind, arg), e in monomial:
         if kind == "x":
             text = f"x{arg + 1}"
+        elif elide and any(a[0] != "x" for m, _ in arg for a, _ in m):
+            text = f"{kind}(…)"
         else:
             terms = sorted(monomial_text(m) if c == 1 else f"{float(c)!r}*{monomial_text(m)}"
                            for m, c in arg)
             text = f"{kind}({' + '.join(terms)})"
-        factors.append(text if e == 1 else f"{text}^{e}")
-    return "*".join(sorted(factors)) or "1"
+        factors.append((text, e))
+    if elide:
+        counts = {}
+        for text, e in factors:
+            counts[text] = counts.get(text, 0) + e
+        factors = counts.items()
+    return "*".join(sorted(t if e == 1 else f"{t}^{e}" for t, e in factors)) or "1"
 
 
 def _exact(v):

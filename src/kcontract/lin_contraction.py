@@ -152,7 +152,9 @@ def build_certificate(A, k: int) -> ContractionCertificate:
     Takes the first staged_rates candidate whose shifted Lyapunov solves all
     succeed. Every certificate is gated through the verifier; if a grouping
     tolerance proves too fine for a defective cluster, the construction
-    retries with a coarser one.
+    retries with a coarser one; a coarser tolerance that groups the real
+    parts as, bit for bit, one already tried is not retried, and fails as
+    that grouping did.
     """
     A = as_square(A, "A")
     n = A.shape[0]
@@ -166,15 +168,20 @@ def build_certificate(A, k: int) -> ContractionCertificate:
         )
     vals = eigenvalues(A)
     last_err = None
+    failed = {}  # the exact bits of each grouping tried -> the error it raised
     for rtol in GROUP_RTOL_LADDER:
-        try:
-            cert = _build_with_grouping(A, k, vals, rtol)
-        except NumericalError as exc:
-            last_err = exc
-            continue
-        if verify_certificate(A, k, cert).verdict:
-            return cert
-        last_err = NumericalError(
+        alphas, hbars, _ = group_real_parts(vals, rtol)
+        key = (tuple(a.hex() for a in alphas), tuple(hbars))
+        if key not in failed:
+            try:
+                cert = _build_with_grouping(A, k, vals, rtol)
+            except NumericalError as exc:
+                failed[key] = exc
+            else:
+                if verify_certificate(A, k, cert).verdict:
+                    return cert
+                failed[key] = None  # its message names each rung's own tolerance
+        last_err = failed[key] or NumericalError(
             f"certificate at grouping tolerance {rtol:g} failed verification"
         )
     raise NumericalError(

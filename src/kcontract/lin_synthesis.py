@@ -147,7 +147,8 @@ def _assemble(dec: KalmanDecomposition, A, B, Wc, mu):
         Wu = Wu / spectral_norm(Wu)
     kappa = spectral_norm(Wc) if Wc.size else 1.0
     kappa = max(kappa, 1e-8)
-    for _ in range(KAPPA_HALVINGS):
+    # without an uncontrollable block W does not depend on kappa: one check
+    for _ in range(KAPPA_HALVINGS if dec.nu else 1):
         Wz = np.zeros((n, n))
         Wz[:dec.nc, :dec.nc] = Wc
         Wz[dec.nc:, dec.nc:] = kappa * Wu
@@ -180,7 +181,9 @@ def stabilizability_certificate(A, B, k: int) -> ContractionCertificate:
     uncontrollable block; when k exceeds its dimension nu >= 1, the two-rate
     branch applies with mu_0 above the whole block spectrum and mu_1 closing
     the budget nu mu_0 + mu_1 <= -1. All W_i share the controllable-block
-    Gramian built at the smallest rate, which yields colinearity.
+    Gramian built at the smallest rate, which yields colinearity. A grouping
+    tolerance whose schedule (mus, ds) equals, bit for bit, one already tried
+    is not retried: it fails as that schedule did.
     """
     A = as_square(A, "A")
     n = A.shape[0]
@@ -191,19 +194,24 @@ def stabilizability_certificate(A, B, k: int) -> ContractionCertificate:
     feasible, diag = _stabilizable(dec, k)
     if not feasible:
         raise ValueError(f"pair is not {k}-order stabilizable: {diag['reason']}")
-    nu = dec.nu
 
     last_err = None
+    failed = {}  # the exact bits of each schedule tried -> the error it raised
     for rtol in GROUP_RTOL_LADDER:
         try:
             mus, ds = _rate_schedule(dec, k, n, rtol)
-            cert = _assemble_certificate(dec, A, B, k, mus, ds)
-            _validate_certificate(A, B, cert)
-            return cert
         except NumericalError as exc:
             last_err = exc
-            if nu == 0 or k > nu:
-                break  # those branches do not depend on the grouping tolerance
+            continue
+        key = (tuple(float(mu).hex() for mu in mus), tuple(ds))
+        if key not in failed:
+            try:
+                cert = _assemble_certificate(dec, A, B, k, mus, ds)
+                _validate_certificate(A, B, cert)
+                return cert
+            except NumericalError as exc:
+                failed[key] = exc
+        last_err = failed[key]
     raise NumericalError(f"certificate construction failed: {last_err}")
 
 

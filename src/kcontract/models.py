@@ -130,7 +130,9 @@ def _check_envelope(f_forms, theta_forms, A0, terms):
     its entries is one float subtraction of the literal fl((BK)_ij) that its
     field carries, so it is the rounded exact value. The rule leaves a gap of
     up to half an ulp per coefficient, which interval bounds rounded outward
-    would have to cover. A failure names the entry and the monomial."""
+    would have to cover. A failure names the entry and, of the monomials
+    that disagree, the first by full text, written with nested atom
+    arguments elided."""
     A0 = np.asarray(A0, dtype=float).tolist()
     terms = [A.tolist() for A in terms]
     cache = {}
@@ -145,8 +147,8 @@ def _check_envelope(f_forms, theta_forms, A0, terms):
                 m = min(bad, key=monomial_text)
                 raise ValueError(
                     f"declared envelope disagrees with the field Jacobian: entry "
-                    f"({i + 1}, {j + 1}), monomial {monomial_text(m)}: d f{i + 1}/d x{j + 1} "
-                    f"has {_rounded(got.get(m, 0))!r}, A0 + sum theta_m A_m has "
+                    f"({i + 1}, {j + 1}), monomial {monomial_text(m, elide=True)}: "
+                    f"d f{i + 1}/d x{j + 1} has {_rounded(got.get(m, 0))!r}, A0 + sum theta_m A_m has "
                     f"{_rounded(want.get(m, 0))!r}")
 
 

@@ -5,6 +5,8 @@ Lyapunov solves. Everything here operates on plain numpy arrays (real
 entries) and is pure: no global state, safe to share across threads. Targets
 are small dense matrices (n <= 20); the Lyapunov solver deliberately uses the
 O(n^6) Kronecker vectorization because at this scale robustness beats speed.
+Its n^2 x n^2 system is written straight into one array by kronecker_sum,
+with the bytes np.kron would give but none of its temporaries.
 """
 
 from __future__ import annotations
@@ -108,8 +110,31 @@ def resonant_pair(vals, mu: float = 0.0, rtol: float = SPECTRAL_RTOL):
     return None
 
 
+def kronecker_sum(At) -> np.ndarray:
+    """I (x) At + At (x) I, byte for byte as np.kron forms it, in one buffer.
+
+    Entry [(i, k), (j, l)] is I_ij At_kl + At_ij I_kl. Where i != j and
+    k != l both products are signed zeros, 0 * At_kl and At_ij * 0, and the
+    entry is their sum. The rest are the diagonal blocks [(i, :), (i, :)] =
+    At + At_ii I and the strided blocks [(:, k), (:, k)] = At + At_kk I (a
+    product with 1.0 is exact), written over that sum.
+    """
+    n = At.shape[0]
+    zeros = At * 0.0
+    # C order, so the reshape below is a view whatever the layout of At
+    K = np.add(zeros[:, None, :, None], zeros[None, :, None, :], order="C")
+    idx = np.arange(n)
+    blocks = At + At.diagonal()[:, None, None] * np.eye(n)
+    K[idx, :, idx, :] = blocks
+    K[:, idx, :, idx] = blocks
+    return K.reshape(n * n, n * n)
+
+
 def solve_lyapunov(A, Q, allow_consistent_singular: bool = False) -> np.ndarray:
     """Solve A'P + PA = -Q for symmetric P by Kronecker vectorization.
+
+    vec(A'P + PA) = K vec(P) in column-major vec, with K = I (x) A' + A' (x) I
+    from kronecker_sum, and K is solved by LU.
 
     Raises NumericalError naming the offending eigenvalue pair when the
     spectrum of A is resonant (lambda_i + lambda_j ~ 0), in which case the
@@ -132,9 +157,7 @@ def solve_lyapunov(A, Q, allow_consistent_singular: bool = False) -> np.ndarray:
             "resonant spectrum: eigenvalues "
             f"{resonant[0]:.6g} and {resonant[1]:.6g} sum to ~0; Lyapunov system singular"
         )
-    eye = np.eye(n)
-    # vec(A'P + PA) = (I (x) A' + A' (x) I) vec(P), column-major vec
-    K = np.kron(eye, A.T) + np.kron(A.T, eye)
+    K = kronecker_sum(A.T)
     rhs = -Q.reshape(n * n, order="F")
     if resonant:
         vecP = np.linalg.lstsq(K, rhs, rcond=None)[0]

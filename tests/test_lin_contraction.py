@@ -213,3 +213,36 @@ def test_variable_counts_crossing():
     # near k = n the compound route can be cheaper
     n1, n2 = lc.variable_counts(12, 12)
     assert n1 < n2
+
+
+def failing_report(A, k, cert, slack=0.0):
+    return lc.VerificationReport(verdict=False, margins=[])
+
+
+def test_repeated_grouping_names_each_rungs_tolerance(monkeypatch):
+    # every rung groups diag(-1, -2, -3) alike, so one build is made, and the
+    # message still names the last rung's own tolerance
+    calls = []
+    build = lc._build_with_grouping
+    monkeypatch.setattr(lc, "_build_with_grouping", lambda *a: calls.append(a) or build(*a))
+    monkeypatch.setattr(lc, "verify_certificate", failing_report)
+    with pytest.raises(NumericalError) as exc:
+        lc.build_certificate(np.diag([-1.0, -2.0, -3.0]), 1)
+    assert len(calls) == 1
+    assert str(exc.value) == ("certificate construction failed for a 1-contractive system "
+                              "(last error: certificate at grouping tolerance 0.0003 failed "
+                              "verification)")
+
+
+def test_each_distinct_grouping_is_built(monkeypatch):
+    # real parts split by 1e-4 at -1 and by 1e-6 at -4: the 3e-7 rung merges
+    # the second pair, the 3e-4 rung the first, and the 1e-5 rung repeats
+    A = np.diag([-1.0, -1.0 - 1e-4, -4.0, -4.0 - 1e-6])
+    rtols = []
+    build = lc._build_with_grouping
+    monkeypatch.setattr(lc, "_build_with_grouping",
+                        lambda A, k, vals, rtol: rtols.append(rtol) or build(A, k, vals, rtol))
+    monkeypatch.setattr(lc, "verify_certificate", failing_report)
+    with pytest.raises(NumericalError, match="tolerance 0.0003 failed verification"):
+        lc.build_certificate(A, 1)
+    assert rtols == [1e-8, 3e-7, 3e-4]

@@ -256,3 +256,70 @@ def test_feedback_cannot_fix_uncontrollable():
     for _ in range(50):
         K = rng.standard_normal((1, 4))
         assert not lc.k_contractive_lti(A - B @ K, 2)[0]
+
+
+def counting(monkeypatch, module, name):
+    """Patch module.name to record each call; returns the list of calls."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+def test_assemble_without_uncontrollable_block_checks_once(monkeypatch):
+    # nu = 0: W does not depend on kappa, so one failing margin decides
+    A, B = np.array([[1.0]]), np.array([[1.0]])
+    dec = ls.kalman_decompose(A, B)
+    assert dec.nu == 0
+    calls = counting(monkeypatch, ls, "design_margin")
+    with pytest.raises(ls.NumericalError, match="bisection exhausted after 60 halvings"):
+        ls._assemble(dec, A, B, np.eye(1), 0.0)  # margin 1 - 0.5 > 0
+    assert len(calls) == 1
+    W = ls._assemble(dec, A, B, np.eye(1), 1.0)  # margin 1 - 0.5 - 1 < 0
+    assert W.tolist() == [[1.0]] and len(calls) == 2
+
+
+def test_repeated_schedule_is_assembled_once(monkeypatch):
+    # single input at n = 16: the Gramian is numerically singular, every
+    # grouping tolerance gives the same (mus, ds), and each rung fails alike
+    n, k = 16, 2
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((n, n))
+    A -= (np.sort(np.linalg.eigvals(A).real)[::-1][:k].sum() + 0.5 * k) / k * np.eye(n)
+    B = rng.standard_normal((n, 1))
+    calls = counting(monkeypatch, ls, "_assemble_certificate")
+    with pytest.raises(ls.NumericalError) as exc:
+        ls.stabilizability_certificate(A, B, k)
+    assert len(calls) == 1
+    assert str(exc.value) == ("certificate construction failed: coupling weight bisection "
+                              "exhausted after 60 halvings at mu=0.738074")
+
+
+def test_each_distinct_schedule_is_tried(monkeypatch):
+    # uncontrollable real parts split by 1e-4 at -1 and by 1e-6 at -4: the
+    # 1e-8 rung finds no rate off the pair midpoints, the 3e-7 rung merges the
+    # second pair, the 1e-5 rung repeats it and the 3e-4 rung merges the first
+    A = np.zeros((6, 6))
+    A[:2, :2] = [[0.0, 1.0], [-1.0, -1.0]]
+    A[2:, 2:] = np.diag([-1.0, -1.0 - 1e-4, -4.0, -4.0 - 1e-6])
+    B = np.array([[0.0], [1.0], [0.0], [0.0], [0.0], [0.0]])
+    dec = ls.kalman_decompose(A, B)
+    assert dec.nu == 4
+    schedules = set()
+    for rtol in lc.GROUP_RTOL_LADDER:
+        try:
+            mus, ds = ls._rate_schedule(dec, 1, 6, rtol)
+        except ls.NumericalError:
+            continue
+        schedules.add((tuple(mus), tuple(ds)))
+    assert len(schedules) == 2
+
+    def reject(A, B, cert):
+        raise ls.NumericalError(f"rejected at mu_0={cert.mus[0]!r}")
+
+    monkeypatch.setattr(ls, "_validate_certificate", reject)
+    calls = counting(monkeypatch, ls, "_assemble_certificate")
+    with pytest.raises(ls.NumericalError, match="rejected at mu_0="):
+        ls.stabilizability_certificate(A, B, 1)
+    assert {(tuple(c[4]), tuple(c[5])) for c in calls} == schedules
+    assert len(calls) == len(schedules)

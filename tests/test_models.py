@@ -262,3 +262,17 @@ def test_field_not_finite_in_the_box_is_refused():
         models.model_from_dict(doc)
     doc["f"][0] = "x2"
     assert models.model_from_dict(doc).model.f(np.array([0.5, 0.0])).tolist() == [0.0, -0.5]
+
+
+def test_envelope_error_elides_nested_arguments():
+    # d/dx1 of sin(sin(...x1...)) 100 deep is a product of 100 cos factors,
+    # 99 of them with nested arguments
+    f = "x1"
+    for _ in range(100):
+        f = f"sin({f})"
+    doc = {"kind": "nonlinear", "dim": 1, "f": [f], "A0": [[0]],
+           "terms": [{"A": [[1]], "theta": "x1"}], "box": {"lower": [-1], "upper": [1]}}
+    with pytest.raises(ValueError,
+                       match=r"entry \(1, 1\), monomial cos\(x1\)\*cos\(…\)\^99:") as exc:
+        models.model_from_dict(doc)
+    assert len(str(exc.value).encode()) < 1000

@@ -131,3 +131,20 @@ def test_solve_lyapunov_resonance_names_pair():
 def test_empty_matrix_kernels():
     assert nk.solve_lyapunov(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
     assert nk.inertia_symmetric(np.zeros((0, 0))) == (0, 0, 0)
+
+
+def test_kronecker_sum_matches_np_kron_bytes():
+    # the sum np.kron forms, signed zeros included: each entry off both
+    # diagonals is a sum of two signed zeros
+    rng = np.random.default_rng(12)
+    for n in range(1, 21):
+        for _ in range(3):
+            A = rng.standard_normal((n, n))
+            u = rng.random((n, n))
+            A[u < 0.25] = 0.0
+            A[(u >= 0.25) & (u < 0.5)] = -0.0
+            eye = np.eye(n)
+            want = np.kron(eye, A.T) + np.kron(A.T, eye)
+            got = nk.kronecker_sum(A.T)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
