@@ -419,7 +419,7 @@ def normal_form(node: Node) -> dict:
     def walk(node):
         op, args = node.op, node.args
         if op == "const":
-            return {_ONE: _exact(args[0])} if args[0] else {}
+            return {_ONE: exact(args[0])} if args[0] else {}
         if op == "var":
             return {frozenset({(("x", args[0]), 1)}): 1}
         if op == "neg":
@@ -435,7 +435,7 @@ def normal_form(node: Node) -> dict:
                                  "class (polynomials in x_i, sin(u) and cos(u))")
             if not den:
                 raise ValueError("division by a constant zero")
-            from fractions import Fraction  # deferred, as in _exact
+            from fractions import Fraction  # deferred, as in exact
             return _scale(walk(args[0]), 1 / Fraction(den[_ONE]))
         if op == "pow":
             return _pow(walk(args[0]), args[1])
@@ -470,6 +470,8 @@ def derivative(form: dict, j: int, cache: dict | None = None) -> dict:
 
 def monomial_text(monomial, elide: bool = False) -> str:
     """A monomial in the expression language, its factors sorted by text.
+    An argument's coefficient is written as its nearest float (inf past the
+    range), so the text need not parse back to the monomial.
 
     With elide, an atom argument that holds an atom itself is written ``…``
     (``cos(sin(x1))`` reads ``cos(…)``), and factors that then read alike are
@@ -482,7 +484,7 @@ def monomial_text(monomial, elide: bool = False) -> str:
         elif elide and any(a[0] != "x" for m, _ in arg for a, _ in m):
             text = f"{kind}(…)"
         else:
-            terms = sorted(monomial_text(m) if c == 1 else f"{float(c)!r}*{monomial_text(m)}"
+            terms = sorted(monomial_text(m) if c == 1 else f"{rounded(c)!r}*{monomial_text(m)}"
                            for m, c in arg)
             text = f"{kind}({' + '.join(terms)})"
         factors.append((text, e))
@@ -494,11 +496,20 @@ def monomial_text(monomial, elide: bool = False) -> str:
     return "*".join(sorted(t if e == 1 else f"{t}^{e}" for t, e in factors)) or "1"
 
 
-def _exact(v):
+def exact(v):
+    """The float v as an exact int or fractions.Fraction."""
     if float(v).is_integer():
         return int(v)
     from fractions import Fraction  # deferred: only model loading does exact arithmetic
     return Fraction(v)
+
+
+def rounded(c) -> float:
+    """The double nearest the exact number c, infinite past the float range."""
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
 
 
 def _scale(form, c):

@@ -1,15 +1,17 @@
 """Model ingestion (JSON + expression language) and the built-in registry.
 
-A nonlinear model document carries the vector field as expression strings,
-the envelope split J(x) = A0 + sum theta_j(x) A_j, and a working box. On
-parse, every field of the document is validated, and the declared envelope
-is checked exactly against the field's symbolic Jacobian (``_check_envelope``),
-so a mis-declared term matrix never survives ingestion. The check covers
-polynomials in x_i, sin(u) and cos(u) with constant denominators; a document
-outside that class, or one whose expansion exceeds
-``expressions.MAX_NORMAL_FORM`` or ``expressions.MAX_COEFFICIENT_BITS``, is
-refused with ValueError, and so is a field that is not finite in floats at
-the box centre or at ``FINITE_CHECK_POINTS`` points sampled in the box.
+A nonlinear model is its vector field, written as expression strings, and a
+working box. Its Jacobian envelope J(x) = A0 + sum theta_m(x) A_m is derived
+from the field's exact symbolic Jacobian (``_derived_envelope``): A0 is its
+constant part and each other monomial is one theta_m. A document may declare
+A0 and terms instead, which are checked exactly against the same Jacobian
+(``_check_envelope``). The theta bounds come only from interval evaluation.
+A field outside polynomials in x_i, sin(u) and cos(u) with constant
+denominators, one past ``expressions.MAX_NORMAL_FORM`` or
+``expressions.MAX_COEFFICIENT_BITS``, one whose dense envelope would hold
+more than ``nl_verify.MAX_LMI_ENTRIES`` entries, and one not finite in floats
+at the box centre or at ``FINITE_CHECK_POINTS`` sampled points is refused
+with ValueError.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .expressions import (IntervalError, compile_model, derivative, monomial_text,
-                          normal_form, parse_expression)
-from .nl_verify import Box, NonlinearModel
+from .expressions import (IntervalError, compile_model, derivative, exact, monomial_text,
+                          normal_form, parse_expression, rounded)
+from .nl_verify import MAX_LMI_ENTRIES, Box, NonlinearModel
 
 
 @dataclass
@@ -38,7 +41,6 @@ class ModelBundle:
     box: Box | None = None
     f_exprs: list = field(default_factory=list)
     theta_exprs: list = field(default_factory=list)
-    theta_bounds_fixed: list = field(default_factory=list)  # per-term explicit bounds or None
     params: dict = field(default_factory=dict)
 
     @property
@@ -57,13 +59,8 @@ class ModelBundle:
             "dim": self.model.dim,
             "f": list(self.f_exprs),
             "A0": np.asarray(self.model.A0).tolist(),
-            "terms": [
-                {"A": np.asarray(Aj).tolist(), "theta": expr}
-                | ({"bounds": list(bnd)} if bnd is not None else {})
-                for Aj, expr, bnd in zip(
-                    self.model.terms, self.theta_exprs, self.theta_bounds_fixed
-                )
-            ],
+            "terms": [{"A": np.asarray(Aj).tolist(), "theta": expr}
+                      for Aj, expr in zip(self.model.terms, self.theta_exprs)],
             "box": {"lower": self.box.lower.tolist(), "upper": self.box.upper.tolist()},
         }
         if self.B is not None:
@@ -71,85 +68,124 @@ class ModelBundle:
         return doc
 
 
-def _build_nonlinear(name, dim, f_exprs, A0, term_docs, box, B=None, params=None,
-                     check=False):
-    """The bundle of a nonlinear model; with check, its envelope is checked
-    exactly (``_check_envelope``) and its field in floats (``_check_finite``)."""
+def _build_nonlinear(name, dim, f_exprs, box, B=None, params=None, A0=None, terms=(),
+                     theta_exprs=()):
+    """The bundle of a nonlinear model. Without A0 its envelope is derived
+    from f (``_derived_envelope``); a declared A0, term matrices and their
+    theta_exprs are checked exactly against the same Jacobian (``_check_envelope``)."""
     f_nodes = [parse_expression(s, dim) for s in f_exprs]
-    term_mats = [np.asarray(doc["A"], dtype=float) for doc in term_docs]
-    theta_exprs = [doc["theta"] for doc in term_docs]
-    theta_nodes = [parse_expression(s, dim) for s in theta_exprs]
-    fixed_bounds = [tuple(doc["bounds"]) if "bounds" in doc else None for doc in term_docs]
-    if check:
-        _check_envelope(_normal_forms("f", f_exprs, f_nodes),
-                        _normal_forms("theta", theta_exprs, theta_nodes), A0, term_mats)
+    jacobian = _jacobian(dim, _normal_forms("f", f_exprs, f_nodes))
+    if A0 is None:
+        A0, terms, theta_exprs, theta_nodes = _derived_envelope(dim, jacobian)
+    else:
+        theta_nodes = [parse_expression(s, dim) for s in theta_exprs]
+        _check_envelope(jacobian, _normal_forms("theta", theta_exprs, theta_nodes), A0, terms)
     f, theta = compile_model(dim, f_nodes, theta_nodes)
-    if check:
-        _check_finite(f, box)
 
     def bounds(b: Box):
-        ivs = b.intervals()
         out = []
-        for j, (node, fixed) in enumerate(zip(theta_nodes, fixed_bounds)):
-            if fixed is not None:
-                iv = fixed
-            else:
-                try:
-                    iv = node.interval(ivs)
-                except IntervalError as exc:
-                    raise IntervalError(
-                        f"cannot bound envelope parameter on the box: {exc}"
-                    ) from exc
+        for j, node in enumerate(theta_nodes):
+            try:
+                iv = node.interval(b.intervals())
+            except IntervalError as exc:
+                raise IntervalError(f"cannot bound envelope parameter on the box: {exc}") from exc
             if not all(math.isfinite(v) for v in iv):
-                raise IntervalError(
-                    f"envelope parameter {j + 1} ({theta_exprs[j]}) has the non-finite "
-                    f"bound {tuple(iv)} on the box"
-                )
+                raise IntervalError(f"envelope parameter {j + 1} ({theta_exprs[j]}) has the "
+                                    f"non-finite bound {tuple(iv)} on the box")
             out.append(iv)
         return out
 
-    model = NonlinearModel(
-        dim=dim, f=f, A0=A0, terms=term_mats, theta=theta,
-        bounds=bounds,
-    )
-    return ModelBundle(
-        kind="nonlinear", name=name, B=None if B is None else np.asarray(B, dtype=float),
-        model=model, box=box, f_exprs=list(f_exprs), theta_exprs=theta_exprs,
-        theta_bounds_fixed=fixed_bounds, params=dict(params or {}),
-    )
+    model = NonlinearModel(dim=dim, f=f, A0=A0, terms=terms, theta=theta, bounds=bounds)
+    return ModelBundle(kind="nonlinear", name=name, B=None if B is None else np.asarray(B, float),
+                       model=model, box=box, f_exprs=list(f_exprs), theta_exprs=theta_exprs,
+                       params=dict(params or {}))
 
 
-def _check_envelope(f_forms, theta_forms, A0, terms):
+def _jacobian(dim, f_forms) -> dict:
+    """The exact Jacobian of the field whose f_i have the normal forms f_forms,
+    by monomial: {monomial: {(i, j): its nonzero coefficient in d f_i / d x_j}}."""
+    cache, out = {}, {}
+    for i, form in enumerate(f_forms):
+        for j in range(dim):
+            for m, c in derivative(form, j, cache).items():
+                out.setdefault(m, {})[i, j] = c
+    return out
+
+
+def _check_size(dim, thetas):
+    """Refuse a dense envelope (A0 and the theta matrices) past MAX_LMI_ENTRIES entries."""
+    if dim * dim * (1 + thetas) > MAX_LMI_ENTRIES:
+        raise ValueError(f"the envelope of dim {dim} with {thetas} thetas would hold "
+                         f"{dim * dim * (1 + thetas)} matrix entries, past the cap of "
+                         f"{MAX_LMI_ENTRIES}")
+
+
+def _derived_envelope(dim, jacobian):
+    """A0, the theta matrices, texts and parsed texts derived from the exact
+    Jacobian: A0 is its constant part (the monomial frozenset()), and each other
+    monomial is one theta, its ``monomial_text``, with its coefficients, rounded once."""
+    texts = {m: monomial_text(m) for m in jacobian.keys() - {frozenset()}}
+    _check_size(dim, len(texts))
+    # by total degree, then by the factors ranked x_i (by index) < sin < cos, ties by text
+    monomials = sorted(texts, key=lambda m: (sum(e for _, e in m), sorted(
+        (("x", "sin", "cos").index(k), a if k == "x" else 0) for (k, a), _ in m), texts[m]))
+    nodes = [_theta_node(m, texts[m], dim) for m in monomials]
+
+    def matrix(m):
+        A = np.zeros((dim, dim))
+        for (i, j), c in jacobian.get(m, {}).items():
+            A[i, j] = rounded(c)
+        if not np.isfinite(A).all():
+            raise ValueError(f"a Jacobian coefficient of {monomial_text(m, elide=True)} overflows")
+        return A
+
+    return matrix(frozenset()), list(map(matrix, monomials)), [texts[m] for m in monomials], nodes
+
+
+def _theta_node(monomial, text, dim):
+    """The parsed text of a derived theta, which must parse back to its monomial."""
+    try:
+        node = parse_expression(text, dim)
+        if normal_form(node) == {monomial: 1}:
+            return node
+    except ValueError:  # nested past MAX_DEPTH, or a coefficient past the float range
+        pass
+    raise ValueError(f"the Jacobian monomial {monomial_text(monomial, elide=True)} has no "
+                     f"exact text as a theta (a coefficient in it is not a float); "
+                     f"declare the envelope (A0 and terms)")
+
+
+def _check_envelope(jacobian, theta_forms, A0, terms):
     """Check that the declared envelope is the field's exact Jacobian.
 
-    f_forms and theta_forms are the exact normal forms of f_i and theta_m
-    (``expressions.normal_form``), and f_i is differentiated in its form.
-    Entry (i, j) is accepted when, for every monomial, the exact coefficient
-    of d f_i / d x_j and that of A0_ij + sum_m theta_m (A_m)_ij round to the
-    same double. Rounding once lets ``closed_loop``'s A0 - BK pass: each of
-    its entries is one float subtraction of the literal fl((BK)_ij) that its
-    field carries, so it is the rounded exact value. The rule leaves a gap of
-    up to half an ulp per coefficient, which interval bounds rounded outward
-    would have to cover. A failure names the entry and, of the monomials
-    that disagree, the first by full text, written with nested atom
-    arguments elided."""
-    A0 = np.asarray(A0, dtype=float).tolist()
-    terms = [A.tolist() for A in terms]
-    cache = {}
-    for i, form in enumerate(f_forms):
-        for j in range(len(f_forms)):
-            got = derivative(form, j, cache)
-            want = _envelope_form(A0[i][j], [(A[i][j], th) for A, th in zip(terms, theta_forms)])
-            bad = [m for m in got.keys() | want.keys()
-                   if got.get(m, 0) != want.get(m, 0)
-                   and _rounded(got.get(m, 0)) != _rounded(want.get(m, 0))]
-            if bad:
-                m = min(bad, key=monomial_text)
-                raise ValueError(
-                    f"declared envelope disagrees with the field Jacobian: entry "
-                    f"({i + 1}, {j + 1}), monomial {monomial_text(m, elide=True)}: "
-                    f"d f{i + 1}/d x{j + 1} has {_rounded(got.get(m, 0))!r}, A0 + sum theta_m A_m has "
-                    f"{_rounded(want.get(m, 0))!r}")
+    jacobian is ``_jacobian``'s, theta_forms the exact normal forms of the
+    theta_m. Entry (i, j) is accepted when, for every monomial, the exact
+    coefficient of d f_i / d x_j and that of A0_ij + sum_m theta_m (A_m)_ij
+    (every float taken exactly) round to the same double. Rounding once lets
+    ``closed_loop``'s A0 - BK, one float subtraction of the literal fl((BK)_ij)
+    its field carries, pass; it leaves a gap of up to half an ulp per
+    coefficient, which outward-rounded interval bounds would have to cover.
+    A failure names the first entry that disagrees and its first disagreeing
+    monomial by full text, written with nested atom arguments elided."""
+    declared = {}  # laid out as jacobian; a coefficient left zero compares like an absent one
+    for A, form in [(A0, {frozenset(): 1}), *zip(terms, theta_forms)]:
+        for i, j in np.argwhere(A).tolist():
+            for m, c in form.items():
+                row = declared.setdefault(m, {})
+                row[i, j] = row.get((i, j), 0) + exact(A[i, j]) * c
+    bad = []
+    for m in jacobian.keys() | declared.keys():
+        got, want = jacobian.get(m, {}), declared.get(m, {})
+        bad.extend((entry, monomial_text(m), m) for entry in got.keys() | want.keys()
+                   if got.get(entry, 0) != want.get(entry, 0)
+                   and rounded(got.get(entry, 0)) != rounded(want.get(entry, 0)))
+    if bad:
+        (i, j), _, m = min(bad, key=lambda b: b[:2])
+        got, want = (rounded(side.get(m, {}).get((i, j), 0)) for side in (jacobian, declared))
+        raise ValueError(
+            f"declared envelope disagrees with the field Jacobian: entry "
+            f"({i + 1}, {j + 1}), monomial {monomial_text(m, elide=True)}: "
+            f"d f{i + 1}/d x{j + 1} has {got!r}, A0 + sum theta_m A_m has {want!r}")
 
 
 def _normal_forms(prefix, texts, nodes):
@@ -160,32 +196,6 @@ def _normal_forms(prefix, texts, nodes):
         except ValueError as exc:
             raise ValueError(f"{prefix}{k + 1} = {text}: {exc}") from None
     return out
-
-
-def _envelope_form(constant: float, weighted) -> dict:
-    """The exact normal form of constant + sum w * form over the (w, form)
-    pairs of weighted, every float taken exactly. A monomial may be left with
-    a zero coefficient, which compares like an absent one."""
-    from fractions import Fraction  # deferred: only model loading does exact arithmetic
-
-    def exact(v):
-        return int(v) if v.is_integer() else Fraction(v)
-
-    out = {frozenset(): exact(constant)} if constant else {}  # the constant term
-    for w, form in weighted:
-        if w:
-            w = exact(w)
-            for m, c in form.items():
-                out[m] = out.get(m, 0) + w * c
-    return out
-
-
-def _rounded(c) -> float:
-    """The double nearest the exact coefficient c, infinite past the range."""
-    try:
-        return float(c)
-    except OverflowError:
-        return math.inf if c > 0 else -math.inf
 
 
 # a field that overflows in floats somewhere in the box is refused, checked at
@@ -216,13 +226,15 @@ def is_number(value) -> bool:
 
 
 def finite(value, name: str, shape: tuple) -> np.ndarray:
-    """value, an array of numbers (no strings or nulls), as a finite float
-    array of shape, where None stands for any positive length; otherwise a
-    ValueError that names the field."""
+    """value, an array of numbers (no strings, nulls or booleans), as a finite
+    float array of shape, where None stands for any positive length;
+    otherwise a ValueError that names the field."""
     want = str(tuple("m" if s is None else s for s in shape)).replace("'", "")
     try:
         a = np.asarray(value)
-        if a.dtype.kind not in "iuf":  # strings, nulls, booleans
+        # strings, nulls, booleans, and a boolean among numbers, which numpy reads as 1
+        rows = value if a.ndim == 2 else [value] if a.ndim == 1 else []
+        if a.dtype.kind not in "iuf" or bool in map(type, chain.from_iterable(rows)):
             raise TypeError
     except (TypeError, ValueError):  # or a ragged nesting
         raise ValueError(f"{name} must be a {want} array of numbers") from None
@@ -236,11 +248,13 @@ def finite(value, name: str, shape: tuple) -> np.ndarray:
 
 
 def _nonlinear_from_dict(doc: dict) -> ModelBundle:
-    """A nonlinear document, every field validated and the envelope checked."""
+    """A nonlinear document, every field validated and the envelope derived,
+    or if declared, checked."""
     dim = doc["dim"]
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValueError(f"nonlinear model dim must be a positive integer, got {dim!r}")
     dim = int(dim)
+    _check_size(dim, 0)
     box_doc = doc.get("box")
     if box_doc is None:
         raise ValueError("nonlinear model requires a box")
@@ -250,25 +264,27 @@ def _nonlinear_from_dict(doc: dict) -> ModelBundle:
     if not (isinstance(f_exprs, list) and len(f_exprs) == dim
             and all(isinstance(s, str) for s in f_exprs)):
         raise ValueError(f"f must be a list of {dim} expression strings")
-    A0 = finite(doc["A0"], "A0", (dim, dim))
-    terms = []
+    A0, terms, thetas = None, [], []
+    if "A0" in doc:
+        A0 = finite(doc["A0"], "A0", (dim, dim))
+    elif "terms" in doc:
+        raise ValueError("terms without A0: declare both, or neither to derive the envelope")
     for k, term in enumerate(doc.get("terms", [])):
         where = f"terms[{k}]"
         if not (isinstance(term, dict) and isinstance(term.get("theta"), str)):
             raise ValueError(f"{where} must be an object with a theta expression string")
-        checked = {"A": finite(term["A"], f"{where}.A", (dim, dim)), "theta": term["theta"]}
         if "bounds" in term:
-            bnd = term["bounds"]
-            if not (isinstance(bnd, list) and len(bnd) == 2 and all(map(is_number, bnd))
-                    and bnd[0] <= bnd[1]):
-                raise ValueError(f"{where}.bounds must be two finite numbers lo <= hi, "
-                                 f"got {bnd!r}")
-            checked["bounds"] = bnd
-        terms.append(checked)
+            raise ValueError(f"{where}.bounds is not accepted: theta bounds come only from "
+                             f"interval evaluation of theta on the box")
+        terms.append(finite(term["A"], f"{where}.A", (dim, dim)))
+        thetas.append(term["theta"])
     B = doc.get("B")
     if B is not None:
         B = finite(B, "B", (dim, None))
-    return _build_nonlinear(doc.get("name", ""), dim, f_exprs, A0, terms, box, B, check=True)
+    bundle = _build_nonlinear(doc.get("name", ""), dim, f_exprs, box, B, A0=A0, terms=terms,
+                              theta_exprs=thetas)
+    _check_finite(bundle.model.f, box)
+    return bundle
 
 
 def parse_model(text: str) -> ModelBundle:
@@ -283,12 +299,10 @@ def parse_model(text: str) -> ModelBundle:
 def model_from_dict(doc: dict) -> ModelBundle:
     kind = doc.get("kind")
     if kind == "linear":
-        A = np.asarray(doc["A"], dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        A = finite(doc["A"], "A", (None, None))
+        if A.shape[0] != A.shape[1]:
             raise ValueError(f"linear model A must be square, got {A.shape}")
-        B = np.asarray(doc["B"], dtype=float) if "B" in doc else None
-        if B is not None and B.shape[0] != A.shape[0]:
-            raise ValueError("B row count must match A")
+        B = finite(doc["B"], "B", (len(A), None)) if "B" in doc else None
         return ModelBundle(kind="linear", name=doc.get("name", ""), A=A, B=B)
     if kind == "nonlinear":
         return _nonlinear_from_dict(doc)
@@ -329,19 +343,15 @@ def rossler() -> ModelBundle:
     """Three-dimensional system with constant third compound trace -0.5 and a
     quadratic term that rules out constant indefinite metrics."""
     f_exprs = ["x2", "-x1 - x3", "0.5*((x1 - x1^2) - x3)"]
-    A0 = [[0, 1, 0], [-1, 0, -1], [0.5, 0, -0.5]]
-    terms = [{"A": [[0, 0, 0], [0, 0, 0], [-1, 0, 0]], "theta": "x1"}]
     box = Box(np.array([-5.0, -5.0, -2.0]), np.array([6.0, 5.0, 4.0]))
-    return _build_nonlinear("rossler", 3, f_exprs, A0, terms, box)
+    return _build_nonlinear("rossler", 3, f_exprs, box)
 
 
 def rossler_mod() -> ModelBundle:
     """Cubic variant of the same family; trajectories settle on simple attractors."""
     f_exprs = ["x2 - 2*x3", "-x1 - x3", "0.5*((x1 - x1^3) - x3)"]
-    A0 = [[0, 1, -2], [-1, 0, -1], [0.5, 0, -0.5]]
-    terms = [{"A": [[0, 0, 0], [0, 0, 0], [-1.5, 0, 0]], "theta": "x1^2"}]
     box = Box(np.array([-1.0, -1.0, -0.5]), np.array([1.0, 1.0, 0.5]))
-    return _build_nonlinear("rossler_mod", 3, f_exprs, A0, terms, box)
+    return _build_nonlinear("rossler_mod", 3, f_exprs, box)
 
 
 SYNCHRONVERTER_DEFAULTS = dict(
@@ -367,40 +377,18 @@ def synchronverter(**overrides) -> ModelBundle:
         f"{_fmt(mJif)}*x2 - {_fmt(DpJ)}*(x3 - {_fmt(w_n)}) + {_fmt(T_m / J)}",
         f"x3 - {_fmt(w_n)}",
     ]
-    A0 = [
-        [-RL, 0, 0, 0],
-        [0, -RL, -mLif, 0],
-        [0, mJif, -DpJ, 0],
-        [0, 0, 1, 0],
-    ]
-    z = lambda: [[0.0] * 4 for _ in range(4)]
-    A_x1 = z(); A_x1[1][2] = -1.0
-    A_x2 = z(); A_x2[0][2] = 1.0
-    A_x3 = z(); A_x3[0][1] = 1.0; A_x3[1][0] = -1.0
-    A_s4 = z(); A_s4[1][3] = -VL
-    A_c4 = z(); A_c4[0][3] = VL
-    terms = [
-        {"A": A_x1, "theta": "x1"},
-        {"A": A_x2, "theta": "x2"},
-        {"A": A_x3, "theta": "x3"},
-        {"A": A_s4, "theta": "sin(x4)"},
-        {"A": A_c4, "theta": "cos(x4)"},
-    ]
     # working box; the x4 interval is taken ascending
     box = Box(np.array([-81.0, -67.0, 298.0, -0.2]), np.array([5.0, 10.5, 315.0, 1.0]))
-    return _build_nonlinear("synchronverter", 4, f_exprs, A0, terms, box, params=p)
+    return _build_nonlinear("synchronverter", 4, f_exprs, box, params=p)
 
 
 def example25() -> ModelBundle:
     """Third-order design example with input on the second state and a cubic
     nonlinearity; the open loop sustains periodic orbits."""
     f_exprs = ["x2 - x3", "-x1 - x3", "x1*(x1^2 - 0.25)"]
-    A0 = [[0, 1, -1], [-1, 0, -1], [-0.25, 0, 0]]
-    terms = [{"A": [[0, 0, 0], [0, 0, 0], [3.0, 0, 0]], "theta": "x1^2"}]
     # covers the three closed-loop equilibria (x1 = 0, +-0.5) with ~10% margin
     box = Box(np.array([-0.55, -0.55, -0.55]), np.array([0.55, 0.55, 0.55]))
-    return _build_nonlinear("example25", 3, f_exprs, A0, terms, box,
-                            B=[[0.0], [1.0], [0.0]])
+    return _build_nonlinear("example25", 3, f_exprs, box, B=[[0.0], [1.0], [0.0]])
 
 
 BUILTINS = {

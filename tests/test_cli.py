@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from kcontract import cli
+from kcontract import cli, models
 from kcontract.expressions import MAX_DEPTH
+from kcontract.nl_verify import MAX_LMI_ENTRIES
 from test_models import edit, rossler_mod_doc
 
 
@@ -93,6 +94,7 @@ def test_non_finite_literal_exits_2(capsys, tmp_path):
 
 
 NAN, INF = float("nan"), float("inf")
+LINEAR_DOC = {"kind": "linear", "A": [[-1.0, 0.0], [0.0, -1.0]], "B": [[0.0], [1.0]]}
 
 
 @pytest.mark.parametrize("path, value, field", [
@@ -106,27 +108,40 @@ NAN, INF = float("nan"), float("inf")
     pytest.param(("A0", 0, 1), "1", "A0", id="A0-string"),
     pytest.param(("A0",), [[0.0, 1.0, -2.0], [-1.0, 0.0, -1.0]], "A0", id="A0-shape"),
     pytest.param(("terms", 0, "A", 2, 0), NAN, r"terms\[0\]\.A", id="term-nan"),
-    pytest.param(("terms", 0, "bounds"), [1.0, 0.0], r"terms\[0\]\.bounds",
-                 id="bounds-reversed"),
-    pytest.param(("terms", 0, "bounds"), [0.0, 1.0, 2.0], r"terms\[0\]\.bounds",
-                 id="bounds-three"),
-    pytest.param(("terms", 0, "bounds"), [0.0, INF], r"terms\[0\]\.bounds",
-                 id="bounds-inf"),
-    pytest.param(("terms", 0, "bounds"), [0, 10 ** 400], r"terms\[0\]\.bounds",
-                 id="bounds-huge-int"),
+    # theta bounds come only from the box; a declared one, even a sound one, is refused
+    pytest.param(("terms", 0, "bounds"), [0.0, 1.0], r"terms\[0\]\.bounds is not accepted",
+                 id="bounds"),
     pytest.param(("B",), [[0.0], [1.0]], "B", id="B-rows"),
     pytest.param(("B", 1, 0), NAN, "B", id="B-nan"),
     pytest.param(("f",), ["x2 - 2*x3", "-x1 - x3"], "f", id="f-length"),
     pytest.param(("f", 1), "x2/(1 + x1^2)", "f2 = .*denominator", id="variable-denominator"),
     pytest.param(("terms", 0, "theta"), "sin(1)", "theta1 = .*constant argument",
                  id="sin-constant"),
+    # a path that starts with "linear" edits LINEAR_DOC
+    pytest.param(("linear", "A", 0, 0), "-1", "^A must be a .* array of numbers",
+                 id="linear-A-string"),
+    pytest.param(("linear", "A", 1, 1), True, "^A must be a .* array of numbers",
+                 id="linear-A-bool"),
+    pytest.param(("linear", "A", 0, 1), NAN, "^A must be finite", id="linear-A-nan"),
+    pytest.param(("linear", "A"), [[-1.0, 0.0]], "^linear model A must be square",
+                 id="linear-A-square"),
+    pytest.param(("linear", "B", 1, 0), "1", "^B must be a .* array of numbers",
+                 id="linear-B-string"),
+    pytest.param(("linear", "B", 0, 0), INF, "^B must be finite", id="linear-B-inf"),
+    pytest.param(("linear", "B"), [[1.0]], r"^B has shape \(1, 1\)", id="linear-B-rows"),
+    pytest.param(("linear", "B"), [0.0, 1.0], r"^B has shape \(2,\)", id="linear-B-vector"),
 ])
 def test_bad_nonlinear_document_exits_2(capsys, tmp_path, path, value, field):
-    # each bad field is refused by name while the model loads, before any work
+    # each bad field is refused by name while the model loads, before any work;
+    # the linear cases check that a linear document goes through the same finite()
     path_ = tmp_path / "bad.json"
-    path_.write_text(json.dumps(edit(rossler_mod_doc(), path, value)))
-    code, rep = run_cli(capsys, "simulate", "--model", str(path_), "--x0", "0.1,0.1,0.1",
-                        "--t", "0.1")
+    if path[0] == "linear":
+        path_.write_text(json.dumps(edit(LINEAR_DOC, path[1:], value)))
+        argv = ("analyze-lin", "--k", "1")
+    else:
+        path_.write_text(json.dumps(edit(rossler_mod_doc(), path, value)))
+        argv = ("simulate", "--x0", "0.1,0.1,0.1", "--t", "0.1")
+    code, rep = run_cli(capsys, *argv, "--model", str(path_))
     assert code == 2 and rep["verdict"] == "error"
     assert re.search(field, rep["error"])
 
@@ -452,6 +467,49 @@ def test_run_of_zero_steps_exits_2(capsys, builtin_model, argv):
     code, rep = run_cli(capsys, *argv, "--model", builtin_model("rossler_mod"))
     assert code == 2 and rep["verdict"] == "error"
     assert "rounds to 0 steps" in rep["error"]
+
+
+def test_derived_envelope_prints_as_declared(capsys, tmp_path):
+    # a document with only kind, dim, f and box derives the envelope that the
+    # declared document carries: the same reports, inputs_digest included
+    from kcontract.reproduce import load_data
+    declared = models.builtin("synchronverter").to_json()
+    del declared["name"]
+    derived = {key: declared[key] for key in ("kind", "dim", "f", "box")}
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(load_data("synchronverter_cert.json")))
+    outputs = {}
+    for label, doc in (("declared", declared), ("derived", derived)):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(doc))
+        for argv in (("verify-nl", "--cert", str(cert)),
+                     ("simulate", "--x0", "0,0,314,0.1", "--t", "0.05", "--compound", "2")):
+            assert cli.main([*argv, "--model", str(path)]) == 0
+            outputs.setdefault(label, []).append(capsys.readouterr().out)
+    assert outputs["derived"] == outputs["declared"]
+
+
+def chain_doc(n):
+    """x_i' = -x_i + 0.5 x_(i+1)^2: n - 1 envelope parameters x2..xn."""
+    return {"kind": "nonlinear", "dim": n,
+            "f": [f"-x{i} + 0.5*x{i + 1}^2" for i in range(1, n)] + [f"-x{n}"],
+            "box": {"lower": [-1.0] * n, "upper": [1.0] * n}}
+
+
+@pytest.mark.parametrize("doc, entries", [
+    (chain_doc(300), 300 ** 3),
+    ({"kind": "nonlinear", "dim": 100000, "f": [f"x{i + 1}" for i in range(100000)]},
+     100000 ** 2),
+], ids=["chain-300", "dim-100000"])
+def test_oversized_envelope_exits_2_quickly(capsys, tmp_path, doc, entries):
+    # a few kilobytes of field would derive dim^2 (1 + thetas) dense entries
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", "0", "--t", "0.1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"would hold {entries} matrix entries, past the cap of {MAX_LMI_ENTRIES}" in rep["error"]
 
 
 def test_verify_nl_with_packaged_cert(capsys, builtin_model, tmp_path):

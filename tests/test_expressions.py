@@ -348,3 +348,38 @@ def test_power_coefficients_are_capped_and_zero_powers_are_zero():
                  "(0.1^150*x1)*(0.1^150*x2)"):
         with pytest.raises(ValueError, match=f"cap of {MAX_COEFFICIENT_BITS} bits"):
             normal_form(parse_expression(text, 2))
+
+
+def expression_text(node):
+    """node in the expression language, every operation in parentheses."""
+    op, args = node.op, node.args
+    if op == "const":
+        return f"({args[0]!r})"
+    if op == "var":
+        return f"x{args[0] + 1}"
+    if op == "neg":
+        return f"(-{expression_text(args[0])})"
+    if op == "pow":
+        return f"({expression_text(args[0])})^{args[1]}"
+    if op in ("sin", "cos"):
+        return f"{op}({expression_text(args[0])})"
+    return f"({expression_text(args[0])} {op} {expression_text(args[1])})"
+
+
+@given(polynomial_trees(2), polynomial_trees(2))
+@settings(max_examples=100, deadline=None)
+def test_derived_envelope_reloads_as_declared(f1, f2):
+    # the derived envelope, written out by to_json, passes the declared check
+    # and reloads to the same bytes
+    from kcontract import models
+    doc = {"kind": "nonlinear", "dim": 2, "f": [expression_text(f1), expression_text(f2)],
+           "box": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}}
+    try:
+        derived = models.model_from_dict(doc)
+    except ValueError as exc:  # sin or cos of a constant; a theta whose text is not exact
+        assert "constant argument" in str(exc) or "has no exact text" in str(exc)
+        reject()
+    again = models.model_from_dict(derived.to_json())
+    assert again.theta_exprs == derived.theta_exprs
+    assert again.model.A0.tobytes() == derived.model.A0.tobytes()
+    assert [A.tobytes() for A in again.model.terms] == [A.tobytes() for A in derived.model.terms]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -126,10 +127,9 @@ def test_closed_loop_is_the_feedback_field():
         assert np.abs(closed.model.f(x) - want).max() <= 1e-14 * np.abs(want).max()
         assert again.model.f(x).tobytes() == closed.model.f(x).tobytes()
     assert closed.model.A0.tobytes() == (bundle.model.A0 - bundle.B @ K).tobytes()
-    # only the input row changes; terms, theta, bounds, box and B are kept
+    # only the input row changes; terms, theta, box and B are kept
     assert [closed.f_exprs[i] == bundle.f_exprs[i] for i in range(3)] == [True, False, True]
     assert closed.theta_exprs == bundle.theta_exprs
-    assert closed.theta_bounds_fixed == bundle.theta_bounds_fixed
     assert all(np.array_equal(a, b) for a, b in zip(closed.model.terms, bundle.model.terms))
     assert np.array_equal(closed.box.lower, bundle.box.lower)
     assert np.array_equal(closed.box.upper, bundle.box.upper)
@@ -152,18 +152,6 @@ def test_closed_loop_rejects_bad_input_before_work(monkeypatch):
     for bundle, gain in cases:
         with pytest.raises(ValueError):
             models.closed_loop(bundle, gain)
-
-
-def test_explicit_term_bounds_respected():
-    doc = {
-        "kind": "nonlinear", "dim": 1,
-        "f": ["-x1^3"],
-        "A0": [[0.0]],
-        "terms": [{"A": [[-3.0]], "theta": "x1^2", "bounds": [0.0, 9.0]}],
-        "box": {"lower": [-1], "upper": [1]},
-    }
-    bundle = models.model_from_dict(doc)
-    assert bundle.model.bounds(bundle.box) == [(0.0, 9.0)]
 
 
 def test_theta_bounds_from_intervals():
@@ -198,10 +186,6 @@ def test_bounds_reject_non_finite():
     bundle = models.model_from_dict(doc)
     with pytest.raises(IntervalError, match="non-finite"):
         bundle.model.bounds(bundle.box)
-    # a fixed bound that is not finite is refused when the document is loaded
-    doc["terms"] = [{"A": [[0, 0], [0, 0]], "theta": "x1", "bounds": [-math.inf, 1.0]}]
-    with pytest.raises(ValueError, match=r"terms\[0\]\.bounds"):
-        models.model_from_dict(doc)
 
 
 def rossler_mod_doc():
@@ -227,6 +211,56 @@ def closed_loop_docs():
     K2 = np.vstack([K, np.random.default_rng(5).standard_normal((1, 3))])
     return [models.closed_loop(models.builtin("example25"), K).to_json(),
             models.closed_loop(two, K2).to_json()]
+
+
+# the first 16 hex digits of envelope_digest, as the hand-written envelopes of
+# the built-ins and the closed loops' A0 - BK gave them
+DECLARED_ENVELOPES = {
+    "rossler": "7a9ff330c84b1448", "rossler_mod": "e9451b97d336dddb",
+    "synchronverter": "c91f3635c147d59b", "example25": "8aae46f6f96090b9",
+    "closed_loop": "028332eabb7a5ff2", "closed_loop_two_inputs": "745f128c6769e803",
+}
+
+
+def envelope_digest(bundle):
+    """SHA-256 over the bytes of A0 and each A_m, the theta texts and bounds(box)."""
+    h = hashlib.sha256(bundle.model.A0.tobytes())
+    for A in bundle.model.terms:
+        h.update(A.tobytes())
+    h.update(repr((bundle.theta_exprs, bundle.model.bounds(bundle.box))).encode())
+    return h.hexdigest()[:16]
+
+
+def test_derived_envelopes_are_the_declared_ones():
+    docs = dict(zip(["closed_loop", "closed_loop_two_inputs"], closed_loop_docs()))
+    for name in models.BUILTINS:
+        assert envelope_digest(models.builtin(name)) == DECLARED_ENVELOPES[name]
+        docs[name] = models.builtin(name).to_json()
+    for name, doc in docs.items():
+        derived = {key: value for key, value in doc.items() if key not in ("A0", "terms")}
+        assert envelope_digest(models.model_from_dict(derived)) == DECLARED_ENVELOPES[name]
+        assert envelope_digest(models.model_from_dict(doc)) == DECLARED_ENVELOPES[name]
+    # theta order: total degree, then x_i by index < sin < cos
+    assert models.builtin("synchronverter").theta_exprs == ["x1", "x2", "x3", "sin(x4)",
+                                                            "cos(x4)"]
+
+
+def test_envelope_is_declared_whole_or_derived():
+    doc = {"kind": "nonlinear", "dim": 1, "f": ["sin(x1/3)"], "box": {"lower": [-1], "upper": [1]}}
+    # the derived theta would read cos(0.3333333333333333*x1), another monomial
+    with pytest.raises(ValueError, match=re.escape(
+            "monomial cos(0.3333333333333333*x1) has no exact text") + ".*declare the envelope"):
+        models.model_from_dict(doc)
+    declared = doc | {"A0": [[0.0]], "terms": [{"A": [[1 / 3]], "theta": "cos(x1/3)"}]}
+    assert models.model_from_dict(declared).theta_exprs == ["cos(x1/3)"]
+    # a coefficient past the float range inside the argument
+    with pytest.raises(ValueError, match=re.escape("monomial cos(inf*x1) has no exact text")):
+        models.model_from_dict(doc | {"f": ["sin(1e200*1e200*x1)"]})
+    with pytest.raises(ValueError, match=re.escape(
+            "a Jacobian coefficient of x1 overflows")):
+        models.model_from_dict(doc | {"f": ["1e200*1e200*x1^2"]})
+    with pytest.raises(ValueError, match="terms without A0"):
+        models.model_from_dict(doc | {"terms": []})
 
 
 def test_exact_envelope_accepts_builtins_and_closed_loops():
