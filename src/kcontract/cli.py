@@ -23,7 +23,7 @@ import numpy as np
 from . import lin_contraction as lc
 from . import lin_synthesis as ls
 from . import models, nl_verify as nv, reproduce, sim
-from .numkernel import NumericalError
+from .numkernel import NumericalError, check_lyapunov_size
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
@@ -87,6 +87,7 @@ def cmd_analyze_lin(args):
 
 def cmd_certify_lin(args):
     bundle = _load_model(args, "linear")
+    check_lyapunov_size(bundle.dim)  # outside the try: too large is a usage error
     inputs = {"model": bundle.to_json(), "k": args.k}
     try:
         cert = lc.build_certificate(bundle.A, args.k)
@@ -121,6 +122,7 @@ def cmd_stabilizable(args):
 
 def cmd_synth_lin(args):
     bundle = _load_model(args, "linear", needs_B=True)
+    check_lyapunov_size(bundle.dim)  # outside the try: too large is a usage error
     inputs = {"model": bundle.to_json(), "k": args.k, "rho": args.rho}
     try:
         cert = ls.stabilizability_certificate(bundle.A, bundle.B, args.k)
@@ -372,7 +374,7 @@ def main(argv=None) -> int:
                 raise ValueError(f"--{name} must be finite, got {value}")
         report, inputs = args.fn(args)
         emit(report, inputs)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError, NumericalError) as exc:
+    except (ValueError, OSError, NumericalError) as exc:  # a JSONDecodeError is a ValueError
         return _error(str(exc))
     return EXIT_ACCEPT if report["verdict"] in ("accept", "success") else EXIT_REJECT
 

@@ -14,8 +14,8 @@ evaluated by compiling them to Python source (``compile_model``), and bounded
 over boxes by interval evaluation (``Node.interval``); interval division by a
 zero-crossing denominator raises (no silent widening to infinity). An
 expression with constant denominators also has an exact normal form
-(``normal_form``), a polynomial over x_i, sin(u) and cos(u) that
-``derivative`` differentiates symbolically.
+(``normal_form``), a polynomial over x_i, sin(u) and cos(u) whose nonzero
+partials ``gradient`` gives symbolically, in one walk over its monomials.
 """
 
 from __future__ import annotations
@@ -449,23 +449,23 @@ def normal_form(node: Node) -> dict:
     return walk(node)
 
 
-def derivative(form: dict, j: int, cache: dict | None = None) -> dict:
-    """The normal form of d form / d x_(j+1), by the product and chain rules.
-    A cache passed in keeps the derivatives of sin and cos atoms between calls."""
+def gradient(form: dict, cache: dict | None = None) -> dict:
+    """The nonzero partials of form, {j: the normal form of d form / d x_(j+1)},
+    by the product and chain rules, each monomial's atoms walked once. A cache
+    passed in keeps the gradients of sin and cos atoms between calls."""
     cache = {} if cache is None else cache
     out = {}
     for monomial, c in form.items():
         for atom, e in monomial:
-            d_atom = _atom_derivative(atom, j, cache)
-            if d_atom:
-                rest = dict(monomial)
-                if e == 1:
-                    del rest[atom]
-                else:
-                    rest[atom] = e - 1
-                term = {frozenset(rest.items()): c * e}
-                _add(out, term if d_atom is _UNIT else _mul(term, d_atom))
-    return out
+            rest = dict(monomial)
+            if e == 1:
+                del rest[atom]
+            else:
+                rest[atom] = e - 1
+            term = {frozenset(rest.items()): c * e}
+            for j, d_atom in _atom_gradient(atom, cache).items():
+                _add(out.setdefault(j, {}), term if d_atom is _UNIT else _mul(term, d_atom))
+    return {j: d for j, d in out.items() if d}
 
 
 def monomial_text(monomial, elide: bool = False) -> str:
@@ -592,15 +592,13 @@ def _pow(form, k):
     return out
 
 
-def _atom_derivative(atom, j, cache):
+def _atom_gradient(atom, cache):
+    """The nonzero partials of one atom, as gradient's; cached for sin and cos."""
     kind, arg = atom
     if kind == "x":
-        return _UNIT if arg == j else None
-    key = (atom, j)
-    if key not in cache:
-        du = derivative(dict(arg), j, cache)
-        if du:  # sin' = cos, cos' = -sin
-            other, sign = ("cos", 1) if kind == "sin" else ("sin", -1)
-            du = _mul({frozenset({((other, arg), 1)}): sign}, du)
-        cache[key] = du
-    return cache[key]
+        return {arg: _UNIT}
+    if atom not in cache:  # sin' = cos, cos' = -sin
+        other, sign = ("cos", 1) if kind == "sin" else ("sin", -1)
+        outer = {frozenset({((other, arg), 1)}): sign}
+        cache[atom] = {j: _mul(outer, du) for j, du in gradient(dict(arg), cache).items()}
+    return cache[atom]

@@ -13,8 +13,8 @@ below s * ||P||_2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
@@ -38,6 +38,9 @@ GROUP_RTOL_LADDER = (REAL_PART_GROUP_RTOL, 3e-7, 1e-5, 3e-4)
 EPSILON_HALVINGS = 40
 # a rate this close to a pair midpoint makes the shifted solution blow up
 RESONANCE_RTOL = 1e-6
+# the most decimal digits of an N1 that variable_counts computes: the JSON
+# encoder's default limit, fixed here whatever PYTHONINTMAXSTRDIGITS says
+MAX_COUNT_DIGITS = 4300
 
 
 @dataclass
@@ -295,10 +298,21 @@ def verify_certificate(A, k: int, cert: ContractionCertificate, slack: float = 0
 
 
 def variable_counts(n: int, k: int):
-    """(N1, N2): unknown counts for the compound-LMI route vs the staged route."""
+    """(N1, N2): unknown counts for the compound-LMI route vs the staged route.
+    ValueError, before N1 is computed, for one past MAX_COUNT_DIGITS digits."""
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    c = comb(n, k)
+    # log10 N1 > 2 log10 C(n, r) - log10 2 for r = min(k, n - k); C(n, r) >= 2^r
+    # bounds it at once, so at most a few thousand logarithms are summed
+    r = min(k, n - k)
+    log_c = r * math.log10(2)
+    if 2 * log_c <= MAX_COUNT_DIGITS + 2:
+        log_c = (math.fsum(map(math.log10, range(n - r + 1, n + 1)))
+                 - math.lgamma(r + 1) / math.log(10))
+    # a digit of margin: rounding in the estimate never refuses an N1 that prints
+    if 2 * log_c - math.log10(2) > MAX_COUNT_DIGITS + 1:
+        raise ValueError(f"N1 for n={n}, k={k} has more than {MAX_COUNT_DIGITS} digits")
+    c = math.comb(n, k)
     n1 = c * (c + 1) // 2 + 1
     n2 = k * n * (n - 1) // 2 + k
     return n1, n2

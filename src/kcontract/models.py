@@ -24,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .expressions import (IntervalError, compile_model, derivative, exact, monomial_text,
+from .expressions import (IntervalError, compile_model, exact, gradient, monomial_text,
                           normal_form, parse_expression, rounded)
 from .nl_verify import MAX_LMI_ENTRIES, Box, NonlinearModel
 
@@ -74,7 +74,7 @@ def _build_nonlinear(name, dim, f_exprs, box, B=None, params=None, A0=None, term
     from f (``_derived_envelope``); a declared A0, term matrices and their
     theta_exprs are checked exactly against the same Jacobian (``_check_envelope``)."""
     f_nodes = [parse_expression(s, dim) for s in f_exprs]
-    jacobian = _jacobian(dim, _normal_forms("f", f_exprs, f_nodes))
+    jacobian = _jacobian(_normal_forms("f", f_exprs, f_nodes))
     if A0 is None:
         A0, terms, theta_exprs, theta_nodes = _derived_envelope(dim, jacobian)
     else:
@@ -101,13 +101,13 @@ def _build_nonlinear(name, dim, f_exprs, box, B=None, params=None, A0=None, term
                        params=dict(params or {}))
 
 
-def _jacobian(dim, f_forms) -> dict:
+def _jacobian(f_forms) -> dict:
     """The exact Jacobian of the field whose f_i have the normal forms f_forms,
     by monomial: {monomial: {(i, j): its nonzero coefficient in d f_i / d x_j}}."""
     cache, out = {}, {}
     for i, form in enumerate(f_forms):
-        for j in range(dim):
-            for m, c in derivative(form, j, cache).items():
+        for j, partial in gradient(form, cache).items():
+            for m, c in partial.items():
                 out.setdefault(m, {})[i, j] = c
     return out
 
@@ -218,6 +218,16 @@ def _check_finite(f, box: Box):
         raise ValueError(f"f is not finite in floats at x = {points[bad[0]].tolist()} in the box")
 
 
+def required(doc, name: str, where: str = "the document"):
+    """doc[name], where doc (named where in errors) must be a JSON object
+    that holds name; otherwise a ValueError that names the field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    if name not in doc:
+        raise ValueError(f"{where} has no field {name}")
+    return doc[name]
+
+
 def is_number(value) -> bool:
     """Whether value is a number, not a bool, and a finite float: nan, inf
     and an int past the float range (which math.isfinite cannot take) are not."""
@@ -250,17 +260,15 @@ def finite(value, name: str, shape: tuple) -> np.ndarray:
 def _nonlinear_from_dict(doc: dict) -> ModelBundle:
     """A nonlinear document, every field validated and the envelope derived,
     or if declared, checked."""
-    dim = doc["dim"]
+    dim = required(doc, "dim")
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValueError(f"nonlinear model dim must be a positive integer, got {dim!r}")
     dim = int(dim)
     _check_size(dim, 0)
-    box_doc = doc.get("box")
-    if box_doc is None:
-        raise ValueError("nonlinear model requires a box")
-    box = Box(finite(box_doc["lower"], "box lower", (dim,)),
-              finite(box_doc["upper"], "box upper", (dim,)))
-    f_exprs = doc["f"]
+    box_doc = required(doc, "box")
+    box = Box(finite(required(box_doc, "lower", "box"), "box lower", (dim,)),
+              finite(required(box_doc, "upper", "box"), "box upper", (dim,)))
+    f_exprs = required(doc, "f")
     if not (isinstance(f_exprs, list) and len(f_exprs) == dim
             and all(isinstance(s, str) for s in f_exprs)):
         raise ValueError(f"f must be a list of {dim} expression strings")
@@ -269,14 +277,17 @@ def _nonlinear_from_dict(doc: dict) -> ModelBundle:
         A0 = finite(doc["A0"], "A0", (dim, dim))
     elif "terms" in doc:
         raise ValueError("terms without A0: declare both, or neither to derive the envelope")
-    for k, term in enumerate(doc.get("terms", [])):
+    term_docs = doc.get("terms", [])
+    if not isinstance(term_docs, list):
+        raise ValueError(f"terms must be a list of objects, got {type(term_docs).__name__}")
+    for k, term in enumerate(term_docs):
         where = f"terms[{k}]"
         if not (isinstance(term, dict) and isinstance(term.get("theta"), str)):
             raise ValueError(f"{where} must be an object with a theta expression string")
         if "bounds" in term:
             raise ValueError(f"{where}.bounds is not accepted: theta bounds come only from "
                              f"interval evaluation of theta on the box")
-        terms.append(finite(term["A"], f"{where}.A", (dim, dim)))
+        terms.append(finite(required(term, "A", where), f"{where}.A", (dim, dim)))
         thetas.append(term["theta"])
     B = doc.get("B")
     if B is not None:
@@ -297,9 +308,11 @@ def parse_model(text: str) -> ModelBundle:
 
 
 def model_from_dict(doc: dict) -> ModelBundle:
-    kind = doc.get("kind")
+    """The model of a document, every field it reads checked by name:
+    ValueError for a missing or malformed one."""
+    kind = required(doc, "kind")
     if kind == "linear":
-        A = finite(doc["A"], "A", (None, None))
+        A = finite(required(doc, "A"), "A", (None, None))
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"linear model A must be square, got {A.shape}")
         B = finite(doc["B"], "B", (len(A), None)) if "B" in doc else None
@@ -307,7 +320,12 @@ def model_from_dict(doc: dict) -> ModelBundle:
     if kind == "nonlinear":
         return _nonlinear_from_dict(doc)
     if kind == "builtin":
-        return builtin(doc["name"], **doc.get("params", {}))
+        name, params = required(doc, "name"), doc.get("params", {})
+        if not isinstance(name, str):
+            raise ValueError(f"builtin name must be a string, got {name!r}")
+        if not (isinstance(params, dict) and all(map(is_number, params.values()))):
+            raise ValueError(f"builtin params must be an object of finite numbers, got {params!r}")
+        return builtin(name, **params)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -370,6 +388,8 @@ def synchronverter(**overrides) -> ModelBundle:
     p.update(overrides)
     w_n, V, J, R, L, D_p, m, T_m, i_f = (
         p["w_n"], p["V"], p["J"], p["R"], p["L"], p["D_p"], p["m"], p["T_m"], p["i_f"])
+    if not (J and L):  # both divide
+        raise ValueError(f"synchronverter J and L must be nonzero, got J = {J!r}, L = {L!r}")
     RL, VL, mLif, mJif, DpJ = R / L, V / L, m / L * i_f, m / J * i_f, D_p / J
     f_exprs = [
         f"-{_fmt(RL)}*x1 + x2*x3 + {_fmt(VL)}*sin(x4)",
@@ -402,6 +422,8 @@ BUILTINS = {
 def builtin(name: str, **params) -> ModelBundle:
     if name not in BUILTINS:
         raise ValueError(f"unknown builtin model {name!r}; available: {sorted(BUILTINS)}")
+    if params and name != "synchronverter":
+        raise ValueError(f"builtin model {name!r} takes no params, got {sorted(params)}")
     bundle = BUILTINS[name](**params)
     bundle.name = name
     return bundle

@@ -23,6 +23,7 @@ from .compound import additive_compound
 from .lin_contraction import VerificationReport
 from .lin_synthesis import design_margin
 from .numkernel import (
+    MAX_DENSE_ENTRIES,
     check_symmetric,
     inertia_symmetric,
     spectral_norm,
@@ -35,7 +36,7 @@ VERTEX_CAP = 16  # 2^16 envelope vertices
 MAX_REFINED_VERTICES = 4096
 # entries of solve_metric_lmi's (V + 2) x (n(n+1)/2 + 1) x n x n tensors
 # (128 MiB of float64 each): 370x the shipped maximum, 258 * 11 * 16
-MAX_LMI_ENTRIES = 2 ** 24
+MAX_LMI_ENTRIES = MAX_DENSE_ENTRIES
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ entries) and is pure: no global state, safe to share across threads. Targets
 are small dense matrices (n <= 20); the Lyapunov solver deliberately uses the
 O(n^6) Kronecker vectorization because at this scale robustness beats speed.
 Its n^2 x n^2 system is written straight into one array by kronecker_sum,
-with the bytes np.kron would give but none of its temporaries.
+with the bytes np.kron would give but none of its temporaries, and is
+refused past MAX_DENSE_ENTRIES entries (n > 64) before anything is formed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ SYMMETRY_RTOL = 1e-12
 # a sum of eigenvalues within SPECTRAL_RTOL * max(max|lambda|, 1) of zero is
 # zero up to rounding
 SPECTRAL_RTOL = 1e-12
+# the most entries of a dense array a solve may form: 128 MiB of float64
+MAX_DENSE_ENTRIES = 2 ** 24
 
 
 class NumericalError(RuntimeError):
@@ -130,6 +133,14 @@ def kronecker_sum(At) -> np.ndarray:
     return K.reshape(n * n, n * n)
 
 
+def check_lyapunov_size(n: int) -> None:
+    """Refuse with ValueError a Lyapunov solve of dimension n whose n^2 x n^2
+    Kronecker system would hold more than MAX_DENSE_ENTRIES entries."""
+    if n ** 4 > MAX_DENSE_ENTRIES:
+        raise ValueError(f"a Lyapunov solve of dimension {n} would form {n ** 4} matrix "
+                         f"entries, past the cap of {MAX_DENSE_ENTRIES} (n <= 64)")
+
+
 def solve_lyapunov(A, Q, allow_consistent_singular: bool = False) -> np.ndarray:
     """Solve A'P + PA = -Q for symmetric P by Kronecker vectorization.
 
@@ -140,11 +151,13 @@ def solve_lyapunov(A, Q, allow_consistent_singular: bool = False) -> np.ndarray:
     spectrum of A is resonant (lambda_i + lambda_j ~ 0), in which case the
     n^2 x n^2 system is singular. With allow_consistent_singular, a resonant
     but consistent system is solved in the least-squares sense instead
-    (minimum-norm solution); the residual check still applies.
+    (minimum-norm solution); the residual check still applies. ValueError,
+    before any work, for an n past check_lyapunov_size's cap.
     """
     A = as_square(A, "A")
-    Q = check_symmetric(Q, "Q")
     n = A.shape[0]
+    check_lyapunov_size(n)
+    Q = check_symmetric(Q, "Q")
     if Q.shape[0] != n:
         raise ValueError(f"Q has shape {Q.shape}, expected {(n, n)}")
     if n == 0:

@@ -25,27 +25,19 @@ def load_data(name: str) -> dict:
     return json.loads(path.read_text())
 
 
-def _field(doc, name: str):
-    if not isinstance(doc, dict):
-        raise ValueError(f"the document must be a JSON object, got {type(doc).__name__}")
-    if name not in doc:
-        raise ValueError(f"the document has no field {name}")
-    return doc[name]
-
-
 def _matrix(doc, name: str) -> np.ndarray:
-    return models.finite(_field(doc, name), name, (None, None))
+    return models.finite(models.required(doc, name), name, (None, None))
 
 
 def _rate(doc, name: str) -> float:
-    value = _field(doc, name)
+    value = models.required(doc, name)
     if not models.is_number(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
 def _order(doc) -> int:
-    k = _field(doc, "k")
+    k = models.required(doc, "k")
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be an integer of at least 1, got {k!r}")
     return k

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kcontract import cli, models
+from kcontract import lin_contraction as lc, lin_synthesis as ls
 from kcontract.expressions import MAX_DEPTH
 from kcontract.nl_verify import MAX_LMI_ENTRIES
 from test_models import edit, rossler_mod_doc
@@ -43,6 +44,32 @@ def test_counts(capsys):
     code, rep = run_cli(capsys, "counts", "--n", "10", "--k", "2")
     assert code == 0
     assert rep["N1"] == 1036 and rep["N2"] == 92
+
+
+def test_counts_past_the_digit_cap_exits_2_quickly(capsys):
+    # refused from an estimate of N1's digits, before C(n, k) is computed
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, "counts", "--n", "1000000000", "--k", "500000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and f"more than {lc.MAX_COUNT_DIGITS} digits" in rep["error"]
+
+
+@pytest.mark.parametrize("command", ["certify-lin", "synth-lin"])
+def test_oversized_lyapunov_solve_exits_2_quickly(capsys, tmp_path, monkeypatch, command):
+    # at n = 65 the Kronecker system would hold 65^4 > 2^24 entries
+    def never(*args, **kwargs):
+        raise AssertionError("a Lyapunov solve past the size cap")
+
+    monkeypatch.setattr(lc, "solve_lyapunov", never)
+    monkeypatch.setattr(ls, "solve_lyapunov", never)
+    n = 65
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": "linear", "A": (-np.eye(n)).tolist(),
+                                "B": np.eye(n)[:, :1].tolist()}))
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, command, "--model", str(path), "--k", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and f"would form {n ** 4} matrix entries" in rep["error"]
 
 
 def test_analyze_lin_accept_and_reject(capsys, lin_model):
@@ -95,6 +122,7 @@ def test_non_finite_literal_exits_2(capsys, tmp_path):
 
 NAN, INF = float("nan"), float("inf")
 LINEAR_DOC = {"kind": "linear", "A": [[-1.0, 0.0], [0.0, -1.0]], "B": [[0.0], [1.0]]}
+BUILTIN_DOC = {"kind": "builtin", "name": "synchronverter", "params": {"J": 0.25}}
 
 
 @pytest.mark.parametrize("path, value, field", [
@@ -130,17 +158,43 @@ LINEAR_DOC = {"kind": "linear", "A": [[-1.0, 0.0], [0.0, -1.0]], "B": [[0.0], [1
     pytest.param(("linear", "B", 0, 0), INF, "^B must be finite", id="linear-B-inf"),
     pytest.param(("linear", "B"), [[1.0]], r"^B has shape \(1, 1\)", id="linear-B-rows"),
     pytest.param(("linear", "B"), [0.0, 1.0], r"^B has shape \(2,\)", id="linear-B-vector"),
+    # a value of ... deletes the field
+    pytest.param(("kind",), ..., "^the document has no field kind$", id="kind-missing"),
+    pytest.param(("dim",), ..., "^the document has no field dim$", id="dim-missing"),
+    pytest.param(("f",), ..., "^the document has no field f$", id="f-missing"),
+    pytest.param(("box",), ..., "^the document has no field box$", id="box-missing"),
+    pytest.param(("box",), [0, 1], "^box must be a JSON object, got list$", id="box-array"),
+    pytest.param(("box", "upper"), ..., "^box has no field upper$", id="box-upper-missing"),
+    pytest.param(("terms",), 5, "^terms must be a list", id="terms-number"),
+    pytest.param(("terms", 0, "A"), ..., r"^terms\[0\] has no field A$", id="term-A-missing"),
+    pytest.param(("linear", "A"), ..., "^the document has no field A$",
+                 id="linear-A-missing"),
+    # an empty path replaces the whole document
+    pytest.param((), [LINEAR_DOC], "^the document must be a JSON object, got list$",
+                 id="document-array"),
+    # a path that starts with "builtin" edits BUILTIN_DOC
+    pytest.param(("builtin", "name"), ..., "^the document has no field name$",
+                 id="builtin-name-missing"),
+    pytest.param(("builtin", "name"), ["a"], "^builtin name must be a string", id="builtin-name-list"),
+    pytest.param(("builtin", "params"), [1], "^builtin params must be an object",
+                 id="builtin-params-array"),
+    pytest.param(("builtin", "params", "J"), "x", "^builtin params must be an object",
+                 id="builtin-params-string"),
+    pytest.param(("builtin", "params", "J"), True, "^builtin params must be an object",
+                 id="builtin-params-bool"),
+    pytest.param(("builtin", "params", "J"), 0, "^synchronverter J and L must be nonzero",
+                 id="builtin-params-zero"),
 ])
 def test_bad_nonlinear_document_exits_2(capsys, tmp_path, path, value, field):
     # each bad field is refused by name while the model loads, before any work;
     # the linear cases check that a linear document goes through the same finite()
     path_ = tmp_path / "bad.json"
-    if path[0] == "linear":
-        path_.write_text(json.dumps(edit(LINEAR_DOC, path[1:], value)))
-        argv = ("analyze-lin", "--k", "1")
-    else:
-        path_.write_text(json.dumps(edit(rossler_mod_doc(), path, value)))
-        argv = ("simulate", "--x0", "0.1,0.1,0.1", "--t", "0.1")
+    doc, argv = rossler_mod_doc(), ("simulate", "--x0", "0.1,0.1,0.1", "--t", "0.1")
+    if path[:1] == ("linear",):
+        doc, path, argv = LINEAR_DOC, path[1:], ("analyze-lin", "--k", "1")
+    elif path[:1] == ("builtin",):
+        doc, path = BUILTIN_DOC, path[1:]
+    path_.write_text(json.dumps(edit(doc, path, value) if path else value))
     code, rep = run_cli(capsys, *argv, "--model", str(path_))
     assert code == 2 and rep["verdict"] == "error"
     assert re.search(field, rep["error"])

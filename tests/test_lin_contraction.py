@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,31 @@ def test_variable_counts_values():
     assert lc.variable_counts(10, 2) == (1036, 92)
     assert lc.variable_counts(4, 4) == (2, 4 * 4 * 3 // 2 + 4)
     assert lc.variable_counts(3, 3)[0] == 2
+
+
+@pytest.mark.parametrize("n", [10 ** 4, 10 ** 6, 10 ** 100, 10 ** 2000],
+                         ids=["1e4", "1e6", "1e100", "1e2000"])
+def test_variable_counts_refuse_only_past_the_digit_cap(n):
+    # around the first k whose N1 has more than MAX_COUNT_DIGITS digits: an N1
+    # within the cap is counted exactly, one past its margin digit refused
+    def n1(k):
+        c = math.comb(n, k)
+        return c * (c + 1) // 2 + 1
+
+    limit = 10 ** lc.MAX_COUNT_DIGITS
+    hi = 1
+    while n1(hi) < limit:  # each n here passes the cap before k = n / 2
+        hi *= 2
+    lo = hi // 2 + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if n1(mid) >= limit else (mid + 1, hi)
+    for k in range(max(1, lo - 3), lo + 4):
+        if n1(k) < limit:
+            assert lc.variable_counts(n, k) == (n1(k), k * n * (n - 1) // 2 + k)
+        elif n1(k) >= 10 * limit:
+            with pytest.raises(ValueError, match=f"more than {lc.MAX_COUNT_DIGITS} digits"):
+                lc.variable_counts(n, k)
 
 
 def test_variable_counts_crossing():

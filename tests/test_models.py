@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kcontract import models, reproduce
-from kcontract.expressions import IntervalError
+from kcontract.expressions import IntervalError, gradient
 
 
 def finite_difference_jacobian(field, x, eps: float = 1e-6):
@@ -44,6 +44,8 @@ def test_builtin_names():
         models.builtin("lorenz")
     for name in ("rossler", "rossler_mod", "synchronverter", "example25"):
         assert models.builtin(name).name == name
+    with pytest.raises(ValueError, match=re.escape("'rossler' takes no params, got ['J']")):
+        models.builtin("rossler", J=1.0)
 
 
 def test_rossler_mod_field_values():
@@ -193,12 +195,16 @@ def rossler_mod_doc():
 
 
 def edit(doc, path, value):
-    """doc with the entry at path (keys and indices) set to value."""
+    """doc with the entry at path (keys and indices) set to value, or deleted
+    when value is Ellipsis."""
     doc = json.loads(json.dumps(doc))
     target = doc
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    if value is ...:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
     return doc
 
 
@@ -243,6 +249,40 @@ def test_derived_envelopes_are_the_declared_ones():
     # theta order: total degree, then x_i by index < sin < cos
     assert models.builtin("synchronverter").theta_exprs == ["x1", "x2", "x3", "sin(x4)",
                                                             "cos(x4)"]
+
+
+# envelope_digest of three derived documents with nested sin and cos, as the
+# chain rule taken one (atom, x_j) pair at a time gave them
+NESTED_TRIG_ENVELOPES = {
+    ("sin(x1*cos(x2))", "-x2", "-x3"): "c98558c489c87dfc",
+    ("-x1", "-x2", "cos(sin(x1) + x2^2)*x3"): "14a0e5d59e031d15",
+    ("x1*x2*sin(x3 - x1)", "-x2", "-x3"): "f938c515372d3e70",
+}
+
+
+@pytest.mark.parametrize("f", NESTED_TRIG_ENVELOPES)
+def test_nested_trig_envelopes_keep_their_bytes(f):
+    doc = {"kind": "nonlinear", "dim": 3, "f": list(f),
+           "box": {"lower": [-1, -1, -1], "upper": [1, 1, 1]}}
+    assert envelope_digest(models.model_from_dict(doc)) == NESTED_TRIG_ENVELOPES[f]
+
+
+def test_load_forms_only_the_fields_jacobian_entries(monkeypatch):
+    # f_i = -x_i: one gradient call per component, one partial each
+    n, calls, entries = 1000, [], []
+
+    def counted(form, cache=None):
+        grad = gradient(form, cache)
+        calls.append(form)
+        entries.extend((j, m) for j, partial in grad.items() for m in partial)
+        return grad
+
+    monkeypatch.setattr(models, "gradient", counted)
+    doc = {"kind": "nonlinear", "dim": n, "f": [f"-x{i + 1}" for i in range(n)],
+           "box": {"lower": [-1] * n, "upper": [1] * n}}
+    bundle = models.model_from_dict(doc)
+    assert len(calls) == n and len(entries) == n
+    assert bundle.theta_exprs == [] and (bundle.model.A0 == -np.eye(n)).all()
 
 
 def test_envelope_is_declared_whole_or_derived():

@@ -99,6 +99,13 @@ def test_solve_lyapunov_decoupled():
     assert np.allclose(P, np.diag([0.5, 0.25]), atol=1e-12)
 
 
+def test_solve_lyapunov_refuses_past_the_size_cap():
+    # an n^2 x n^2 Kronecker system: 64^4 = 2^24 entries is the cap
+    nk.check_lyapunov_size(64)
+    with pytest.raises(ValueError, match=f"would form {65 ** 4} matrix entries"):
+        nk.solve_lyapunov(-np.eye(65), np.eye(65))
+
+
 def test_solve_lyapunov_random_stable_residual():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((5, 5))
