@@ -18,15 +18,20 @@ so these lines pin integrate_batch's rows-as-integrate arithmetic.
 Every array that sim.integrate, sim.integrate_compound and
 sim.integrate_batch return during a run is hashed together with the run's
 report or standard output, so equal digests mean byte-identical
-trajectories, compound norms and reports.
+trajectories, compound norms and reports. The arrays are hashed in the order
+a run of one call after another returns them, also where the bundles run
+integrations at once (stepper.concurrently), so a digest does not depend on
+which thread finishes first.
 """
 
 import argparse
+import functools
 import hashlib
 import io
 import json
 import sys
 import tempfile
+import threading
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -35,7 +40,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from kcontract import cli, models, reproduce, sim  # noqa: E402
+from kcontract import cli, models, reproduce, sim, stepper  # noqa: E402
 from workloads import BUNDLE_SEEDS, BUNDLE_SETTINGS, BUNDLES  # noqa: E402
 
 SIM_T, SIM_K = "1", "2"
@@ -45,41 +50,77 @@ LINEAR_DIM, CHAIN_DIM, CHAIN_K, CHAIN_T = 4, 6, 3, 1.0
 HALF_BOX_MODELS, HALF_BOX_GRID, HALF_BOX_T = ("rossler_mod", "example25"), 64, 0.5
 
 
+def chunks(*arrays):
+    """The bytes hashed for arrays: each one's dtype and shape, then its data."""
+    for a in arrays:
+        if a is not None:
+            a = np.ascontiguousarray(a)
+            yield f"{a.dtype}{a.shape}".encode()
+            yield a.tobytes()
+
+
 class Recorder:
-    """Hashes the arrays returned by the sim integrators while installed."""
+    """Hashes the arrays returned by the sim integrators while installed.
+
+    Each return is keyed by where it falls in a run of one call after
+    another: its count among the returns of its thread's current call path,
+    after that path. stepper.concurrently is wrapped so that call i of it
+    runs on the path of the concurrently call plus (i,). The returns are
+    hashed in key order when the recorder is removed."""
 
     NAMES = ("integrate", "integrate_compound", "integrate_batch")
 
     def __init__(self):
         self.hash = hashlib.sha256()
+        self.returns = []  # (key, chunks) of each integrator call
+        self.local = threading.local()
 
     def add(self, *arrays):
-        for a in arrays:
-            if a is not None:
-                a = np.ascontiguousarray(a)
-                self.hash.update(f"{a.dtype}{a.shape}".encode())
-                self.hash.update(a.tobytes())
+        for chunk in chunks(*arrays):
+            self.hash.update(chunk)
+
+    def next_key(self):
+        path, count = getattr(self.local, "path", ()), getattr(self.local, "count", 0)
+        self.local.count = count + 1
+        return (*path, count)
 
     def wrap(self, fn):
         def recorded(*args, **kwargs):
             out = fn(*args, **kwargs)
-            if isinstance(out, sim.Trace):
-                self.add(out.times, out.states, out.compound_norms,
-                         np.array([out.truncated]))
-            else:
-                self.add(*out)
+            arrays = ((out.times, out.states, out.compound_norms, np.array([out.truncated]))
+                      if isinstance(out, sim.Trace) else out)
+            self.returns.append((self.next_key(), list(chunks(*arrays))))
             return out
         return recorded
 
+    def wrap_concurrently(self, fn):
+        def on_path(path, call):
+            saved = getattr(self.local, "path", ()), getattr(self.local, "count", 0)
+            self.local.path, self.local.count = path, 0
+            try:
+                return call()
+            finally:
+                self.local.path, self.local.count = saved
+
+        def concurrently(calls):
+            key = self.next_key()
+            return fn(functools.partial(on_path, (*key, i), call) for i, call in enumerate(calls))
+        return concurrently
+
     def __enter__(self):
-        self.saved = {name: getattr(sim, name) for name in self.NAMES}
-        for name, fn in self.saved.items():
-            setattr(sim, name, self.wrap(fn))
+        self.saved = [(sim, name, getattr(sim, name)) for name in self.NAMES]
+        self.saved.append((stepper, "concurrently", stepper.concurrently))
+        for module, name, fn in self.saved:
+            wrap = self.wrap_concurrently if module is stepper else self.wrap
+            setattr(module, name, wrap(fn))
         return self
 
     def __exit__(self, *exc):
-        for name, fn in self.saved.items():
-            setattr(sim, name, fn)
+        for module, name, fn in self.saved:
+            setattr(module, name, fn)
+        for _, returned in sorted(self.returns, key=lambda entry: entry[0]):
+            for chunk in returned:
+                self.hash.update(chunk)
 
 
 def bundle_digest(name: str, seed: int) -> str:

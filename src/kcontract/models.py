@@ -260,6 +260,7 @@ def finite(value, name: str, shape: tuple) -> np.ndarray:
 def _nonlinear_from_dict(doc: dict) -> ModelBundle:
     """A nonlinear document, every field validated and the envelope derived,
     or if declared, checked."""
+    name = _name(doc)
     dim = required(doc, "dim")
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValueError(f"nonlinear model dim must be a positive integer, got {dim!r}")
@@ -292,7 +293,7 @@ def _nonlinear_from_dict(doc: dict) -> ModelBundle:
     B = doc.get("B")
     if B is not None:
         B = finite(B, "B", (dim, None))
-    bundle = _build_nonlinear(doc.get("name", ""), dim, f_exprs, box, B, A0=A0, terms=terms,
+    bundle = _build_nonlinear(name, dim, f_exprs, box, B, A0=A0, terms=terms,
                               theta_exprs=thetas)
     _check_finite(bundle.model.f, box)
     return bundle
@@ -307,6 +308,14 @@ def parse_model(text: str) -> ModelBundle:
     return model_from_dict(doc)
 
 
+def _name(doc) -> str:
+    """The document's optional name, a string; "" when it has none."""
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {name!r}")
+    return name
+
+
 def model_from_dict(doc: dict) -> ModelBundle:
     """The model of a document, every field it reads checked by name:
     ValueError for a missing or malformed one."""
@@ -316,7 +325,7 @@ def model_from_dict(doc: dict) -> ModelBundle:
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"linear model A must be square, got {A.shape}")
         B = finite(doc["B"], "B", (len(A), None)) if "B" in doc else None
-        return ModelBundle(kind="linear", name=doc.get("name", ""), A=A, B=B)
+        return ModelBundle(kind="linear", name=_name(doc), A=A, B=B)
     if kind == "nonlinear":
         return _nonlinear_from_dict(doc)
     if kind == "builtin":
@@ -390,12 +399,22 @@ def synchronverter(**overrides) -> ModelBundle:
         p["w_n"], p["V"], p["J"], p["R"], p["L"], p["D_p"], p["m"], p["T_m"], p["i_f"])
     if not (J and L):  # both divide
         raise ValueError(f"synchronverter J and L must be nonzero, got J = {J!r}, L = {L!r}")
-    RL, VL, mLif, mJif, DpJ = R / L, V / L, m / L * i_f, m / J * i_f, D_p / J
+    # each coefficient of f, keyed by the parameters it is formed from: one
+    # that is not finite would reach the parser as the name inf or nan
+    coefficients = {("R", "L"): R / L, ("V", "L"): V / L, ("m", "L", "i_f"): m / L * i_f,
+                    ("m", "J", "i_f"): m / J * i_f, ("D_p", "J"): D_p / J,
+                    ("T_m", "J"): T_m / J, ("w_n",): w_n}
+    for names, value in coefficients.items():
+        if not math.isfinite(value):
+            given = ", ".join(f"{name} = {p[name]!r}" for name in names)
+            raise ValueError(f"synchronverter parameters {given} give a coefficient of f "
+                             f"that is not finite ({value!r})")
+    RL, VL, mLif, mJif, DpJ, TmJ, w_n = map(_fmt, coefficients.values())
     f_exprs = [
-        f"-{_fmt(RL)}*x1 + x2*x3 + {_fmt(VL)}*sin(x4)",
-        f"-x1*x3 - {_fmt(RL)}*x2 - {_fmt(mLif)}*x3 + {_fmt(VL)}*cos(x4)",
-        f"{_fmt(mJif)}*x2 - {_fmt(DpJ)}*(x3 - {_fmt(w_n)}) + {_fmt(T_m / J)}",
-        f"x3 - {_fmt(w_n)}",
+        f"-{RL}*x1 + x2*x3 + {VL}*sin(x4)",
+        f"-x1*x3 - {RL}*x2 - {mLif}*x3 + {VL}*cos(x4)",
+        f"{mJif}*x2 - {DpJ}*(x3 - {w_n}) + {TmJ}",
+        f"x3 - {w_n}",
     ]
     # working box; the x4 interval is taken ascending
     box = Box(np.array([-81.0, -67.0, 298.0, -0.2]), np.array([5.0, 10.5, 315.0, 1.0]))

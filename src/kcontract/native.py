@@ -16,11 +16,12 @@ no source or cache key depends on the BLAS. Where it is not found or the
 probe fails, such a rate has no C form and runs the Python twin.
 
 A block of SPLIT_MIN_ROW_STEPS row-steps or more is split into contiguous
-row slices, one a thread (threads(): the usable cores, at most
-MAX_THREADS), each through kcontract_rk4, which takes the full block's row
-count as its record stride, so every slice writes its own rows of the one
-states array and its own times. The calling thread runs the first slice,
-and ctypes releases the GIL for each call. The slices share one stop step:
+row slices, one a thread (stepper.threads(): the usable cores, at most
+stepper.MAX_THREADS), each through kcontract_rk4, which takes the full
+block's row count as its record stride, so every slice writes its own rows
+of the one states array and its own times. The slices run through
+stepper.concurrently, the calling thread among them, and ctypes releases
+the GIL for each call. The slices share one stop step:
 a row runs to the step it reads there when it starts, and a row that
 truncates lowers it to its last record's step. So the batch ends at that
 step, as one call on the whole block ends it, and a slice stops running
@@ -55,12 +56,11 @@ import shutil
 import stat
 import subprocess
 import tempfile
-import threading
 from typing import NamedTuple
 
 import numpy as np
 
-from .stepper import step_lines
+from .stepper import concurrently, step_lines, threads
 
 # -fno-builtin keeps every pow, sin and cos a libm call, as Python's are:
 # folded builtins change bytes (example25 first differs at step 107 844)
@@ -90,7 +90,7 @@ GEMV_SYMBOLS = (("scipy_cblas_dgemv64_", 64), ("cblas_dgemv64_", 64), ("scipy_cb
 GEMV_ORDERS = range(2, 11)
 
 # a block of at least this many row-steps (rows x n_steps) is split into
-# contiguous row slices, one a thread (threads()). Measured on a 2-core
+# contiguous row slices, one a thread (stepper.threads()). Measured on a 2-core
 # x86-64 host, 2 slices against one call, on the four built-ins: from 51 200
 # row-steps on they take 0.53-0.61 of its time when the second thread gets a
 # core of its own, and where the scheduler keeps it on the caller's core
@@ -98,7 +98,6 @@ GEMV_ORDERS = range(2, 11)
 # 51 200 and 1.01-1.03 at 128 000. Starting and joining a thread takes 60-130
 # us, about 1% of a block at this size.
 SPLIT_MIN_ROW_STEPS = 100_000
-MAX_THREADS = 8
 
 # the loaded entry point of this process, by key; None where building failed
 _LOADED = {}
@@ -440,18 +439,13 @@ def rk4(rate, block, n_steps: int, h: float, record_every: int):
     times, stop = [np.empty(rows) for _ in range(parts)], ctypes.c_long(n_steps)
 
     def run(i):
-        # a worker's target: it holds z, states and times, the buffers the
-        # C call writes, until that call returns
+        # slice i: it holds z, states and times, the buffers the C call
+        # writes, until that call returns
         start = bounds[i]
         fn(z[start].ctypes.data, bounds[i + 1] - start, m, h, record_every, p.ctypes.data,
            *form.gemv, times[i].ctypes.data, states[0, start].ctypes.data, ctypes.byref(stop))
 
-    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, parts)]
-    for worker in workers:
-        worker.start()
-    run(0)
-    for worker in workers:
-        worker.join()
+    concurrently(functools.partial(run, i) for i in range(parts))
     if stop.value == n_steps:
         return times[0], states, False
     # truncated: the batch ends at the record of the stop step, and is
@@ -526,16 +520,6 @@ def _gemv_matches(fn) -> bool:
             if out.tobytes() != want.tobytes():
                 return False
     return True
-
-
-def threads() -> int:
-    """The threads a block of SPLIT_MIN_ROW_STEPS row-steps or more is split
-    between: the cores this process may run on, at most MAX_THREADS."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        cores = os.cpu_count() or 1
-    return min(cores, MAX_THREADS)
 
 
 def compiler():

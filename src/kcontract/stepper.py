@@ -16,11 +16,18 @@ float loop (the same stages and update, step_lines, as C with Python's
 float semantics spelled out per operation), when the Rate has one and an
 object is at hand, or else python_rk4, the float loop row by row, which is
 the oracle the C bytes are tested against.
+
+concurrently is the one fan-out onto threads: native.rk4 runs the row
+slices of a large block through it, and reproduce the independent runs of a
+bundle. threads() is how many calls it runs at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -170,6 +177,53 @@ def run(field, z, n_steps: int, h: float, record_every: int):
         times, states, truncated = (native.rk4(rate, block, n_steps, h, record_every)
                                     or python_rk4(rate, block, n_steps, h, record_every))
     return times, states.reshape(len(times), *z.shape), truncated
+
+
+MAX_THREADS = 8
+
+
+def threads() -> int:
+    """The calls concurrently runs at once: the cores this process may run
+    on, at most MAX_THREADS."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cores = os.cpu_count() or 1
+    return min(cores, MAX_THREADS)
+
+
+def concurrently(calls) -> list:
+    """The results of calls, functions of no argument, in call order.
+
+    At most threads() of them run at once: the calling thread and up to
+    threads() - 1 started threads (none at one usable core or for one call),
+    each taking the next call not yet taken. Only a call that releases the
+    GIL (a ctypes call such as native.rk4's C loop, a large numpy kernel)
+    runs in parallel with another. Every call runs and every thread is
+    joined before the exception of the first call, by index, that raised
+    is re-raised."""
+    calls = list(calls)
+    results, errors = [None] * len(calls), {}
+    taken = itertools.count()  # next() on it is atomic under the GIL
+
+    def work():
+        while (i := next(taken)) < len(calls):
+            try:
+                results[i] = calls[i]()
+            except BaseException as error:
+                errors[i] = error
+
+    workers = [threading.Thread(target=work) for _ in range(min(threads(), len(calls)) - 1)]
+    for worker in workers:
+        worker.start()
+    try:
+        work()
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 # numpy sums fewer than eight terms one by one from 0.0 (longer sums are

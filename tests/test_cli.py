@@ -184,6 +184,14 @@ BUILTIN_DOC = {"kind": "builtin", "name": "synchronverter", "params": {"J": 0.25
                  id="builtin-params-bool"),
     pytest.param(("builtin", "params", "J"), 0, "^synchronverter J and L must be nonzero",
                  id="builtin-params-zero"),
+    # T_m / J is inf: the parameters it is formed from are named
+    pytest.param(("builtin", "params", "T_m"), 1e308,
+                 r"^synchronverter parameters T_m = 1e\+308, J = 0\.25 give a coefficient of f "
+                 r"that is not finite \(inf\)$", id="builtin-params-overflow"),
+    pytest.param(("name",), {"a": 1}, "^name must be a string, got", id="name-object"),
+    pytest.param(("name",), [1], "^name must be a string, got", id="name-list"),
+    pytest.param(("linear", "name"), {"a": 1}, "^name must be a string, got",
+                 id="linear-name-object"),
 ])
 def test_bad_nonlinear_document_exits_2(capsys, tmp_path, path, value, field):
     # each bad field is refused by name while the model loads, before any work;

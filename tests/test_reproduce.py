@@ -1,8 +1,9 @@
 import time
 
 import numpy as np
+from test_sim import cores, trace_bytes
 
-from kcontract import models, nl_verify as nv, reproduce, sim
+from kcontract import cli, models, nl_verify as nv, reproduce, sim
 
 
 def test_compound_constant_check_helper():
@@ -108,6 +109,31 @@ def test_example25_mirrored_equilibria_share_their_spectrum():
     low, high = (e for e in eqs if abs(e["point"][0]) > 0.25)
     assert low["point"][0] < 0 < high["point"][0]
     assert np.allclose(low["eigenvalues_re"], high["eigenvalues_re"], rtol=0, atol=1e-13)
+
+
+# every call site of stepper.concurrently in the bundles, at sizes that stay
+# quick on the Python loop
+CONCURRENT_SETTINGS = {
+    "rossler": {"t_classify": 20.0},
+    "rossler_mod": {"classify": False},
+    "synchronverter": {"trajectories": 3, "squares": 3},
+    "example25": {"classify": False},
+}
+
+
+def test_bundle_reports_are_the_same_on_one_core_and_on_four():
+    # on one core no thread starts and every run follows the one before
+    reports = {}
+    for count in (1, 4):
+        with cores(count):
+            for name, settings in CONCURRENT_SETTINGS.items():
+                report = reproduce.BUNDLES[name](seed=3, **settings)
+                trace = report.pop("trace", None)
+                report.pop("resolved", None)
+                reports.setdefault(name, []).append(
+                    (cli.dumps(report), None if trace is None else trace_bytes(trace)))
+    for name, (one, four) in reports.items():
+        assert one == four, name
 
 
 def test_all_bundles_under_a_minute():

@@ -4,6 +4,9 @@ import ctypes
 import dataclasses
 import functools
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -813,3 +816,82 @@ def test_csv_format(tmp_path):
     path2 = tmp_path / "ctrace.csv"
     sim.trace_to_csv(ctr, path2)
     assert path2.read_text().splitlines()[0] == "t,x1,x2,x3,compound_norm"
+
+
+@contextlib.contextmanager
+def cores(count):
+    """stepper.threads() reads count usable cores."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        yield
+
+
+def test_concurrently_returns_results_in_call_order():
+    # later calls finish first: each sleeps (releasing the GIL) less than the one before
+    calls = [functools.partial(lambda i: time.sleep(0.002 * (8 - i)) or i, i) for i in range(8)]
+    with cores(4):
+        assert stepper.concurrently(calls) == list(range(8))
+        assert stepper.concurrently(iter(calls)) == list(range(8))
+        assert stepper.concurrently([]) == []
+
+
+def test_concurrently_runs_at_most_threads_calls_at_once():
+    # the barrier passes only when 3 calls wait at it together, and a lock
+    # counts the calls running at once
+    barrier, lock, running, peak = threading.Barrier(3, timeout=30), threading.Lock(), [0], [0]
+
+    def call(i):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        if i < 3:
+            barrier.wait()
+        time.sleep(0.005)
+        with lock:
+            running[0] -= 1
+        return threading.get_ident()
+
+    before = threading.active_count()
+    with cores(3):
+        idents = stepper.concurrently(functools.partial(call, i) for i in range(9))
+    assert peak[0] == 3 and len(set(idents)) == 3
+    assert threading.get_ident() in idents  # the caller runs calls too
+    assert threading.active_count() == before
+
+
+def test_concurrently_starts_no_thread_at_one_core_or_one_call():
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    main = threading.get_ident()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(threading, "Thread", refuse)
+        with cores(1):
+            assert stepper.concurrently([threading.get_ident] * 4) == [main] * 4
+        with cores(8):
+            assert stepper.concurrently([threading.get_ident]) == [main]
+
+
+def test_concurrently_joins_every_call_before_raising_the_first_error():
+    # call 1 fails at once and call 3 later; call 0 fails last, after call 2
+    # ends: the error re-raised is call 0's, once every call has ended
+    ended = []
+
+    def fail(i, delay):
+        time.sleep(delay)
+        ended.append(i)
+        raise ValueError(f"call {i}")
+
+    def finish(i, delay):
+        time.sleep(delay)
+        ended.append(i)
+        return i
+
+    calls = [functools.partial(fail, 0, 0.05), functools.partial(fail, 1, 0.0),
+             functools.partial(finish, 2, 0.03), functools.partial(fail, 3, 0.01),
+             functools.partial(finish, 4, 0.0)]
+    before = threading.active_count()
+    with cores(2), pytest.raises(ValueError, match="^call 0$"):
+        stepper.concurrently(calls)
+    assert sorted(ended) == [0, 1, 2, 3, 4]
+    assert threading.active_count() == before
