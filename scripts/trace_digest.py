@@ -149,13 +149,8 @@ def closed_loop_digest(seed: int) -> str:
 def chain_digest(rng) -> str:
     """A compound trajectory of x_i' = -x_i + 0.5 x_(i+1)^2 (indices mod n)."""
     n = CHAIN_DIM
-    terms = []
-    for i in range(n):
-        A = np.zeros((n, n))
-        A[i, (i + 1) % n] = 1.0
-        terms.append({"A": A.tolist(), "theta": f"x{(i + 1) % n + 1}"})
     chain = models.model_from_dict({
-        "kind": "nonlinear", "dim": n, "A0": (-np.eye(n)).tolist(), "terms": terms,
+        "kind": "nonlinear", "dim": n,
         "f": [f"-x{i + 1} + 0.5*x{(i + 1) % n + 1}^2" for i in range(n)],
         "box": {"lower": [-1.0] * n, "upper": [1.0] * n}}).model
     x0 = rng.uniform(-1.0, 1.0, n)

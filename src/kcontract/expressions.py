@@ -58,25 +58,39 @@ def _ivdiv(a, b):
     return _ivmul(a, (1.0 / b[1], 1.0 / b[0]))
 
 
+def _fpow(x, p):
+    """x ** p, infinite with the sign of the exact power where it overflows."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.copysign(math.inf, x) if p % 2 else math.inf
+
+
 def _ivpow(a, p):
     if p == 0:
         return (1.0, 1.0)
-    lo, hi = a[0] ** p, a[1] ** p
+    lo, hi = _fpow(a[0], p), _fpow(a[1], p)
     if p % 2 == 0 and a[0] < 0.0 < a[1]:
         return (0.0, max(lo, hi))
     return (min(lo, hi), max(lo, hi))
 
 
+# from 2^53 on floats are 2 or more apart, too far for the stationary points
+# of sin, pi apart, to be told from their neighbours
+_STATIONARY_RANGE = 2.0 ** 53
+
+
 def _ivsin(a):
     lo, hi = a
-    if hi - lo >= 2 * math.pi:
+    if hi - lo >= 2 * math.pi or max(-lo, hi) >= _STATIONARY_RANGE:
         return (-1.0, 1.0)
     vals = [math.sin(lo), math.sin(hi)]
-    # stationary points at pi/2 + m*pi
+    # the stationary points pi/2 + m*pi in [lo, hi]: at most 3 in an interval
+    # shorter than 2 pi, with rounding
     m = math.ceil((lo - math.pi / 2) / math.pi)
-    while math.pi / 2 + m * math.pi <= hi:
-        vals.append(math.sin(math.pi / 2 + m * math.pi))
-        m += 1
+    for point in (math.pi / 2 + k * math.pi for k in range(m, m + 3)):
+        if point <= hi:
+            vals.append(math.sin(point))
     return (min(vals), max(vals))
 
 
@@ -470,8 +484,9 @@ def gradient(form: dict, cache: dict | None = None) -> dict:
 
 def monomial_text(monomial, elide: bool = False) -> str:
     """A monomial in the expression language, its factors sorted by text.
-    An argument's coefficient is written as its nearest float (inf past the
-    range), so the text need not parse back to the monomial.
+    An argument's coefficient is written by ``_coefficient_text``, so the text
+    parses back to the monomial unless a coefficient is not a ratio of two
+    floats or the text nests past MAX_DEPTH levels.
 
     With elide, an atom argument that holds an atom itself is written ``…``
     (``cos(sin(x1))`` reads ``cos(…)``), and factors that then read alike are
@@ -484,8 +499,8 @@ def monomial_text(monomial, elide: bool = False) -> str:
         elif elide and any(a[0] != "x" for m, _ in arg for a, _ in m):
             text = f"{kind}(…)"
         else:
-            terms = sorted(monomial_text(m) if c == 1 else f"{rounded(c)!r}*{monomial_text(m)}"
-                           for m, c in arg)
+            terms = sorted(monomial_text(m) if c == 1
+                           else f"{_coefficient_text(c)}*{monomial_text(m)}" for m, c in arg)
             text = f"{kind}({' + '.join(terms)})"
         factors.append((text, e))
     if elide:
@@ -494,6 +509,16 @@ def monomial_text(monomial, elide: bool = False) -> str:
             counts[text] = counts.get(text, 0) + e
         factors = counts.items()
     return "*".join(sorted(t if e == 1 else f"{t}^{e}" for t, e in factors)) or "1"
+
+
+def _coefficient_text(c) -> str:
+    """The exact number c as a literal: its repr when c is a float, (p/q) when
+    its numerator and denominator are, and otherwise its nearest float (inf
+    past the range), which does not parse back to c."""
+    p, q = c.numerator, c.denominator
+    if rounded(c) != c and rounded(p) == p and rounded(q) == q:
+        return f"({p}/{q})"
+    return repr(rounded(c))
 
 
 def exact(v):

@@ -3,9 +3,9 @@
 A nonlinear model is its vector field, written as expression strings, and a
 working box. Its Jacobian envelope J(x) = A0 + sum theta_m(x) A_m is derived
 from the field's exact symbolic Jacobian (``_derived_envelope``): A0 is its
-constant part and each other monomial is one theta_m. A document may declare
-A0 and terms instead, which are checked exactly against the same Jacobian
-(``_check_envelope``). The theta bounds come only from interval evaluation.
+constant part and each other monomial is one theta_m, its coefficients each
+rounded once. A document that declares A0 or terms is refused, and the theta
+bounds come only from interval evaluation.
 A field outside polynomials in x_i, sin(u) and cos(u) with constant
 denominators, one past ``expressions.MAX_NORMAL_FORM`` or
 ``expressions.MAX_COEFFICIENT_BITS``, one whose dense envelope would hold
@@ -24,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .expressions import (IntervalError, compile_model, exact, gradient, monomial_text,
+from .expressions import (MAX_DEPTH, IntervalError, compile_model, gradient, monomial_text,
                           normal_form, parse_expression, rounded)
 from .nl_verify import MAX_LMI_ENTRIES, Box, NonlinearModel
 
@@ -58,9 +58,6 @@ class ModelBundle:
             "name": self.name,
             "dim": self.model.dim,
             "f": list(self.f_exprs),
-            "A0": np.asarray(self.model.A0).tolist(),
-            "terms": [{"A": np.asarray(Aj).tolist(), "theta": expr}
-                      for Aj, expr in zip(self.model.terms, self.theta_exprs)],
             "box": {"lower": self.box.lower.tolist(), "upper": self.box.upper.tolist()},
         }
         if self.B is not None:
@@ -68,18 +65,11 @@ class ModelBundle:
         return doc
 
 
-def _build_nonlinear(name, dim, f_exprs, box, B=None, params=None, A0=None, terms=(),
-                     theta_exprs=()):
-    """The bundle of a nonlinear model. Without A0 its envelope is derived
-    from f (``_derived_envelope``); a declared A0, term matrices and their
-    theta_exprs are checked exactly against the same Jacobian (``_check_envelope``)."""
+def _build_nonlinear(name, dim, f_exprs, box, B=None, params=None):
+    """The bundle of a nonlinear model, its envelope derived from f (``_derived_envelope``)."""
     f_nodes = [parse_expression(s, dim) for s in f_exprs]
-    jacobian = _jacobian(_normal_forms("f", f_exprs, f_nodes))
-    if A0 is None:
-        A0, terms, theta_exprs, theta_nodes = _derived_envelope(dim, jacobian)
-    else:
-        theta_nodes = [parse_expression(s, dim) for s in theta_exprs]
-        _check_envelope(jacobian, _normal_forms("theta", theta_exprs, theta_nodes), A0, terms)
+    jacobian = _jacobian(_normal_forms(f_exprs, f_nodes))
+    A0, terms, theta_exprs, theta_nodes = _derived_envelope(dim, jacobian)
     f, theta = compile_model(dim, f_nodes, theta_nodes)
 
     def bounds(b: Box):
@@ -151,50 +141,17 @@ def _theta_node(monomial, text, dim):
     except ValueError:  # nested past MAX_DEPTH, or a coefficient past the float range
         pass
     raise ValueError(f"the Jacobian monomial {monomial_text(monomial, elide=True)} has no "
-                     f"exact text as a theta (a coefficient in it is not a float); "
-                     f"declare the envelope (A0 and terms)")
+                     f"exact text as a theta (a coefficient in it is not a ratio of two "
+                     f"floats, or the text nests past {MAX_DEPTH} levels)")
 
 
-def _check_envelope(jacobian, theta_forms, A0, terms):
-    """Check that the declared envelope is the field's exact Jacobian.
-
-    jacobian is ``_jacobian``'s, theta_forms the exact normal forms of the
-    theta_m. Entry (i, j) is accepted when, for every monomial, the exact
-    coefficient of d f_i / d x_j and that of A0_ij + sum_m theta_m (A_m)_ij
-    (every float taken exactly) round to the same double. Rounding once lets
-    ``closed_loop``'s A0 - BK, one float subtraction of the literal fl((BK)_ij)
-    its field carries, pass; it leaves a gap of up to half an ulp per
-    coefficient, which outward-rounded interval bounds would have to cover.
-    A failure names the first entry that disagrees and its first disagreeing
-    monomial by full text, written with nested atom arguments elided."""
-    declared = {}  # laid out as jacobian; a coefficient left zero compares like an absent one
-    for A, form in [(A0, {frozenset(): 1}), *zip(terms, theta_forms)]:
-        for i, j in np.argwhere(A).tolist():
-            for m, c in form.items():
-                row = declared.setdefault(m, {})
-                row[i, j] = row.get((i, j), 0) + exact(A[i, j]) * c
-    bad = []
-    for m in jacobian.keys() | declared.keys():
-        got, want = jacobian.get(m, {}), declared.get(m, {})
-        bad.extend((entry, monomial_text(m), m) for entry in got.keys() | want.keys()
-                   if got.get(entry, 0) != want.get(entry, 0)
-                   and rounded(got.get(entry, 0)) != rounded(want.get(entry, 0)))
-    if bad:
-        (i, j), _, m = min(bad, key=lambda b: b[:2])
-        got, want = (rounded(side.get(m, {}).get((i, j), 0)) for side in (jacobian, declared))
-        raise ValueError(
-            f"declared envelope disagrees with the field Jacobian: entry "
-            f"({i + 1}, {j + 1}), monomial {monomial_text(m, elide=True)}: "
-            f"d f{i + 1}/d x{j + 1} has {got!r}, A0 + sum theta_m A_m has {want!r}")
-
-
-def _normal_forms(prefix, texts, nodes):
+def _normal_forms(texts, nodes):
     out = []
     for k, (text, node) in enumerate(zip(texts, nodes)):
         try:
             out.append(normal_form(node))
         except ValueError as exc:
-            raise ValueError(f"{prefix}{k + 1} = {text}: {exc}") from None
+            raise ValueError(f"f{k + 1} = {text}: {exc}") from None
     return out
 
 
@@ -258,9 +215,12 @@ def finite(value, name: str, shape: tuple) -> np.ndarray:
 
 
 def _nonlinear_from_dict(doc: dict) -> ModelBundle:
-    """A nonlinear document, every field validated and the envelope derived,
-    or if declared, checked."""
+    """A nonlinear document, every field validated and the envelope derived.
+    A document that declares an envelope (A0 or terms) is refused."""
     name = _name(doc)
+    for key in ("A0", "terms"):
+        if key in doc:
+            raise ValueError(f"{key} is not accepted: the envelope is derived from f")
     dim = required(doc, "dim")
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValueError(f"nonlinear model dim must be a positive integer, got {dim!r}")
@@ -273,28 +233,10 @@ def _nonlinear_from_dict(doc: dict) -> ModelBundle:
     if not (isinstance(f_exprs, list) and len(f_exprs) == dim
             and all(isinstance(s, str) for s in f_exprs)):
         raise ValueError(f"f must be a list of {dim} expression strings")
-    A0, terms, thetas = None, [], []
-    if "A0" in doc:
-        A0 = finite(doc["A0"], "A0", (dim, dim))
-    elif "terms" in doc:
-        raise ValueError("terms without A0: declare both, or neither to derive the envelope")
-    term_docs = doc.get("terms", [])
-    if not isinstance(term_docs, list):
-        raise ValueError(f"terms must be a list of objects, got {type(term_docs).__name__}")
-    for k, term in enumerate(term_docs):
-        where = f"terms[{k}]"
-        if not (isinstance(term, dict) and isinstance(term.get("theta"), str)):
-            raise ValueError(f"{where} must be an object with a theta expression string")
-        if "bounds" in term:
-            raise ValueError(f"{where}.bounds is not accepted: theta bounds come only from "
-                             f"interval evaluation of theta on the box")
-        terms.append(finite(required(term, "A", where), f"{where}.A", (dim, dim)))
-        thetas.append(term["theta"])
     B = doc.get("B")
     if B is not None:
         B = finite(B, "B", (dim, None))
-    bundle = _build_nonlinear(name, dim, f_exprs, box, B, A0=A0, terms=terms,
-                              theta_exprs=thetas)
+    bundle = _build_nonlinear(name, dim, f_exprs, box, B)
     _check_finite(bundle.model.f, box)
     return bundle
 
@@ -339,10 +281,10 @@ def model_from_dict(doc: dict) -> ModelBundle:
 
 
 def closed_loop(bundle: ModelBundle, K) -> ModelBundle:
-    """The model under feedback u = -K x: field f(x) - B K x and A0 - B K, the
-    rest kept. It is parsed from its JSON document, so it is compiled and
-    envelope-checked like any loaded model; a row of B K that is zero keeps
-    its component's expression."""
+    """The model under feedback u = -K x: field f(x) - B K x, the rest kept.
+    It is parsed from its JSON document, so its envelope is derived like any
+    loaded model's, A0 - B K rounded once; a row of B K that is zero keeps its
+    component's expression."""
     if bundle.kind != "nonlinear" or bundle.B is None:
         raise ValueError("a closed loop needs a nonlinear model with an input matrix B")
     K = np.asarray(K, dtype=float)
@@ -352,9 +294,7 @@ def closed_loop(bundle: ModelBundle, K) -> ModelBundle:
     BK = bundle.B @ K
     rows = [" + ".join(f"{_fmt(c)}*x{j + 1}" for j, c in enumerate(r) if c) for r in BK]
     return model_from_dict(bundle.to_json() | {
-        "A0": (bundle.model.A0 - BK).tolist(),
-        "f": [f"({f}) - ({r})" if r else f for f, r in zip(bundle.f_exprs, rows)],
-    })
+        "f": [f"({f}) - ({r})" if r else f for f, r in zip(bundle.f_exprs, rows)]})
 
 
 # ---------------------------------------------------------------------------

@@ -87,8 +87,7 @@ class NonlinearModel:
     f(x) evaluates the field; the Jacobian is A0 + sum theta_j(x) A_j with
     terms the matrices A_j, theta(x) the values [theta_1(x), ...] and bounds a
     procedure mapping a Box to intervals [theta_j-, theta_j+]. ``models``
-    derives the envelope from f (or checks a declared one) and bounds theta_j
-    by interval evaluation only.
+    derives the envelope from f and bounds theta_j by interval evaluation only.
     """
 
     dim: int

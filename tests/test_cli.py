@@ -112,8 +112,8 @@ def test_usage_error_exit_code(capsys, tmp_path):
 def test_non_finite_literal_exits_2(capsys, tmp_path):
     path = tmp_path / "inf.json"
     path.write_text(json.dumps({
-        "kind": "nonlinear", "dim": 1, "f": ["1e999*x1 + 1"], "A0": [[0.0]],
-        "terms": [], "box": {"lower": [-1], "upper": [1]},
+        "kind": "nonlinear", "dim": 1, "f": ["1e999*x1 + 1"],
+        "box": {"lower": [-1], "upper": [1]},
     }))
     code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", "0", "--t", "0.1")
     assert code == 2 and rep["verdict"] == "error"
@@ -123,6 +123,7 @@ def test_non_finite_literal_exits_2(capsys, tmp_path):
 NAN, INF = float("nan"), float("inf")
 LINEAR_DOC = {"kind": "linear", "A": [[-1.0, 0.0], [0.0, -1.0]], "B": [[0.0], [1.0]]}
 BUILTIN_DOC = {"kind": "builtin", "name": "synchronverter", "params": {"J": 0.25}}
+DECLARED = "^{} is not accepted: the envelope is derived from f$"
 
 
 @pytest.mark.parametrize("path, value, field", [
@@ -131,19 +132,24 @@ BUILTIN_DOC = {"kind": "builtin", "name": "synchronverter", "params": {"J": 0.25
     pytest.param(("box", "lower", 0), NAN, "box lower", id="box-nan"),
     pytest.param(("box", "upper", 2), INF, "box upper", id="box-inf"),
     pytest.param(("box", "lower"), [-1.0, -1.0, -0.5, 0.0], "box lower", id="box-length"),
-    pytest.param(("A0", 1, 1), NAN, "A0", id="A0-nan"),
-    pytest.param(("A0", 2, 0), -INF, "A0", id="A0-inf"),
-    pytest.param(("A0", 0, 1), "1", "A0", id="A0-string"),
-    pytest.param(("A0",), [[0.0, 1.0, -2.0], [-1.0, 0.0, -1.0]], "A0", id="A0-shape"),
-    pytest.param(("terms", 0, "A", 2, 0), NAN, r"terms\[0\]\.A", id="term-nan"),
-    # theta bounds come only from the box; a declared one, even a sound one, is refused
-    pytest.param(("terms", 0, "bounds"), [0.0, 1.0], r"terms\[0\]\.bounds is not accepted",
-                 id="bounds"),
+    # the envelope is derived from f: a declared one is refused by name,
+    # whatever it holds, before any of it is read
+    pytest.param(("A0",), [[NAN] * 3] * 3, DECLARED.format("A0"), id="A0-nan"),
+    pytest.param(("A0",), [[-INF] * 3] * 3, DECLARED.format("A0"), id="A0-inf"),
+    pytest.param(("A0",), "1", DECLARED.format("A0"), id="A0-string"),
+    pytest.param(("A0",), [[0.0, 1.0, -2.0], [-1.0, 0.0, -1.0]], DECLARED.format("A0"),
+                 id="A0-shape"),
+    pytest.param(("terms",), [{"A": [[NAN] * 3] * 3, "theta": "x1^2"}], DECLARED.format("terms"),
+                 id="term-nan"),
+    pytest.param(("terms",), [{"A": [[0.0] * 3] * 3, "theta": "x1^2", "bounds": [0.0, 1.0]}],
+                 DECLARED.format("terms"), id="bounds"),
+    pytest.param(("terms",), 5, DECLARED.format("terms"), id="terms-number"),
+    pytest.param(("terms",), [{"theta": "x1^2"}], DECLARED.format("terms"), id="term-A-missing"),
     pytest.param(("B",), [[0.0], [1.0]], "B", id="B-rows"),
     pytest.param(("B", 1, 0), NAN, "B", id="B-nan"),
     pytest.param(("f",), ["x2 - 2*x3", "-x1 - x3"], "f", id="f-length"),
     pytest.param(("f", 1), "x2/(1 + x1^2)", "f2 = .*denominator", id="variable-denominator"),
-    pytest.param(("terms", 0, "theta"), "sin(1)", "theta1 = .*constant argument",
+    pytest.param(("f", 1), "-x1 - x3 + sin(1)", "f2 = .*constant argument",
                  id="sin-constant"),
     # a path that starts with "linear" edits LINEAR_DOC
     pytest.param(("linear", "A", 0, 0), "-1", "^A must be a .* array of numbers",
@@ -165,8 +171,6 @@ BUILTIN_DOC = {"kind": "builtin", "name": "synchronverter", "params": {"J": 0.25
     pytest.param(("box",), ..., "^the document has no field box$", id="box-missing"),
     pytest.param(("box",), [0, 1], "^box must be a JSON object, got list$", id="box-array"),
     pytest.param(("box", "upper"), ..., "^box has no field upper$", id="box-upper-missing"),
-    pytest.param(("terms",), 5, "^terms must be a list", id="terms-number"),
-    pytest.param(("terms", 0, "A"), ..., r"^terms\[0\] has no field A$", id="term-A-missing"),
     pytest.param(("linear", "A"), ..., "^the document has no field A$",
                  id="linear-A-missing"),
     # an empty path replaces the whole document
@@ -231,8 +235,7 @@ def nested_field(kind, levels):
     f, slope = {"sum": ("+".join(["x1"] * (levels + 1)), levels + 1.0),
                 "parentheses": ("(" * levels + "x1" + ")" * levels, 1.0),
                 "negations": ("-" * levels + "x1", (-1.0) ** levels)}[kind]
-    return {"kind": "nonlinear", "dim": 1, "f": [f], "A0": [[slope]], "terms": [],
-            "box": {"lower": [-1], "upper": [1]}}
+    return {"kind": "nonlinear", "dim": 1, "f": [f], "box": {"lower": [-1], "upper": [1]}}
 
 
 @pytest.mark.parametrize("kind", ["sum", "parentheses", "negations"])
@@ -266,23 +269,43 @@ def test_power_of_zero_loads_quickly(capsys, tmp_path, zero):
     assert code == 0 and rep["verdict"] != "error"
 
 
-@pytest.mark.parametrize("f, terms, box, at", [
+@pytest.mark.parametrize("f, box, at", [
     # overflows at the centre x1 = 10
-    ("x1^400", [{"A": [[400.0]], "theta": "x1^399"}], [9, 11], r"\[10\.0\]"),
+    ("x1^400", [9, 11], r"\[10\.0\]"),
     # exactly 0, but inf - inf = nan in floats wherever |x1| > 1e-46
-    ("(1e200*x1)*(1e200*x1) - (1e200*x1)*(1e200*x1)", [], [-1, 1], r"\[-?0\.\d+\]"),
+    ("(1e200*x1)*(1e200*x1) - (1e200*x1)*(1e200*x1)", [-1, 1], r"\[-?0\.\d+\]"),
 ], ids=["centre", "sampled"])
-def test_field_not_finite_in_the_box_exits_2(capsys, tmp_path, f, terms, box, at):
+def test_field_not_finite_in_the_box_exits_2(capsys, tmp_path, f, box, at):
     # the envelope is exact, but f is not finite in floats in the box
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps({
-        "kind": "nonlinear", "dim": 1, "f": [f], "A0": [[0.0]], "terms": terms,
+        "kind": "nonlinear", "dim": 1, "f": [f],
         "box": {"lower": [box[0]], "upper": [box[1]]},
     }))
     code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", str(box[0]),
                         "--t", "0.1")
     assert code == 2
     assert re.fullmatch(rf"f is not finite in floats at x = {at} in the box", rep["error"])
+
+
+@pytest.mark.parametrize("f, x1, code", [
+    # sin(x1) at x1 = 1e300, where the stationary points of sin are no distinct floats
+    ("-x2 + sin(x1)", [1e300, 1e300], 1),
+    # theta x1^2 reaches 1e400 on the box: its bound overflows to inf
+    ("-x1 + (1e-100*x1)^3", [-1e200, 1e200], 2),
+], ids=["sin-far", "power-overflow"])
+def test_verify_nl_far_out_box_returns_quickly(capsys, tmp_path, f, x1, code):
+    model, cert = tmp_path / "far.json", tmp_path / "cert.json"
+    model.write_text(json.dumps({"kind": "nonlinear", "dim": 2, "f": ["x2", f],
+                                 "box": {"lower": [x1[0], -1], "upper": [x1[1], 1]}}))
+    cert.write_text(json.dumps({"k": 1, "mu0": -0.1, "mu1": -0.1, "P0": np.eye(2).tolist(),
+                                "P1": np.eye(2).tolist()}))
+    start = time.perf_counter()
+    got, rep = run_cli(capsys, "verify-nl", "--model", str(model), "--cert", str(cert))
+    assert time.perf_counter() - start < 1.0 and got == code
+    if code == 2:
+        assert rep == {"error": "envelope parameter 1 (x1^2) has the non-finite bound "
+                                "(0.0, inf) on the box", "verdict": "error"}
 
 
 def test_missing_subcommand_usage(capsys):
@@ -360,7 +383,6 @@ def test_simulate_compound_fit_stops_at_underflow(capsys, tmp_path):
     # and the decay is fitted on the samples before it
     path = tmp_path / "fast.json"
     path.write_text(json.dumps({"kind": "nonlinear", "dim": 1, "f": ["-1000*x1"],
-                                "A0": [[-1000]], "terms": [],
                                 "box": {"lower": [-1], "upper": [1]}}))
     code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", "0.5", "--t", "1",
                         "--compound", "1")
@@ -415,8 +437,7 @@ def test_volume_blow_up_reports_failure(capsys, tmp_path):
     # square has no area, and the report says so in strict JSON
     path = tmp_path / "cubic.json"
     path.write_text(json.dumps({
-        "kind": "nonlinear", "dim": 2, "f": ["x1^3", "-x2"], "A0": [[0.0, 0.0], [0.0, -1.0]],
-        "terms": [{"A": [[3.0, 0.0], [0.0, 0.0]], "theta": "x1^2"}],
+        "kind": "nonlinear", "dim": 2, "f": ["x1^3", "-x2"],
         "box": {"lower": [2.9, -0.1], "upper": [3.1, 0.1]},
     }))
     with warnings.catch_warnings():
@@ -436,8 +457,8 @@ def test_volume_zero_area_square_exits_2(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(sim, "flow_immersion", refuse)
     path = tmp_path / "flat.json"
     path.write_text(json.dumps({
-        "kind": "nonlinear", "dim": 2, "f": ["-x1", "-x2"], "A0": [[-1.0, 0.0], [0.0, -1.0]],
-        "terms": [], "box": {"lower": [0.0, 0.0], "upper": [0.0, 1.0]},
+        "kind": "nonlinear", "dim": 2, "f": ["-x1", "-x2"],
+        "box": {"lower": [0.0, 0.0], "upper": [0.0, 1.0]},
     }))
     code, rep = run_cli(capsys, "volume", "--model", str(path), "--grid", "8", "--t", "0.1")
     assert code == 2 and rep["verdict"] == "error"
@@ -447,8 +468,7 @@ def test_volume_zero_area_square_exits_2(capsys, tmp_path, monkeypatch):
 def test_volume_one_dimensional_nonlinear_exits_2(capsys, tmp_path):
     path = tmp_path / "nl1.json"
     path.write_text(json.dumps({
-        "kind": "nonlinear", "dim": 1, "f": ["-x1"], "A0": [[-1.0]],
-        "terms": [], "box": {"lower": [-1], "upper": [1]},
+        "kind": "nonlinear", "dim": 1, "f": ["-x1"], "box": {"lower": [-1], "upper": [1]},
     }))
     code, rep = run_cli(capsys, "volume", "--model", str(path), "--grid", "8", "--t", "0.1")
     assert code == 2 and rep["verdict"] == "error"
@@ -494,13 +514,10 @@ def test_simulate_oversized_compound_exits_2(capsys, tmp_path, monkeypatch):
         raise AssertionError("oversized compound enumerated")
     monkeypatch.setattr(compound, "combinations", refuse)
     n = 24
-    cubic = np.zeros((n, n))
-    cubic[0, 0] = -3.0
     path = tmp_path / "big.json"
     path.write_text(json.dumps({
         "kind": "nonlinear", "dim": n,
         "f": ["-x1 - x1^3"] + [f"-x{i + 1}" for i in range(1, n)],
-        "A0": (-np.eye(n)).tolist(), "terms": [{"A": cubic.tolist(), "theta": "x1^2"}],
         "box": {"lower": [-1.0] * n, "upper": [1.0] * n},
     }))
     code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", ",".join(["0.1"] * n),
@@ -532,16 +549,16 @@ def test_run_of_zero_steps_exits_2(capsys, builtin_model, argv):
 
 
 def test_derived_envelope_prints_as_declared(capsys, tmp_path):
-    # a document with only kind, dim, f and box derives the envelope that the
-    # declared document carries: the same reports, inputs_digest included
+    # the builtin, declared by name, and the document its to_json writes (kind,
+    # name, dim, f and box) print the same reports, inputs_digest included
     from kcontract.reproduce import load_data
-    declared = models.builtin("synchronverter").to_json()
-    del declared["name"]
-    derived = {key: declared[key] for key in ("kind", "dim", "f", "box")}
+    derived = models.builtin("synchronverter").to_json()
+    assert sorted(derived) == ["box", "dim", "f", "kind", "name"]
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(load_data("synchronverter_cert.json")))
     outputs = {}
-    for label, doc in (("declared", declared), ("derived", derived)):
+    for label, doc in (("declared", {"kind": "builtin", "name": "synchronverter"}),
+                       ("derived", derived)):
         path = tmp_path / f"{label}.json"
         path.write_text(json.dumps(doc))
         for argv in (("verify-nl", "--cert", str(cert)),

@@ -137,6 +137,23 @@ def test_interval_trig():
     assert hi == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("text, box, want", [
+    # sin and cos at endpoints 2^53 or more from 0, where floats are 2 or more
+    # apart, are bounded by [-1, 1] at once
+    ("sin(x1)", (1e22, 1e22), (-1.0, 1.0)),
+    ("sin(x1)", (1e300, 1e300), (-1.0, 1.0)),
+    ("sin(x1)", (2.0 ** 53, 2.0 ** 53 + 2), (-1.0, 1.0)),
+    ("sin(x1)", (-1e300, -1e300), (-1.0, 1.0)),
+    ("cos(x1)", (1e300, 1e300), (-1.0, 1.0)),
+    # a power that overflows is infinite, with the sign of the exact power
+    ("x1^2", (-1e200, 1e200), (0.0, math.inf)),
+    ("x1^3", (-1e200, 1e200), (-math.inf, math.inf)),
+    ("x1^3", (-1e200, -1e100), (-math.inf, -1e300)),
+])
+def test_interval_past_the_float_range(text, box, want):
+    assert parse_expression(text, 1).interval([box]) == want
+
+
 def test_interval_division_by_zero_crossing():
     e = parse_expression("1/x1", 1)
     with pytest.raises(IntervalError):
@@ -371,8 +388,8 @@ def expression_text(node):
 @given(polynomial_trees(2), polynomial_trees(2))
 @settings(max_examples=100, deadline=None)
 def test_derived_envelope_reloads_as_declared(f1, f2):
-    # the derived envelope, written out by to_json, passes the declared check
-    # and reloads to the same bytes
+    # the derived envelope: to_json writes the field, which reloads to the
+    # same theta texts and envelope bytes
     from kcontract import models
     doc = {"kind": "nonlinear", "dim": 2, "f": [expression_text(f1), expression_text(f2)],
            "box": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}}
@@ -385,3 +402,18 @@ def test_derived_envelope_reloads_as_declared(f1, f2):
     assert again.theta_exprs == derived.theta_exprs
     assert again.model.A0.tobytes() == derived.model.A0.tobytes()
     assert [A.tobytes() for A in again.model.terms] == [A.tobytes() for A in derived.model.terms]
+
+
+@given(st.integers(-10 ** 6, 10 ** 6).filter(bool),
+       st.integers(3, 10 ** 6).filter(lambda q: q & (q - 1)))
+@settings(max_examples=100, deadline=None)
+def test_rational_argument_theta_parses_back(p, q):
+    # p/q, for q not a power of two, is a float only if it reduces to one; a
+    # theta text writes it as (p/q) otherwise, and parses back either way
+    from kcontract import models
+    bundle = models.model_from_dict({"kind": "nonlinear", "dim": 1, "f": [f"sin({p}/{q}*x1)"],
+                                     "box": {"lower": [-1.0], "upper": [1.0]}})
+    theta, = bundle.theta_exprs
+    assert normal_form(parse_expression(theta, 1)) == normal_form(
+        parse_expression(f"cos({p}/{q}*x1)", 1))
+    assert bundle.model.terms[0].tolist() == [[p / q]]

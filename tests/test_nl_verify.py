@@ -14,7 +14,6 @@ def linear_bundle(A):
     return models.model_from_dict({
         "kind": "nonlinear", "dim": n,
         "f": [" + ".join(f"{float(A[i, j])!r}*x{j + 1}" for j in range(n)) for i in range(n)],
-        "A0": A.tolist(), "terms": [],
         "box": {"lower": [-1.0] * n, "upper": [1.0] * n},
     })
 

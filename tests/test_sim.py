@@ -456,8 +456,6 @@ def test_batch_row_blow_up_truncates_at_the_integrate_step(tmp_path):
     # row's states byte for byte, and a grid flowed through it is truncated
     bundle = models.model_from_dict({
         "kind": "nonlinear", "dim": 2, "f": ["x1^3", "-x2"],
-        "A0": [[0.0, 0.0], [0.0, -1.0]], "terms": [{"A": [[3.0, 0.0], [0.0, 0.0]],
-                                                    "theta": "x1^2"}],
         "box": {"lower": [2.9, -0.1], "upper": [3.1, 0.1]}})
     model, row = bundle.model, np.array([3.0, 0.1])
     for cc in ["false"] + ["cc"] * (native.compiler() is not None):
@@ -550,7 +548,6 @@ def test_compound_trace_linear_oracle():
     model = models.model_from_dict({
         "kind": "nonlinear", "dim": 4,
         "f": [" + ".join(f"{float(A[i, j])!r}*x{j + 1}" for j in range(4)) for i in range(4)],
-        "A0": A.tolist(), "terms": [],
         "box": {"lower": [-1] * 4, "upper": [1] * 4},
     }).model
     V0 = rng.standard_normal((4, 2))
@@ -624,7 +621,6 @@ def test_fit_decay_no_decay_reports_nonpositive():
     tr = sim.integrate_compound(
         models.model_from_dict({
             "kind": "nonlinear", "dim": 2, "f": ["x1", "-3*x2"],
-            "A0": [[1.0, 0.0], [0.0, -3.0]], "terms": [],
             "box": {"lower": [-1, -1], "upper": [1, 1]},
         }).model,
         np.array([0.1, 0.1]), np.array([[1.0], [0.0]]), 1, 5.0, 1e-3)
@@ -757,26 +753,25 @@ def test_volume_compound_agreement():
     assert vol == pytest.approx(np.linalg.norm(y), rel=1e-3)
 
 
-def scalar_model(f, a0, terms=()):
+def scalar_model(f):
     """A 1-state model loaded from its document, so its Jacobian is exact."""
     return models.model_from_dict({
-        "kind": "nonlinear", "dim": 1, "f": [f], "A0": [[a0]], "terms": list(terms),
-        "box": {"lower": [-1.0], "upper": [1.0]}}).model
+        "kind": "nonlinear", "dim": 1, "f": [f], "box": {"lower": [-1.0], "upper": [1.0]}}).model
 
 
 def test_find_equilibria_scalar():
     box = Box(np.array([-2.0]), np.array([2.0]))
-    eqs = sim.find_equilibria(scalar_model("-x1", -1.0), box)
+    eqs = sim.find_equilibria(scalar_model("-x1"), box)
     assert len(eqs) == 1
     assert eqs[0].label == "stable" and not eqs[0].repelling
 
-    eqs = sim.find_equilibria(scalar_model("x1", 1.0), box)
+    eqs = sim.find_equilibria(scalar_model("x1"), box)
     assert len(eqs) == 1
     assert eqs[0].repelling and eqs[0].label == "repelling"
 
 
 def test_find_equilibria_multistable():
-    model = scalar_model("x1*(0.25 - x1^2)", 0.25, [{"A": [[-3.0]], "theta": "x1^2"}])
+    model = scalar_model("x1*(0.25 - x1^2)")
     box = Box(np.array([-1.0]), np.array([1.0]))
     eqs = sim.find_equilibria(model, box)
     xs = sorted(round(float(e.point[0]), 6) for e in eqs)
