@@ -1,6 +1,6 @@
 """Tiny total expression language for vector fields and envelope terms.
 
-Grammar (total; parse errors carry position):
+Grammar, the spec (total; parse errors carry position):
 
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
@@ -9,19 +9,28 @@ Grammar (total; parse errors carry position):
     atom    := number | variable | 'sin' '(' expr ')' | 'cos' '(' expr ')'
              | '(' expr ')'
 
-Variables are x1..xn and numeric literals must be finite. Expressions are
-evaluated by compiling them to Python source (``compile_model``), and bounded
-over boxes by interval evaluation (``Node.interval``); interval division by a
-zero-crossing denominator raises (no silent widening to infinity). An
-expression with constant denominators also has an exact normal form
-(``normal_form``), a polynomial over x_i, sin(u) and cos(u) whose nonzero
-partials ``gradient`` gives symbolically, in one walk over its monomials.
+Variables are x1..xn and numeric literals must be finite. Read ^ as **, and
+every text of the grammar is a Python expression whose syntax tree has the
+shape of its Node tree: parse_expression reads it with Python's own parser
+and converts the tree node by node, refusing any node outside the grammar.
+
+Expressions are evaluated by compiling them to Python source
+(``compile_model``), and bounded over boxes by interval evaluation
+(``Node.interval``); interval division by a zero-crossing denominator raises
+(no silent widening to infinity). An expression with constant denominators
+also has an exact normal form (``normal_form``), a polynomial over x_i, sin(u)
+and cos(u) whose nonzero partials ``gradient`` gives symbolically, in one walk
+over its monomials.
 """
 
 from __future__ import annotations
 
+import ast
+import bisect
+import itertools
 import math
 import re
+import warnings
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -85,12 +94,16 @@ def _ivsin(a):
     if hi - lo >= 2 * math.pi or max(-lo, hi) >= _STATIONARY_RANGE:
         return (-1.0, 1.0)
     vals = [math.sin(lo), math.sin(hi)]
-    # the stationary points pi/2 + m*pi in [lo, hi]: at most 3 in an interval
-    # shorter than 2 pi, with rounding
+    # the stationary points pi/2 + k*pi in [lo, hi], where sin is (-1)^k: at
+    # most 2 in an interval shorter than 2 pi. Their floats drift from them by
+    # about |k| 1.2e-16, the error of the float pi, so each candidate k whose
+    # float lies within that drift (and its roundings) of the interval counts
     m = math.ceil((lo - math.pi / 2) / math.pi)
-    for point in (math.pi / 2 + k * math.pi for k in range(m, m + 3)):
-        if point <= hi:
-            vals.append(math.sin(point))
+    for k in range(m - 1, m + 3):
+        point = math.pi / 2 + k * math.pi
+        drift = (abs(k) + 1) * 1.25e-16 + 2 * math.ulp(point)
+        if lo - drift <= point <= hi + drift:
+            vals.append(-1.0 if k % 2 else 1.0)
     return (min(vals), max(vals))
 
 
@@ -126,171 +139,110 @@ class Node:
         raise AssertionError(op)
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^()]))"
-)
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.lastgroup == "num":
-            value = float(m.group("num"))
-            if not math.isfinite(value):
-                raise ParseError(f"literal {m.group('num')} is not a finite number",
-                                 m.start("num"))
-            tokens.append(("num", value, m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
-# The deepest an expression may nest, counted as the parentheses, calls and
-# negations open at once while it is parsed and as its tree's height (the
-# operators above its deepest leaf); parse_expression refuses a deeper one
-# before anything recurses. Every stage recurses about once a level, and the
-# bound is half the tightest limit: the parser takes 5 Python frames a
-# parenthesis, 500 of the default recursion limit of 1000 at the bound, and
-# python_source nests a parenthesis a level, where CPython's tokenizer
-# refuses 200. So the stages would also take closed_loop's "(f) - (r)", a
-# level more than f, though the bound refuses a closed loop past it.
+# The deepest an expression may nest: its tree's height (the operators above
+# its deepest leaf) and, bounded apart, the parentheses open at once in its
+# text. Later stages recurse once a level of height, and python_source writes a
+# parenthesis a level, where CPython's tokenizer refuses 200: they would also
+# take closed_loop's "(f) - (r)", a level more than f. The parentheses' bound
+# only keeps Python's parser within its limits; no stage recurses on them.
 MAX_DEPTH = 100
+_TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
+# Python's parser crashes (3.10, from about 106 000 terms) or raises (3.11 and
+# later, from about 10 000) on a long flat sum, so a text with more operator
+# characters is refused before it is parsed.
+MAX_OPERATORS = 10_000
 
-class _Parser:
-    def __init__(self, text, dim):
-        self.text = text
-        self.dim = dim
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.level = 0  # the parentheses, calls and negations open at the token
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {val!r}", pos)
-
-    def parse(self):
-        node = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing token {val!r}", pos)
-        if _height(node) > MAX_DEPTH:
-            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", 0)
-        return node
-
-    def nested(self, parse, pos):
-        """parse() one level deeper; a ParseError past MAX_DEPTH levels."""
-        self.level += 1
-        if self.level > MAX_DEPTH:
-            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
-        node = parse()
-        self.level -= 1
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in ("+", "-"):
-                self.take()
-                node = Node(val, (node, self.term()))
-            else:
-                return node
-
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in ("*", "/"):
-                self.take()
-                node = Node(val, (node, self.factor()))
-            else:
-                return node
-
-    def factor(self):
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            return Node("neg", (self.nested(self.factor, pos),))
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val in ("^", "**"):
-            self.take()
-            k2, v2, p2 = self.take()
-            neg = False
-            if k2 == "op" and v2 == "-":
-                neg = True
-                k2, v2, p2 = self.take()
-            if k2 != "num" or v2 != int(v2):
-                raise ParseError("exponent must be an integer literal", p2)
-            if neg:
-                raise ParseError("negative exponents are not supported", p2)
-            return Node("pow", (base, int(v2)))
-        return base
-
-    def atom(self):
-        kind, val, pos = self.take()
-        if kind == "num":
-            return Node("const", (val,))
-        if kind == "name":
-            if val in ("sin", "cos"):
-                self.expect_op("(")
-                inner = self.nested(self.expr, pos)
-                self.expect_op(")")
-                return Node(val, (inner,))
-            m = re.fullmatch(r"x(\d+)", val)
-            if not m:
-                raise ParseError(f"unknown identifier {val!r}", pos)
-            idx = int(m.group(1)) - 1
-            if not 0 <= idx < self.dim:
-                raise ParseError(f"variable {val} out of range for dimension {self.dim}", pos)
-            return Node("var", (idx,))
-        if kind == "op" and val == "(":
-            inner = self.nested(self.expr, pos)
-            self.expect_op(")")
-            return inner
-        raise ParseError(f"unexpected token {val!r}", pos)
-
-
-def _height(node: Node) -> int:
-    """The operators above node's deepest leaf, counted without recursion."""
-    height, stack = 0, [(node, 0)]
-    while stack:
-        node, h = stack.pop()
-        height = max(height, h)
-        stack.extend((a, h + 1) for a in node.args if isinstance(a, Node))
-    return height
+_NUMBER = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# a number's leading zeros, but none inside a name or number or after an exponent's sign
+_LEADING_ZEROS = re.compile(r"(?<![0-9A-Za-z_.])(?<![eE][+-])0+(?=[0-9])")
+_VARIABLE = re.compile(r"x([0-9]+)")
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
 def parse_expression(text: str, dim: int) -> Node:
-    """Parse one scalar expression over variables x1..x<dim>; ParseError for
-    one that nests deeper than MAX_DEPTH levels."""
-    return _Parser(text, dim).parse()
+    """Parse one scalar expression over variables x1..x<dim>; ParseError for one
+    outside the grammar, deeper than MAX_DEPTH levels or past MAX_OPERATORS.
+
+    Python's parser reads the text with ^ as **, and its tree is converted node
+    by node. The text is normalised one character for one, so that positions
+    hold: whitespace becomes a space, and so do a number's leading zeros."""
+    text = re.sub(r"\s", " ", text)
+    if bad := re.search(r"[^0-9A-Za-z_.+\-*/^() ]", text):
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    text = _LEADING_ZEROS.sub(lambda m: " " * len(m.group()), text)
+    depth = 0
+    for m in re.finditer(r"[()]", text):
+        depth += 1 if m.group() == "(" else -1
+        if depth > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, m.start())
+        if depth < 0:
+            raise ParseError("unmatched ')'", m.start())
+    if sum(map(text.count, "+-*/^")) > MAX_OPERATORS:
+        past = next(itertools.islice(re.finditer(r"[-+*/^]", text), MAX_OPERATORS, None))
+        raise ParseError(f"expression has more than {MAX_OPERATORS} operators", past.start())
+    source = "(" + text.replace("^", "**") + ")"  # the parentheses admit a leading space
+
+    def position(offset):  # the index in text of an offset into source
+        starts = list(itertools.accumulate((2 if c == "^" else 1 for c in text), initial=1))
+        return min(max(bisect.bisect_right(starts, offset) - 1, 0), len(text))
+
+    def fail(message, node):
+        raise ParseError(message, position(node.col_offset))
+
+    def number(node):
+        segment = source[node.col_offset:node.end_col_offset]
+        if not _NUMBER.fullmatch(segment):
+            fail(f"unexpected literal {segment!r}", node)
+        if not math.isfinite(value := float(segment)):
+            fail(f"literal {segment} is not a finite number", node)
+        return value
+
+    def exponent(node):
+        """A bare integral literal: x1^(2) and x1^x2 are refused."""
+        power = node.right
+        negative = isinstance(power, ast.UnaryOp) and isinstance(power.op, ast.USub)
+        power = power.operand if negative else power
+        if (not isinstance(power, ast.Constant) or number(power) % 1
+                or "(" in source[node.left.end_col_offset:power.col_offset]):
+            fail("exponent must be an integer literal", power)
+        if negative:
+            fail("negative exponents are not supported", power)
+        return int(number(power))
+
+    def convert(node, level):
+        if level > MAX_DEPTH:
+            fail(_TOO_DEEP, node)
+        if isinstance(node, ast.Constant):
+            return Node("const", (number(node),))
+        if isinstance(node, ast.Name):
+            if not (m := _VARIABLE.fullmatch(node.id)):
+                fail(f"unknown identifier {node.id!r}", node)
+            if not 0 < int(m.group(1)) <= dim:
+                fail(f"variable {node.id} out of range for dimension {dim}", node)
+            return Node("var", (int(m.group(1)) - 1,))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return Node("neg", (convert(node.operand, level + 1),))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return Node(_BINARY[type(node.op)],
+                        (convert(node.left, level + 1), convert(node.right, level + 1)))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            return Node("pow", (convert(node.left, level + 1), exponent(node)))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("sin", "cos") and len(node.args) == 1 and not node.keywords):
+            return Node(node.func.id, (convert(node.args[0], level + 1),))
+        fail(f"unexpected {type(getattr(node, 'op', node)).__name__}", node)
+
+    try:
+        # silences "invalid decimal literal" (1if x1); not thread-safe, so parse on one thread
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tree = ast.parse(source, mode="eval").body
+    except SyntaxError as exc:
+        raise ParseError(exc.msg, position((exc.offset or 1) - 1)) from None
+    except (RecursionError, MemoryError):  # past the parser's own depth limits
+        raise ParseError(_TOO_DEEP, 0) from None
+    return convert(tree, 0)
 
 
 # ---------------------------------------------------------------------------

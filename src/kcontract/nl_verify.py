@@ -189,11 +189,10 @@ def metric_condition_margin(P, J, mu):
 
 
 def _worst(margins):
-    """(largest margin, first index) of a margin array, skipping NaN and -inf; else (-inf, -1)."""
-    margins = np.where(np.isnan(margins), -np.inf, margins)
-    arg = int(np.argmax(margins))
-    worst = float(margins[arg])
-    return (worst, arg) if worst > -np.inf else (-np.inf, -1)
+    """(largest margin, first index) of a margin array. A NaN margin is a vertex
+    whose condition could not be evaluated, so it fails: the first NaN wins."""
+    arg = int(np.argmax(margins))  # argmax takes the first NaN
+    return float(margins[arg]), arg
 
 
 def verify_nl_certificate(model: NonlinearModel, box: Box, cert: NonlinearCertificate,
@@ -439,12 +438,12 @@ def solve_metric_lmi(verts, mu):
     return P, float(z[m])
 
 
-def search_nl_certificate(model: NonlinearModel, box: Box, k: int, mus=None):
+def search_nl_certificate(model: NonlinearModel, box: Box, k: int):
     """Convex search for a constant-metric certificate on the box.
 
-    Rate candidates come from the windows the vertex spectra allow (mus, when
-    given, is tried first); each metric of a candidate is one
-    solve_metric_lmi, and the candidate fails when either t* >= 0.
+    Rate candidates come from the windows the vertex spectra allow; each metric
+    of a candidate is one solve_metric_lmi, and the candidate fails when
+    either t* >= 0.
     Returns an accepted NonlinearCertificate or None; the result is gated
     through verify_nl_certificate at slack 0 against the same vertex set, so a
     returned certificate is always genuinely valid. None is an honest failure,
@@ -465,8 +464,6 @@ def search_nl_certificate(model: NonlinearModel, box: Box, k: int, mus=None):
         lo1, hi1 = -np.inf, np.inf
 
     candidates = []
-    if mus is not None:
-        candidates.append(tuple(mus))
     if k >= 2 and lo1 < hi1:
         for t1 in (0.12, 0.5, 0.88):
             mu1c = lo1 + t1 * (hi1 - lo1)

@@ -85,10 +85,13 @@ def test_criterion_3_modified_rossler_protocol():
     ok = abs(rate - (-0.05)) <= 1e-12 and rate < 0
     detail = [f"mu1 + 2 mu0 = {rate!r}", f"printed@1e-2: {report.verdict}"]
 
-    resolved = nv.search_nl_certificate(bundle.model, box, printed.k,
-                                        mus=(printed.mu0, printed.mu1))
-    ok = ok and resolved is not None
-    if resolved is not None:
+    # both metrics re-solved at the printed rates
+    verts = nv.envelope_vertices(bundle.model, box)
+    (P0, t0), (P1, t1) = (nv.solve_metric_lmi(verts, mu) for mu in (printed.mu0, printed.mu1))
+    ok = ok and t0 < 0 and t1 < 0
+    if t0 < 0 and t1 < 0:
+        resolved = nv.NonlinearCertificate(P0=P0, P1=P1, mu0=printed.mu0, mu1=printed.mu1,
+                                           k=printed.k)
         rr = nv.verify_nl_certificate(bundle.model, box, resolved, slack=0.0)
         ok = ok and rr.verdict
         detail.append(f"re-solved@0: {rr.verdict} "

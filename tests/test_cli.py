@@ -8,7 +8,7 @@ import pytest
 
 from kcontract import cli, models
 from kcontract import lin_contraction as lc, lin_synthesis as ls
-from kcontract.expressions import MAX_DEPTH
+from kcontract.expressions import MAX_DEPTH, MAX_OPERATORS
 from kcontract.nl_verify import MAX_LMI_ENTRIES
 from test_models import edit, rossler_mod_doc
 
@@ -247,6 +247,17 @@ def test_deep_expression_exits_2_quickly(capsys, tmp_path, kind):
     code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", "0.1", "--t", "0.01")
     assert time.perf_counter() - start < 1.0
     assert code == 2 and f"deeper than {MAX_DEPTH} levels" in rep["error"]
+
+
+@pytest.mark.parametrize("operators", [MAX_OPERATORS + 1, 199_999])
+def test_too_many_operators_exits_2_quickly(capsys, tmp_path, operators):
+    # refused by its operator count, before Python's parser reads it
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(nested_field("sum", operators)))
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, "simulate", "--model", str(path), "--x0", "0.1", "--t", "0.01")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and f"more than {MAX_OPERATORS} operators" in rep["error"]
 
 
 @pytest.mark.parametrize("kind", ["sum", "parentheses", "negations"])

@@ -1,14 +1,19 @@
 import math
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from kcontract import sim
-from kcontract.expressions import (MAX_COEFFICIENT_BITS, MAX_NORMAL_FORM, IntervalError, Node,
-                                   ParseError, compile_model, gradient, normal_form,
-                                   parse_expression)
+from kcontract.expressions import (MAX_COEFFICIENT_BITS, MAX_DEPTH, MAX_NORMAL_FORM,
+                                   MAX_OPERATORS, IntervalError, Node, ParseError, compile_model,
+                                   gradient, normal_form, parse_expression)
+
+
+def const(v):
+    return Node("const", (v,))
 
 
 # The tree-walking evaluator the compiled source replaces, kept as the oracle.
@@ -121,6 +126,123 @@ def test_trailing_garbage():
         parse_expression("x1 x1", 1)
 
 
+@pytest.mark.parametrize("text, position", [
+    ("1_0", 0), ("0x10", 0), ("1j", 0), ("True", 0), ("x1 if x2 else x3", 0), ("x1 # c", 3),
+    ("x1;x2", 2), ("x1,x2", 2), ("x1//x2", 0), ("x1 % 2", 3), ("+x1", 0), ("x1.real", 0),
+    ("x1^(2)", 4), ("2^-1", 3), ("x1^2^3", 3), ("sin(x1, x2)", 6), ("sin()", 0), ("x1()", 0),
+    ("x1 + \u0663", 5),  # ARABIC-INDIC DIGIT THREE: only ASCII digits make numbers
+    ("x1)+(x2", 2), ("", 0),
+])
+def test_forms_outside_the_grammar_are_refused(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, 2)
+    assert err.value.position == position
+
+
+X1, X2 = Node("var", (0,)), Node("var", (1,))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("01", const(1.0)), ("x01", X1), ("1.5e-08", const(1.5e-08)), ("007.5e-007", const(7.5e-07)),
+    ("x1^2.0", Node("pow", (X1, 2))), ("x1^1e1", Node("pow", (X1, 10))),
+    ("x1\n+ x2", Node("+", (X1, X2))), ("x1\u2003+\tx2 ", Node("+", (X1, X2))),
+    ("-2", Node("neg", (const(2.0),))), ("-x1^2", Node("neg", (Node("pow", (X1, 2)),))),
+    ("sin (x1)^2", Node("pow", (Node("sin", (X1,)), 2))),
+])
+def test_forms_that_load(text, want):
+    assert parse_expression(text, 2) == want
+
+
+def test_parentheses_and_negations_nest_apart():
+    # each bounded by MAX_DEPTH on its own, not the two together
+    assert parse_expression("(" * 60 + "-" * 50 + "x1" + ")" * 60, 1) == parse_expression(
+        "-" * 50 + "x1", 1)
+    deep = MAX_DEPTH + 1
+    for text in ("(" * deep + "x1" + ")" * deep, "-" * deep + "x1"):
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse_expression(text, 1)
+
+
+def balanced_sum(terms):
+    """x1 + x1 + ... with terms terms, in balanced parentheses."""
+    if terms == 1:
+        return "x1"
+    return f"({balanced_sum(terms // 2)} + {balanced_sum(terms - terms // 2)})"
+
+
+def test_operator_count_bound():
+    # a text at the bound is read by Python's parser; one operator more is refused before
+    node = parse_expression(balanced_sum(MAX_OPERATORS + 1), 1)
+    assert normal_form(node) == {frozenset({(("x", 0), 1)}): MAX_OPERATORS + 1}
+    with pytest.raises(ParseError, match=f"more than {MAX_OPERATORS} operators"):
+        parse_expression(balanced_sum(MAX_OPERATORS + 2), 1)
+
+
+def spaces():
+    return st.sampled_from(["", " ", "  ", "\t", "\n", "\u2003"])
+
+
+PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4}
+
+
+def printed(data, node):
+    """node as text, drawing the spacing, redundant parentheses, ^ or **,
+    leading zeros and the form of each number from data."""
+    op, args = node.op, node.args
+
+    def operand(child, needs_parentheses):
+        text = printed(data, child)
+        return f"({data.draw(spaces())}{text}{data.draw(spaces())})" if needs_parentheses else text
+
+    if op == "const":
+        text = data.draw(st.sampled_from(["", "0", "00"])) + repr(args[0])
+    elif op == "var":
+        text = f"x{data.draw(st.sampled_from(['', '0']))}{args[0] + 1}"
+    elif op == "neg":
+        text = "-" + data.draw(spaces()) + operand(args[0], PRECEDENCE.get(args[0].op, 5) < 3)
+    elif op == "pow":
+        e = args[1]
+        power = data.draw(st.sampled_from([str(e), f"{e}.0", f"{e}.", f"0{e}", f"0.{e}e1",
+                                           f"{e}e0"]))
+        text = (operand(args[0], PRECEDENCE.get(args[0].op, 5) < 5)
+                + data.draw(spaces()) + data.draw(st.sampled_from(["^", "**"]))
+                + data.draw(spaces()) + power)
+    elif op in ("sin", "cos"):
+        text = f"{op}{data.draw(st.sampled_from(['', ' ']))}({printed(data, args[0])})"
+    else:
+        left = operand(args[0], PRECEDENCE.get(args[0].op, 5) < PRECEDENCE[op])
+        right = operand(args[1], PRECEDENCE.get(args[1].op, 5) <= PRECEDENCE[op])
+        text = f"{left}{data.draw(spaces())}{op}{data.draw(spaces())}{right}"
+    if data.draw(st.integers(0, 4)) == 0:  # redundant parentheses
+        text = f"({data.draw(spaces())}{text})"
+    return text
+
+
+def printable_trees(dim):
+    """Random trees with non-negative constants and exponents 0..9: a negative
+    literal reads as a negation."""
+    leaves = st.one_of(
+        st.floats(0.0, allow_infinity=False).map(lambda v: const(abs(v))),
+        st.integers(0, dim - 1).map(lambda i: Node("var", (i,))))
+
+    def extend(children):
+        return st.one_of(
+            children.map(lambda a: Node("neg", (a,))),
+            st.tuples(st.sampled_from("+-*/"), children, children).map(
+                lambda t: Node(t[0], (t[1], t[2]))),
+            st.tuples(children, st.integers(0, 9)).map(lambda t: Node("pow", t)),
+            st.tuples(st.sampled_from(["sin", "cos"]), children).map(
+                lambda t: Node(t[0], (t[1],))))
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+@given(printable_trees(3), st.data())
+@settings(max_examples=500, deadline=None)
+def test_printed_tree_parses_back(node, data):
+    text = data.draw(spaces()) + printed(data, node) + data.draw(spaces())
+    assert parse_expression(text, 3) == node
+
+
 def test_interval_square():
     e = parse_expression("x1^2", 1)
     assert e.interval([(-2.0, 2.0)]) == (0.0, 4.0)
@@ -152,6 +274,36 @@ def test_interval_trig():
 ])
 def test_interval_past_the_float_range(text, box, want):
     assert parse_expression(text, 1).interval([box]) == want
+
+
+def true_sin_range(lo, hi):
+    """The exact range of sin on the real interval [lo, hi], from mpmath at 300 bits."""
+    with mpmath.workprec(300):
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        vals = [mpmath.sin(lo), mpmath.sin(hi)]
+        first = int(mpmath.ceil((lo - mpmath.pi / 2) / mpmath.pi))
+        last = int(mpmath.floor((hi - mpmath.pi / 2) / mpmath.pi))
+        vals += [(-1) ** (m % 2) for m in range(first, min(last, first + 2) + 1)]
+        return min(vals), max(vals)
+
+
+@given(st.sampled_from(["sin", "cos"]),
+       st.integers(-3 * 10 ** 14, 3 * 10 ** 14) | st.integers(-10, 10),
+       st.floats(-4.0, 4.0), st.floats(0.0, 7.0))
+@settings(max_examples=300, deadline=None)
+# a true minimum -1.0 about 0.04 from the float stationary point
+@example("sin", 0, 1e15 + 1.6, 2.0)
+def test_trig_interval_holds_the_true_range(fn, m, offset, width):
+    # endpoints up to 1e15 around a stationary point m pi + pi/2; the float
+    # stationary point drifts from the true one by about |m| 1.2e-16
+    lo = m * math.pi + offset
+    box = (lo, lo + width)
+    got = parse_expression(f"{fn}(x1)", 1).interval([box])
+    if fn == "cos":  # bounded as sin on the float interval box + pi/2
+        box = (box[0] + math.pi / 2, box[1] + math.pi / 2)
+    want = true_sin_range(*box)
+    # sin at an endpoint is rounded to nearest, not outward
+    assert got[0] <= want[0] + math.ulp(1.0) and got[1] >= want[1] - math.ulp(1.0)
 
 
 def test_interval_division_by_zero_crossing():
@@ -304,10 +456,6 @@ def form_ops(form):
     """The float operations form_value makes on form."""
     return sum(2 + sum(2 + (0 if kind == "x" else 1 + form_ops(dict(arg)))
                        for (kind, arg), _ in monomial) for monomial in form)
-
-
-def const(v):
-    return Node("const", (v,))
 
 
 @given(polynomial_trees(2), st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),

@@ -137,13 +137,15 @@ def test_verify_without_vertices_raises_before_any_margin(monkeypatch):
 
 
 def loop_worst(margins):
-    """(largest margin, its index) by the per-vertex loop: the first of tied
-    maxima, NaN skipped, (-inf, -1) when no margin beats -inf."""
-    worst, arg = -np.inf, -1
+    """(largest margin, its index) by the per-vertex loop: the first NaN, whose
+    condition fails, else the first of tied maxima."""
+    arg = 0
     for i, m in enumerate(margins):
-        if m > worst:
-            worst, arg = m, i
-    return worst, arg
+        if np.isnan(m):
+            return m, i
+        if m > margins[arg]:
+            arg = i
+    return margins[arg], arg
 
 
 def per_matrix(fn):
@@ -179,13 +181,27 @@ def test_batched_margins_match_the_per_vertex_loop():
 @pytest.mark.parametrize("margins", [
     [1.0, 3.0, 3.0, 2.0],           # tied maxima: the first wins
     [-0.0, 0.0], [0.0, -0.0],       # signed zeros tie
-    [np.nan, -1.0, np.nan, -0.5],   # NaN skipped
-    [np.nan, np.nan], [-np.inf, np.nan],
-    [-2.0],
+    [np.nan, -1.0, np.nan, -0.5],   # the first NaN fails
+    [np.nan, np.nan], [-np.inf, np.nan], [5.0, np.nan, 6.0],
+    [-2.0], [-np.inf, -np.inf],
 ])
 def test_worst_matches_the_per_vertex_loop(margins):
     got, want = nv._worst(np.array(margins)), loop_worst(margins)
-    assert got == want and np.signbit(got[0]) == np.signbit(want[0])
+    assert got[1] == want[1] and np.array_equal(got[0], want[0], equal_nan=True)
+    assert np.signbit(got[0]) == np.signbit(want[0])
+
+
+def test_condition_no_vertex_could_evaluate_fails():
+    # the printed synchronverter pair scaled by 1e306: every P1 margin
+    # overflows to NaN, and a condition no vertex could evaluate fails
+    b = models.builtin("synchronverter")
+    cert = reproduce.cert_from_data(reproduce.load_data("synchronverter_cert.json"))
+    cert = dataclasses.replace(cert, P0=cert.P0 * 1e306, P1=cert.P1 * 1e306)
+    with np.errstate(all="ignore"):
+        report = nv.verify_nl_certificate(b.model, b.box, cert)
+    assert not report.verdict and math.isnan(report.margin("P1"))
+    assert report.data["worst_vertex"] == {"P0": 24, "P1": 0}
+    assert "P1 condition margin nan at vertex 0 not below 0" in report.diagnostics
 
 
 def test_envelope_without_terms_is_a_one_vertex_stack():
@@ -332,7 +348,7 @@ def test_search_failure_is_none():
 def test_search_modified_rossler_on_derived_box():
     b = models.builtin("rossler_mod")
     box = Box(np.array([-0.46, -0.39, -0.14]), np.array([0.46, 0.39, 0.14]))
-    cert = nv.search_nl_certificate(b.model, box, 3, mus=(0.2, -0.45))
+    cert = nv.search_nl_certificate(b.model, box, 3)
     assert cert is not None
     assert nv.verify_nl_certificate(b.model, box, cert, slack=0.0).verdict
     # accepted pairs are ordered: the second rate is strictly the smaller one

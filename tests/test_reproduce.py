@@ -26,9 +26,8 @@ def test_decay_rate_dominates_certificate_budget():
     # accepted pair with rates (mu0, mu1): fitted compound decay is at least
     # -(mu1 + (k-1) mu0) up to transient tolerance, over random starts
     bundle = models.builtin("rossler_mod")
-    doc = reproduce.load_data("rossler_mod_cert.json")
     box, _ = reproduce.derive_attractor_box(bundle, [0.2, 0.5, 0.0])
-    cert = nv.search_nl_certificate(bundle.model, box, 3, mus=(doc["mu0"], doc["mu1"]))
+    cert = nv.search_nl_certificate(bundle.model, box, 3)
     assert cert is not None
     bound = -cert.rate_sum - 0.1
     rng = np.random.default_rng(5)
@@ -57,14 +56,16 @@ def test_bundle_quick_synchronverter():
 
 
 def test_rossler_mod_packaged_pair_rederived():
-    # the convex search finds a pair at the printed rates on the bundle's
-    # derived box, the box the packaged pair is recorded on
+    # both metrics are found at the printed rates on the bundle's derived box,
+    # the box the packaged pair is recorded on
     bundle = models.builtin("rossler_mod")
     doc = reproduce.load_data("rossler_mod_resolved.json")
     box, _ = reproduce.derive_attractor_box(bundle, [0.2, 0.5, 0.0])
     assert doc["box"] == {"lower": box.lower.tolist(), "upper": box.upper.tolist()}
-    cert = nv.search_nl_certificate(bundle.model, box, doc["k"], mus=(doc["mu0"], doc["mu1"]))
-    assert cert is not None and (cert.mu0, cert.mu1) == (doc["mu0"], doc["mu1"])
+    verts = nv.envelope_vertices(bundle.model, box)
+    (P0, t0), (P1, t1) = (nv.solve_metric_lmi(verts, mu) for mu in (doc["mu0"], doc["mu1"]))
+    assert t0 < 0 and t1 < 0
+    cert = nv.NonlinearCertificate(P0=P0, P1=P1, mu0=doc["mu0"], mu1=doc["mu1"], k=doc["k"])
     assert nv.verify_nl_certificate(bundle.model, box, cert, slack=0.0).verdict
 
 
