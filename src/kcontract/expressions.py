@@ -31,9 +31,8 @@ import itertools
 import math
 import re
 import warnings
-import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -238,8 +237,9 @@ def parse_expression(text: str, dim: int) -> Node:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             tree = ast.parse(source, mode="eval").body
-    except SyntaxError as exc:
-        raise ParseError(exc.msg, position((exc.offset or 1) - 1)) from None
+    except SyntaxError as exc:  # without a hint such as "Perhaps you forgot a comma?"
+        message = "invalid syntax" if exc.msg.startswith("invalid syntax") else exc.msg
+        raise ParseError(message, position((exc.offset or 1) - 1)) from None
     except (RecursionError, MemoryError):  # past the parser's own depth limits
         raise ParseError(_TOO_DEEP, 0) from None
     return convert(tree, 0)
@@ -297,10 +297,11 @@ def exec_source(source: str, names: dict) -> dict:
 
 @dataclass(frozen=True)
 class Rate:
-    """A function of the state as source. lines are statements over the
-    state locals x0..x<dim-1>, outputs[i] is the expression of value i, and
-    names binds every other name they read. The locals the lines set (th*,
-    J*_*, Jy) and the names (c*, A*_*_*) shadow none of the RK4 loop's."""
+    """A function of the state as source, called as that function. lines are
+    statements over the state locals x0..x<dim-1>, outputs[i] is the
+    expression of value i, and names binds every other name they read. The
+    locals the lines set (th*, J*_*, Jy) and the names (c*, A*_*_*) shadow
+    none of the RK4 loop's."""
 
     dim: int
     lines: tuple
@@ -311,44 +312,30 @@ class Rate:
         """The source lines that set out0, out1, ... to the outputs."""
         return [*self.lines, *(f"{out}{i} = {expr}" for i, expr in enumerate(self.outputs))]
 
-    def function(self):
-        """fn(x) -> ndarray of the outputs, compiled from the same lines and
-        registered, so that rate_of(fn) is this Rate."""
+    def __call__(self, x):
+        """The ndarray of the outputs at the state x."""
+        return self._compiled(x)
+
+    @cached_property
+    def _compiled(self):
+        """The function __call__ runs, compiled from the same lines on first call."""
         xs = ", ".join(f"x{i}" for i in range(self.dim))
         body = [f"[{xs}] = asarray(x, dtype=float).tolist()", *self.stage("r"),
                 f"return array([{', '.join(f'r{i}' for i in range(len(self.outputs)))}])"]
         source = "def rate(x):\n" + "".join(f"    {line}\n" for line in body)
-        fn = exec_source(source, self.names)["rate"]
-        _RATES[fn] = self
-        return fn
-
-
-# the one registry of functions known by their Rate, written only by
-# Rate.function and keyed by the function itself: an attribute would be
-# copied onto functools.wraps wrappers, which may compute something else
-_RATES = weakref.WeakKeyDictionary()
-
-
-def rate_of(fn) -> Rate | None:
-    """The Rate whose Rate.function made fn; None for any other callable."""
-    try:
-        return _RATES.get(fn)
-    except TypeError:  # not weakly referenceable, so never recorded
-        return None
+        return exec_source(source, self.names)["rate"]
 
 
 def compile_model(dim: int, f_nodes, theta_nodes):
-    """(f, theta): the vector field and its envelope parameters, each
-    compiled once per distinct text. f(x) evaluates the field on Python
-    floats and theta(x) the parameter values, each into an ndarray; both are
-    made by Rate.function, from Rates that share one names dict, so the RK4
-    loops inline f's."""
+    """(f, theta): the vector field and its envelope parameters, two Rates
+    that share one names dict, so the RK4 loops inline f's. f(x) evaluates
+    the field on Python floats and theta(x) the parameter values, each into
+    an ndarray, compiled once per distinct text."""
     consts = []
     f_outputs = tuple(python_source(n, consts) for n in f_nodes)
     theta_outputs = tuple(python_source(n, consts) for n in theta_nodes)
     names = {f"c{i}": value for i, value in enumerate(consts)}
-    return (Rate(dim, (), f_outputs, names).function(),
-            Rate(dim, (), theta_outputs, names).function())
+    return Rate(dim, (), f_outputs, names), Rate(dim, (), theta_outputs, names)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +424,8 @@ def gradient(form: dict, cache: dict | None = None) -> dict:
 def monomial_text(monomial, elide: bool = False) -> str:
     """A monomial in the expression language, its factors sorted by text.
     An argument's coefficient is written by ``_coefficient_text``, so the text
-    parses back to the monomial unless a coefficient is not a ratio of two
-    floats or the text nests past MAX_DEPTH levels.
+    parses back to the monomial unless a coefficient is past the float range
+    or the text nests past MAX_DEPTH levels.
 
     With elide, an atom argument that holds an atom itself is written ``…``
     (``cos(sin(x1))`` reads ``cos(…)``), and factors that then read alike are
@@ -464,13 +451,27 @@ def monomial_text(monomial, elide: bool = False) -> str:
 
 
 def _coefficient_text(c) -> str:
-    """The exact number c as a literal: its repr when c is a float, (p/q) when
-    its numerator and denominator are, and otherwise its nearest float (inf
-    past the range), which does not parse back to c."""
+    """The exact number c as a literal: its repr when c is a float, else
+    (p/q), each written by _integer_text. A p or q past the float range
+    gives c's nearest float, which does not parse back to c."""
     p, q = c.numerator, c.denominator
-    if rounded(c) != c and rounded(p) == p and rounded(q) == q:
-        return f"({p}/{q})"
-    return repr(rounded(c))
+    if rounded(c) == c or math.isinf(rounded(p)) or math.isinf(rounded(q)):
+        return repr(rounded(c))
+    return f"({_integer_text(p)}/{_integer_text(q)})"
+
+
+def _integer_text(n: int) -> str:
+    """The int n, within the float range, as a literal, or where n is not a
+    float as a parenthesised sum of ints that are: its top 53 bits, then
+    those of the rest, and so on."""
+    rest, chunks = abs(n), []
+    while rest:
+        low = max(rest.bit_length() - 53, 0)
+        chunks.append(rest >> low << low)
+        rest -= chunks[-1]
+    if len(chunks) < 2:
+        return str(n)
+    return ("-" if n < 0 else "") + f"({' + '.join(map(str, chunks))})"
 
 
 def exact(v):

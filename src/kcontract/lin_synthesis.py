@@ -61,15 +61,17 @@ def controllability_matrix(A, B) -> np.ndarray:
 def kalman_decompose(A, B) -> KalmanDecomposition:
     """Orthogonal change of basis isolating the controllable subspace.
 
-    The basis comes from a full SVD of the controllability matrix with rank
-    cutoff 1e-10 * sigma_max; nu = 0 (fully controllable) is admitted, as is
-    nc = 0 (B = 0).
+    The basis is the left singular vectors of the controllability matrix,
+    with rank cutoff 1e-10 * sigma_max; nu = 0 (fully controllable) is
+    admitted, as is nc = 0 (B = 0).
     """
     A = as_square(A, "A")
     n = A.shape[0]
     B = np.asarray(B, dtype=float).reshape(n, -1)
     C = controllability_matrix(A, B)
-    U, s, _ = np.linalg.svd(C, full_matrices=True)
+    # with n*m >= n columns the reduced SVD's U is n x n, and it forms no
+    # (n*m) x (n*m) right factor; only a B with no column needs a full one
+    U, s, _ = np.linalg.svd(C, full_matrices=not B.shape[1])
     rank = int(np.sum(s > RANK_CUTOFF * s[0])) if s.size and s[0] > 0 else 0
     T = U.T  # z = T x
     At = T @ A @ T.T

@@ -41,7 +41,6 @@ class ModelBundle:
     box: Box | None = None
     f_exprs: list = field(default_factory=list)
     theta_exprs: list = field(default_factory=list)
-    params: dict = field(default_factory=dict)
 
     @property
     def dim(self):
@@ -65,7 +64,7 @@ class ModelBundle:
         return doc
 
 
-def _build_nonlinear(name, dim, f_exprs, box, B=None, params=None):
+def _build_nonlinear(name, dim, f_exprs, box, B=None):
     """The bundle of a nonlinear model, its envelope derived from f (``_derived_envelope``)."""
     f_nodes = [parse_expression(s, dim) for s in f_exprs]
     jacobian = _jacobian(_normal_forms(f_exprs, f_nodes))
@@ -87,8 +86,7 @@ def _build_nonlinear(name, dim, f_exprs, box, B=None, params=None):
 
     model = NonlinearModel(dim=dim, f=f, A0=A0, terms=terms, theta=theta, bounds=bounds)
     return ModelBundle(kind="nonlinear", name=name, B=None if B is None else np.asarray(B, float),
-                       model=model, box=box, f_exprs=list(f_exprs), theta_exprs=theta_exprs,
-                       params=dict(params or {}))
+                       model=model, box=box, f_exprs=list(f_exprs), theta_exprs=theta_exprs)
 
 
 def _jacobian(f_forms) -> dict:
@@ -141,8 +139,8 @@ def _theta_node(monomial, text, dim):
     except ValueError:  # nested past MAX_DEPTH, or a coefficient past the float range
         pass
     raise ValueError(f"the Jacobian monomial {monomial_text(monomial, elide=True)} has no "
-                     f"exact text as a theta (a coefficient in it is not a ratio of two "
-                     f"floats, or the text nests past {MAX_DEPTH} levels)")
+                     f"exact text as a theta (a coefficient in it is past the float range, "
+                     f"or the text nests past {MAX_DEPTH} levels)")
 
 
 def _normal_forms(texts, nodes):
@@ -358,7 +356,7 @@ def synchronverter(**overrides) -> ModelBundle:
     ]
     # working box; the x4 interval is taken ascending
     box = Box(np.array([-81.0, -67.0, 298.0, -0.2]), np.array([5.0, 10.5, 315.0, 1.0]))
-    return _build_nonlinear("synchronverter", 4, f_exprs, box, params=p)
+    return _build_nonlinear("synchronverter", 4, f_exprs, box)
 
 
 def example25() -> ModelBundle:

@@ -101,9 +101,9 @@ def integrate(field, x0, t_end: float, h: float = 1e-3, record_every: int = 1) -
 
     The RK4 loop is stepper's one template, elementwise in the order
     x + (h/6)*(((k1 + 2k2) + 2k3) + k4), in one of two state forms. A field
-    with a Rate (a function made by Rate.function, such as a compiled
-    model's f, seen through the tracer's _traced wrappers only) has it
-    inlined on Python floats, as a one-row block; any other field is called
+    that is a Rate (such as a compiled model's f, seen through the tracer's
+    _traced wrappers only) is inlined on Python floats, as a one-row block;
+    any other field, a functools.wraps wrapper of a Rate included, is called
     on the state as one float ndarray and must return that shape. Non-finite
     states truncate the trace (flagged), they never propagate; a field that fails as floats do
     (ArithmeticError, math's "math domain error") counts as a non-finite
@@ -123,7 +123,7 @@ def integrate(field, x0, t_end: float, h: float = 1e-3, record_every: int = 1) -
 def integrate_batch(field, X0, t_end: float, h: float = 1e-3, record_every: int = 1):
     """RK4 over a batch of initial conditions, the rows of the (m, n) block X0.
 
-    field is taken as integrate takes it. A field with a Rate (a compiled
+    field is taken as integrate takes it. A field that is a Rate (a compiled
     model's f) runs each row exactly as integrate(field, row) runs it: as C
     when an object is at hand or, from an estimated Python-loop cost of
     native.NATIVE_MIN_COST on, built now, else on Python floats, row by
@@ -153,11 +153,11 @@ def integrate_compound(model: NonlinearModel, x0, V0, k: int, t_end: float,
     V0 is an (n, k) array with independent columns, and any other shape
     raises ValueError; y(0) is its k-th multiplicative compound. The trace
     records |y(t)| alongside the state samples. The augmented field runs
-    through integrate: the function of the rate emitted for it
-    (stepper.compound_rate) when the model is compiled and that function
-    gives the numpy field's bytes at the initial state, else the numpy
-    field. That rate runs as C (native) as a compiled model's f does, with
-    J^[k] y through numpy's own dgemv, when N = C(n, k) > 1.
+    through integrate: the Rate emitted for it (stepper.compound_rate) when
+    the model is compiled and that Rate gives the numpy field's bytes at the
+    initial state, else the numpy field. That Rate runs as C (native) as a
+    compiled model's f does, with J^[k] y through numpy's own dgemv, when
+    N = C(n, k) > 1.
     """
     n = model.dim
     x0 = np.asarray(x0, dtype=float)
@@ -178,11 +178,10 @@ def integrate_compound(model: NonlinearModel, x0, V0, k: int, t_end: float,
     z0 = np.concatenate([x0, y0])
     field, rate = aug_field, stepper.compound_rate(model, k)
     if rate is not None:
-        fn = rate.function()
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                if fn(z0).tobytes() == aug_field(z0).tobytes():
-                    field = fn
+                if rate(z0).tobytes() == aug_field(z0).tobytes():
+                    field = rate
         except (ArithmeticError, ValueError):
             pass  # the numpy field runs, and integrate reads the failure
     tr = integrate(field, z0, t_end, h, record_every)

@@ -1,10 +1,9 @@
 """The one RK4 loop, emitted as Python source or as C, per field.
 
 One template holds the RK4 arithmetic in sim.integrate's operation order,
-and it is emitted in one of two state forms. A field with a Rate
-(expressions.rate_of: a function made by Rate.function, such as a compiled
-model's f or the function of compound_rate's Rate) has it inlined into a
-loop over Python float locals, so no ndarray is built and no function is
+and it is emitted in one of two state forms. A field that is a Rate (a
+compiled model's f, or compound_rate's Rate) has it inlined into a loop
+over Python float locals, so no ndarray is built and no function is
 called per stage. Any other field is called once per stage on the whole
 state, one row or a block, as one ndarray (array_rk4).
 
@@ -32,7 +31,7 @@ import threading
 import numpy as np
 
 from .compound import additive_scatter
-from .expressions import Rate, exec_source, rate_of
+from .expressions import Rate, exec_source
 from .nl_verify import NonlinearModel
 
 # The one RK4 loop. Stages are s + half*k and s + h*k3; the update is
@@ -150,18 +149,18 @@ def run(field, z, n_steps: int, h: float, record_every: int):
     state or an (m, n) block of them, each row its own run (integrate_batch's
     rows); states has shape (n_samples, *z.shape).
 
-    A field with a Rate (a function made by Rate.function, such as a
-    compiled model's f, seen through _traced wrappers) runs a (dim,) state or
-    an (m, dim) block, dim being both the Rate's dimension and its number of
-    outputs: any other shape raises ValueError before any step. It runs as
+    A field that is a Rate (such as a compiled model's f, seen through
+    _traced wrappers) runs a (dim,) state or an (m, dim) block, dim being
+    both the Rate's dimension and its number of outputs: any other shape
+    raises ValueError before any step. It runs as
     a block of rows, a state as a one-row block, by native.rk4 or, where
     that has no object, python_rk4; an empty block gives the run's record
     times and no states. Any other field runs array_rk4 on z."""
     z = np.asarray(z, dtype=float)
     record_every = int(record_every)
-    rate = rate_of(_unwrap(field))
+    rate = _unwrap(field)
     with np.errstate(over="ignore", invalid="ignore"):
-        if rate is None:
+        if not isinstance(rate, Rate):
             return array_rk4(field)(z, n_steps, h, record_every)
         if not (z.ndim in (1, 2) and z.shape[-1] == rate.dim == len(rate.outputs)):
             # the C loop reads and writes dim floats a row
@@ -241,7 +240,7 @@ _MAX_EMITTED_COMPOUND_DIM = 10
 def compound_rate(model: NonlinearModel, k: int) -> Rate | None:
     """The Rate of integrate_compound's augmented field, the derivative of
     the state (x, y) with ydot = J(x)^[k] y, for a model whose f, theta and
-    jacobian are its compiled model's own (f and theta have Rates that share
+    jacobian are its compiled model's own (f and theta are Rates that share
     one names dict, as compile_model makes them), k <= 7 and N = C(n, k) <= 10;
     None for any other model.
 
@@ -257,11 +256,11 @@ def compound_rate(model: NonlinearModel, k: int) -> Rate | None:
     The matrices are read now, so a model whose matrices were replaced after
     compiling never runs a rate emitted for other data.
     """
-    n, f, theta = model.dim, rate_of(_unwrap(model.f)), rate_of(_unwrap(model.theta))
+    n, f, theta = model.dim, _unwrap(model.f), _unwrap(model.theta)
     jacobian = _unwrap(model.jacobian)
     mats = [model.A0, *model.terms]
-    if (f is None or theta is None or theta.names is not f.names or f.dim != n
-            or getattr(jacobian, "__func__", None) is not NonlinearModel.jacobian
+    if (not isinstance(f, Rate) or not isinstance(theta, Rate) or theta.names is not f.names
+            or f.dim != n or getattr(jacobian, "__func__", None) is not NonlinearModel.jacobian
             or getattr(jacobian, "__self__", None) is not model
             or len(theta.outputs) != len(model.terms) or k > _MAX_EMITTED_ORDER
             or math.comb(n, k) > _MAX_EMITTED_COMPOUND_DIM

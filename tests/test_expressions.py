@@ -131,12 +131,14 @@ def test_trailing_garbage():
     ("x1;x2", 2), ("x1,x2", 2), ("x1//x2", 0), ("x1 % 2", 3), ("+x1", 0), ("x1.real", 0),
     ("x1^(2)", 4), ("2^-1", 3), ("x1^2^3", 3), ("sin(x1, x2)", 6), ("sin()", 0), ("x1()", 0),
     ("x1 + \u0663", 5),  # ARABIC-INDIC DIGIT THREE: only ASCII digits make numbers
-    ("x1)+(x2", 2), ("", 0),
+    ("x1)+(x2", 2), ("", 0), ("x1 x1", 0), ("sin x1", 0),
 ])
 def test_forms_outside_the_grammar_are_refused(text, position):
     with pytest.raises(ParseError) as err:
         parse_expression(text, 2)
     assert err.value.position == position
+    # no hint of Python's, such as "invalid syntax. Perhaps you forgot a comma?"
+    assert "?" not in str(err.value)
 
 
 X1, X2 = Node("var", (0,)), Node("var", (1,))

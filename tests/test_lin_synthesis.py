@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,29 @@ def test_kalman_block_example():
     dec = ls.kalman_decompose(A, B)
     assert dec.nc == 1
     assert np.allclose(np.linalg.eigvals(dec.Au), [2.0])
+
+
+def test_kalman_basis_has_the_full_svd_bytes_without_its_right_factor():
+    # the basis and the rank are the full SVD's, byte for byte, and at
+    # n = m = 60 no 3600 x 3600 right factor (104 MB) is formed
+    rng = np.random.default_rng(5)
+    for n in range(1, 13):
+        for m in (1, 2, 3, 5):
+            for nu in {0, n // 2}:
+                A, B, _ = plant_uncontrollable(rng, n - nu, nu, m)
+                U, s, _ = np.linalg.svd(ls.controllability_matrix(A, B), full_matrices=True)
+                dec = ls.kalman_decompose(A, B)
+                assert dec.T.tobytes() == U.T.tobytes()
+                assert dec.nc == int(np.sum(s > ls.RANK_CUTOFF * s[0]))
+    assert ls.kalman_decompose(np.diag([1.0, 2.0]), np.zeros((2, 0))).nu == 2
+    A, B = rng.standard_normal((60, 60)), rng.standard_normal((60, 60))
+    tracemalloc.start()
+    try:
+        ls.kalman_decompose(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_kalman_staircase_soundness():

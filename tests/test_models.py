@@ -1,12 +1,14 @@
 import hashlib
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kcontract import models, reproduce
-from kcontract.expressions import IntervalError, gradient
+from kcontract.expressions import (IntervalError, gradient, monomial_text, normal_form,
+                                   parse_expression)
 
 
 def finite_difference_jacobian(field, x, eps: float = 1e-6):
@@ -66,10 +68,10 @@ def test_synchronverter_field_matches_parameters():
 
 
 def test_synchronverter_override():
+    p = models.SYNCHRONVERTER_DEFAULTS
     b = models.builtin("synchronverter", T_m=7.0)
-    x = np.array([0.0, 0.0, b.params["w_n"], 0.0])
-    f = b.model.f(x)
-    assert f[2] == pytest.approx(7.0 / b.params["J"] + b.params["V"] / 1.0 * 0.0)
+    f = b.model.f(np.array([0.0, 0.0, p["w_n"], 0.0]))
+    assert f[2] == pytest.approx(7.0 / p["J"])
     with pytest.raises(ValueError, match="unknown synchronverter"):
         models.builtin("synchronverter", mass=1.0)
 
@@ -289,9 +291,31 @@ def test_envelope_is_derived_only():
     # a coefficient past the float range inside the argument
     with pytest.raises(ValueError, match=re.escape("monomial cos(inf*x1) has no exact text")):
         models.model_from_dict(doc | {"f": ["sin(1e200*1e200*x1)"]})
-    # -1/3 + 0.1/3 has a numerator of 55 significant bits, not a float
-    with pytest.raises(ValueError, match=re.escape("monomial cos(-0.3*x1) has no exact text")):
-        models.model_from_dict(doc | {"f": ["sin(-x1/3 + 0.1*x1/3)"]})
+
+
+def test_theta_coefficient_whose_numerator_is_not_a_float_loads():
+    # -1/3 + 0.1/3 has a numerator of 55 significant bits, not a float: the
+    # theta text writes it as a sum of two ints that are
+    f = "sin(-x1/3 + 0.1*x1/3)"
+    bundle = models.model_from_dict({"kind": "nonlinear", "dim": 1, "f": [f],
+                                     "box": {"lower": [-1], "upper": [1]}})
+    assert bundle.theta_exprs == ["cos((-(32425917317067568 + 3)/108086391056891904)*x1)"]
+    (monomial, c), = gradient(normal_form(parse_expression(f, 1)))[0].items()
+    assert c == (Fraction(-1) + Fraction(0.1)) / 3
+    assert normal_form(parse_expression(bundle.theta_exprs[0], 1)) == {monomial: 1}
+    (lo, hi), = bundle.model.bounds(bundle.box)
+    X = bundle.box.sample(np.random.default_rng(0), 200)
+    assert all(lo <= bundle.model.theta(x)[0] <= hi for x in [bundle.box.lower, *X])
+
+
+@pytest.mark.parametrize("c", [Fraction(2**120 + 2**60 + 1, 3**40), Fraction(-(3**40), 7),
+                               Fraction(2**1023 + 1, 3)])
+def test_monomial_text_writes_wide_coefficients_exactly(c):
+    # a numerator or denominator wider than a float is a sum of floats, as
+    # many as its bits need
+    arg = frozenset({(frozenset({(("x", 0), 1)}), c)})
+    monomial = frozenset({(("sin", arg), 1)})
+    assert normal_form(parse_expression(monomial_text(monomial), 1)) == {monomial: 1}
 
 
 def test_exact_envelope_accepts_builtins_and_closed_loops():

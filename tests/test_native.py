@@ -17,7 +17,7 @@ from test_sim import (compiler, example25_closed_loop, native_cache, native_load
                       trace_bytes)
 
 from kcontract import cli, models, native, sim, stepper
-from kcontract.expressions import compile_model, parse_expression, rate_of
+from kcontract.expressions import compile_model, parse_expression
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,7 +75,7 @@ def test_builtins_and_their_k_n_compound_match_the_python_loop(tmp_path, name):
 def test_block_runs_in_one_c_call(tmp_path):
     # every row of a block runs in one C call, with the bytes of the Python
     # twin's rows
-    rate = rate_of(models.builtin("rossler_mod").model.f)
+    rate = models.builtin("rossler_mod").model.f
     X = np.array([[0.1, 0.2, 0.3], [-0.49835108, 0.89350589, -0.31067962], [0.3, 0.2, 0.1]])
     with native_cache(tmp_path):
         for every in (1, 7, 5000):
@@ -203,7 +203,7 @@ def test_rows_run_to_the_shared_stop_step_and_a_truncation_lowers_it(tmp_path):
     # when it starts, and rossler_mod's row that overflows at step 2820
     # lowers it to its last record's step, so the rows after it, of this
     # slice or of another, stop there as well
-    rate = rate_of(models.builtin("rossler_mod").model.f)
+    rate = models.builtin("rossler_mod").model.f
     form = native.c_source(rate)
     with native_cache(tmp_path):
         fn = native.load(form.source, build=True)
@@ -224,10 +224,9 @@ def test_more_slices_than_cores_keep_the_bytes(tmp_path):
     # different slices, with thread switches forced often: each run gives
     # the bytes of one call
     bundle = models.builtin("rossler_mod")
-    f, X = bundle.model.f, bundle.box.sample(np.random.default_rng(2), 16)
+    rate, X = bundle.model.f, bundle.box.sample(np.random.default_rng(2), 16)
     X[5], X[12] = OVERFLOWS[2820], OVERFLOWS[2532]
     interval, threads = sys.getswitchinterval(), threading.active_count()
-    rate = rate_of(f)
     with native_cache(tmp_path), pytest.MonkeyPatch.context() as m:
         m.setattr(native, "SPLIT_MIN_ROW_STEPS", 10**12)
         want = native.rk4(rate, X, 3000, 1e-3, 1)
@@ -248,7 +247,7 @@ def test_more_slices_than_cores_keep_the_bytes(tmp_path):
 @needs_cc
 def test_thread_count_is_capped_and_planned_only_for_large_blocks(tmp_path):
     # no real thread is started: RecordedThread runs each slice in this thread
-    rate = rate_of(models.builtin("synchronverter").model.f)
+    rate = models.builtin("synchronverter").model.f
     X = models.builtin("synchronverter").box.sample(np.random.default_rng(4), 64)
     with native_cache(tmp_path), pytest.MonkeyPatch.context() as m:
         want = native.rk4(rate, X, 100, 1e-3, 7)
@@ -311,7 +310,7 @@ def test_compound_rates_run_as_c_with_the_bytes_of_the_python_twin(compound_cach
             assert got[1].tobytes() == want[1].tobytes()
             assert got[2] == want[2] == (name == "rossler_mod")
         compound = sim.integrate_compound(bundle.model, X[1], V0, k, 0.5, 1e-3, 3)
-        assert native_loaded(rate.function())
+        assert native_loaded(rate)
     with pytest.MonkeyPatch.context() as m:
         m.setenv("CC", "false")
         assert trace_bytes(compound) == trace_bytes(
@@ -390,7 +389,7 @@ def test_cold_cache_simulate_compound_builds_its_object(tmp_path, capsys):
         assert cli.main(["simulate", "--model", str(path), "--x0", "0.2,0.5,0", "--t", "2",
                          "--compound", "2"]) == 0
         assert len(list(cache.glob("*.so"))) == 1
-        assert native_loaded(stepper.compound_rate(models.builtin("rossler").model, 2).function())
+        assert native_loaded(stepper.compound_rate(models.builtin("rossler").model, 2))
     capsys.readouterr()
     # every built-in compound with N > 1 is built from a run of 1000 steps on
     for name, k in COMPOUNDS:
@@ -400,7 +399,7 @@ def test_cold_cache_simulate_compound_builds_its_object(tmp_path, capsys):
 
 def test_c_form_covers_the_language_and_the_compound_matmul():
     model = models.builtin("synchronverter").model
-    assert native.c_source(rate_of(model.f)).gemv == (None, None)
+    assert native.c_source(model.f).gemv == (None, None)
     assert native.c_source(stepper.compound_rate(model, 4)).gemv == (None, None)  # k = n
     # Jy = array(...) @ ...: numpy's own dgemv, where gemv finds and probes it
     form = native.c_source(stepper.compound_rate(model, 2))
@@ -426,8 +425,8 @@ def test_c_form_covers_the_language_and_the_compound_matmul():
                                   (("t = x0",), ("t + y",), {})):
         assert native.c_source(stepper.Rate(1, lines, outputs, names)) is None
     # constants are read at call time: one source for any parameter values
-    a = native.c_source(rate_of(scalar_model("2.5*x1 - x1^3")))
-    b = native.c_source(rate_of(scalar_model("1.5*x1 - x1^2")))
+    a = native.c_source(scalar_model("2.5*x1 - x1^3"))
+    b = native.c_source(scalar_model("1.5*x1 - x1^2"))
     assert a == b and a[1] == ("c0", "c1")
 
 

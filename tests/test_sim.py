@@ -16,7 +16,7 @@ from test_expressions import assert_rows_run_as_integrate, node_trees, ref_eval_
 
 from kcontract import compound as cp
 from kcontract import models, native, reproduce, sim, stepper
-from kcontract.expressions import compile_model, parse_expression, rate_of
+from kcontract.expressions import compile_model, parse_expression
 from kcontract.nl_verify import Box, NonlinearModel
 
 
@@ -60,7 +60,7 @@ def native_cache(path):
 def native_loaded(f):
     """Whether the C loop of f's Rate is at hand, loaded in this process or
     cached, so that stepper.run runs it for f without building."""
-    return native.load(native.c_source(rate_of(f))[0], build=False) is not None
+    return native.load(native.c_source(f)[0], build=False) is not None
 
 
 def trace_bytes(tr):
@@ -166,7 +166,7 @@ def test_native_loops_match_numpy_oracle_bytes(tmp_path_factory, model, data):
     # test_native.py runs their C form on every built-in.
     with native_cache(tmp_path_factory.mktemp("cache")), pytest.MonkeyPatch.context() as m:
         m.setattr(native, "gemv", lambda: None)
-        native.load(native.c_source(rate_of(model.f))[0], build=True)
+        native.load(native.c_source(model.f)[0], build=True)
         assert native_loaded(model.f)
         check_loops_against_numpy_oracle(model, data)
 
@@ -202,7 +202,7 @@ def test_single_compound_entry_gives_the_bytes_of_numpy_matmul(n):
     A1[0, 0] = 1.0
     model = NonlinearModel(dim=n, f=f, A0=np.zeros((n, n)), terms=[A1], theta=theta,
                            bounds=None)
-    rate = stepper.compound_rate(model, n).function()
+    rate = stepper.compound_rate(model, n)
     with np.errstate(all="ignore"):
         for x1, y in EDGE_STATES:
             z = np.array([x1, *np.linspace(0.5, -0.25, n - 1), y])
@@ -279,7 +279,7 @@ def test_emitted_code_stays_small_for_large_dimensions():
     model = chain(6)
     emitted = {k: stepper.compound_rate(model, k) for k in range(1, 7)}
     assert [k for k, rate in emitted.items() if rate is not None] == [1, 5, 6]
-    assert max(len(rate.function().__code__.co_code)
+    assert max(len(rate._compiled.__code__.co_code)
                for rate in emitted.values() if rate) < 2048
     assert len(stepper.array_rk4(lambda x: -x).__code__.co_code) < 2048
     A = -np.eye(2000)
@@ -444,7 +444,7 @@ def test_compound_rate_that_differs_at_the_initial_state_is_not_run(tmp_path, cc
         for k in (1, 2, 3):
             V0 = np.eye(3)[:, :k]
             z0 = np.concatenate([x0, cp.multiplicative_compound(V0, k).ravel()])
-            assert negated(model, k).function()(z0)[0] == -emitted(model, k).function()(z0)[0]
+            assert negated(model, k)(z0)[0] == -emitted(model, k)(z0)[0]
             got = sim.integrate_compound(model, x0, V0, k, 0.5)
             assert trace_bytes(got) == trace_bytes(oracle_compound(model, x0, V0, k, 0.5))
     assert list(cache.glob("*.so")) == []
