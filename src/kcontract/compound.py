@@ -32,24 +32,12 @@ def _check_dimension(n: int, k: int):
                          f"C({n},{k}) = {comb(n, k)}, above {MAX_COMPOUND_DIM}")
 
 
-def _minor(Q, rows, cols) -> float:
-    sub = Q[np.ix_(rows, cols)]
-    m = len(rows)
-    if m == 1:
-        return sub[0, 0]
-    if m == 2:
-        return sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
-    if m == 3:
-        return (
-            sub[0, 0] * (sub[1, 1] * sub[2, 2] - sub[1, 2] * sub[2, 1])
-            - sub[0, 1] * (sub[1, 0] * sub[2, 2] - sub[1, 2] * sub[2, 0])
-            + sub[0, 2] * (sub[1, 0] * sub[2, 1] - sub[1, 1] * sub[2, 0])
-        )
-    return float(np.linalg.det(sub))  # LU with partial pivoting
-
-
 def multiplicative_compound(Q, k: int) -> np.ndarray:
-    """k-th multiplicative compound: entry (I, J) is the minor with rows I, cols J."""
+    """k-th multiplicative compound: entry (I, J) is the minor with rows I, cols J.
+
+    Each column of minors is one LAPACK determinant call (LU with partial
+    pivoting) on the (C(m, k), k, k) stack of the row subsets of columns J,
+    so a frame of identity columns gives exact 0 and +-1."""
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2:
         raise ValueError("expected a 2-d matrix")
@@ -58,12 +46,10 @@ def multiplicative_compound(Q, k: int) -> np.ndarray:
     if k == 1:
         return Q.copy()
     _check_dimension(max(m, n), k)
-    rows = list(combinations(range(m), k))
-    cols = list(combinations(range(n), k))
-    out = np.empty((len(rows), len(cols)))
-    for i, r in enumerate(rows):
-        for j, c in enumerate(cols):
-            out[i, j] = _minor(Q, r, c)
+    rows = np.array(list(combinations(range(m), k)))
+    out = np.empty((len(rows), comb(n, k)))
+    for j, cols in enumerate(combinations(range(n), k)):
+        out[:, j] = np.linalg.det(Q[:, cols][rows])
     return out
 
 

@@ -4,7 +4,10 @@ disk and loaded through ctypes.
 c_source writes stepper's float loop as C from the Rate's Python source,
 through ast, with the same stages and update (stepper.step_lines), as one
 entry point, kcontract_rk4, that runs an (m, dim) block of rows as
-stepper.python_rk4 runs them; rk4 runs it in that twin's place.
+stepper.python_rk4 runs them; rk4 runs it in that twin's place, with its
+contract: it fills the states stepper.run allocated and returns the step
+the block ended at. stepper.run alone computes the record times and trims
+a truncated run.
 
 A compound rate with N = C(n, k) > 1 forms J^[k] y as one numpy matmul,
 whose bytes no summation order written in C gives. Its C form calls the
@@ -19,7 +22,7 @@ A block of SPLIT_MIN_ROW_STEPS row-steps or more is split into contiguous
 row slices, one a thread (stepper.threads(): the usable cores, at most
 stepper.MAX_THREADS), each through kcontract_rk4, which takes the full
 block's row count as its record stride, so every slice writes its own rows
-of the one states array and its own times. The slices run through
+of the one states array. The slices run through
 stepper.concurrently, the calling thread among them, and ctypes releases
 the GIL for each call. The slices share one stop step:
 a row runs to the step it reads there when it starts, and a row that
@@ -67,7 +70,7 @@ from .stepper import concurrently, step_lines, threads
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC")
 LIBS = ("-lm",)
 _ARGTYPES = (ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_double, ctypes.c_long,
-             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
              ctypes.POINTER(ctypes.c_long))
 _DIGEST = hashlib.sha256().digest_size
 
@@ -168,24 +171,21 @@ static int py_pow(double v, double w, double *out)
     return 0;
 }}
 
-/* the run from the one row z: its record r goes to times[r] and to
+/* the run from the one row z: its record r goes to
    states[r * stride:r * stride + DIM], and the number of records is
    returned, negated when the run truncated */
 static long run(const double *z, long n_steps, double h, long record_every,
-                const double *p, gemv32 g32, gemv64 g64, double *times, double *states,
-                long stride)
+                const double *p, gemv32 g32, gemv64 g64, double *states, long stride)
 {{
     const double half = 0.5 * h, sixth = h / 6.0;
     double {declare};
     long i, rows = 1;
-    times[0] = 0.0;
 {load}
     for (i = 1; i <= n_steps; i++) {{
 {stages}
 {update}
         if (!({finite})) return -rows;
         if (i % record_every == 0 || i == n_steps) {{
-            times[rows] = i * h;
 {record}
             rows++;
         }}
@@ -201,13 +201,12 @@ fail:
    *stop to its last record's step by an atomic min, so later rows, of this
    slice or of another slice of the block, run only to that step. */
 void kcontract_rk4(const double *z, long m, long block_rows, double h, long record_every,
-                   const double *p, gemv32 g32, gemv64 g64, double *times, double *states,
-                   long *stop)
+                   const double *p, gemv32 g32, gemv64 g64, double *states, long *stop)
 {{
     long j, got, last, now;
     for (j = 0; j < m; j++) {{
         got = run(z + j * {dim}, __atomic_load_n(stop, __ATOMIC_RELAXED), h, record_every, p,
-                  g32, g64, times, states + j * {dim}, block_rows * {dim});
+                  g32, g64, states + j * {dim}, block_rows * {dim});
         if (got < 0) {{
             last = (-got - 1) * record_every;
             now = __atomic_load_n(stop, __ATOMIC_RELAXED);
@@ -413,13 +412,22 @@ def _c_source(dim: int, lines: tuple, outputs: tuple, kinds: tuple):
     return source, tuple(params), bool(vectors), size
 
 
-def rk4(rate, block, n_steps: int, h: float, record_every: int):
-    """The C form of rate's loop on a nonempty (m, rate.dim) block of rows:
-    stepper.python_rk4's results, with times and states as arrays; None when
-    rate has no C form or no object is at hand. The object is loaded from
-    this process or the cache or, from an estimated Python-loop cost of
-    NATIVE_MIN_COST on (row-steps x the Rate's size), built now. A block of
-    SPLIT_MIN_ROW_STEPS row-steps or more runs as threads() row slices."""
+def rk4(rate, block, n_steps: int, h: float, record_every: int, states):
+    """The C form of rate's loop on an (m, rate.dim) block of rows, as
+    stepper.python_rk4 runs it: it fills the C-contiguous (n_records, m,
+    dim) states and returns the step the block ended at; None, with states
+    untouched, when rate has no C form or no object is at hand. The object
+    is loaded from this process or the cache or, from an estimated
+    Python-loop cost of NATIVE_MIN_COST on (row-steps x the Rate's size),
+    built now. A block of SPLIT_MIN_ROW_STEPS row-steps or more runs as
+    threads() row slices. A block or states of another shape, dtype or
+    layout raises ValueError."""
+    z = np.ascontiguousarray(block, dtype=float)
+    m = len(z)
+    if (z.shape != (m, rate.dim) or states.dtype != np.float64 or not states.flags.c_contiguous
+            or states.shape != (1 + -(-n_steps // record_every), *z.shape)):  # what C writes
+        raise ValueError(f"an (m, {rate.dim}) block runs into C-contiguous float states of "
+                         f"shape (records, m, {rate.dim}); got {z.shape} and {states.shape}")
     form = c_source(rate)
     if form is None:
         return None
@@ -427,31 +435,22 @@ def rk4(rate, block, n_steps: int, h: float, record_every: int):
         p = np.array([float(rate.names[name]) for name in form.params])
     except OverflowError:  # an int beyond the float range, on which Python raises
         return None
-    m = len(block)
     fn = load(form.source, build=m * n_steps * form.size >= NATIVE_MIN_COST)
     if fn is None:
         return None
-    z = np.ascontiguousarray(block, dtype=float)
-    rows = 1 + -(-n_steps // record_every)
-    states = np.empty((rows, *z.shape))
     parts = min(threads(), m) if m * n_steps >= SPLIT_MIN_ROW_STEPS else 1
     bounds = [m * i // parts for i in range(parts + 1)]
-    times, stop = [np.empty(rows) for _ in range(parts)], ctypes.c_long(n_steps)
+    stop = ctypes.c_long(n_steps)
 
     def run(i):
-        # slice i: it holds z, states and times, the buffers the C call
+        # slice i: it holds z and states, the buffers the C call reads and
         # writes, until that call returns
         start = bounds[i]
-        fn(z[start].ctypes.data, bounds[i + 1] - start, m, h, record_every, p.ctypes.data,
-           *form.gemv, times[i].ctypes.data, states[0, start].ctypes.data, ctypes.byref(stop))
+        fn(z[start:].ctypes.data, bounds[i + 1] - start, m, h, record_every, p.ctypes.data,
+           *form.gemv, states[0, start:].ctypes.data, ctypes.byref(stop))
 
     concurrently(functools.partial(run, i) for i in range(parts))
-    if stop.value == n_steps:
-        return times[0], states, False
-    # truncated: the batch ends at the record of the stop step, and is
-    # trimmed to a copy, so the full buffers are freed
-    count = stop.value // record_every + 1
-    return times[0][:count].copy(), states[:count].copy(), True
+    return stop.value
 
 
 @functools.cache

@@ -75,11 +75,12 @@ def data_slack(doc: dict) -> float:
     return 1e-2 if printed else 0.0
 
 
-def compound_constant_check(bundle, seed=0, count=100, expected=-0.5, k=3):
-    """Max deviation of the k-th additive compound of the Jacobian from a constant."""
-    rng = np.random.default_rng(seed)
-    J = np.array([bundle.model.jacobian(x) for x in bundle.box.sample(rng, count)])
-    return float(np.abs(additive_compound(J, k) - expected).max(initial=0.0))
+def compound_constant_check(bundle):
+    """max |J^[3] + 0.5| over the bundle's box: J^[3] is affine in the
+    envelope parameters theta, so its largest deviation on the box of theta
+    is at a vertex of it (nv.envelope_vertices)."""
+    J = nv.envelope_vertices(bundle.model, bundle.box)
+    return float(np.abs(additive_compound(J, 3) + 0.5).max())
 
 
 # derive_attractor_box's reference run, t in [0, 400] at h = 1e-2, and the
@@ -126,9 +127,10 @@ def _attractor_labels(field, starts, t_end):
 
 def reproduce_rossler(seed: int = 0, t_classify: float = 500.0) -> dict:
     """Chaotic example: constant third-compound trace, exact compound decay,
-    no simple attractor, and no constant-metric certificate."""
+    no simple attractor, and no constant-metric certificate. seed is taken
+    as every bundle takes it; this one draws no sample."""
     bundle = models.builtin("rossler")
-    dev = compound_constant_check(bundle, seed=seed)
+    dev = compound_constant_check(bundle)
 
     x0 = np.array([0.1, 0.1, 0.0])
     (a, b, rel), ([label], [tr]) = stepper.concurrently([
@@ -162,7 +164,8 @@ def reproduce_rossler(seed: int = 0, t_classify: float = 500.0) -> dict:
 def reproduce_rossler_mod(seed: int = 0, classify: bool = True) -> dict:
     """Cubic variant: derived attractor box, reference certificate check plus
     the packaged re-solved pair at zero slack, exact rate budget, compound
-    decay, and attractor labels."""
+    decay, and attractor labels. seed is taken as every bundle takes it;
+    this one draws no sample."""
     bundle = models.builtin("rossler_mod")
     doc = load_data("rossler_mod_cert.json")
     printed = cert_from_data(doc)
@@ -184,7 +187,7 @@ def reproduce_rossler_mod(seed: int = 0, classify: bool = True) -> dict:
 
     rate = printed.rate_sum
     checks = {
-        "compound_trace_constant": compound_constant_check(bundle, seed=seed) <= 1e-12,
+        "compound_trace_constant": compound_constant_check(bundle) <= 1e-12,
         "rate_budget_exact": abs(rate - (-0.05)) <= 1e-12,
         "resolved_accepted_at_zero_slack": resolved_report.verdict,
         "compound_decay_rate": abs(a - 0.5) <= 1e-3,

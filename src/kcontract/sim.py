@@ -117,7 +117,7 @@ def integrate(field, x0, t_end: float, h: float = 1e-3, record_every: int = 1) -
     if z.ndim != 1:
         raise ValueError(f"x0 must be one state, a 1-d array, got shape {z.shape}")
     times, states, truncated = stepper.run(field, z, n_steps, h, record_every)
-    return Trace(np.asarray(times), np.asarray(states), truncated=truncated)
+    return Trace(times, np.asarray(states), truncated=truncated)
 
 
 def integrate_batch(field, X0, t_end: float, h: float = 1e-3, record_every: int = 1):
@@ -143,7 +143,7 @@ def integrate_batch(field, X0, t_end: float, h: float = 1e-3, record_every: int 
         raise ValueError(f"{len(X)} rows x {n_steps} steps exceeds the cap of "
                          f"{MAX_BATCH_ROW_STEPS} row-steps")
     times, states, _ = stepper.run(field, X, n_steps, h, record_every)
-    return np.asarray(times), np.asarray(states)
+    return times, np.asarray(states)
 
 
 def integrate_compound(model: NonlinearModel, x0, V0, k: int, t_end: float,

@@ -7,14 +7,17 @@ over Python float locals, so no ndarray is built and no function is
 called per stage. Any other field is called once per stage on the whole
 state, one row or a block, as one ndarray (array_rk4).
 
-run is the one call that runs a field, and the one place that checks a
-state against a Rate. A Rate runs one shape, a nonempty (m, dim) block of
-rows, each row its own run, by one of two runners with one signature,
-(rate, block, n_steps, h, record_every): native.rk4, the C form of the
-float loop (the same stages and update, step_lines, as C with Python's
-float semantics spelled out per operation), when the Rate has one and an
-object is at hand, or else python_rk4, the float loop row by row, which is
-the oracle the C bytes are tested against.
+run is the one call that runs a field, the one place that checks a state
+against a Rate, and the one owner of a run's records: their times
+(record_times), the states and the trim of a truncated run. A Rate runs
+one shape, an (m, dim) block of rows, each row its own run, by one of two
+runners with one contract, (rate, block, n_steps, h, record_every, states)
+-> stop, each filling its rows of states and returning the step the block
+ended at: native.rk4, the C form of the float loop (the same stages and
+update, step_lines, as C with Python's float semantics spelled out per
+operation), when the Rate has one and an object is at hand, or else
+python_rk4, the float loop row by row, which is the oracle the C bytes are
+tested against.
 
 concurrently is the one fan-out onto threads: native.rk4 runs the row
 slices of a large block through it, and reproduce the independent runs of a
@@ -44,23 +47,24 @@ def rk4(z, n_steps, h, record_every, *, {bound}):
     half, sixth = 0.5 * h, h / 6.0
     z = {load}
     {state} = z
-    times, states = [0.0], [z]
+    states = [z]
     for i in range(1, n_steps + 1):
         try:
 {stages}
         except ArithmeticError:
-            return times, states, True
+            break
         except ValueError as error:
             if error.args != ("math domain error",):
                 raise
-            return times, states, True
+            break
 {update}
         if not ({finite}):
-            return times, states, True
+            break
         if i % record_every == 0 or i == n_steps:
-            times.append(i * h)
             states.append({state})
-    return times, states, False
+    else:
+        return states, n_steps
+    return states, (len(states) - 1) * record_every
 """
 _STAGE = "{s} + {step} * {k}"
 _UPDATE = "{s} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
@@ -83,7 +87,9 @@ def step_lines(parts, stage, end: str = ""):
 
 def _emit_rk4(parts, stage, names: dict, *, load: str, state: str, finite: str):
     """The RK4 loop, compiled: rk4(z, n_steps, h, record_every) returns
-    (times, states, truncated) as lists.
+    (states, stop), the recorded states as a list and the step the run
+    ended at: n_steps, or where a state turned non-finite, its last
+    record's step.
 
     The state is held in the locals s<p> for p in parts: the one ndarray s
     for parts [""], the floats s0..s<dim-1> for parts range(dim). stage(out)
@@ -122,26 +128,26 @@ def array_rk4(field):
                      load="array(z, dtype=float)", state="s", finite="isfinite(s).all()")
 
 
-def python_rk4(rate, block, n_steps: int, h: float, record_every: int):
-    """rate's float loop on each row of a nonempty (m, rate.dim) block in
-    turn, into states of shape (n_samples, m, dim): the Python twin of
-    native.rk4, and the oracle its bytes are tested against. The first row
-    that truncates ends the block at its last record, so later rows run only
-    to that record's step."""
+def python_rk4(rate, block, n_steps: int, h: float, record_every: int, states):
+    """rate's float loop on each row j of an (m, rate.dim) block in turn,
+    its records into states[:, j] of the (n_records, m, dim) states: the
+    Python twin of native.rk4, and the oracle its bytes are tested against.
+    Returns the step the block ended at: n_steps, or, once a row truncates,
+    its last record's step, to which later rows run."""
     s = [f"s{i}" for i in range(rate.dim)]
     row_rk4 = _emit_rk4(range(rate.dim), rate.stage, {"isfinite": math.isfinite, **rate.names},
                         load="asarray(z, dtype=float).tolist()", state=f"[{', '.join(s)}]",
                         finite=" and ".join(f"isfinite({si})" for si in s))
-    runs, truncated = [], False
-    for row in block:
-        times, states, failed = row_rk4(row, n_steps, h, record_every)
-        runs.append(states)
-        if failed:
-            truncated, n_steps = True, (len(times) - 1) * record_every
-    states = np.empty((len(times), *block.shape))
-    for j, run_states in enumerate(runs):
-        states[:, j] = run_states[:len(times)]
-    return times, states, truncated
+    for j, row in enumerate(block):
+        records, n_steps = row_rk4(row, n_steps, h, record_every)
+        states[:len(records), j] = records
+    return n_steps
+
+
+def record_times(n_steps: int, h: float, record_every: int):
+    """The times a run of n_steps records, i * h for step 0, every
+    record_every-th step and n_steps."""
+    return np.append(np.arange(0, n_steps, record_every), n_steps) * h
 
 
 def run(field, z, n_steps: int, h: float, record_every: int):
@@ -152,30 +158,34 @@ def run(field, z, n_steps: int, h: float, record_every: int):
     A field that is a Rate (such as a compiled model's f, seen through
     _traced wrappers) runs a (dim,) state or an (m, dim) block, dim being
     both the Rate's dimension and its number of outputs: any other shape
-    raises ValueError before any step. It runs as
-    a block of rows, a state as a one-row block, by native.rk4 or, where
-    that has no object, python_rk4; an empty block gives the run's record
-    times and no states. Any other field runs array_rk4 on z."""
+    raises ValueError before any step. It runs as a block of rows, a state
+    as a one-row block, by native.rk4 or, where that has no object,
+    python_rk4. Any other field runs array_rk4 on z. The runner returns the
+    step the run ended at; the times are record_times up to it, and a
+    truncated run is trimmed to copies."""
     z = np.asarray(z, dtype=float)
     record_every = int(record_every)
     rate = _unwrap(field)
+    times = record_times(n_steps, h, record_every)
     with np.errstate(over="ignore", invalid="ignore"):
         if not isinstance(rate, Rate):
-            return array_rk4(field)(z, n_steps, h, record_every)
-        if not (z.ndim in (1, 2) and z.shape[-1] == rate.dim == len(rate.outputs)):
+            states, stop = array_rk4(field)(z, n_steps, h, record_every)
+        elif not (z.ndim in (1, 2) and z.shape[-1] == rate.dim == len(rate.outputs)):
             # the C loop reads and writes dim floats a row
             raise ValueError(f"a field with a Rate runs an (n,) state or an (m, n) block of rows, "
                              f"n its dimension and its output count, here {rate.dim} and "
                              f"{len(rate.outputs)}; got shape {z.shape}")
-        block = z.reshape(-1, rate.dim)
-        if not len(block):
-            times = [0.0, *(i * h for i in range(1, n_steps + 1)
-                            if i % record_every == 0 or i == n_steps)]
-            return times, np.empty((len(times), *z.shape)), False
-        from . import native  # the C form and its compiler: on the first Rate run only
-        times, states, truncated = (native.rk4(rate, block, n_steps, h, record_every)
-                                    or python_rk4(rate, block, n_steps, h, record_every))
-    return times, states.reshape(len(times), *z.shape), truncated
+        else:
+            from . import native  # the C form and its compiler: on the first Rate run only
+            block, states = z.reshape(-1, rate.dim), np.empty((len(times), *z.shape))
+            rows = states.reshape(len(times), *block.shape)  # a view: the runners fill states
+            stop = native.rk4(rate, block, n_steps, h, record_every, rows)
+            if stop is None:
+                stop = python_rk4(rate, block, n_steps, h, record_every, rows)
+    if stop < n_steps:  # truncated: trimmed to copies, so the full buffers are freed
+        count = stop // record_every + 1
+        times, states = times[:count].copy(), states[:count].copy()
+    return times, states, stop < n_steps
 
 
 MAX_THREADS = 8

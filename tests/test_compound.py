@@ -67,6 +67,22 @@ def test_multiplicative_matches_minor_oracle_k4():
     assert np.allclose(cp.multiplicative_compound(Q, 4), minors_oracle(Q, 4), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_identity_column_frames_give_exact_signed_unit_compounds(n):
+    # the frames sim.integrate_compound is given: the compound is +-1 at the
+    # sorted columns' subset, by the sign of the order they come in, and +0.0
+    # elsewhere, with no -0.0
+    from itertools import combinations
+    for k in range(1, n + 1):
+        subsets = list(combinations(range(n), k))
+        for cols in (list(range(k)), list(range(n - k, n)), [*range(1, n, 2), *range(0, n, 2)][:k][::-1]):
+            inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+            want = np.zeros((len(subsets), 1))
+            want[subsets.index(tuple(sorted(cols))), 0] = (-1.0) ** inversions
+            got = cp.multiplicative_compound(np.eye(n)[:, cols], k)
+            assert got.tobytes() == want.tobytes(), (n, k, cols)
+
+
 def additive_loop_oracle(Q, k):
     """The closed form entry by entry, as a loop over index subsets."""
     from itertools import combinations

@@ -27,6 +27,19 @@ def scalar_model(text):
     return compile_model(1, [parse_expression(text, 1)], [])[0]
 
 
+def run_block(runner, rate, block, n_steps, every, h=1e-3):
+    """(stop, records) of a runner, native.rk4 or stepper.python_rk4, on
+    block: the step it returns and the records up to that step, of states
+    that start as NaN."""
+    states = np.full((len(stepper.record_times(n_steps, h, every)), *block.shape), np.nan)
+    stop = runner(rate, block, n_steps, h, every, states)
+    return stop, states[:1 + -(-stop // every)]
+
+
+def reached(*args):
+    raise AssertionError("a runner was reached")
+
+
 def python_trace(f, x0, t_end, h=1e-3, record_every=1):
     """sim.integrate of f on the Python loop: the compiler hidden."""
     with pytest.MonkeyPatch.context() as m:
@@ -49,7 +62,7 @@ def test_float_failures_truncate_as_in_python(tmp_path, text, x0, steps):
     assert trace_bytes(got) == trace_bytes(python_trace(f, [x0], 0.1))
     assert len(got) == steps and got.truncated == (steps == 1)
     # a truncated run is trimmed to a copy: the one row of it is all its memory
-    assert got.states.base.size == got.states.size
+    assert got.states.base is None
 
 
 @needs_cc
@@ -79,12 +92,10 @@ def test_block_runs_in_one_c_call(tmp_path):
     X = np.array([[0.1, 0.2, 0.3], [-0.49835108, 0.89350589, -0.31067962], [0.3, 0.2, 0.1]])
     with native_cache(tmp_path):
         for every in (1, 7, 5000):
-            got = native.rk4(rate, X, 5000, 1e-3, every)
-            want = stepper.python_rk4(rate, X, 5000, 1e-3, every)
-            assert got[0].tobytes() == np.asarray(want[0]).tobytes()
+            got = run_block(native.rk4, rate, X, 5000, every)
+            want = run_block(stepper.python_rk4, rate, X, 5000, every)
+            assert got[0] == want[0] < 5000  # truncated
             assert got[1].tobytes() == want[1].tobytes() and got[1].shape[1:] == (3, 3)
-            assert got[2] and want[2]
-            assert got[1].base is None  # trimmed to a copy
 
 
 @needs_cc
@@ -92,10 +103,6 @@ def test_a_state_of_another_shape_reaches_neither_runner(tmp_path):
     # the C loop reads dim floats a row and writes rows * dim a record: a
     # state of any other shape must be refused before it, as before its twin
     f = models.builtin("rossler").model.f
-
-    def reached(*args):
-        raise AssertionError("a runner was reached")
-
     with native_cache(tmp_path):
         sim.integrate(f, np.zeros(3), 0.01)  # built now
         assert native_loaded(f)
@@ -110,11 +117,46 @@ def test_a_state_of_another_shape_reaches_neither_runner(tmp_path):
                     stepper.run(f, np.zeros(shape), 10, 1e-3, 1)
 
 
+def test_native_rk4_checks_the_buffers_it_would_hand_the_c_loop():
+    f = models.builtin("rossler").model.f
+    for block, states in ((np.zeros((2, 2)), np.zeros((11, 2, 2))),
+                          (np.zeros(3), np.zeros((11, 3))),
+                          (np.zeros((2, 3)), np.zeros((10, 2, 3))),
+                          (np.zeros((2, 3)), np.zeros((11, 2, 3), dtype=np.float32)),
+                          (np.zeros((2, 3)), np.zeros((11, 3, 2)).transpose(0, 2, 1))):
+        with pytest.raises(ValueError, match="C-contiguous float"):
+            native.rk4(f, block, 10, 1e-3, 1, states)
+
+
 # rossler_mod rows that overflow, a py_pow failure (read through errno, which
 # is thread-local), by the step at which they do: the second is the first
 # scaled by 1.1
 OVERFLOWS = {2820: np.array([-0.49835108, 0.89350589, -0.31067962])}
 OVERFLOWS[2532] = OVERFLOWS[2820] * 1.1
+
+
+@pytest.mark.parametrize("cc", ["cc", "false"])
+def test_run_owns_the_records_of_either_runner(tmp_path, cc):
+    # stepper.run computes the record times, allocates the states and trims
+    # a truncated block to a copy: an empty, a full and a truncated block
+    # each get a prefix of record_times, whichever runner fills the states
+    rate = models.builtin("rossler_mod").model.f
+    X = np.array([[0.1, 0.2, 0.3], OVERFLOWS[2820]])
+    times = stepper.record_times(3000, 1e-3, 7)
+    assert times.tolist() == [i * 1e-3 for i in (*range(0, 3000, 7), 3000)]
+    with compiler(cc, tmp_path), pytest.MonkeyPatch.context() as m:
+        if cc == "cc":
+            m.setattr(stepper, "python_rk4", reached)  # every block runs as C
+        full = stepper.run(rate, X[:1], 3000, 1e-3, 7)
+        empty = stepper.run(rate, X[:0], 3000, 1e-3, 7)
+        cut = stepper.run(rate, X, 3000, 1e-3, 7)
+    for got, rows in ((full, 1), (empty, 0)):
+        assert got[0].tobytes() == times.tobytes() and not got[2]
+        assert got[1].shape == (len(times), rows, 3)
+    count = 2819 // 7 + 1  # the records up to the last one before step 2820
+    assert cut[0].tobytes() == times[:count].tobytes() and cut[2]
+    assert cut[1].shape == (count, 2, 3) and cut[1].base is None
+    assert cut[1][:, 0].tobytes() == full[1][:count, 0].tobytes()
 
 
 class RecordedThread:
@@ -211,9 +253,9 @@ def test_rows_run_to_the_shared_stop_step_and_a_truncation_lowers_it(tmp_path):
     X = np.array([OVERFLOWS[2820], [0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])
     for first, last in ((3000, 2819), (100, 100)):
         stop = ctypes.c_long(first)
-        times, states = np.full(3001, np.nan), np.full((3001, 3, 3), np.nan)
-        fn(X.ctypes.data, 3, 3, 1e-3, 1, p.ctypes.data, None, None, times.ctypes.data,
-           states.ctypes.data, ctypes.byref(stop))
+        states = np.full((3001, 3, 3), np.nan)
+        fn(X.ctypes.data, 3, 3, 1e-3, 1, p.ctypes.data, None, None, states.ctypes.data,
+           ctypes.byref(stop))
         assert stop.value == last
         assert not np.isnan(states[:last + 1, 1:]).any() and np.isnan(states[last + 1:, 1:]).all()
 
@@ -229,15 +271,14 @@ def test_more_slices_than_cores_keep_the_bytes(tmp_path):
     interval, threads = sys.getswitchinterval(), threading.active_count()
     with native_cache(tmp_path), pytest.MonkeyPatch.context() as m:
         m.setattr(native, "SPLIT_MIN_ROW_STEPS", 10**12)
-        want = native.rk4(rate, X, 3000, 1e-3, 1)
+        want = run_block(native.rk4, rate, X, 3000, 1)
         m.setattr(native, "SPLIT_MIN_ROW_STEPS", 1)
         m.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(10):
-                got = native.rk4(rate, X, 3000, 1e-3, 1)
-                assert len(got[0]) == 2532 and got[2]
-                assert got[0].tobytes() == want[0].tobytes()
+                got = run_block(native.rk4, rate, X, 3000, 1)
+                assert got[0] == want[0] == 2531 and len(got[1]) == 2532
                 assert got[1].tobytes() == want[1].tobytes()
         finally:
             sys.setswitchinterval(interval)
@@ -250,24 +291,23 @@ def test_thread_count_is_capped_and_planned_only_for_large_blocks(tmp_path):
     rate = models.builtin("synchronverter").model.f
     X = models.builtin("synchronverter").box.sample(np.random.default_rng(4), 64)
     with native_cache(tmp_path), pytest.MonkeyPatch.context() as m:
-        want = native.rk4(rate, X, 100, 1e-3, 7)
+        want = run_block(native.rk4, rate, X, 100, 7)
         m.setattr(threading, "Thread", RecordedThread)
         m.setattr(native, "SPLIT_MIN_ROW_STEPS", 64 * 100)
         for cores, rows, steps, planned in ((64, 64, 100, 7), (64, 3, 100 * 64 // 3 + 1, 2),
                                             (64, 64, 99, 0), (1, 64, 100, 0), (2, 64, 100, 1)):
             RecordedThread.planned.clear()
             m.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-            got = native.rk4(rate, X[:rows], steps, 1e-3, 7)
-            assert len(RecordedThread.planned) == planned
+            got = run_block(native.rk4, rate, X[:rows], steps, 7)
+            assert len(RecordedThread.planned) == planned and got[0] == steps
             if steps == 100:
-                assert got[0].tobytes() == want[0].tobytes()
                 assert got[1].tobytes() == want[1][:, :rows].tobytes()
         # without CPU affinity, the count is os.cpu_count(), or one thread
         m.delattr(os, "sched_getaffinity")
         for count, planned in ((64, 7), (None, 0)):
             RecordedThread.planned.clear()
             m.setattr(os, "cpu_count", lambda: count)
-            native.rk4(rate, X, 100, 1e-3, 7)
+            run_block(native.rk4, rate, X, 100, 7)
             assert len(RecordedThread.planned) == planned
 
 
@@ -304,11 +344,10 @@ def test_compound_rates_run_as_c_with_the_bytes_of_the_python_twin(compound_cach
     V0 = np.eye(n)[:, :k]
     with native_cache(compound_cache):
         for every in (1, 7):
-            got = native.rk4(rate, block, steps, 1e-3, every)
-            want = stepper.python_rk4(rate, block, steps, 1e-3, every)
-            assert got[0].tobytes() == np.asarray(want[0]).tobytes()
+            got = run_block(native.rk4, rate, block, steps, every)
+            want = run_block(stepper.python_rk4, rate, block, steps, every)
+            assert got[0] == want[0] and (got[0] < steps) == (name == "rossler_mod")
             assert got[1].tobytes() == want[1].tobytes()
-            assert got[2] == want[2] == (name == "rossler_mod")
         compound = sim.integrate_compound(bundle.model, X[1], V0, k, 0.5, 1e-3, 3)
         assert native_loaded(rate)
     with pytest.MonkeyPatch.context() as m:
@@ -337,10 +376,9 @@ def test_split_compound_block_gives_the_bytes_of_the_python_twin(compound_cache)
         m.setattr(native, "SPLIT_MIN_ROW_STEPS", 5 * 3000)
         m.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
         m.setattr(threading, "Thread", Counted)
-        got = native.rk4(rate, block, 3000, 1e-3, 7)
-    want = stepper.python_rk4(rate, block, 3000, 1e-3, 7)
-    assert len(started) == 2 and got[2] and want[2]
-    assert got[0].tobytes() == np.asarray(want[0]).tobytes()
+        got = run_block(native.rk4, rate, block, 3000, 7)
+    want = run_block(stepper.python_rk4, rate, block, 3000, 7)
+    assert len(started) == 2 and got[0] == want[0] < 3000
     assert got[1].tobytes() == want[1].tobytes()
 
 
