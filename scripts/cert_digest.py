@@ -10,7 +10,12 @@ similarity (pair midpoints and repeated real parts), and 50 systems with a
 complex pair plus a Jordan block. On each system it runs build_certificate,
 stabilizability_certificate, k_order_stabilizable and construct_W at
 mu = 0 and mu = -0.5, and hashes every result (ell, mus, ds, colinear and the
-matrix bytes) or, on rejection, the exception class. It also hashes the
+matrix bytes) or, on rejection, the exception class; each certificate
+build_certificate returns is verified at slack 0 and 1e-3 and the reports
+(verdict, margins, diagnostics, data) are hashed too. On the workload's 60
+systems it runs the analyze-lin, certify-lin (at the default slack and at
+1e-3), stabilizable and synth-lin (--rho 10) commands as the workload does
+and hashes each exit status and standard output. It also hashes the
 report of verify_nl_certificate, synthesize_nl_gain and
 verify_compound_condition on the packaged reference data. Equal digests mean
 byte-identical certificates and reports.
@@ -18,7 +23,11 @@ byte-identical certificates and reports.
 
 import argparse
 import hashlib
+import io
+import json
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,6 +42,10 @@ from kcontract import cli, models, nl_verify as nv, reproduce  # noqa: E402
 from workloads import LIN_ORDERS, LIN_SIZES, LIN_VARIANTS, shifted_system  # noqa: E402
 
 CONSTRUCT_MUS = (0.0, -0.5)
+VERIFY_SLACKS = (0.0, 1e-3)
+CLI_RUNS = {"analyze-lin": ("analyze-lin",), "certify-lin": ("certify-lin",),
+            "certify-lin --slack=1e-3": ("certify-lin", "--slack=1e-3"),
+            "stabilizable": ("stabilizable",), "synth-lin --rho 10": ("synth-lin", "--rho", "10")}
 
 
 def topk(A, k):
@@ -89,12 +102,17 @@ def jordan_system(rng):
     return A, B, int(rng.integers(1, n + 1))
 
 
-def corpus(seed):
+def workload_systems():
+    """(A, B, k) of the certify workload's 60 linear systems, in its order."""
     for n in LIN_SIZES:
         for k in LIN_ORDERS:
             for v in range(LIN_VARIANTS):
                 A, B = shifted_system(f"lin-n{n}-k{k}-v{v}", n, k)
                 yield A, B, k
+
+
+def corpus(seed):
+    yield from workload_systems()
     rng = np.random.default_rng(seed)
     for make, count in ((gaussian_system, 400), (half_integer_system, 150),
                         (jordan_system, 50)):
@@ -122,12 +140,15 @@ class Digest:
         except Exception as exc:  # the rejection class is part of the digest
             self.rejected += 1
             self.add(f"raise {type(exc).__name__}")
-            return
+            return None
         self.built += 1
         if isinstance(out, lc.ContractionCertificate):
             self.add([out.ell, out.mus, out.ds, out.colinear], *out.mats)
+        elif isinstance(out, lc.VerificationReport):
+            self.add([out.verdict, out.margins, out.diagnostics, out.data])
         else:
             self.add(out)
+        return out
 
 
 def digest_of(*items):
@@ -137,15 +158,33 @@ def digest_of(*items):
 
 
 def linear_digests(seed):
-    names = (["build_certificate", "stabilizability_certificate", "k_order_stabilizable"]
-             + [f"construct_W/mu={mu:g}" for mu in CONSTRUCT_MUS])
+    names = (["build_certificate", "verify_certificate", "stabilizability_certificate",
+              "k_order_stabilizable"] + [f"construct_W/mu={mu:g}" for mu in CONSTRUCT_MUS])
     digests = {name: Digest() for name in names}
     for A, B, k in corpus(seed):
-        digests["build_certificate"].run(lc.build_certificate, A, k)
+        cert = digests["build_certificate"].run(lc.build_certificate, A, k)
+        for slack in VERIFY_SLACKS if cert is not None else ():
+            digests["verify_certificate"].run(lc.verify_certificate, A, k, cert, slack)
         digests["stabilizability_certificate"].run(ls.stabilizability_certificate, A, B, k)
         digests["k_order_stabilizable"].run(ls.k_order_stabilizable, A, B, k)
         for mu in CONSTRUCT_MUS:
             digests[f"construct_W/mu={mu:g}"].run(ls.construct_W, A, B, mu)
+    return digests
+
+
+def cli_digests():
+    """Per command of CLI_RUNS, the digest of its exit status and standard
+    output on each workload system, the model read from a temporary file."""
+    digests = {f"cli/{name}": Digest() for name in CLI_RUNS}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (A, B, k) in enumerate(workload_systems()):
+            path = Path(tmp, f"system-{i}.json")
+            path.write_text(json.dumps({"kind": "linear", "A": A.tolist(), "B": B.tolist()}))
+            for name, (command, *extra) in CLI_RUNS.items():
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    code = cli.main([command, "--model", str(path), "--k", str(k), *extra])
+                digests[f"cli/{name}"].add(f"exit {code}", out.getvalue())
     return digests
 
 
@@ -191,6 +230,8 @@ def main(argv=None) -> int:
 
     for name, d in linear_digests(args.seed).items():
         print(f"{name} {d.hash.hexdigest()} built={d.built} rejected={d.rejected}")
+    for name, d in cli_digests().items():
+        print(f"{name} {d.hash.hexdigest()}")
     for name, d in nonlinear_digests().items():
         print(f"{name} {d.hash.hexdigest()}")
     return 0

@@ -88,13 +88,14 @@ def cmd_analyze_lin(args):
 def cmd_certify_lin(args):
     bundle = _load_model(args, "linear")
     check_lyapunov_size(bundle.dim)  # outside the try: too large is a usage error
-    inputs = {"model": bundle.to_json(), "k": args.k}
+    inputs = {"model": bundle.to_json(), "k": args.k, "slack": args.slack}
     try:
         cert = lc.build_certificate(bundle.A, args.k)
     except (ValueError, NumericalError) as exc:
-        return {"command": "certify-lin", "k": args.k, "verdict": "reject",
+        return {"command": "certify-lin", "k": args.k, "slack": args.slack, "verdict": "reject",
                 "reason": str(exc), "anchors": ["generalized-lyapunov-certificate"]}, inputs
-    report = lc.verify_certificate(bundle.A, args.k, cert, slack=args.slack)
+    report = (cert.report if args.slack == 0  # the build's gate verified at slack 0
+              else lc.verify_certificate(bundle.A, args.k, cert, slack=args.slack))
     cert_doc = {"ell": cert.ell, "k": cert.k, "mus": cert.mus, "ds": cert.ds,
                 "mats": cert.mats}
     if args.out:
@@ -102,6 +103,7 @@ def cmd_certify_lin(args):
     return {
         "command": "certify-lin",
         "k": args.k,
+        "slack": args.slack,
         "verdict": "accept" if report.verdict else "reject",
         "margins": report.margins,
         "anchors": ["generalized-lyapunov-certificate"],
@@ -347,12 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _attach_x0(argv):
-    # argparse takes '-0.3,-0.3' for an option, so '--x0 V' is passed on as '--x0=V'
+def _attach_values(argv):
+    # argparse takes '-1e-3' or '-0.3,-0.3' for an option, so '--opt V' is
+    # passed on as '--opt=V'; every long option but --help takes a value
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--x0" in argv[:-1]:
-        i = argv.index("--x0")
-        argv[i:i + 2] = ["--x0=" + argv[i + 1]]
+    i = 0
+    while i < len(argv) - 1:
+        if (argv[i].startswith("--") and "=" not in argv[i] and argv[i] not in ("--", "--help")
+                and not argv[i + 1].startswith("--")):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        i += 1
     return argv
 
 
@@ -363,7 +369,7 @@ def _error(message: str) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(_attach_x0(argv))
+        args = build_parser().parse_args(_attach_values(argv))
     except SystemExit as exc:  # --help, printed by argparse
         return EXIT_USAGE if exc.code not in (0,) else 0
     except _UsageError as exc:

@@ -53,6 +53,9 @@ class ContractionCertificate:
 
     Synthesis stores its W_i in the same record with colinear=True: the W_i
     share one controllable-block factor, so B'W_i^{-1} is the same for all i.
+
+    report is the slack-0 report that build_certificate's gate accepted (None
+    otherwise); it is not part of the data: not compared, shown or serialized.
     """
 
     ell: int
@@ -61,6 +64,7 @@ class ContractionCertificate:
     mats: list
     k: int
     colinear: bool = False
+    report: VerificationReport | None = field(default=None, compare=False, repr=False)
 
     @property
     def weights(self):
@@ -92,13 +96,14 @@ class VerificationReport:
         raise KeyError(label)
 
 
-def k_contractive_lti(A, k: int):
+def k_contractive_lti(A, k: int, vals=None):
     """(verdict, margin): margin is the top-k real-part sum.
 
     A is k-contractive iff the margin is below -SPECTRAL_RTOL * max(max|lambda|, 1),
-    so a sum that is zero up to rounding rejects.
+    so a sum that is zero up to rounding rejects. vals is eigenvalues(A) when
+    the caller has it already.
     """
-    vals = eigenvalues(as_square(A, "A"))
+    vals = eigenvalues(as_square(A, "A")) if vals is None else vals
     if not 1 <= k <= len(vals):
         raise ValueError(f"k={k} out of range for spectrum of size {len(vals)}")
     margin = float(vals.real[:k].sum())
@@ -126,17 +131,18 @@ def group_real_parts(values, rtol: float = REAL_PART_GROUP_RTOL):
     return alphas, hbars, dbars
 
 
-def shifted_inertia_certificate(A, mu: float) -> np.ndarray:
+def shifted_inertia_certificate(A, mu: float, vals=None) -> np.ndarray:
     """Solve (A - mu I)'P + P(A - mu I) = -I.
 
     The result has inertia (p, 0, n - p) with p the number of eigenvalues of A
-    with real part above mu, and satisfies A'P + PA < 2 mu P strictly.
+    with real part above mu, and satisfies A'P + PA < 2 mu P strictly. vals
+    is eigenvalues(A) when the caller has it already.
     """
     A = as_square(A, "A")
     n = A.shape[0]
-    vals = eigenvalues(A)
+    vals = eigenvalues(A) if vals is None else vals
     scale = max(np.abs(vals).max() if n else 0.0, 1.0)
-    if any(abs(v.real - mu) <= 1e-9 * scale for v in vals):
+    if np.any(np.abs(vals.real - mu) <= 1e-9 * scale):
         raise NumericalError(f"mu={mu:.6g} lies on the real-part set of the spectrum")
     # a resonance lambda_i + lambda_j = 2 mu with mu strictly between real-part
     # groups leaves the shifted system singular but consistent; the
@@ -144,16 +150,12 @@ def shifted_inertia_certificate(A, mu: float) -> np.ndarray:
     return solve_lyapunov(A - mu * np.eye(n), np.eye(n), allow_consistent_singular=True)
 
 
-def _condition_margin(A, P, mu) -> float:
-    """Half-form margin of A'P + PA < 2 mu P."""
-    return float(np.linalg.eigvalsh(sym(P @ (A - mu * np.eye(len(A))))).max())
-
-
 def build_certificate(A, k: int) -> ContractionCertificate:
     """Construct a certificate for a k-contractive A.
 
     Takes the first staged_rates candidate whose shifted Lyapunov solves all
-    succeed. Every certificate is gated through the verifier; if a grouping
+    succeed, all on one spectrum of A. Every certificate is gated through the
+    verifier at slack 0, and keeps the report it passed with; if a grouping
     tolerance proves too fine for a defective cluster, the construction
     retries with a coarser one; a coarser tolerance that groups the real
     parts as, bit for bit, one already tried is not retried, and fails as
@@ -163,13 +165,13 @@ def build_certificate(A, k: int) -> ContractionCertificate:
     n = A.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    contractive, margin = k_contractive_lti(A, k)
+    vals = eigenvalues(A)
+    contractive, margin = k_contractive_lti(A, k, vals)
     if not contractive:
         raise ValueError(
             f"system is not {k}-contractive: top-{k} real-part sum = {margin:.6g} "
             "is not negative beyond rounding"
         )
-    vals = eigenvalues(A)
     last_err = None
     failed = {}  # the exact bits of each grouping tried -> the error it raised
     for rtol in GROUP_RTOL_LADDER:
@@ -181,7 +183,9 @@ def build_certificate(A, k: int) -> ContractionCertificate:
             except NumericalError as exc:
                 failed[key] = exc
             else:
-                if verify_certificate(A, k, cert).verdict:
+                report = verify_certificate(A, k, cert)
+                if report.verdict:
+                    cert.report = report
                     return cert
                 failed[key] = None  # its message names each rung's own tolerance
         last_err = failed[key] or NumericalError(
@@ -233,7 +237,7 @@ def _build_with_grouping(A, k, vals, rtol) -> ContractionCertificate:
     last_err = None
     for mus, ds in staged_rates(vals, k, A.shape[0], rtol):
         try:
-            mats = [shifted_inertia_certificate(A, mu) for mu in mus]
+            mats = [shifted_inertia_certificate(A, mu, vals) for mu in mus]
         except NumericalError as exc:
             last_err = exc
             continue
@@ -249,7 +253,9 @@ def verify_certificate(A, k: int, cert: ContractionCertificate, slack: float = 0
 
     Structural violations (inertia, breakpoint ordering, rate budget) reject;
     only dimension mismatches raise. slack is relative: condition i accepts
-    when its margin is below slack * ||P_i||_2.
+    when its margin is below slack * ||P_i||_2, a norm taken only at a nonzero
+    slack. One eigvalsh over the P_i stack gives the inertias, and one over the
+    sym(P_i (A - mu_i I)) stack the margins, each with the bytes of its own call.
     """
     A = as_square(A, "A")
     n = A.shape[0]
@@ -271,16 +277,17 @@ def verify_certificate(A, k: int, cert: ContractionCertificate, slack: float = 0
     if ds[cert.ell] > k:
         problems.append(f"closing breakpoint d_ell={ds[cert.ell]} exceeds k={k}")
 
-    for i, (P, mu, d) in enumerate(zip(cert.mats, cert.mus, cert.ds)):
-        P = check_symmetric(P, f"P_{i}")
-        inertia = inertia_symmetric(P)
+    Ps = np.array([check_symmetric(P, f"P_{i}")
+                   for i, P in enumerate(cert.mats)]).reshape(cert.ell, n, n)
+    shifted = A - np.asarray(cert.mus, dtype=float)[:, None, None] * np.eye(n)
+    ms = np.linalg.eigvalsh(sym(Ps @ shifted)).max(axis=-1).tolist()
+    for i, (P, inertia, m, d) in enumerate(zip(Ps, inertia_symmetric(Ps), ms, cert.ds)):
         if inertia != (d, 0, n - d):
             problems.append(
                 f"P_{i} inertia {tuple(inertia)} != required ({d}, 0, {n - d})"
             )
-        m = _condition_margin(A, P, mu)
         margins.append((f"P_{i}", m))
-        if not m < slack * max(spectral_norm(P), 1e-300):
+        if not m < (slack * max(spectral_norm(P), 1e-300) if slack else 0.0):
             problems.append(f"condition P_{i} margin {m:.6g} not below slack")
 
     rate = cert.rate_sum

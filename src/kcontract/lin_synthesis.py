@@ -13,6 +13,7 @@ a single gain K = (rho/2) B'W_0^{-1} with infinite gain margin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,8 @@ KAPPA_HALVINGS = 60
 
 @dataclass
 class KalmanDecomposition:
-    """Orthogonal staircase form: z = T x, T A T' = [[Ac, *], [0, Au]]."""
+    """Orthogonal staircase form: z = T x, T A T' = [[Ac, *], [0, Au]]; spectrum_u
+    is eigenvalues(Au), computed once for the stabilizability test and every rung."""
 
     T: np.ndarray
     Ac: np.ndarray
@@ -47,6 +49,10 @@ class KalmanDecomposition:
     Bc: np.ndarray
     nc: int
     nu: int
+
+    @cached_property
+    def spectrum_u(self) -> np.ndarray:
+        return eigenvalues(as_square(self.Au, "A"))
 
 
 def controllability_matrix(A, B) -> np.ndarray:
@@ -100,7 +106,7 @@ def _stabilizable(dec: KalmanDecomposition, k: int):
     """k_order_stabilizable's verdict and diagnostics for a decomposed pair."""
     if dec.nu < k:
         return True, {"nu": dec.nu, "reason": f"uncontrollable dimension {dec.nu} < k={k}"}
-    contractive, margin = k_contractive_lti(dec.Au, k)
+    contractive, margin = k_contractive_lti(dec.Au, k, dec.spectrum_u)
     return contractive, {
         "nu": dec.nu,
         "uncontrollable_topk_sum": margin,
@@ -234,11 +240,11 @@ def _rate_schedule(dec: KalmanDecomposition, k, n, rtol):
     if nu == 0:
         return [0.0], [0, k]
     if k > nu:
-        vals_u = eigenvalues(dec.Au).real
+        vals_u = dec.spectrum_u.real
         mu0 = float(vals_u.max() + 1.0)
         mu1 = float(min(-nu * mu0, vals_u.min()) - 1.0)
         return [mu0, mu1], [0, nu, nu + 1]
-    rates = next(staged_rates(eigenvalues(dec.Au), k, n, rtol), None)
+    rates = next(staged_rates(dec.spectrum_u, k, n, rtol), None)
     if rates is None:
         raise NumericalError("could not select a nondegenerate rate offset")
     return rates

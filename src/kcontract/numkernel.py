@@ -47,12 +47,19 @@ def as_square(M, name="matrix") -> np.ndarray:
 
 
 def check_symmetric(S, name="matrix") -> np.ndarray:
-    """Validate symmetry to relative tolerance and return the symmetrized array."""
-    S = as_square(S, name)
-    scale = np.abs(S).max(initial=0.0)
-    if scale > 0 and np.abs(S - S.T).max() > max(SYMMETRY_RTOL * scale, 1e-300):
+    """Validate symmetry to relative tolerance and return the symmetrized array
+    of one matrix, or of a (..., n, n) stack with each matrix at its own scale."""
+    S = np.asarray(S, dtype=float)
+    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
+        raise ValueError(f"{name} must be square, got shape {S.shape}")
+    if not np.isfinite(S).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    St = S.swapaxes(-1, -2)
+    scale = np.abs(S).max(axis=(-2, -1), initial=0.0)
+    asym = np.abs(S - St).max(axis=(-2, -1), initial=0.0)
+    if (asym > np.maximum(SYMMETRY_RTOL * scale, 1e-300)).any():
         raise ValueError(f"{name} is not symmetric (relative asymmetry above {SYMMETRY_RTOL})")
-    return 0.5 * (S + S.T)
+    return 0.5 * (S + St)
 
 
 def spectral_norm(M) -> float:
@@ -79,21 +86,24 @@ def eigenvalues(M) -> np.ndarray:
 
 
 def eigenvalues_symmetric(S) -> np.ndarray:
-    """Ascending real eigenvalues of a symmetric matrix."""
+    """Ascending real eigenvalues of a symmetric matrix or (..., n, n) stack."""
     S = check_symmetric(S)
-    if S.shape[0] == 0:
-        return np.empty(0)
+    if S.shape[-1] == 0:
+        return np.empty(S.shape[:-1])
     return np.linalg.eigvalsh(S)
 
 
-def inertia_symmetric(S, zero_tol: float = DEFAULT_ZERO_TOL) -> InertiaTriple:
-    """Count eigenvalues of symmetric S below/within/above +-zero_tol*||S||."""
+def inertia_symmetric(S, zero_tol: float = DEFAULT_ZERO_TOL):
+    """Count eigenvalues of symmetric S below/within/above +-zero_tol*||S||.
+
+    A (..., n, n) stack gives a list of triples in C order from one eigvalsh,
+    which gives each matrix the bytes of its own call."""
     w = eigenvalues_symmetric(S)
-    scale = np.abs(w).max() if w.size else 0.0
-    thr = zero_tol * scale
-    neg = int(np.sum(w < -thr))
-    pos = int(np.sum(w > thr))
-    return InertiaTriple(neg, len(w) - neg - pos, pos)
+    thr = zero_tol * np.abs(w).max(axis=-1, initial=0.0)[..., None]
+    neg = (w < -thr).sum(axis=-1).ravel().tolist()
+    pos = (w > thr).sum(axis=-1).ravel().tolist()
+    triples = [InertiaTriple(a, w.shape[-1] - a - b, b) for a, b in zip(neg, pos)]
+    return triples[0] if w.ndim == 1 else triples
 
 
 def resonant_pair(vals, mu: float = 0.0, rtol: float = SPECTRAL_RTOL):
@@ -105,12 +115,12 @@ def resonant_pair(vals, mu: float = 0.0, rtol: float = SPECTRAL_RTOL):
     """
     shifted = np.asarray(vals) - mu
     tol = rtol * max(np.abs(shifted).max(), 1.0)
-    n = len(shifted)
-    for a in range(n):
-        for b in range(a, n):
-            if abs(shifted[a] + shifted[b]) <= tol:
-                return a, b
-    return None
+    # lambda_a + lambda_b is lambda_b + lambda_a bit for bit, so the first close
+    # entry of the full table in row order has a <= b
+    close = np.abs(shifted[:, None] + shifted) <= tol
+    if not close.any():
+        return None
+    return divmod(int(close.argmax()), len(shifted))
 
 
 def kronecker_sum(At) -> np.ndarray:
@@ -158,7 +168,7 @@ def solve_lyapunov(A, Q, allow_consistent_singular: bool = False) -> np.ndarray:
     n = A.shape[0]
     check_lyapunov_size(n)
     Q = check_symmetric(Q, "Q")
-    if Q.shape[0] != n:
+    if Q.shape != (n, n):
         raise ValueError(f"Q has shape {Q.shape}, expected {(n, n)}")
     if n == 0:
         return np.zeros((0, 0))

@@ -349,6 +349,60 @@ def test_certify_lin_roundtrip(capsys, lin_model, tmp_path):
     assert doc["ell"] == 2 and doc["ds"] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("slack", [[], ["--slack=1e-3"], ["--slack=-1"]],
+                         ids=["default", "1e-3", "-1"])
+def test_certify_lin_verifies_once_per_slack(capsys, lin_model, monkeypatch, slack):
+    # the gate's slack-0 report is printed at the default slack; another
+    # slack is verified anew, and either report is a fresh verification's
+    calls = []
+    verify = lc.verify_certificate
+    monkeypatch.setattr(lc, "verify_certificate",
+                        lambda *a, **kw: calls.append(kw) or verify(*a, **kw))
+    code, rep = run_cli(capsys, "certify-lin", "--model", lin_model, "--k", "2", *slack)
+    value = float(slack[0].split("=")[1]) if slack else 0.0
+    assert calls == [{}] + ([{"slack": value}] if slack else [])
+    doc = rep["certificate"]
+    cert = lc.ContractionCertificate(ell=doc["ell"], mus=doc["mus"], ds=doc["ds"],
+                                     mats=[np.array(P) for P in doc["mats"]], k=doc["k"])
+    fresh = verify(np.diag([1.0, -3.0]), 2, cert, slack=value)
+    assert rep["slack"] == value
+    assert rep["margins"] == [list(m) for m in fresh.margins]
+    assert rep["verdict"] == ("accept" if fresh.verdict else "reject")
+    assert code == (0 if fresh.verdict else 1) and code == (value == -1)
+
+
+def test_certify_lin_digests_its_slack(capsys, lin_model):
+    digests = set()
+    for slack in ("0", "0.05"):
+        code, rep = run_cli(capsys, "certify-lin", "--model", lin_model, "--k", "2",
+                            "--slack", slack)
+        assert code == 0 and rep["slack"] == float(slack)
+        digests.add(rep["inputs_digest"])
+    assert len(digests) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify-lin", "--k", "2", "--slack", "V"),
+    ("synth-lin", "--k", "1", "--rho", "V"),
+    ("simulate", "--x0", "1,1", "--t", "V"),
+    ("simulate", "--x0", "1,1", "--t", "0.01", "--h", "V"),
+], ids=lambda argv: argv[-2])
+@pytest.mark.parametrize("value", ["-1e-3", "-2E+1", "-0.5"])
+def test_negative_option_values_in_either_form(capsys, lin_model, argv, value):
+    # argparse reads '-1e-3' as an option; '--opt -1e-3' is '--opt=-1e-3'
+    outs = []
+    for form in (argv[:-2] + (argv[-2], value), argv[:-2] + (f"{argv[-2]}={value}",)):
+        code = cli.main([*form, "--model", lin_model])
+        outs.append((code, capsys.readouterr().out))
+    assert outs[0] == outs[1]
+    assert "expected one argument" not in outs[0][1]
+
+
+def test_an_option_missing_its_value_is_still_a_usage_error(capsys, lin_model):
+    code, rep = run_cli(capsys, "certify-lin", "--model", "--k", "2")
+    assert code == 2 and "expected one argument" in rep["error"]
+
+
 def test_stabilizable_and_synth(capsys, tmp_path):
     path = tmp_path / "pair.json"
     path.write_text('{"kind":"linear","A":[[0,1],[0,0]],"B":[[0],[1]]}')

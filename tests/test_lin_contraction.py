@@ -6,7 +6,8 @@ import pytest
 from kcontract import compound as cp
 from kcontract import lin_contraction as lc
 from kcontract import lin_synthesis as ls
-from kcontract.numkernel import NumericalError, inertia_symmetric
+from kcontract.numkernel import NumericalError, inertia_symmetric, spectral_norm, sym
+from test_numkernel import symmetric_of_kind
 
 
 def hurwitz(M):
@@ -273,3 +274,100 @@ def test_each_distinct_grouping_is_built(monkeypatch):
     with pytest.raises(NumericalError, match="tolerance 0.0003 failed verification"):
         lc.build_certificate(A, 1)
     assert rtols == [1e-8, 3e-7, 3e-4]
+
+
+def test_stacked_margins_equal_the_per_matrix_margins():
+    # definite, indefinite and nearly singular P; every margin keeps the bytes
+    # of its own eigvalsh(sym(P (A - mu I))).max(), at slack 0 and 1e-3
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n = int(rng.integers(1, 21))
+        ell = int(rng.integers(1, min(n, 4) + 1))
+        A = rng.standard_normal((n, n))
+        mus = rng.standard_normal(ell).tolist()
+        mats = [symmetric_of_kind(rng, n, kind)
+                for kind in rng.choice(["definite", "indefinite", "singular"], ell)]
+        cert = lc.ContractionCertificate(ell=ell, mus=mus, ds=list(range(ell + 1)), mats=mats,
+                                         k=ell)
+        for slack in (0.0, 1e-3):
+            report = lc.verify_certificate(A, ell, cert, slack=slack)
+            want = [np.linalg.eigvalsh(sym(P @ (A - mu * np.eye(n)))).max()
+                    for P, mu in zip(mats, mus)]
+            got = [m for _, m in report.margins[:-1]]
+            assert [float(m).hex() for m in got] == [float(m).hex() for m in want]
+            inertia_ok = all(inertia_symmetric(P) == (d, 0, n - d)
+                             for P, d in zip(mats, range(ell)))
+            margins_ok = all(m < slack * max(spectral_norm(P), 1e-300) for P, m in zip(mats, want))
+            assert report.verdict == (inertia_ok and margins_ok and cert.rate_sum <= 0)
+
+
+def test_zero_slack_rejects_any_positive_margin():
+    # ||P|| is not taken at slack +-0, where the threshold is 0: a margin of
+    # 2^-40 rejects there and is accepted at slack 1e-3
+    cert = lc.ContractionCertificate(ell=1, mus=[-1.0], ds=[0, 1], mats=[np.eye(1)], k=1)
+    A = np.array([[-1.0 + 2 ** -40]])
+    for slack, verdict in ((0.0, False), (-0.0, False), (1e-3, True)):
+        report = lc.verify_certificate(A, 1, cert, slack=slack)
+        assert report.margin("P_0") == 2 ** -40 and report.verdict is verdict
+
+
+def test_verify_certificate_without_rates_and_with_mismatched_shapes():
+    # ell = 0 runs through the empty stacks: only the rate sum is reported
+    empty = lc.ContractionCertificate(ell=0, mus=[], ds=[0], mats=[], k=1)
+    report = lc.verify_certificate(-np.eye(2), 1, empty)
+    assert report.margins == [("rate_sum", 0.0)]
+    for ell, mus, ds, mats, message in (
+            (1, [0.0], [0, 1], [np.eye(3)], "dimension does not match A"),
+            (1, [0.0], [0], [np.eye(2)], "field lengths are inconsistent"),
+            (1, [0.0, 1.0], [0, 1], [np.eye(2)], "field lengths are inconsistent"),
+            (1, [-1.0], [0, 1], [np.array([[1.0, 2.0], [0.0, 1.0]])], "P_0 is not symmetric")):
+        cert = lc.ContractionCertificate(ell=ell, mus=mus, ds=ds, mats=mats, k=1)
+        with pytest.raises(ValueError, match=message):
+            lc.verify_certificate(-np.eye(2), 1, cert)
+
+
+def test_build_certificate_keeps_its_gate_report(monkeypatch):
+    # the gate runs once per build, at slack 0, and its report rides along
+    # without being part of the certificate's data
+    calls = []
+    verify = lc.verify_certificate
+    monkeypatch.setattr(lc, "verify_certificate",
+                        lambda *a, **kw: calls.append(kw) or verify(*a, **kw))
+    A = np.diag([1.0, -2.0, -4.6])
+    cert = lc.build_certificate(A, 2)
+    assert calls == [{}]
+    fresh = verify(A, 2, cert)
+    fields = ("verdict", "margins", "diagnostics", "data")
+    assert [getattr(cert.report, f) for f in fields] == [getattr(fresh, f) for f in fields]
+    bare = lc.ContractionCertificate(cert.ell, cert.mus, cert.ds, cert.mats, cert.k)
+    assert bare.report is None and "report" not in repr(cert)
+    assert ls.stabilizability_certificate(A, np.ones((3, 1)), 2).report is None
+
+
+def test_the_spectrum_of_a_is_taken_once_per_build(monkeypatch):
+    calls = []
+    eig = lc.eigenvalues
+    monkeypatch.setattr(lc, "eigenvalues", lambda M: calls.append(M.shape) or eig(M))
+    lc.build_certificate(np.diag([1.0, -2.0, -4.6]), 2)
+    assert calls == [(3, 3)]
+
+
+def test_a_kalman_decomposition_takes_the_uncontrollable_spectrum_once(monkeypatch):
+    # every rung fails, so each of the four rungs draws a rate schedule; the
+    # stabilizability test and all of them share one spectrum of Au
+    calls, rungs = [], []
+    for module in (lc, ls):
+        monkeypatch.setattr(module, "eigenvalues",
+                            lambda M, eig=module.eigenvalues: calls.append(M.shape) or eig(M))
+    schedule = ls._rate_schedule
+    monkeypatch.setattr(ls, "_rate_schedule", lambda *a: rungs.append(a) or schedule(*a))
+
+    def fail(*args):
+        raise NumericalError("refused")
+    monkeypatch.setattr(ls, "_assemble_certificate", fail)
+    A = np.diag([0.5, -1.0, -1.0 - 1e-4, -4.0, -4.0 - 1e-6])
+    B = np.array([[1.0], [0.0], [0.0], [0.0], [0.0]])
+    with pytest.raises(NumericalError, match="refused"):
+        ls.stabilizability_certificate(A, B, 2)
+    assert len(rungs) == len(lc.GROUP_RTOL_LADDER)
+    assert calls.count((4, 4)) == 1

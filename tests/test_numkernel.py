@@ -155,3 +155,101 @@ def test_kronecker_sum_matches_np_kron_bytes():
             got = nk.kronecker_sum(A.T)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def symmetric_of_kind(rng, n, kind):
+    """A symmetric n x n matrix that is definite, indefinite or nearly singular
+    (one eigenvalue at about the inertia threshold of 1e-9 * ||S||)."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w = rng.uniform(0.5, 3.0, n)
+    if kind == "indefinite":
+        w *= rng.choice([-1.0, 1.0], n)
+    elif kind == "singular":
+        scale = 3.0 * nk.DEFAULT_ZERO_TOL * rng.uniform(0.1, 2.0)
+        w[rng.integers(n)] = rng.choice([-1.0, 1.0]) * scale
+    S = (Q * w) @ Q.T
+    return 0.5 * (S + S.T)
+
+
+def test_stacked_inertia_equals_the_per_matrix_triples():
+    rng = np.random.default_rng(2030)
+    for _ in range(300):
+        n, ell = int(rng.integers(1, 21)), int(rng.integers(1, 5))
+        kinds = rng.choice(["definite", "indefinite", "singular"], ell)
+        stack = np.array([symmetric_of_kind(rng, n, kind) for kind in kinds])
+        for tol in (nk.DEFAULT_ZERO_TOL, 1e-13):
+            got = nk.inertia_symmetric(stack, tol)
+            assert got == [nk.inertia_symmetric(S, tol) for S in stack]
+            assert all(type(t) is nk.InertiaTriple and type(t.neg) is int for t in got)
+        w = nk.eigenvalues_symmetric(stack)
+        assert all(w[i].tobytes() == nk.eigenvalues_symmetric(S).tobytes()
+                   for i, S in enumerate(stack))
+
+
+def test_inertia_of_a_nested_stack_is_listed_in_c_order():
+    rng = np.random.default_rng(7)
+    stack = np.array([[symmetric_of_kind(rng, 4, "indefinite") for _ in range(3)] for _ in range(2)])
+    assert nk.inertia_symmetric(stack) == [nk.inertia_symmetric(S) for S in stack.reshape(6, 4, 4)]
+    assert nk.inertia_symmetric(np.zeros((0, 3, 3))) == []
+
+
+def test_stacked_symmetry_and_shape_checks():
+    stack = np.array([np.eye(2), [[1.0, 2.0], [0.0, 1.0]]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        nk.inertia_symmetric(stack)
+    with pytest.raises(ValueError, match="must be square"):
+        nk.check_symmetric(np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError, match="shape"):
+        nk.solve_lyapunov(-np.eye(2), np.zeros((2, 2, 2)))
+
+
+def resonant_pair_loop(vals, mu=0.0, rtol=nk.SPECTRAL_RTOL):
+    """The double loop resonant_pair replaced, kept as its oracle."""
+    shifted = np.asarray(vals) - mu
+    tol = rtol * max(np.abs(shifted).max(), 1.0)
+    n = len(shifted)
+    for a in range(n):
+        for b in range(a, n):
+            if abs(shifted[a] + shifted[b]) <= tol:
+                return a, b
+    return None
+
+
+def lattice_spectrum(rng, n, mu):
+    """n eigenvalues on the half-integer lattice: real ones and conjugate pairs,
+    repeated values, now and then one equal to mu or nudged off the lattice."""
+    vals = []
+    while len(vals) < n:
+        re = float(rng.integers(-8, 9)) / 2
+        if len(vals) + 2 <= n and rng.random() < 0.3:
+            im = float(rng.integers(1, 5)) / 2
+            vals += [complex(re, im), complex(re, -im)]
+        else:
+            vals.append(complex(re, 0.0))
+    vals = np.array(vals)
+    if rng.random() < 0.3:
+        vals[rng.integers(n)] = mu
+    if rng.random() < 0.3:
+        vals[rng.integers(n)] += rng.choice([-1.0, 1.0]) * 10.0 ** -float(rng.integers(3, 14))
+    return vals[rng.permutation(n)]
+
+
+def test_resonant_pair_equals_the_double_loop():
+    rng = np.random.default_rng(30)
+    found = 0
+    for _ in range(20_000):
+        n = int(rng.integers(1, 21))
+        mu = float(rng.choice([0.0, 0.5, -1.5, 0.25, -0.7]))
+        rtol = float(rng.choice([nk.SPECTRAL_RTOL, 1e-6, 1e-3]))
+        vals = lattice_spectrum(rng, n, mu)
+        want = resonant_pair_loop(vals, mu, rtol)
+        got = nk.resonant_pair(vals, mu, rtol)
+        assert got == want
+        if got is not None:
+            found += 1
+            assert all(type(i) is int for i in got)
+    # both outcomes are exercised
+    assert 2_000 < found < 18_000
+    # a sum exactly at the tolerance is close: 4 - 4 + 2^-7 against 2^-9 * 4
+    vals = np.array([4.0, 1.0, -4.0 + 2 ** -7], dtype=complex)
+    assert nk.resonant_pair(vals, 0.0, 2 ** -9) == resonant_pair_loop(vals, 0.0, 2 ** -9) == (0, 2)
