@@ -1,8 +1,10 @@
 """Print SHA-256 digests of kcontract certificates, to compare two commits.
 
-    python3 scripts/cert_digest.py --seed N
+    python3 scripts/cert_digest.py --seed N [--outcomes]
 
-Run from the root of a source checkout; the package is imported from src/.
+Run from the root of a source checkout; the package is imported from src/,
+or from the directory KCONTRACT_SRC names (scripts/identity.py runs this
+script on another commit's package that way).
 The corpus holds the 60 linear systems of the benchmark's certify workload
 (perfbench/workloads.py), 400 Gaussian systems with n = 2..8 (some with an
 uncontrollable part), 150 systems whose half-integer spectra are hidden by a
@@ -12,7 +14,12 @@ stabilizability_certificate, k_order_stabilizable and construct_W at
 mu = 0 and mu = -0.5, and hashes every result (ell, mus, ds, colinear and the
 matrix bytes) or, on rejection, the exception class; each certificate
 build_certificate returns is verified at slack 0 and 1e-3 and the reports
-(verdict, margins, diagnostics, data) are hashed too. On the workload's 60
+(verdict, margins, diagnostics, data) are hashed too. Next to each of these
+byte digests is an outcome digest of the same calls, for a change that
+moves bytes on purpose: per system, whether the call returned or raised (and
+the exception class), a certificate's ell, ds and the hex of its mus, and a
+report's verdict. --outcomes also prints every system's outcome, numbered in
+corpus order, to locate a changed outcome digest. On the workload's 60
 systems it runs the analyze-lin, certify-lin (at the default slack and at
 1e-3), stabilizable and synth-lin (--rho 10) commands as the workload does
 and hashes each exit status and standard output. It also hashes the
@@ -25,13 +32,14 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [os.environ.get("KCONTRACT_SRC", str(ROOT / "src")), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 from scipy.linalg import block_diag  # noqa: E402
@@ -123,6 +131,8 @@ def corpus(seed):
 class Digest:
     def __init__(self):
         self.hash = hashlib.sha256()
+        self.outcome_hash = hashlib.sha256()
+        self.outcomes = []  # (corpus index, outcome text) of each call
         self.built = self.rejected = 0
 
     def add(self, *items):
@@ -134,20 +144,30 @@ class Digest:
             else:
                 self.hash.update(cli.dumps(item).encode())
 
-    def run(self, fn, *args):
+    def outcome(self, index, text):
+        self.outcomes.append((index, text))
+        self.outcome_hash.update(f"#{index} {text}\n".encode())
+
+    def run(self, index, fn, *args):
+        """fn(*args) for the system at corpus index, its result or rejection hashed."""
         try:
             out = fn(*args)
         except Exception as exc:  # the rejection class is part of the digest
             self.rejected += 1
             self.add(f"raise {type(exc).__name__}")
+            self.outcome(index, f"raise {type(exc).__name__}")
             return None
         self.built += 1
         if isinstance(out, lc.ContractionCertificate):
             self.add([out.ell, out.mus, out.ds, out.colinear], *out.mats)
+            self.outcome(index, f"ok ell={out.ell} ds={out.ds} "
+                                f"mus={[float(mu).hex() for mu in out.mus]}")
         elif isinstance(out, lc.VerificationReport):
             self.add([out.verdict, out.margins, out.diagnostics, out.data])
+            self.outcome(index, f"ok verdict={out.verdict}")
         else:
             self.add(out)
+            self.outcome(index, "ok")
         return out
 
 
@@ -161,14 +181,14 @@ def linear_digests(seed):
     names = (["build_certificate", "verify_certificate", "stabilizability_certificate",
               "k_order_stabilizable"] + [f"construct_W/mu={mu:g}" for mu in CONSTRUCT_MUS])
     digests = {name: Digest() for name in names}
-    for A, B, k in corpus(seed):
-        cert = digests["build_certificate"].run(lc.build_certificate, A, k)
+    for i, (A, B, k) in enumerate(corpus(seed)):
+        cert = digests["build_certificate"].run(i, lc.build_certificate, A, k)
         for slack in VERIFY_SLACKS if cert is not None else ():
-            digests["verify_certificate"].run(lc.verify_certificate, A, k, cert, slack)
-        digests["stabilizability_certificate"].run(ls.stabilizability_certificate, A, B, k)
-        digests["k_order_stabilizable"].run(ls.k_order_stabilizable, A, B, k)
+            digests["verify_certificate"].run(i, lc.verify_certificate, A, k, cert, slack)
+        digests["stabilizability_certificate"].run(i, ls.stabilizability_certificate, A, B, k)
+        digests["k_order_stabilizable"].run(i, ls.k_order_stabilizable, A, B, k)
         for mu in CONSTRUCT_MUS:
-            digests[f"construct_W/mu={mu:g}"].run(ls.construct_W, A, B, mu)
+            digests[f"construct_W/mu={mu:g}"].run(i, ls.construct_W, A, B, mu)
     return digests
 
 
@@ -226,14 +246,21 @@ def nonlinear_digests():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--outcomes", action="store_true",
+                        help="also print the outcome of every call, by corpus index")
     args = parser.parse_args(argv)
 
-    for name, d in linear_digests(args.seed).items():
+    linear = linear_digests(args.seed)
+    for name, d in linear.items():
         print(f"{name} {d.hash.hexdigest()} built={d.built} rejected={d.rejected}")
+        print(f"{name} outcomes {d.outcome_hash.hexdigest()}")
     for name, d in cli_digests().items():
         print(f"{name} {d.hash.hexdigest()}")
     for name, d in nonlinear_digests().items():
         print(f"{name} {d.hash.hexdigest()}")
+    for name, d in linear.items() if args.outcomes else ():
+        for index, text in d.outcomes:
+            print(f"{name} #{index} {text}")
     return 0
 
 

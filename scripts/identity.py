@@ -4,12 +4,14 @@
 
 Run from the root of a kcontract git checkout. The parent's committed files
 are unpacked with `git archive` (bench_ab.unpack) into a temporary
-directory; the change is this working tree. On each side it runs
+directory; the change is this working tree. This working tree's
 scripts/trace_digest.py --seed 3 and --seed 5, scripts/cert_digest.py
---seed 0 and --seed 1, and scripts/run_bundles.py, once with the C
-compiler and once with CC=false (the Python loop), and compares each run's
-standard output and exit status. It prints the lines that differ, and exits
-1 on any difference, else 0.
+--seed 0 and --seed 1, and scripts/run_bundles.py run on each side's
+package (PYTHONPATH and KCONTRACT_SRC name the side's src/), once with the
+C compiler and once with CC=false (the Python loop), so a line the change
+adds to a digest script is printed on both sides. It compares each run's
+standard output and exit status, prints the lines that differ, and exits 1
+on any difference, else 0.
 
 Every run has one BLAS thread (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
 MKL_NUM_THREADS set to 1), as perfbench/run.py pins it. OpenBLAS splits a
@@ -40,11 +42,13 @@ ONE_THREAD = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "M
 
 
 def output(checkout: Path, job: tuple, env: dict) -> list:
-    """The standard output lines of one script run in checkout, then its exit status."""
-    proc = subprocess.run([sys.executable, str(Path("scripts", job[0])), *job[1:]],
+    """The standard output lines of one of this working tree's scripts run on
+    checkout's package, from checkout, then its exit status."""
+    src = str(checkout / "src")
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / job[0]), *job[1:]],
                           cwd=checkout, capture_output=True, text=True,
-                          env={**os.environ, **ONE_THREAD, "PYTHONPATH": str(checkout / "src"),
-                               **env})
+                          env={**os.environ, **ONE_THREAD, "PYTHONPATH": src,
+                               "KCONTRACT_SRC": src, **env})
     return [*proc.stdout.splitlines(), f"exit status {proc.returncode}"]
 
 

@@ -2,7 +2,9 @@
 
     python3 scripts/trace_digest.py --seed N
 
-Run from the root of a source checkout; the package is imported from src/.
+Run from the root of a source checkout; the package is imported from src/,
+or from the directory KCONTRACT_SRC names (scripts/identity.py runs this
+script on another commit's package that way).
 At the benchmark's settings (perfbench/workloads.py) it runs the four
 reproduction bundles, then a plain and a compound (k = 2) trajectory of the
 example25 closed loop (models.closed_loop with the reference gain), then
@@ -29,6 +31,7 @@ import functools
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 import threading
@@ -36,7 +39,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [os.environ.get("KCONTRACT_SRC", str(ROOT / "src")), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 

@@ -26,7 +26,7 @@ from .numkernel import (
     eigenvalues,
     inertia_symmetric,
     resonant_pair,
-    solve_lyapunov,
+    solve_lyapunov_symmetric,
     spectral_norm,
     sym,
 )
@@ -132,7 +132,7 @@ def group_real_parts(values, rtol: float = REAL_PART_GROUP_RTOL):
 
 
 def shifted_inertia_certificate(A, mu: float, vals=None) -> np.ndarray:
-    """Solve (A - mu I)'P + P(A - mu I) = -I.
+    """Solve (A - mu I)'P + P(A - mu I) = -I on the symmetric unknowns.
 
     The result has inertia (p, 0, n - p) with p the number of eigenvalues of A
     with real part above mu, and satisfies A'P + PA < 2 mu P strictly. vals
@@ -147,7 +147,7 @@ def shifted_inertia_certificate(A, mu: float, vals=None) -> np.ndarray:
     # a resonance lambda_i + lambda_j = 2 mu with mu strictly between real-part
     # groups leaves the shifted system singular but consistent; the
     # minimum-norm solution keeps the inertia property
-    return solve_lyapunov(A - mu * np.eye(n), np.eye(n), allow_consistent_singular=True)
+    return solve_lyapunov_symmetric(A - mu * np.eye(n), np.eye(n))
 
 
 def build_certificate(A, k: int) -> ContractionCertificate:
@@ -251,8 +251,8 @@ def _build_with_grouping(A, k, vals, rtol) -> ContractionCertificate:
 def verify_certificate(A, k: int, cert: ContractionCertificate, slack: float = 0.0) -> VerificationReport:
     """Check a certificate against the staged generalized Lyapunov conditions.
 
-    Structural violations (inertia, breakpoint ordering, rate budget) reject;
-    only dimension mismatches raise. slack is relative: condition i accepts
+    Structural violations (no rates, inertia, breakpoint ordering, rate
+    budget) reject; only dimension mismatches raise. slack is relative: condition i accepts
     when its margin is below slack * ||P_i||_2, a norm taken only at a nonzero
     slack. One eigvalsh over the P_i stack gives the inertias, and one over the
     sym(P_i (A - mu_i I)) stack the margins, each with the bytes of its own call.
@@ -270,6 +270,8 @@ def verify_certificate(A, k: int, cert: ContractionCertificate, slack: float = 0
     margins = []
     problems = []
     ds = cert.ds
+    if cert.ell < 1:
+        problems.append(f"no rates: ell={cert.ell}, a certificate needs ell >= 1")
     if ds[0] != 0 or any(ds[i] >= ds[i + 1] for i in range(cert.ell)):
         problems.append(f"breakpoints not strictly increasing from 0: {ds}")
     if cert.ell >= 1 and ds[cert.ell - 1] > k - 1:

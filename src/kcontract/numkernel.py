@@ -2,16 +2,21 @@
 
 Eigenvalues, symmetric inertia counting, the resonance predicate and
 Lyapunov solves. Everything here operates on plain numpy arrays (real
-entries) and is pure: no global state, safe to share across threads. Targets
-are small dense matrices (n <= 20); the Lyapunov solver deliberately uses the
-O(n^6) Kronecker vectorization because at this scale robustness beats speed.
-Its n^2 x n^2 system is written straight into one array by kronecker_sum,
-with the bytes np.kron would give but none of its temporaries, and is
-refused past MAX_DENSE_ENTRIES entries (n > 64) before anything is formed.
+entries) and is pure: no state but a cache of index arrays, safe to share
+across threads. Targets are small dense matrices (n <= 20); the Lyapunov
+solvers deliberately use the Kronecker vectorization, not a Schur-based
+method, because at this scale robustness beats speed. solve_lyapunov solves
+the full n^2 x n^2 system, written straight into one array by kronecker_sum
+with the bytes np.kron would give but none of its temporaries.
+solve_lyapunov_symmetric solves the same equation on the n(n+1)/2 unknowns of
+a symmetric P (the duplication and elimination form of Magnus & Neudecker),
+about 1/7 of the LU work at n = 20. Both are refused past MAX_DENSE_ENTRIES
+Kronecker entries (n > 64) before anything is formed.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -151,46 +156,64 @@ def check_lyapunov_size(n: int) -> None:
                          f"entries, past the cap of {MAX_DENSE_ENTRIES} (n <= 64)")
 
 
-def solve_lyapunov(A, Q, allow_consistent_singular: bool = False) -> np.ndarray:
-    """Solve A'P + PA = -Q for symmetric P by Kronecker vectorization.
+@functools.lru_cache(maxsize=None)
+def _symmetric_scatter(n: int):
+    """(iu, ju, flat) for the Lyapunov operator of dimension n on symmetric unknowns.
 
-    vec(A'P + PA) = K vec(P) in column-major vec, with K = I (x) A' + A' (x) I
-    from kronecker_sum, and K is solved by LU.
-
-    Raises NumericalError naming the offending eigenvalue pair when the
-    spectrum of A is resonant (lambda_i + lambda_j ~ 0), in which case the
-    n^2 x n^2 system is singular. With allow_consistent_singular, a resonant
-    but consistent system is solved in the least-squares sense instead
-    (minimum-norm solution); the residual check still applies. ValueError,
-    before any work, for an n past check_lyapunov_size's cap.
+    The unknowns and the equations are the entries (a, b), a <= b, in
+    np.triu_indices(n) order. Equation (i, j) of A'P + PA takes A_ki on the
+    unknown (k, j) and A_kj on (i, k), for every k, each unknown folded into
+    the upper triangle; flat holds the position of each such term in the
+    flattened m x m operator, m = n(n+1)/2, in the order of the weights
+    A'[concat(iu, ju)]. One entry per n <= 64 (check_lyapunov_size), of
+    2 m n indices: 2.1 MB at n = 64, 0.13 MB at n = 20.
     """
+    iu, ju = np.triu_indices(n)
+    m = len(iu)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(m)
+    rows = np.arange(m)[:, None] * m
+    flat = np.concatenate([rows + pos[:, ju].T, rows + pos[iu, :]]).ravel()
+    for a in (iu, ju, flat):
+        a.setflags(write=False)
+    return iu, ju, flat
+
+
+def lyapunov_operator_symmetric(A) -> np.ndarray:
+    """The m x m matrix of P -> A'P + PA on the unknowns p_ab, a <= b.
+
+    Rows and columns follow np.triu_indices(n). Column (a, b), a < b, is the
+    sum of the Kronecker columns (a, b) and (b, a), and row (i, j) is the
+    Kronecker row (i, j): the symmetric fold of kronecker_sum(A.T), formed
+    by one np.bincount.
+    """
+    n = A.shape[0]
+    iu, ju, flat = _symmetric_scatter(n)
+    m = len(iu)
+    weights = A.T[np.concatenate([iu, ju])].ravel()
+    return np.bincount(flat, weights=weights, minlength=m * m).reshape(m, m)
+
+
+def _lyapunov_problem(A, Q):
+    """A and the symmetrized Q of a Lyapunov solve, after the shape checks."""
     A = as_square(A, "A")
     n = A.shape[0]
     check_lyapunov_size(n)
     Q = check_symmetric(Q, "Q")
     if Q.shape != (n, n):
         raise ValueError(f"Q has shape {Q.shape}, expected {(n, n)}")
-    if n == 0:
-        return np.zeros((0, 0))
+    return A, Q
+
+
+def _resonant_values(A):
+    """The first eigenvalue pair of A summing to ~0, or None."""
     vals = eigenvalues(A)
     pair = resonant_pair(vals)
-    resonant = None if pair is None else (vals[pair[0]], vals[pair[1]])
-    if resonant and not allow_consistent_singular:
-        raise NumericalError(
-            "resonant spectrum: eigenvalues "
-            f"{resonant[0]:.6g} and {resonant[1]:.6g} sum to ~0; Lyapunov system singular"
-        )
-    K = kronecker_sum(A.T)
-    rhs = -Q.reshape(n * n, order="F")
-    if resonant:
-        vecP = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    else:
-        try:
-            vecP = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular linear system: {exc}") from exc
-    P = vecP.reshape((n, n), order="F")
-    P = 0.5 * (P + P.T)
+    return None if pair is None else (vals[pair[0]], vals[pair[1]])
+
+
+def _checked(A, Q, P, resonant):
+    """P, once the residual of A'P + PA = -Q is within 1e-8 (||A|| ||P|| + ||Q||)."""
     resid = np.abs(A.T @ P + P @ A + Q).max()
     bound = 1e-8 * (spectral_norm(A) * spectral_norm(P) + spectral_norm(Q))
     if resid > max(bound, 1e-300):
@@ -204,6 +227,70 @@ def solve_lyapunov(A, Q, allow_consistent_singular: bool = False) -> np.ndarray:
             f"Lyapunov residual {resid:.3e} exceeds tolerance {bound:.3e}"
         )
     return P
+
+
+def solve_lyapunov(A, Q) -> np.ndarray:
+    """Solve A'P + PA = -Q for symmetric P by Kronecker vectorization.
+
+    vec(A'P + PA) = K vec(P) in column-major vec, with K = I (x) A' + A' (x) I
+    from kronecker_sum, and K is solved by LU.
+
+    Raises NumericalError naming the offending eigenvalue pair when the
+    spectrum of A is resonant (lambda_i + lambda_j ~ 0), in which case the
+    n^2 x n^2 system is singular. ValueError, before any work, for an n past
+    check_lyapunov_size's cap.
+    """
+    A, Q = _lyapunov_problem(A, Q)
+    n = A.shape[0]
+    if n == 0:
+        return np.zeros((0, 0))
+    resonant = _resonant_values(A)
+    if resonant:
+        raise NumericalError(
+            "resonant spectrum: eigenvalues "
+            f"{resonant[0]:.6g} and {resonant[1]:.6g} sum to ~0; Lyapunov system singular"
+        )
+    K = kronecker_sum(A.T)
+    try:
+        vecP = np.linalg.solve(K, -Q.reshape(n * n, order="F"))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular linear system: {exc}") from exc
+    P = vecP.reshape((n, n), order="F")
+    return _checked(A, Q, 0.5 * (P + P.T), None)
+
+
+def solve_lyapunov_symmetric(A, Q) -> np.ndarray:
+    """Solve A'P + PA = -Q on the n(n+1)/2 unknowns of a symmetric P.
+
+    The system is lyapunov_operator_symmetric(A), solved by LU. When the
+    spectrum of A is resonant (lambda_i + lambda_j ~ 0) the system is
+    singular, and a consistent one is solved by least squares with the
+    off-diagonal unknowns scaled by sqrt(2): their 2-norm is then ||P||_F,
+    so the result is the minimum-Frobenius-norm solution, the one the
+    Kronecker system's least squares gives. Either way the residual check of
+    solve_lyapunov applies; an inconsistent resonant system raises
+    NumericalError naming the pair. ValueError, before any work, for an n
+    past check_lyapunov_size's cap.
+    """
+    A, Q = _lyapunov_problem(A, Q)
+    n = A.shape[0]
+    if n == 0:
+        return np.zeros((0, 0))
+    resonant = _resonant_values(A)
+    iu, ju, _ = _symmetric_scatter(n)
+    L = lyapunov_operator_symmetric(A)
+    rhs = -Q[iu, ju]
+    if resonant:
+        scale = np.where(iu == ju, 1.0, np.sqrt(0.5))
+        p = scale * np.linalg.lstsq(L * scale, rhs, rcond=None)[0]
+    else:
+        try:
+            p = np.linalg.solve(L, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"singular linear system: {exc}") from exc
+    P = np.empty((n, n))
+    P[iu, ju] = P[ju, iu] = p
+    return _checked(A, Q, P, resonant)
 
 
 def sym(M) -> np.ndarray:

@@ -60,7 +60,7 @@ def test_oversized_lyapunov_solve_exits_2_quickly(capsys, tmp_path, monkeypatch,
     def never(*args, **kwargs):
         raise AssertionError("a Lyapunov solve past the size cap")
 
-    monkeypatch.setattr(lc, "solve_lyapunov", never)
+    monkeypatch.setattr(lc, "solve_lyapunov_symmetric", never)
     monkeypatch.setattr(ls, "solve_lyapunov", never)
     n = 65
     path = tmp_path / "big.json"

@@ -6,8 +6,9 @@ import pytest
 from kcontract import compound as cp
 from kcontract import lin_contraction as lc
 from kcontract import lin_synthesis as ls
-from kcontract.numkernel import NumericalError, inertia_symmetric, spectral_norm, sym
-from test_numkernel import symmetric_of_kind
+from kcontract.numkernel import (NumericalError, inertia_symmetric, solve_lyapunov,
+                                 spectral_norm, sym)
+from test_numkernel import kronecker_minimum_norm, symmetric_of_kind
 
 
 def hurwitz(M):
@@ -80,6 +81,52 @@ def test_shifted_inertia_counts_eigenvalues():
         P = lc.shifted_inertia_certificate(A, mu)
         p = int(np.sum(re > mu))
         assert inertia_symmetric(P) == (p, 0, 5 - p)
+
+
+def seeded_shifts(seed, count):
+    """(A, mu) with n = 1..20 and mu at least 0.05 from every midpoint of two
+    eigenvalue real parts, so the shifted system is far from resonance."""
+    rng = np.random.default_rng(seed)
+    while count:
+        n = int(rng.integers(1, 21))
+        A = rng.standard_normal((n, n))
+        re = np.linalg.eigvals(A).real
+        mu = float(rng.uniform(re.min() - 1.0, re.max() + 1.0))
+        if np.abs((re[:, None] + re) / 2 - mu).min() >= 0.05:
+            count -= 1
+            yield A, mu
+
+
+def test_shifted_solutions_match_the_kronecker_lu():
+    for A, mu in seeded_shifts(33, 150):
+        P = lc.shifted_inertia_certificate(A, mu)
+        want = solve_lyapunov(A - mu * np.eye(len(A)), np.eye(len(A)))
+        assert np.abs(P - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_shifted_inertia_holds_on_seeded_shifts():
+    for A, mu in seeded_shifts(34, 150):
+        p = int(np.sum(np.linalg.eigvals(A).real > mu))
+        P = lc.shifted_inertia_certificate(A, mu)
+        assert inertia_symmetric(P) == (p, 0, len(A) - p)
+
+
+def test_resonant_shifted_solution_is_the_kronecker_minimum_norm_one():
+    # lambda_a + lambda_b = 2 mu with mu between the real parts: the shifted
+    # system is singular but consistent
+    rng = np.random.default_rng(35)
+    for _ in range(100):
+        n = int(rng.integers(2, 9))
+        mu = float(rng.uniform(-2.0, 2.0))
+        half = int(rng.integers(1, n // 2 + 1))
+        lam = rng.uniform(0.2, 3.0, half)
+        D = mu + np.concatenate([lam, -lam, -rng.uniform(0.2, 3.0, n - 2 * half)])
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = (U * D) @ U.T
+        P = lc.shifted_inertia_certificate(A, mu)
+        want = kronecker_minimum_norm(A - mu * np.eye(n), np.eye(n))
+        assert np.abs(P - want).max() <= 1e-11 * np.abs(want).max()
+        assert inertia_symmetric(P) == (half, 0, n - half)
 
 
 def test_shifted_inertia_solves_exact_equation():
@@ -312,10 +359,13 @@ def test_zero_slack_rejects_any_positive_margin():
 
 
 def test_verify_certificate_without_rates_and_with_mismatched_shapes():
-    # ell = 0 runs through the empty stacks: only the rate sum is reported
+    # ell = 0 runs through the empty stacks and rejects, even for an
+    # expanding A: only the rate sum is reported
     empty = lc.ContractionCertificate(ell=0, mus=[], ds=[0], mats=[], k=1)
-    report = lc.verify_certificate(-np.eye(2), 1, empty)
-    assert report.margins == [("rate_sum", 0.0)]
+    for A in (-np.eye(2), np.eye(2)):
+        report = lc.verify_certificate(A, 1, empty)
+        assert report.margins == [("rate_sum", 0.0)]
+        assert not report.verdict and "no rates: ell=0" in report.diagnostics
     for ell, mus, ds, mats, message in (
             (1, [0.0], [0, 1], [np.eye(3)], "dimension does not match A"),
             (1, [0.0], [0], [np.eye(2)], "field lengths are inconsistent"),

@@ -157,6 +157,71 @@ def test_kronecker_sum_matches_np_kron_bytes():
             assert got.tobytes() == want.tobytes()
 
 
+def symmetric_fold(K, n):
+    """The Kronecker system K of dimension n restricted to symmetric P: its
+    rows (i, j) and the sum of its columns (a, b) and (b, a), a <= b, in
+    np.triu_indices(n) order, with column-major vec indices."""
+    iu, ju = np.triu_indices(n)
+    rows = K[ju * n + iu]
+    fold = rows[:, ju * n + iu].copy()
+    off = iu != ju
+    fold[:, off] += rows[:, (iu * n + ju)[off]]
+    return fold
+
+
+def test_symmetric_operator_is_the_fold_of_kronecker_sum():
+    # integer entries: every sum is exact, so the two agree bit for bit
+    rng = np.random.default_rng(31)
+    for n in range(1, 11):
+        for _ in range(3):
+            A = rng.integers(-5, 6, (n, n)).astype(float)
+            got = nk.lyapunov_operator_symmetric(A)
+            assert got.shape == (n * (n + 1) // 2,) * 2
+            assert np.array_equal(got, symmetric_fold(nk.kronecker_sum(A.T), n))
+
+
+def kronecker_minimum_norm(M, Q):
+    """The symmetrized least-squares solution of the full Kronecker system."""
+    n = M.shape[0]
+    v = np.linalg.lstsq(nk.kronecker_sum(M.T), -Q.reshape(n * n, order="F"), rcond=None)[0]
+    P = v.reshape((n, n), order="F")
+    return 0.5 * (P + P.T)
+
+
+def test_symmetric_solve_of_a_resonant_system_is_the_minimum_norm_solution():
+    # an orthogonally similar diagonal with pairs +-lambda: singular, and
+    # consistent for a Q that is diagonal in the same basis
+    rng = np.random.default_rng(32)
+    for _ in range(100):
+        n = int(rng.integers(2, 9))
+        half = int(rng.integers(1, n // 2 + 1))
+        lam = rng.uniform(0.2, 3.0, half)
+        D = np.concatenate([lam, -lam, -rng.uniform(0.2, 3.0, n - 2 * half)])
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        M = (U * D) @ U.T
+        Q = (U * rng.uniform(0.5, 2.0, n)) @ U.T
+        P = nk.solve_lyapunov_symmetric(M, Q)
+        want = kronecker_minimum_norm(M, Q)
+        assert np.abs(P - want).max() <= 1e-11 * np.abs(want).max()
+        assert np.array_equal(P, P.T)
+
+
+def test_symmetric_solve_refuses_an_inconsistent_resonant_system():
+    # A'P + PA of a rotation generator is a commutator, of trace 0, never -I
+    with pytest.raises(nk.NumericalError, match="resonant.*inconsistent"):
+        nk.solve_lyapunov_symmetric(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
+
+
+def test_symmetric_solve_shapes_and_size_cap():
+    assert nk.solve_lyapunov_symmetric(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
+    P = nk.solve_lyapunov_symmetric(np.diag([-1.0, -2.0]), np.eye(2))
+    assert np.allclose(P, np.diag([0.5, 0.25]), atol=1e-15)
+    with pytest.raises(ValueError, match="shape"):
+        nk.solve_lyapunov_symmetric(-np.eye(2), np.eye(3))
+    with pytest.raises(ValueError, match=f"would form {65 ** 4} matrix entries"):
+        nk.solve_lyapunov_symmetric(-np.eye(65), np.eye(65))
+
+
 def symmetric_of_kind(rng, n, kind):
     """A symmetric n x n matrix that is definite, indefinite or nearly singular
     (one eigenvalue at about the inertia threshold of 1e-9 * ||S||)."""
