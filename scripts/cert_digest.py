@@ -24,7 +24,9 @@ systems it runs the analyze-lin, certify-lin (at the default slack and at
 1e-3), stabilizable and synth-lin (--rho 10) commands as the workload does
 and hashes each exit status and standard output. It also hashes the
 report of verify_nl_certificate, synthesize_nl_gain and
-verify_compound_condition on the packaged reference data. Equal digests mean
+verify_compound_condition on the packaged reference data, and that of
+verify_certificate on the refined envelope stack of the packaged
+synchronverter resolved pair. Equal digests mean
 byte-identical certificates and reports.
 """
 
@@ -223,8 +225,8 @@ def nonlinear_digests():
     doc = reproduce.load_data("synchronverter_resolved.json")
     refinement = {int(k): v for k, v in doc["refinement"].items()}
     verts = nv.envelope_vertices_refined(bundle.model, bundle.box, refinement)
-    report = nv.verify_nl_certificate(bundle.model, bundle.box, reproduce.cert_from_data(doc),
-                                      vertices=verts)
+    cert = reproduce.cert_from_data(doc)
+    report = lc.verify_certificate(verts, cert.k, cert)
     out["verify_nl_certificate/synchronverter_resolved"] = digest_of(
         reproduce.report_entry(report))
 

@@ -132,7 +132,7 @@ def bundle_digest(name: str, seed: int) -> str:
     result.pop("trace", None)
     resolved = result.pop("resolved", None)
     if resolved is not None:
-        rec.add(resolved.P0, resolved.P1, np.array([resolved.mu0, resolved.mu1]))
+        rec.add(*resolved.mats, np.array(resolved.mus))
     rec.hash.update(cli.dumps(result).encode())
     return rec.hash.hexdigest()
 

@@ -3,12 +3,15 @@
 The spectral test sums the k largest eigenvalue real parts; the certificate
 route realizes the same property through a family of generalized Lyapunov
 inequalities A'P_i + P_i A < 2 mu_i P_i with prescribed inertia of each P_i
-and a weighted rate budget sum(h_i mu_i) <= 0.
+and a weighted rate sum sum(h_i mu_i) < 0. The nonlinear constant-metric
+pair is the same certificate with ell = 2 and ds = [0, k-1, k], checked at
+every vertex of a Jacobian envelope instead of at one A: verify_certificate
+takes one A or a (V, n, n) stack of them.
 
-Margins for a generalized inequality are always reported in the rate-
-normalized half form: margin = lambda_max(sym(P (A - mu I))). A condition
-holds strictly iff its margin is negative; relative slack s accepts margins
-below s * ||P||_2.
+Margins for a generalized inequality are reported in the rate-normalized
+half form: margin = lambda_max(sym(P J) - mu P) at each J, the worst over
+the stack. A condition holds strictly iff its margin is negative; relative
+slack s accepts margins below s * ||P||_2.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .numkernel import (
     solve_lyapunov_symmetric,
     spectral_norm,
     sym,
+    worst_margin,
 )
 
 REAL_PART_GROUP_RTOL = 1e-8
@@ -47,9 +51,14 @@ MAX_COUNT_DIGITS = 4300
 class ContractionCertificate:
     """Data realizing the generalized Lyapunov test for k-contraction.
 
-    ell rates mu_0 > ... > mu_{ell-1}, breakpoints d_0 = 0 < d_1 < ... <
+    ell rates mu_0 > ... > mu_{ell-1}, breakpoints d_0 = 0 <= d_1 <= ... <=
     d_{ell-1} <= k-1 plus the closing d_ell <= k, weights h_i = d_{i+1} - d_i,
-    and symmetric matrices P_i of inertia (d_i, 0, n - d_i).
+    and symmetric matrices P_i of inertia (d_i, 0, n - d_i). A stage of
+    weight 0 is still checked and adds nothing to the rate sum.
+
+    The nonlinear constant-metric pair (pair) is ell = 2, ds = [0, k-1, k]:
+    P0 > 0 at rate mu0 and P1 of inertia (k-1, 0, n-k+1) at mu1, read back
+    through the P0, P1, mu0 and mu1 properties.
 
     Synthesis stores its W_i in the same record with colinear=True: the W_i
     share one controllable-block factor, so B'W_i^{-1} is the same for all i.
@@ -65,6 +74,15 @@ class ContractionCertificate:
     k: int
     colinear: bool = False
     report: VerificationReport | None = field(default=None, compare=False, repr=False)
+
+    @classmethod
+    def pair(cls, P0, P1, mu0, mu1, k: int) -> ContractionCertificate:
+        return cls(ell=2, mus=[mu0, mu1], ds=[0, k - 1, k], mats=[P0, P1], k=k)
+
+    P0 = property(lambda self: self.mats[0])
+    P1 = property(lambda self: self.mats[1])
+    mu0 = property(lambda self: self.mus[0])
+    mu1 = property(lambda self: self.mus[1])
 
     @property
     def weights(self):
@@ -146,8 +164,9 @@ def shifted_inertia_certificate(A, mu: float, vals=None) -> np.ndarray:
         raise NumericalError(f"mu={mu:.6g} lies on the real-part set of the spectrum")
     # a resonance lambda_i + lambda_j = 2 mu with mu strictly between real-part
     # groups leaves the shifted system singular but consistent; the
-    # minimum-norm solution keeps the inertia property
-    return solve_lyapunov_symmetric(A - mu * np.eye(n), np.eye(n))
+    # minimum-norm solution keeps the inertia property. vals - mu stands for
+    # the spectrum of A - mu I, so the solve takes no spectrum of its own
+    return solve_lyapunov_symmetric(A - mu * np.eye(n), np.eye(n), vals - mu)
 
 
 def build_certificate(A, k: int) -> ContractionCertificate:
@@ -248,61 +267,79 @@ def _build_with_grouping(A, k, vals, rtol) -> ContractionCertificate:
     )
 
 
+def metric_condition_margin(P, J, mu):
+    """Half-form margin lambda_max(sym(P J) - mu P) of J'P + PJ < 2 mu P: a float
+    at one J, else one margin per matrix of the broadcast stack."""
+    margin = np.linalg.eigvalsh(sym(P @ J) - mu * P).max(axis=-1)
+    return margin if margin.ndim else float(margin)
+
+
 def verify_certificate(A, k: int, cert: ContractionCertificate, slack: float = 0.0) -> VerificationReport:
     """Check a certificate against the staged generalized Lyapunov conditions.
 
-    Structural violations (no rates, inertia, breakpoint ordering, rate
-    budget) reject; only dimension mismatches raise. slack is relative: condition i accepts
-    when its margin is below slack * ||P_i||_2, a norm taken only at a nonzero
-    slack. One eigvalsh over the P_i stack gives the inertias, and one over the
-    sym(P_i (A - mu_i I)) stack the margins, each with the bytes of its own call.
+    A is one matrix or a (V, n, n) stack of envelope vertices; each condition
+    must hold at every vertex, and the report names its worst vertex (the
+    first NaN margin, else the first largest). Structural violations (no
+    rates, inertia, breakpoint ordering, a rate sum that is not negative)
+    reject; only dimension mismatches and an empty stack raise. slack is
+    relative: condition i accepts when its margin is below slack * ||P_i||_2,
+    a norm taken only at a nonzero slack. One eigvalsh over the P_i stack
+    gives the inertias, and one over the (ell, V) stack of sym(P_i J_v) -
+    mu_i P_i the margins, each with the bytes of its own call.
     """
-    A = as_square(A, "A")
-    n = A.shape[0]
+    J = np.asarray(A, dtype=float)
+    J = as_square(J, "A")[None] if J.ndim == 2 else J
+    if J.ndim != 3 or J.shape[1] != J.shape[2]:
+        raise ValueError(f"A must be square or a (V, n, n) stack, got shape {J.shape}")
+    if not len(J):
+        raise ValueError("no envelope vertex to check")
+    n = J.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    if cert.ell != len(cert.mus) or cert.ell != len(cert.mats) or len(cert.ds) != cert.ell + 1:
+    ell, ds = cert.ell, cert.ds
+    if ell != len(cert.mus) or ell != len(cert.mats) or len(ds) != ell + 1:
         raise ValueError("certificate field lengths are inconsistent")
-    for P in cert.mats:
-        if np.asarray(P).shape != (n, n):
-            raise ValueError("certificate matrix dimension does not match A")
+    if any(np.shape(P) != (n, n) for P in cert.mats):
+        raise ValueError("certificate matrix dimension does not match A")
 
-    margins = []
     problems = []
-    ds = cert.ds
-    if cert.ell < 1:
-        problems.append(f"no rates: ell={cert.ell}, a certificate needs ell >= 1")
-    if ds[0] != 0 or any(ds[i] >= ds[i + 1] for i in range(cert.ell)):
-        problems.append(f"breakpoints not strictly increasing from 0: {ds}")
-    if cert.ell >= 1 and ds[cert.ell - 1] > k - 1:
-        problems.append(f"d_{cert.ell - 1}={ds[cert.ell - 1]} exceeds k-1={k - 1}")
-    if ds[cert.ell] > k:
-        problems.append(f"closing breakpoint d_ell={ds[cert.ell]} exceeds k={k}")
+    if ell < 1:
+        problems.append(f"no rates: ell={ell}, a certificate needs ell >= 1")
+    if ds[0] != 0 or any(ds[i] > ds[i + 1] for i in range(ell)):
+        problems.append(f"breakpoints not nondecreasing from 0: {ds}")
+    if ell >= 1 and ds[ell - 1] > k - 1:
+        problems.append(f"d_{ell - 1}={ds[ell - 1]} exceeds k-1={k - 1}")
+    if ds[ell] > k:
+        problems.append(f"closing breakpoint d_ell={ds[ell]} exceeds k={k}")
 
-    Ps = np.array([check_symmetric(P, f"P_{i}")
-                   for i, P in enumerate(cert.mats)]).reshape(cert.ell, n, n)
-    shifted = A - np.asarray(cert.mus, dtype=float)[:, None, None] * np.eye(n)
-    ms = np.linalg.eigvalsh(sym(Ps @ shifted)).max(axis=-1).tolist()
-    for i, (P, inertia, m, d) in enumerate(zip(Ps, inertia_symmetric(Ps), ms, cert.ds)):
+    Ps = np.array([check_symmetric(P, f"P{i}") for i, P in enumerate(cert.mats)]).reshape(ell, n, n)
+    for i, (inertia, d) in enumerate(zip(inertia_symmetric(Ps), ds)):
         if inertia != (d, 0, n - d):
-            problems.append(
-                f"P_{i} inertia {tuple(inertia)} != required ({d}, 0, {n - d})"
-            )
-        margins.append((f"P_{i}", m))
-        if not m < (slack * max(spectral_norm(P), 1e-300) if slack else 0.0):
-            problems.append(f"condition P_{i} margin {m:.6g} not below slack")
-
+            problems.append(f"P{i} inertia {tuple(inertia)} != required ({d}, 0, {n - d})")
+    mus = np.asarray(cert.mus, dtype=float).reshape(ell, 1, 1, 1)
+    worst = [worst_margin(row) for row in metric_condition_margin(Ps[:, None], J, mus)]
+    for i, (P, (m, v)) in enumerate(zip(Ps, worst)):
+        thr = slack * max(spectral_norm(P), 1e-300) if slack else 0.0
+        if not m < thr:
+            problems.append(f"P{i} condition margin {m:.6g} at vertex {v} not below {thr:.6g}")
     rate = cert.rate_sum
-    margins.append(("rate_sum", rate))
-    if rate > 0:
-        problems.append(f"weighted rate sum {rate:.6g} > 0")
+    if not rate < 0:
+        problems.append(f"rate sum sum_i h_i mu_i = {rate:.6g} not negative")
 
-    verdict = not problems
+    planar = (n == 2 and k == 2)
+    notes = problems + (["planar case: box compactness not required for the conclusion"]
+                        if planar else [])
     return VerificationReport(
-        verdict=verdict,
-        margins=margins,
-        diagnostics="; ".join(problems) if problems else f"all conditions hold (slack={slack:g})",
-        data={"slack": slack},
+        verdict=not problems,
+        margins=[(f"P{i}", m) for i, (m, _) in enumerate(worst)] + [("rate_sum", rate)],
+        diagnostics="; ".join(notes) if notes else f"all conditions hold (slack={slack:g})",
+        data={
+            "worst_vertex": {f"P{i}": v for i, (_, v) in enumerate(worst)},
+            "slack": slack,
+            "planar": planar,
+            "n_vertices": len(J),
+            "certifying": True,  # vertex checks always certify the box; kept for readers
+        },
     )
 
 

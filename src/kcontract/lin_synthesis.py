@@ -160,7 +160,8 @@ def _assemble(dec: KalmanDecomposition, A, B, Wc, mu):
     n = dec.nc + dec.nu
     Wu = np.zeros((0, 0))
     if dec.nu:
-        Wu = shifted_inertia_certificate(dec.Au.T, mu)
+        # Au' has the spectrum of Au, which the decomposition holds already
+        Wu = shifted_inertia_certificate(dec.Au.T, mu, dec.spectrum_u)
         Wu = Wu / spectral_norm(Wu)
     kappa = spectral_norm(Wc) if Wc.size else 1.0
     kappa = max(kappa, 1e-8)

@@ -5,11 +5,13 @@ theta_j(x) A_j with interval-bounded scalar parameters theta_j over a box.
 Matrix-inequality conditions are affine in theta, so checking the 2^m
 envelope vertices certifies them on the whole box.
 
-Margins use the same rate-normalized half form as the linear module:
-margin = lambda_max(sym(P J) - mu P) for metric conditions, and
-lambda_max(sym(Q C) + eta/2 I) for the compound condition with C the k-th
-additive compound of a vertex Jacobian. Relative slack s accepts margins
-below s * ||P||_2 (resp. s * ||Q||_2).
+A constant-metric pair is lin_contraction's certificate record with ell = 2
+and ds = [0, k-1, k] (ContractionCertificate.pair), and verify_nl_certificate
+is lin_contraction.verify_certificate on the envelope vertex stack. Margins
+use the one rate-normalized half form: margin = lambda_max(sym(P J) - mu P)
+for metric conditions, and lambda_max(sym(Q C) + eta/2 I) for the compound
+condition with C the k-th additive compound of a vertex Jacobian. Relative
+slack s accepts margins below s * ||P||_2 (resp. s * ||Q||_2).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compound import additive_compound
-from .lin_contraction import VerificationReport
+from .lin_contraction import ContractionCertificate, VerificationReport, verify_certificate
 from .lin_synthesis import design_margin
 from .numkernel import (
     MAX_DENSE_ENTRIES,
@@ -28,6 +30,7 @@ from .numkernel import (
     inertia_symmetric,
     spectral_norm,
     sym,
+    worst_margin,
 )
 
 VERTEX_CAP = 16  # 2^16 envelope vertices
@@ -111,21 +114,6 @@ class NonlinearModel:
         return J
 
 
-@dataclass
-class NonlinearCertificate:
-    """Constant-metric pair (P0 > 0, P1 of inertia (k-1, 0, n-k+1)) with rates."""
-
-    P0: np.ndarray
-    P1: np.ndarray
-    mu0: float
-    mu1: float
-    k: int
-
-    @property
-    def rate_sum(self):
-        return float(self.mu1 + (self.k - 1) * self.mu0)
-
-
 def envelope_vertices(model: NonlinearModel, box: Box):
     """The 2^m matrices A0 + sum theta_j^{+/-} A_j bracketing J(x) on the box, as one
     (2^m, n, n) stack. Vertex v takes theta_j's upper bound where bit j of v is set,
@@ -181,80 +169,11 @@ def envelope_vertices_refined(model: NonlinearModel, box: Box, splits: dict | No
     return np.concatenate([envelope_vertices(model, b) for b in boxes])
 
 
-def metric_condition_margin(P, J, mu):
-    """Half-form margin of J'P + PJ < 2 mu P: a float at one Jacobian J, one
-    margin per matrix of a (V, n, n) stack."""
-    margin = np.linalg.eigvalsh(sym(P @ J) - mu * P).max(axis=-1)
-    return margin if margin.ndim else float(margin)
-
-
-def _worst(margins):
-    """(largest margin, first index) of a margin array. A NaN margin is a vertex
-    whose condition could not be evaluated, so it fails: the first NaN wins."""
-    arg = int(np.argmax(margins))  # argmax takes the first NaN
-    return float(margins[arg]), arg
-
-
-def verify_nl_certificate(model: NonlinearModel, box: Box, cert: NonlinearCertificate,
-                          slack: float = 0.0, vertices=None) -> VerificationReport:
-    """Vertex-check the constant-metric pair conditions on the box.
-
-    Accepts iff both metric inequalities hold at every envelope vertex with
-    margin below slack * ||P_i||_2 and mu1 + (k-1) mu0 < 0. Inertia mismatches
-    reject with the condition named; only dimension mismatches raise.
-    """
-    n = model.dim
-    P0 = check_symmetric(cert.P0, "P0")
-    P1 = check_symmetric(cert.P1, "P1")
-    if P0.shape != (n, n) or P1.shape != (n, n):
-        raise ValueError(f"certificate matrices must be {n}x{n}")
-    k = cert.k
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range [1, {n}]")
-    verts = envelope_vertices(model, box) if vertices is None else np.asarray(vertices, float)
-    if len(verts) == 0:
-        raise ValueError("no envelope vertex to check")
-
-    problems = []
-    in0 = inertia_symmetric(P0)
-    in1 = inertia_symmetric(P1)
-    if in0 != (0, 0, n):
-        problems.append(f"P0 inertia {tuple(in0)} != required (0, 0, {n})")
-    if in1 != (k - 1, 0, n - k + 1):
-        problems.append(
-            f"P1 inertia {tuple(in1)} != required ({k - 1}, 0, {n - k + 1})"
-        )
-
-    m0, v0 = _worst(metric_condition_margin(P0, verts, cert.mu0))
-    m1, v1 = _worst(metric_condition_margin(P1, verts, cert.mu1))
-    thr0 = slack * max(spectral_norm(P0), 1e-300)
-    thr1 = slack * max(spectral_norm(P1), 1e-300)
-    if not m0 < thr0:
-        problems.append(f"P0 condition margin {m0:.6g} at vertex {v0} not below {thr0:.6g}")
-    if not m1 < thr1:
-        problems.append(f"P1 condition margin {m1:.6g} at vertex {v1} not below {thr1:.6g}")
-    rate = cert.rate_sum
-    if not rate < 0:
-        problems.append(f"rate sum mu1 + (k-1) mu0 = {rate:.6g} not negative")
-
-    planar = (n == 2 and k == 2)
-    notes = []
-    if planar:
-        notes.append("planar case: box compactness not required for the conclusion")
-    if problems:
-        notes = problems + notes
-    return VerificationReport(
-        verdict=not problems,
-        margins=[("P0", m0), ("P1", m1), ("rate_sum", rate)],
-        diagnostics="; ".join(notes) if notes else f"all conditions hold (slack={slack:g})",
-        data={
-            "worst_vertex": {"P0": v0, "P1": v1},
-            "slack": slack,
-            "planar": planar,
-            "n_vertices": len(verts),
-            "certifying": True,  # vertex checks always certify the box; kept for readers
-        },
-    )
+def verify_nl_certificate(model: NonlinearModel, box: Box, cert: ContractionCertificate,
+                          slack: float = 0.0) -> VerificationReport:
+    """Vertex-check a certificate, the constant-metric pair among them, on the
+    box: verify_certificate at order cert.k over the envelope vertex stack."""
+    return verify_certificate(envelope_vertices(model, box), cert.k, cert, slack)
 
 
 def verify_compound_condition(model: NonlinearModel, box: Box, Q, eta: float, k: int,
@@ -272,7 +191,7 @@ def verify_compound_condition(model: NonlinearModel, box: Box, Q, eta: float, k:
         raise ValueError("eta must be positive")
     verts = envelope_vertices(model, box)
     shift = 0.5 * eta * np.eye(len(Q))
-    worst, arg = _worst(
+    worst, arg = worst_margin(
         np.linalg.eigvalsh(sym(Q @ additive_compound(verts, k)) + shift).max(axis=-1))
     thr = slack * max(spectral_norm(Q), 1e-300)
     ok = worst <= thr
@@ -325,8 +244,8 @@ def synthesize_nl_gain(model: NonlinearModel, box: Box, W0, W1, mu0: float, mu1:
 
     verts = envelope_vertices(model, box)
     shift = 0.5 * BBt @ W0i
-    worst_a, va = _worst(design_margin(verts, B, W0, mu0))
-    worst_b, vb = _worst(design_margin(verts - shift, B, W1, mu1))
+    worst_a, va = worst_margin(design_margin(verts, B, W0, mu0))
+    worst_b, vb = worst_margin(design_margin(verts - shift, B, W1, mu1))
     thr_a = slack * max(spectral_norm(W0), 1e-300)
     thr_b = slack * max(spectral_norm(W1), 1e-300)
     rate = (k - 1) * mu0 + mu1 + omega
@@ -444,10 +363,10 @@ def search_nl_certificate(model: NonlinearModel, box: Box, k: int):
     Rate candidates come from the windows the vertex spectra allow; each metric
     of a candidate is one solve_metric_lmi, and the candidate fails when
     either t* >= 0.
-    Returns an accepted NonlinearCertificate or None; the result is gated
-    through verify_nl_certificate at slack 0 against the same vertex set, so a
-    returned certificate is always genuinely valid. None is an honest failure,
-    never fabricated.
+    Returns an accepted pair (ContractionCertificate.pair) or None; the result
+    is gated through verify_certificate at slack 0 against the same vertex
+    stack, so a returned certificate is always genuinely valid. None is an
+    honest failure, never fabricated.
     """
     n = model.dim
     if not 1 <= k <= n:
@@ -483,8 +402,7 @@ def search_nl_certificate(model: NonlinearModel, box: Box, k: int):
         P0, t0 = solve_metric_lmi(verts, mu0)
         P1, t1 = solve_metric_lmi(verts, mu1)
         if t0 < 0 and t1 < 0:
-            cert = NonlinearCertificate(P0=P0, P1=P1, mu0=float(mu0), mu1=float(mu1), k=k)
-            report = verify_nl_certificate(model, box, cert, slack=0.0, vertices=verts)
-            if report.verdict:
+            cert = ContractionCertificate.pair(P0, P1, float(mu0), float(mu1), k)
+            if verify_certificate(verts, k, cert).verdict:
                 return cert
     return None

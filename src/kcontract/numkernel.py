@@ -205,9 +205,10 @@ def _lyapunov_problem(A, Q):
     return A, Q
 
 
-def _resonant_values(A):
-    """The first eigenvalue pair of A summing to ~0, or None."""
-    vals = eigenvalues(A)
+def _resonant_values(A, vals=None):
+    """The first eigenvalue pair of A summing to ~0, or None; vals is
+    eigenvalues(A) when the caller has it already."""
+    vals = eigenvalues(A) if vals is None else vals
     pair = resonant_pair(vals)
     return None if pair is None else (vals[pair[0]], vals[pair[1]])
 
@@ -259,7 +260,7 @@ def solve_lyapunov(A, Q) -> np.ndarray:
     return _checked(A, Q, 0.5 * (P + P.T), None)
 
 
-def solve_lyapunov_symmetric(A, Q) -> np.ndarray:
+def solve_lyapunov_symmetric(A, Q, vals=None) -> np.ndarray:
     """Solve A'P + PA = -Q on the n(n+1)/2 unknowns of a symmetric P.
 
     The system is lyapunov_operator_symmetric(A), solved by LU. When the
@@ -269,14 +270,15 @@ def solve_lyapunov_symmetric(A, Q) -> np.ndarray:
     so the result is the minimum-Frobenius-norm solution, the one the
     Kronecker system's least squares gives. Either way the residual check of
     solve_lyapunov applies; an inconsistent resonant system raises
-    NumericalError naming the pair. ValueError, before any work, for an n
-    past check_lyapunov_size's cap.
+    NumericalError naming the pair. vals is eigenvalues(A) when the caller
+    has it already; resonance is decided on it. ValueError, before any work,
+    for an n past check_lyapunov_size's cap.
     """
     A, Q = _lyapunov_problem(A, Q)
     n = A.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    resonant = _resonant_values(A)
+    resonant = _resonant_values(A, vals)
     iu, ju, _ = _symmetric_scatter(n)
     L = lyapunov_operator_symmetric(A)
     rhs = -Q[iu, ju]
@@ -291,6 +293,13 @@ def solve_lyapunov_symmetric(A, Q) -> np.ndarray:
     P = np.empty((n, n))
     P[iu, ju] = P[ju, iu] = p
     return _checked(A, Q, P, resonant)
+
+
+def worst_margin(margins):
+    """(largest margin, first index) of a margin array. A NaN margin is a vertex
+    whose condition could not be evaluated, so it fails: the first NaN wins."""
+    arg = int(np.argmax(margins))  # argmax takes the first NaN
+    return float(margins[arg]), arg
 
 
 def sym(M) -> np.ndarray:

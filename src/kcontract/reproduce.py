@@ -25,7 +25,7 @@ import numpy as np
 from . import models, nl_verify as nv, sim, stepper
 from .compound import additive_compound
 from .numkernel import inertia_symmetric, spectral_norm
-from .lin_contraction import VerificationReport
+from .lin_contraction import ContractionCertificate, VerificationReport, verify_certificate
 
 
 def load_data(name: str) -> dict:
@@ -51,12 +51,12 @@ def _order(doc) -> int:
     return k
 
 
-def cert_from_data(doc) -> nv.NonlinearCertificate:
+def cert_from_data(doc) -> ContractionCertificate:
     """The constant-metric pair of a certificate document, each field checked
     by name: P0 and P1 finite matrices, the rates mu0 and mu1 finite numbers
     and the order k an integer of at least 1; ValueError otherwise."""
-    return nv.NonlinearCertificate(P0=_matrix(doc, "P0"), P1=_matrix(doc, "P1"),
-                                   mu0=_rate(doc, "mu0"), mu1=_rate(doc, "mu1"), k=_order(doc))
+    return ContractionCertificate.pair(_matrix(doc, "P0"), _matrix(doc, "P1"),
+                                       _rate(doc, "mu0"), _rate(doc, "mu1"), _order(doc))
 
 
 def design_from_data(doc) -> dict:
@@ -267,9 +267,9 @@ def reproduce_synchronverter(seed: int = 0, trajectories: int = 10,
 
     resolved_doc = load_data("synchronverter_resolved.json")
     refinement = {int(k): v for k, v in resolved_doc["refinement"].items()}
-    refined = nv.envelope_vertices_refined(bundle.model, box, refinement)
-    resolved_report = nv.verify_nl_certificate(
-        bundle.model, box, cert_from_data(resolved_doc), slack=0.0, vertices=refined)
+    resolved = cert_from_data(resolved_doc)
+    resolved_report = verify_certificate(
+        nv.envelope_vertices_refined(bundle.model, box, refinement), resolved.k, resolved)
 
     labels = []
     if classify:

@@ -68,8 +68,7 @@ def test_criterion_2_synchronverter_certificate():
         resolved = reproduce.cert_from_data(resolved_doc)
         refinement = {int(a): b for a, b in resolved_doc["refinement"].items()}
         verts = nv.envelope_vertices_refined(bundle.model, box, refinement)
-        rr = nv.verify_nl_certificate(bundle.model, box, resolved, slack=0.0,
-                                      vertices=verts)
+        rr = lc.verify_certificate(verts, resolved.k, resolved)
         ok = ok and rr.verdict
         detail.append(f"re-solved@0: {rr.verdict} "
                       f"(margins {[f'{m:.2g}' for _, m in rr.margins]})")
@@ -94,8 +93,7 @@ def test_criterion_3_modified_rossler_protocol():
     (P0, t0), (P1, t1) = (nv.solve_metric_lmi(verts, mu) for mu in (printed.mu0, printed.mu1))
     ok = ok and t0 < 0 and t1 < 0
     if t0 < 0 and t1 < 0:
-        resolved = nv.NonlinearCertificate(P0=P0, P1=P1, mu0=printed.mu0, mu1=printed.mu1,
-                                           k=printed.k)
+        resolved = lc.ContractionCertificate.pair(P0, P1, printed.mu0, printed.mu1, printed.k)
         rr = nv.verify_nl_certificate(bundle.model, box, resolved, slack=0.0)
         ok = ok and rr.verdict
         detail.append(f"re-solved@0: {rr.verdict} "

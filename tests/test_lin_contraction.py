@@ -324,28 +324,36 @@ def test_each_distinct_grouping_is_built(monkeypatch):
 
 
 def test_stacked_margins_equal_the_per_matrix_margins():
-    # definite, indefinite and nearly singular P; every margin keeps the bytes
-    # of its own eigvalsh(sym(P (A - mu I))).max(), at slack 0 and 1e-3
+    # definite, indefinite and nearly singular P, at one A or on a stack of up
+    # to four vertices: every margin keeps the bytes of its own
+    # eigvalsh(sym(P J) - mu P).max() at the worst vertex a per-vertex loop
+    # names (the first largest), at slack 0 and 1e-3
     rng = np.random.default_rng(31)
     for _ in range(200):
         n = int(rng.integers(1, 21))
         ell = int(rng.integers(1, min(n, 4) + 1))
-        A = rng.standard_normal((n, n))
+        V = int(rng.integers(1, 5))
+        J = rng.standard_normal((V, n, n))
         mus = rng.standard_normal(ell).tolist()
         mats = [symmetric_of_kind(rng, n, kind)
                 for kind in rng.choice(["definite", "indefinite", "singular"], ell)]
         cert = lc.ContractionCertificate(ell=ell, mus=mus, ds=list(range(ell + 1)), mats=mats,
                                          k=ell)
         for slack in (0.0, 1e-3):
-            report = lc.verify_certificate(A, ell, cert, slack=slack)
-            want = [np.linalg.eigvalsh(sym(P @ (A - mu * np.eye(n)))).max()
-                    for P, mu in zip(mats, mus)]
+            report = lc.verify_certificate(J[0] if V == 1 else J, ell, cert, slack=slack)
+            want, worst = [], {}
+            for i, (P, mu) in enumerate(zip(mats, mus)):
+                per_vertex = [np.linalg.eigvalsh(sym(P @ Jv) - mu * P).max() for Jv in J]
+                worst[f"P{i}"] = next(v for v, m in enumerate(per_vertex)
+                                      if m == max(per_vertex))
+                want.append(max(per_vertex))
             got = [m for _, m in report.margins[:-1]]
             assert [float(m).hex() for m in got] == [float(m).hex() for m in want]
+            assert report.data["worst_vertex"] == worst and report.data["n_vertices"] == V
             inertia_ok = all(inertia_symmetric(P) == (d, 0, n - d)
                              for P, d in zip(mats, range(ell)))
             margins_ok = all(m < slack * max(spectral_norm(P), 1e-300) for P, m in zip(mats, want))
-            assert report.verdict == (inertia_ok and margins_ok and cert.rate_sum <= 0)
+            assert report.verdict == (inertia_ok and margins_ok and cert.rate_sum < 0)
 
 
 def test_zero_slack_rejects_any_positive_margin():
@@ -355,7 +363,7 @@ def test_zero_slack_rejects_any_positive_margin():
     A = np.array([[-1.0 + 2 ** -40]])
     for slack, verdict in ((0.0, False), (-0.0, False), (1e-3, True)):
         report = lc.verify_certificate(A, 1, cert, slack=slack)
-        assert report.margin("P_0") == 2 ** -40 and report.verdict is verdict
+        assert report.margin("P0") == 2 ** -40 and report.verdict is verdict
 
 
 def test_verify_certificate_without_rates_and_with_mismatched_shapes():
@@ -370,7 +378,7 @@ def test_verify_certificate_without_rates_and_with_mismatched_shapes():
             (1, [0.0], [0, 1], [np.eye(3)], "dimension does not match A"),
             (1, [0.0], [0], [np.eye(2)], "field lengths are inconsistent"),
             (1, [0.0, 1.0], [0, 1], [np.eye(2)], "field lengths are inconsistent"),
-            (1, [-1.0], [0, 1], [np.array([[1.0, 2.0], [0.0, 1.0]])], "P_0 is not symmetric")):
+            (1, [-1.0], [0, 1], [np.array([[1.0, 2.0], [0.0, 1.0]])], "P0 is not symmetric")):
         cert = lc.ContractionCertificate(ell=ell, mus=mus, ds=ds, mats=mats, k=1)
         with pytest.raises(ValueError, match=message):
             lc.verify_certificate(-np.eye(2), 1, cert)

@@ -6,7 +6,10 @@ import pytest
 
 from kcontract import lin_contraction as lc
 from kcontract import lin_synthesis, models, nl_verify as nv, reproduce
-from kcontract.nl_verify import Box, NonlinearCertificate
+from kcontract.nl_verify import Box
+from kcontract.numkernel import sym, worst_margin
+
+pair = lc.ContractionCertificate.pair
 
 
 def linear_bundle(A):
@@ -84,9 +87,9 @@ def test_envelope_soundness_sampling():
     rng = np.random.default_rng(0)
     P = np.eye(3)
     mu = 0.0
-    worst = max(nv.metric_condition_margin(P, J, mu) for J in verts)
+    worst = max(lc.metric_condition_margin(P, J, mu) for J in verts)
     for x in box.sample(rng, 10_000):
-        m = nv.metric_condition_margin(P, b.model.jacobian(x), mu)
+        m = lc.metric_condition_margin(P, b.model.jacobian(x), mu)
         assert m <= worst + 1e-9
 
 
@@ -99,8 +102,8 @@ def test_split_box_refinement_tightens():
         [-0.0692, -0.00009, 1.308, 0.842]])
     coarse = nv.envelope_vertices(b.model, b.box)
     fine = nv.envelope_vertices_refined(b.model, b.box, {3: 4})
-    mc = max(nv.metric_condition_margin(doc_cert, J, -15.0) for J in coarse)
-    mf = max(nv.metric_condition_margin(doc_cert, J, -15.0) for J in fine)
+    mc = max(lc.metric_condition_margin(doc_cert, J, -15.0) for J in coarse)
+    mf = max(lc.metric_condition_margin(doc_cert, J, -15.0) for J in fine)
     assert mf <= mc
 
 
@@ -123,7 +126,8 @@ def test_refined_envelope_over_the_cap_rejected_before_work():
 
 
 def test_verify_without_vertices_raises_before_any_margin(monkeypatch):
-    # no vertex would leave both margins at -inf and accept any certificate
+    # no vertex would leave both margins at -inf and accept any certificate;
+    # an empty stack reaches the verifier only from a caller holding its own
     b = models.builtin("synchronverter")
     cert = reproduce.cert_from_data(reproduce.load_data("synchronverter_resolved.json"))
 
@@ -133,7 +137,7 @@ def test_verify_without_vertices_raises_before_any_margin(monkeypatch):
     # every margin is a batched eigvalsh of the vertex stack
     monkeypatch.setattr(np.linalg, "eigvalsh", never)
     with pytest.raises(ValueError, match="no envelope vertex to check"):
-        nv.verify_nl_certificate(b.model, b.box, cert, vertices=[])
+        lc.verify_certificate(np.empty((0, 4, 4)), cert.k, cert)
 
 
 def loop_worst(margins):
@@ -168,14 +172,14 @@ def test_batched_margins_match_the_per_vertex_loop():
     rng = np.random.default_rng(5)
     B = rng.standard_normal((4, 2))
     for P, mu in ((cert.P0, cert.mu0), (cert.P1, cert.mu1)):
-        want = [nv.metric_condition_margin(P, J, mu) for J in verts]
-        got = nv.metric_condition_margin(P, verts, mu)
+        want = [lc.metric_condition_margin(P, J, mu) for J in verts]
+        got = lc.metric_condition_margin(P, verts, mu)
         assert got.tobytes() == np.array(want).tobytes()
-        assert nv._worst(got) == loop_worst(want)
+        assert worst_margin(got) == loop_worst(want)
         want = [lin_synthesis.design_margin(J, B, P, mu) for J in verts]
         got = lin_synthesis.design_margin(verts, B, P, mu)
         assert got.tobytes() == np.array(want).tobytes()
-        assert nv._worst(got) == loop_worst(want)
+        assert worst_margin(got) == loop_worst(want)
 
 
 @pytest.mark.parametrize("margins", [
@@ -186,7 +190,7 @@ def test_batched_margins_match_the_per_vertex_loop():
     [-2.0], [-np.inf, -np.inf],
 ])
 def test_worst_matches_the_per_vertex_loop(margins):
-    got, want = nv._worst(np.array(margins)), loop_worst(margins)
+    got, want = worst_margin(np.array(margins)), loop_worst(margins)
     assert got[1] == want[1] and np.array_equal(got[0], want[0], equal_nan=True)
     assert np.signbit(got[0]) == np.signbit(want[0])
 
@@ -196,12 +200,69 @@ def test_condition_no_vertex_could_evaluate_fails():
     # overflows to NaN, and a condition no vertex could evaluate fails
     b = models.builtin("synchronverter")
     cert = reproduce.cert_from_data(reproduce.load_data("synchronverter_cert.json"))
-    cert = dataclasses.replace(cert, P0=cert.P0 * 1e306, P1=cert.P1 * 1e306)
+    cert = dataclasses.replace(cert, mats=[P * 1e306 for P in cert.mats])
     with np.errstate(all="ignore"):
         report = nv.verify_nl_certificate(b.model, b.box, cert)
     assert not report.verdict and math.isnan(report.margin("P1"))
     assert report.data["worst_vertex"] == {"P0": 24, "P1": 0}
     assert "P1 condition margin nan at vertex 0 not below 0" in report.diagnostics
+
+
+@pytest.mark.parametrize("first_nan", [None, 0, 3, 31])
+def test_verifier_on_a_vertex_stack_is_the_per_vertex_loop(first_nan):
+    # each condition's margin and worst vertex are those of the per-vertex
+    # loop. With the printed pair scaled by 1e306, every plain vertex's P1
+    # margin overflows to NaN, and the scaled-down copies put before them give
+    # a finite 2.8e307: the first NaN fails, past larger finite margins
+    b = models.builtin("synchronverter")
+    cert = reproduce.cert_from_data(reproduce.load_data("synchronverter_cert.json"))
+    verts = nv.envelope_vertices(b.model, b.box)
+    if first_nan is not None:
+        cert = dataclasses.replace(cert, mats=[P * 1e306 for P in cert.mats])
+        verts = np.concatenate([verts[1:first_nan + 1] * 1e-300, verts])
+    with np.errstate(all="ignore"):
+        report = lc.verify_certificate(verts, cert.k, cert, slack=1e-2)
+        for label, P, mu in (("P0", cert.P0, cert.mu0), ("P1", cert.P1, cert.mu1)):
+            P = sym(P)  # the verifier checks the metric's symmetric part
+            m, v = loop_worst([lc.metric_condition_margin(P, J, mu) for J in verts])
+            assert report.data["worst_vertex"][label] == v
+            assert np.array_equal(report.margin(label), m, equal_nan=True)
+    assert report.verdict == (first_nan is None)
+    if first_nan is not None:
+        assert report.data["worst_vertex"]["P1"] == first_nan
+        assert f"P1 condition margin nan at vertex {first_nan} not below" in report.diagnostics
+
+
+@pytest.mark.parametrize("mu0, verdict", [(0.75, False), (0.7, True)],
+                         ids=["rate-sum-0", "rate-sum-negative"])
+def test_a_rate_sum_of_zero_rejects_on_one_vertex_and_on_a_stack(mu0, verdict):
+    # both metric conditions hold strictly; mu1 + mu0 = 0 exactly is not a
+    # negative rate sum, on a single matrix, a one-vertex stack and a stack
+    A = np.diag([0.5, -1.0, -2.0])
+    cert = pair(np.eye(3), np.diag([-1.0, 1.0, 1.0]), mu0, -0.75, 2)
+    assert (cert.rate_sum == 0.0) is not verdict
+    stack = np.array([A, np.diag([0.4, -1.1, -2.0]), np.diag([0.45, -0.9, -1.5])])
+    reports = [lc.verify_certificate(J, 2, cert) for J in (A, A[None], stack)]
+    reports.append(nv.verify_nl_certificate(linear_bundle(A).model, linear_bundle(A).box, cert))
+    for report in reports:
+        assert report.verdict is verdict
+        assert all(m < 0 for label, m in report.margins if label != "rate_sum")
+        assert ("rate sum" in report.diagnostics) is not verdict
+
+
+def test_a_k1_pair_checks_p0_at_weight_zero():
+    # k = 1 is ds = [0, 0, 1]: P0 adds nothing to the rate sum, which is mu1,
+    # but its inertia and its condition are still checked and named
+    A = np.diag([-1.0, -2.0])
+    good = pair(np.eye(2), np.eye(2), 5.0, -0.5, 1)
+    assert good.ds == [0, 0, 1] and good.weights == [0, 1] and good.rate_sum == -0.5
+    report = lc.verify_certificate(A, 1, good)
+    assert report.verdict and report.margin("P0") == -6.0
+    for P0, mu0, named in ((np.diag([1.0, -1.0]), 5.0, "P0 inertia (1, 0, 1)"),
+                           (np.eye(2), -5.0, "P0 condition margin 4 at vertex 0")):
+        report = lc.verify_certificate(A, 1, pair(P0, np.eye(2), mu0, -0.5, 1))
+        assert not report.verdict and named in report.diagnostics
+        assert report.margin("rate_sum") == -0.5
 
 
 def test_envelope_without_terms_is_a_one_vertex_stack():
@@ -210,9 +271,8 @@ def test_envelope_without_terms_is_a_one_vertex_stack():
     verts = nv.envelope_vertices(b.model, b.box)
     assert verts.shape == (1, 2, 2) and verts[0].tobytes() == b.model.A0.tobytes()
     P = np.eye(2)
-    report = nv.verify_nl_certificate(b.model, b.box, NonlinearCertificate(
-        P0=P, P1=P, mu0=-0.5, mu1=-0.5, k=1))
-    assert report.margin("P0") == nv.metric_condition_margin(P, A, -0.5)
+    report = nv.verify_nl_certificate(b.model, b.box, pair(P, P, -0.5, -0.5, 1))
+    assert report.margin("P0") == lc.metric_condition_margin(P, A, -0.5)
     assert report.data["worst_vertex"] == {"P0": 0, "P1": 0} and report.data["n_vertices"] == 1
 
 
@@ -229,17 +289,22 @@ def test_batched_search_matches_the_per_vertex_loop(monkeypatch):
 
 
 def test_verify_structural_rejection_inertia():
-    # identity has no negative direction: wrong inertia for the second metric
+    # identity has no negative direction: wrong inertia for the second metric,
+    # named alike on the envelope, on one vertex of it and on a single matrix
     b = models.builtin("rossler")
-    cert = NonlinearCertificate(P0=np.eye(3), P1=np.eye(3), mu0=0.2, mu1=-0.45, k=3)
-    report = nv.verify_nl_certificate(b.model, b.box, cert, slack=1e-2)
-    assert not report.verdict
-    assert "P1 inertia" in report.diagnostics
+    cert = pair(np.eye(3), np.eye(3), 0.2, -0.45, 3)
+    verts = nv.envelope_vertices(b.model, b.box)
+    for report in (nv.verify_nl_certificate(b.model, b.box, cert, slack=1e-2),
+                   lc.verify_certificate(verts[:1], 3, cert, slack=1e-2),
+                   lc.verify_certificate(verts[0], 3, cert, slack=1e-2)):
+        assert not report.verdict
+        assert "P1 inertia (0, 0, 3) != required (2, 0, 1)" in report.diagnostics
+        assert "P0 inertia" not in report.diagnostics
 
 
 def test_verify_dimension_mismatch_raises():
     b = models.builtin("rossler")
-    cert = NonlinearCertificate(P0=np.eye(2), P1=np.eye(2), mu0=0.0, mu1=-1.0, k=2)
+    cert = pair(np.eye(2), np.eye(2), 0.0, -1.0, 2)
     with pytest.raises(ValueError):
         nv.verify_nl_certificate(b.model, b.box, cert)
 
@@ -253,8 +318,7 @@ def test_verify_linear_reduction_agrees_with_lti_verifier():
     lin_cert = lc.build_certificate(A, k)
     bundle = linear_bundle(A)
     if lin_cert.ell == 2 and lin_cert.ds[1] == k - 1:
-        cert = NonlinearCertificate(P0=lin_cert.mats[0], P1=lin_cert.mats[1],
-                                    mu0=lin_cert.mus[0], mu1=lin_cert.mus[1], k=k)
+        cert = pair(*lin_cert.mats, *lin_cert.mus, k)
         report = nv.verify_nl_certificate(bundle.model, bundle.box, cert)
         lin_report = lc.verify_certificate(A, k, lin_cert)
         assert report.verdict == lin_report.verdict
@@ -267,7 +331,7 @@ def test_verify_planar_flag():
     P1 = lc.shifted_inertia_certificate(A, -2.0)
     from kcontract.numkernel import inertia_symmetric
     assert inertia_symmetric(P1) == (1, 0, 1)
-    cert = NonlinearCertificate(P0=P0, P1=P1, mu0=-0.5, mu1=-2.0, k=2)
+    cert = pair(P0, P1, -0.5, -2.0, 2)
     report = nv.verify_nl_certificate(bundle.model, bundle.box, cert)
     assert report.verdict and report.data["planar"]
     assert "compactness" in report.diagnostics

@@ -3,7 +3,7 @@ import time
 import numpy as np
 from test_sim import cores, trace_bytes
 
-from kcontract import cli, models, nl_verify as nv, reproduce, sim
+from kcontract import cli, lin_contraction as lc, models, nl_verify as nv, reproduce, sim
 
 
 def test_compound_constant_check_helper():
@@ -78,7 +78,7 @@ def test_rossler_mod_packaged_pair_rederived():
     verts = nv.envelope_vertices(bundle.model, box)
     (P0, t0), (P1, t1) = (nv.solve_metric_lmi(verts, mu) for mu in (doc["mu0"], doc["mu1"]))
     assert t0 < 0 and t1 < 0
-    cert = nv.NonlinearCertificate(P0=P0, P1=P1, mu0=doc["mu0"], mu1=doc["mu1"], k=doc["k"])
+    cert = lc.ContractionCertificate.pair(P0, P1, doc["mu0"], doc["mu1"], doc["k"])
     assert nv.verify_nl_certificate(bundle.model, box, cert, slack=0.0).verdict
 
 
@@ -90,9 +90,8 @@ def test_synchronverter_pair_rederived_on_refinement():
     verts = nv.envelope_vertices_refined(bundle.model, bundle.box, refinement)
     (P0, t0), (P1, t1) = (nv.solve_metric_lmi(verts, mu) for mu in (doc["mu0"], doc["mu1"]))
     assert t0 < 0 and t1 < 0
-    cert = nv.NonlinearCertificate(P0=P0, P1=P1, mu0=doc["mu0"], mu1=doc["mu1"], k=doc["k"])
-    assert nv.verify_nl_certificate(bundle.model, bundle.box, cert, slack=0.0,
-                                    vertices=verts).verdict
+    cert = lc.ContractionCertificate.pair(P0, P1, doc["mu0"], doc["mu1"], doc["k"])
+    assert lc.verify_certificate(verts, cert.k, cert).verdict
 
 
 def test_shipped_data_reads_the_same_floats():
